@@ -9,6 +9,7 @@ byte-identical output.  Exit codes: 0 success, 2 input validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import glob as globmod
 import hashlib
 import json
@@ -24,7 +25,6 @@ from .obstruction import (
     abundancy_map,
     classify_report,
     dual_obstruction_chain,
-    parameter_dimension,
     reduced_abundancy_map,
 )
 from .residues import (
@@ -65,6 +65,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="tropctl", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
@@ -272,7 +273,7 @@ def _cmd_obstruction(args):
         fields = {
             "method": "chain",
             "dimH": res["dim"],
-            "paramDim": parameter_dimension(curve),
+            "paramDim": expected_dim(curve) + res["dim"],
         }
     else:
         coords = {}

@@ -17,9 +17,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
-from .graphs import AbstractGraph, Flag
+from .graphs import AbstractGraph, Flag, spanning_forest
 from .linalg import (
     Q0,
+    content_and_primitive,
     integer_primitive,
     is_primitive,
     is_zero_vec,
@@ -42,10 +43,8 @@ class CombinatorialType:
         self.n = n
         self.directions = dict(directions)
 
-    def edge_direction(self, eid: str) -> tuple | None:
-        return self.directions.get(eid)
-
     def flag_direction(self, flag: Flag) -> tuple:
+        """Primitive integer direction at the flag's vertex (zero if none)."""
         d = self.directions.get(flag.edge)
         if d is None:
             return tuple([0] * self.n)
@@ -71,15 +70,7 @@ class TropicalCurve:
 
     # -- directions ----------------------------------------------------------
 
-    def edge_direction(self, eid: str) -> tuple | None:
-        return self.directions[eid]
-
-    def flag_direction(self, flag: Flag) -> tuple:
-        """Primitive integer direction at the flag's vertex (zero if none)."""
-        d = self.directions[flag.edge]
-        if d is None:
-            return tuple([0] * self.n)
-        return d if flag.slot == 0 else tuple(-x for x in d)
+    flag_direction = CombinatorialType.flag_direction
 
     def is_contracted(self, eid: str) -> bool:
         e = self.graph.edges[eid]
@@ -116,6 +107,15 @@ class TropicalCurve:
 
     def __hash__(self):
         return hash((self.n, self.graph.vertex_ids, tuple(sorted(self.directions.items()))))
+
+
+def as_type(obj) -> CombinatorialType:
+    """The combinatorial type of a curve, or the type itself."""
+    if isinstance(obj, TropicalCurve):
+        return obj.combinatorial_type()
+    if isinstance(obj, CombinatorialType):
+        return obj
+    raise TypeError(f"expected a curve or combinatorial type, got {type(obj).__name__}")
 
 
 def _validate_curve(c: TropicalCurve):
@@ -306,10 +306,10 @@ def is_immersive(c: TropicalCurve) -> bool:
     return not any(c.is_contracted(eid) for eid in c.graph.bounded_edge_ids())
 
 
-def expected_dim(c: TropicalCurve) -> int:
-    e = len(c.graph.unbounded_edge_ids())
-    g = c.graph.genus()
-    return e + (c.n - 3) * (1 - g)
+def expected_dim(obj) -> int:
+    """e + (n - 3)(1 - g) for a curve or a combinatorial type."""
+    g = obj.graph
+    return len(g.unbounded_edge_ids()) + (obj.n - 3) * (1 - g.genus())
 
 
 # -- image graph ---------------------------------------------------------------
@@ -319,52 +319,27 @@ class ImageCurve:
     """The curve after contracting zero-length edges.
 
     curve: the quotient as a TropicalCurve (may have higher-valent vertices).
-    source_map: source vertex -> image vertex.  clusters: image vertex ->
-    sorted source vertices.  sigma/s: total and bounded image valences.
+    source_map: source vertex -> image vertex, the smallest source vertex of
+    its contracted cluster.
     """
 
     def __init__(self, curve: TropicalCurve, source_map: dict):
         self.curve = curve
         self.source_map = dict(source_map)
-        clusters: dict[str, list] = {}
-        for src, img in source_map.items():
-            clusters.setdefault(img, []).append(src)
-        self.clusters = {img: tuple(sorted(c)) for img, c in clusters.items()}
-        self.sigma = {v: curve.graph.valence(v) for v in curve.graph.vertex_ids}
-        self.s = {
-            v: sum(
-                1
-                for eid, _slot in curve.graph.incident(v)
-                if not curve.graph.edges[eid].is_unbounded
-            )
-            for v in curve.graph.vertex_ids
-        }
 
 
 def contract_image(c: TropicalCurve) -> ImageCurve:
     contracted = [eid for eid in c.graph.bounded_edge_ids() if c.is_contracted(eid)]
-    # union-find over contracted edges; a cycle of contracted edges is a
-    # contracted loop and is rejected
-    parent = {v: v for v in c.graph.vertex_ids}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for eid in contracted:
-        a, b = c.graph.edges[eid].ends
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise PreconditionError(
-                "contracted-loop",
-                f"contracting edge {eid} collapses a loop",
-                edge=eid,
-            )
-        parent[max(ra, rb)] = min(ra, rb)
-
-    source_map = {v: find(v) for v in c.graph.vertex_ids}
+    # a cycle of contracted edges is a contracted loop and is rejected
+    forest = spanning_forest(c.graph, contracted)
+    if forest.rest:
+        eid = forest.rest[0]
+        raise PreconditionError(
+            "contracted-loop",
+            f"contracting edge {eid} collapses a loop",
+            edge=eid,
+        )
+    source_map = forest.root
     image_vertices = sorted(set(source_map.values()))
     edges = []
     directions = {}
@@ -519,15 +494,10 @@ def replace_star(
             edges.append((eid, tuple(ends), e.weight))
         else:
             edges.append((eid, e.ends, e.weight))
-    from math import gcd
-
     for i, (parent_vertex, node, total) in enumerate(internal, 1):
-        gg = 0
-        for x in total:
-            gg = gcd(gg, abs(x))
         eid = f"{new_prefix}edge{i}"
-        edges.append((eid, (parent_vertex, node), gg))
-        directions[eid] = tuple(x // gg for x in total)
+        weight, directions[eid] = content_and_primitive(total)
+        edges.append((eid, (parent_vertex, node), weight))
     graph = AbstractGraph(vertices, edges)
     return CombinatorialType(graph, ct.n, directions)
 
@@ -572,47 +542,15 @@ def _realize_type(ct: CombinatorialType):
     if not bounded:
         return True, {g.vertex_ids[0]: zero_vec(ct.n)}
     index = {eid: i for i, eid in enumerate(bounded)}
-    # spanning tree by sorted edge ids
-    parent = {v: v for v in g.vertex_ids}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    rest = []
-    for eid in bounded:
-        a, b = g.edges[eid].ends
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            rest.append(eid)
-        else:
-            parent[max(ra, rb)] = min(ra, rb)
-            tree.append(eid)
-    # express each vertex position as a linear map of lengths
-    root = g.vertex_ids[0]
-    coeff = {root: {}}  # vertex -> {edge index: signed direction tuple}
-    todo = [root]
-    tree_set = set(tree)
-    while todo:
-        v = todo.pop()
-        for eid, slot in g.incident(v):
-            if eid not in tree_set:
-                continue
-            o = g.edges[eid].ends[1 - slot]
-            if o in coeff:
-                continue
-            d = ct.directions[eid]
-            # moving from ends[0] to ends[1] adds +length*direction
-            sign = 1 if slot == 0 else -1
-            m = dict(coeff[v])
-            m[index[eid]] = tuple(sign * x for x in d)
-            coeff[o] = m
-            todo.append(o)
+    forest = spanning_forest(g, bounded)
+    # each vertex position as a linear map of lengths: moving from ends[0]
+    # to ends[1] adds +length*direction
+    coeff = {
+        v: {index[e]: tuple(sign * x for x in ct.directions[e]) for e, sign in path.items()}
+        for v, path in forest.path.items()
+    }
     rows = []
-    for eid in rest:
+    for eid in forest.rest:
         a, b = g.edges[eid].ends
         d = ct.directions[eid]
         for k in range(ct.n):

@@ -140,30 +140,38 @@ class AbstractGraph:
 
     # -- loop decomposition --------------------------------------------------
 
-    def _endpoints_connected_without(self, eid: str) -> bool:
-        e = self.edges[eid]
-        a, b = e.ends
-        seen = {a}
-        stack = [a]
-        while stack:
-            v = stack.pop()
-            for fid, slot in self._adj[v]:
-                if fid == eid:
-                    continue
-                o = self.edges[fid].ends[1 - slot]
-                if o is not None and o not in seen:
-                    seen.add(o)
-                    stack.append(o)
-        return b in seen
-
     def loop_part(self) -> frozenset[str]:
-        """Bounded edges whose interior removal lowers the first Betti number."""
-        out = set()
-        for eid in self.bounded_edge_ids():
-            e = self.edges[eid]
-            if e.is_selfloop or self._endpoints_connected_without(eid):
-                out.add(eid)
-        return frozenset(out)
+        """Bounded edges whose interior removal lowers the first Betti number.
+
+        These are the bounded edges that are not bridges, found by one
+        iterative depth-first search with low points (Tarjan 1972).  The
+        search steps over edge ids rather than parent vertices, so a
+        parallel edge or a self-loop is never mistaken for a bridge.
+        """
+        order = {self.vertex_ids[0]: 0}
+        low = dict(order)
+        bridges = set()
+        stack = [(self.vertex_ids[0], None, iter(self._adj[self.vertex_ids[0]]))]
+        while stack:
+            v, via, todo = stack[-1]
+            for eid, slot in todo:
+                o = self.edges[eid].ends[1 - slot]
+                if o is None or eid == via:
+                    continue
+                if o in order:
+                    low[v] = min(low[v], order[o])
+                else:
+                    order[o] = low[o] = len(order)
+                    stack.append((o, eid, iter(self._adj[o])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[v])
+                    if low[v] > order[p]:
+                        bridges.add(via)
+        return frozenset(self.bounded_edge_ids()).difference(bridges)
 
     def loop_decomposition(self) -> LoopDecomposition:
         loop = self.loop_part()
@@ -265,6 +273,58 @@ def _tree_components(g: AbstractGraph, loop: frozenset[str]) -> tuple[tuple[froz
                     attach += 1
         out.append((comp, "U" if attach == 1 else "B"))
     return tuple(sorted(out, key=lambda t: min(t[0])))
+
+
+class Forest(NamedTuple):
+    """A spanning forest and the signed paths to its roots.
+
+    rest lists, in the order given, the edges left out of the forest because
+    they close a cycle.  root maps every vertex to the smallest vertex of its
+    component.  path maps every vertex to the forest edges from its root to
+    it, as {edge: +1} when the walk crosses the edge from ends[0] to ends[1]
+    and {edge: -1} when it crosses the other way.
+    """
+
+    rest: tuple[str, ...]
+    root: dict[str, str]
+    path: dict[str, dict[str, int]]
+
+
+def spanning_forest(g: AbstractGraph, edges: Iterable[str]) -> Forest:
+    """Greedy spanning forest of the bounded edges given, taken in order."""
+    parent = {v: v for v in g.vertex_ids}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    tree: dict[str, list[tuple[str, str, int]]] = {v: [] for v in g.vertex_ids}
+    rest = []
+    for eid in edges:
+        a, b = g.edges[eid].ends
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            rest.append(eid)
+        else:
+            parent[max(ra, rb)] = min(ra, rb)  # each root is its component's smallest vertex
+            tree[a].append((eid, b, 1))
+            tree[b].append((eid, a, -1))
+    root = {v: find(v) for v in g.vertex_ids}
+    path: dict[str, dict[str, int]] = {}
+    for r in g.vertex_ids:
+        if root[r] != r:
+            continue
+        path[r] = {}
+        todo = [r]
+        while todo:
+            v = todo.pop()
+            for eid, o, sign in tree[v]:
+                if o not in path:
+                    path[o] = {**path[v], eid: sign}
+                    todo.append(o)
+    return Forest(tuple(rest), root, path)
 
 
 def require_trivalent(g: AbstractGraph, what: str = "operation"):

@@ -1,15 +1,16 @@
 """Exact dense linear algebra over the rationals.
 
 Everything here works with `fractions.Fraction` entries; no floating point.
-Matrices are immutable, row-major, and small (the systems built elsewhere in
-this package have at most a few hundred entries), so plain Gaussian
-elimination is the right tool.
+Matrices are immutable and row-major, and elimination is plain dense
+Gauss-Jordan.  The systems built elsewhere in this package are not small:
+a genus-40 loop chain in R^3 gives a 720x360 residue system, and although
+such systems are more than 99% zeros, elimination is most of the run time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q0 = Fraction(0)
@@ -39,10 +40,6 @@ def zero_vec(n: int) -> tuple[Fraction, ...]:
     return (Q0,) * n
 
 
-def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Q1 if j == i else Q0 for j in range(n))
-
-
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     assert len(u) == len(v)
     return tuple(a + b for a, b in zip(u, v))
@@ -58,10 +55,6 @@ def vec_scale(c, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c * a for a in u)
 
 
-def vec_neg(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(-a for a in u)
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     assert len(u) == len(v)
     return sum((a * b for a, b in zip(u, v) if a and b), Q0)
@@ -69,6 +62,13 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
+
+
+def content_and_primitive(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Content (gcd of the entries) and primitive part of a nonzero integer
+    vector, so that v = content * primitive."""
+    c = gcd(*(int(x) for x in v))
+    return c, tuple(int(x) // c for x in v)
 
 
 def integer_primitive(v: Sequence) -> tuple[int, ...]:
@@ -79,23 +79,12 @@ def integer_primitive(v: Sequence) -> tuple[int, ...]:
     fracs = [Fraction(x) for x in v]
     if all(f == 0 for f in fracs):
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    denom_lcm = lcm(*(f.denominator for f in fracs))
+    return content_and_primitive([f * denom_lcm for f in fracs])[1]
 
 
 def is_primitive(v: Sequence[int]) -> bool:
-    if all(x == 0 for x in v):
-        return False
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g == 1
+    return gcd(*(int(x) for x in v)) == 1
 
 
 class Matrix:
@@ -139,22 +128,12 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.data), cols=self.rows) if self.rows else Matrix([], cols=0)
 
     def mul_vec(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         assert len(x) == self.cols
         return tuple(dot(r, x) for r in self.data)
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        assert self.cols == other.cols
-        return Matrix(self.data + other.data, cols=self.cols)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot column indices.
@@ -213,51 +192,26 @@ class Matrix:
             for i, p in enumerate(pivots):
                 v[p] = -red.entry(i, f)
             basis.append(tuple(v))
-        # the stacked basis is re-reduced so equal kernels print identically
-        return Subspace.span(basis, self.cols)
-
-    def solve(self, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        """One particular solution of self @ x = b, or None if inconsistent."""
-        assert len(b) == self.rows
-        aug = Matrix([list(r) + [bb] for r, bb in zip(self.data, b)], cols=self.cols + 1)
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [Q0] * self.cols
-        for i, p in enumerate(pivots):
-            x[p] = red.entry(i, self.cols)
-        return tuple(x)
+        # re-reduced so that equal kernels print identically
+        return Subspace(self.cols, basis)
 
 
 class Subspace:
-    """A linear subspace of Q^n held as a canonical (RREF) basis."""
+    """A linear subspace of Q^n held as its canonical basis: the nonzero rows
+    of the reduced echelon form of any spanning set.  Equal subspaces
+    therefore have equal bases, hashes and printed forms."""
 
     __slots__ = ("ambient", "basis")
 
-    def __init__(self, ambient: int, basis: Sequence[Sequence[Fraction]] = ()):
-        basis = tuple(vec(b) for b in basis)
-        assert all(len(b) == ambient for b in basis)
-        if basis:
-            red, pivots = Matrix(basis, cols=ambient).rref()
-            assert len(pivots) == len(basis), "basis vectors must be independent"
+    def __init__(self, ambient: int, vectors: Sequence[Sequence[Fraction]] = ()):
+        m = Matrix(vectors, cols=ambient)
+        assert m.cols == ambient, "vectors must lie in the ambient space"
+        red, pivots = m.rref()
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", red.data[: len(pivots)])
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def span(cls, vectors: Sequence[Sequence[Fraction]], ambient: int) -> "Subspace":
-        """Subspace spanned by arbitrary vectors (canonical RREF basis)."""
-        vectors = [vec(v) for v in vectors if not is_zero_vec(v)]
-        if not vectors:
-            return cls(ambient, ())
-        red, pivots = Matrix(vectors, cols=ambient).rref()
-        return cls(ambient, [red.row(i) for i in range(len(pivots))])
-
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, [unit_vec(ambient, i) for i in range(ambient)])
 
     @property
     def dim(self) -> int:
@@ -279,8 +233,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.dim == other.dim
-            and self.contains(other)
+            and self.basis == other.basis
         )
 
     def __hash__(self):
@@ -291,15 +244,11 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """Covectors vanishing on this subspace; dims add up to the ambient."""
-        if not self.basis:
-            return Subspace.full(self.ambient)
         return Matrix(self.basis, cols=self.ambient).kernel()
 
     def intersect(self, other: "Subspace") -> "Subspace":
         assert self.ambient == other.ambient
-        return Subspace.span(
-            [v for v in _intersection_vectors(self, other)], self.ambient
-        )
+        return Subspace(self.ambient, _intersection_vectors(self, other))
 
 
 def _intersection_vectors(a: Subspace, b: Subspace):
@@ -318,10 +267,6 @@ def _intersection_vectors(a: Subspace, b: Subspace):
             v = vec_add(v, vec_scale(c, bv))
         out.append(v)
     return out
-
-
-def span_dim(vectors: Sequence[Sequence[Fraction]], ambient: int) -> int:
-    return Subspace.span(vectors, ambient).dim
 
 
 class AffineInequalities:

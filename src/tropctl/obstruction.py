@@ -1,37 +1,75 @@
 """Dual obstruction spaces from combinatorial types, and abundancy maps.
 
-The chain method computes the obstruction dual H from directions alone.  Its
-flag system puts one covector variable on each flag of a loop-part edge and
-imposes three row groups: the covector is perpendicular to its edge
-direction, the two covectors of an edge sum to zero, and the covectors at a
-vertex sum to zero.  Covectors on non-loop flags are identically zero, so
-they are not carried as variables.  Walking along a 2-valent-in-the-loop
-vertex the rows force a constant covector, so maximal chains carry one value
-each and junction vertices impose the signed sum conditions; the kernel is H.
+The obstruction dual H is the kernel of a flag system: every bounded flag
+carries a covector, opposite on the two flags of an edge and zero on edges
+outside the loop subgraph, subject to linear conditions at each vertex.
+`flag_system` assembles and solves it over one n-covector per loop edge.
+The chain method (here) and the residue method (`residues.xi_map`) differ
+only in the vertex conditions.  The chain method works from directions
+alone: each loop covector is perpendicular to its edge direction and the
+covectors at a vertex sum to zero, so a maximal chain carries one covector
+and junction vertices impose the signed sum conditions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .curves import CombinatorialType, TropicalCurve, contract_image, expected_dim
+from .curves import TropicalCurve, as_type, contract_image, expected_dim
 from .errors import PreconditionError
-from .graphs import AbstractGraph, Flag, require_trivalent
-from .linalg import (
-    Matrix,
-    Q0,
-    Subspace,
-    integer_primitive,
-    vec,
-)
+from .graphs import AbstractGraph, Flag, require_trivalent, spanning_forest
+from .linalg import Matrix, Q0, Q1, Subspace, integer_primitive, vec
 
 
-def _as_type(obj) -> CombinatorialType:
-    if isinstance(obj, TropicalCurve):
-        return obj.combinatorial_type()
-    if isinstance(obj, CombinatorialType):
-        return obj
-    raise TypeError(f"expected a curve or combinatorial type, got {type(obj).__name__}")
+def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict:
+    """Kernel of a flag system, solved over one n-covector w_e per variable edge.
+
+    The flag at slot 0 of edge e carries +w_e and the flag at slot 1 carries
+    -w_e, for e in `variables`; flags of other edges carry zero.
+    `vertex_rows` yields (flags, rows) pairs: each row is a condition at one
+    vertex, written over the concatenated n-covectors of those flags.  The
+    kernel is reported over the flags of `edges` (sorted bounded edge ids,
+    a superset of the variables), edge by edge with slot 0 first.
+    """
+    base = {}
+    for eid in edges:
+        if eid in variables:
+            base[eid] = len(base) * n
+    nvars = len(base) * n
+    rows = []
+    for flags, local_rows in vertex_rows:
+        for local in local_rows:
+            row = [Q0] * nvars
+            for i, f in enumerate(flags):
+                b = base.get(f.edge)
+                if b is None:
+                    continue
+                for k in range(n):
+                    c = local[i * n + k]
+                    if c:
+                        row[b + k] += c if f.slot == 0 else -c
+            if any(row):  # a condition on non-variable flags only is void
+                rows.append(row)
+    space = Matrix(rows, cols=nvars).kernel()
+    flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
+    zero = (Q0,) * n
+    basis, expanded = [], []
+    for w in space.basis:
+        assignment = {}
+        for f in flag_order:
+            b = base.get(f.edge)
+            if b is None:
+                assignment[f] = zero
+            elif f.slot == 0:
+                assignment[f] = w[b : b + n]
+            else:
+                assignment[f] = tuple(-x for x in w[b : b + n])
+        basis.append(assignment)
+        expanded.append(tuple(x for f in flag_order for x in assignment[f]))
+    return {
+        "dim": space.dim,
+        "space": Subspace(len(flag_order) * n, expanded),
+        "flag_order": flag_order,
+        "basis": basis,
+    }
 
 
 # -- compatible numberings -----------------------------------------------------
@@ -41,31 +79,14 @@ def compatible_numbering_space(obj) -> dict:
     """Scalar flag numberings: zero on unbounded flags, summing to zero at
     each vertex and across each bounded edge.  The dimension equals the genus.
     """
-    if isinstance(obj, AbstractGraph):
-        g = obj
-    else:
-        g = _as_type(obj).graph
-    flags = [f for f in g.flags() if not g.edges[f.edge].is_unbounded]
-    index = {f: i for i, f in enumerate(flags)}
-    rows = []
-    for v in g.vertex_ids:
-        row = [Q0] * len(flags)
-        touched = False
-        for eid, slot in g.incident(v):
-            f = Flag(v, eid, slot)
-            if f in index:
-                row[index[f]] += 1
-                touched = True
-        if touched:
-            rows.append(row)
-    for eid in g.bounded_edge_ids():
-        e = g.edges[eid]
-        row = [Q0] * len(flags)
-        row[index[Flag(e.ends[0], eid, 0)]] += 1
-        row[index[Flag(e.ends[1], eid, 1)]] += 1
-        rows.append(row)
-    space = Matrix(rows, cols=len(flags)).kernel()
-    return {"dim": space.dim, "space": space, "flag_order": tuple(flags)}
+    g = obj if isinstance(obj, AbstractGraph) else as_type(obj).graph
+    bounded = g.bounded_edge_ids()
+    # unbounded flags carry no variable, so the assembler drops their terms
+    vertex_sums = (
+        ([Flag(v, eid, slot) for eid, slot in g.incident(v)], [[Q1] * g.valence(v)])
+        for v in g.vertex_ids
+    )
+    return flag_system(g, 1, bounded, set(bounded), vertex_sums)
 
 
 # -- chain-method obstruction dual ----------------------------------------------
@@ -78,7 +99,7 @@ def dual_obstruction_chain(obj) -> dict:
     the kernel as a subspace over loop-flag covector coordinates, a basis in
     per-flag form, and the maximal chains with their perpendicular spaces.
     """
-    ct = _as_type(obj)
+    ct = as_type(obj)
     g = ct.graph
     n = ct.n
     require_trivalent(g, "the chain obstruction")
@@ -91,53 +112,29 @@ def dual_obstruction_chain(obj) -> dict:
                 f"loop edge {eid} has no direction; chains need one on every loop edge",
                 edge=eid,
             )
-    lflags = []
-    for eid in loop:
-        e = g.edges[eid]
-        lflags.append(Flag(e.ends[0], eid, 0))
-        lflags.append(Flag(e.ends[1], eid, 1))
-    index = {f: i for i, f in enumerate(lflags)}
-    nvars = len(lflags) * n
-    rows = []
-    # perpendicularity to the edge direction (one flag per edge suffices
-    # because the edge rows force opposite covectors)
-    for eid in loop:
-        e = g.edges[eid]
-        d = ct.directions[eid]
-        row = [Q0] * nvars
-        base = index[Flag(e.ends[0], eid, 0)] * n
-        for k in range(n):
-            row[base + k] = Fraction(d[k])
-        rows.append(row)
-    # the two covectors of an edge sum to zero
-    for eid in loop:
-        e = g.edges[eid]
-        b0 = index[Flag(e.ends[0], eid, 0)] * n
-        b1 = index[Flag(e.ends[1], eid, 1)] * n
-        for k in range(n):
-            row = [Q0] * nvars
-            row[b0 + k] += 1
-            row[b1 + k] += 1
-            rows.append(row)
-    # covectors at a vertex sum to zero (non-loop flags are zero)
-    for v in g.vertex_ids:
-        here = [Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in decomp.loop_edges]
-        if not here:
-            continue
-        for k in range(n):
-            row = [Q0] * nvars
-            for f in here:
-                row[index[f] * n + k] += 1
-            rows.append(row)
-    space = Matrix(rows, cols=nvars).kernel()
-    basis = []
-    for bv in space.basis:
-        assignment = {f: tuple(bv[i * n : (i + 1) * n]) for f, i in index.items()}
-        basis.append(assignment)
+
+    def chain_rows():
+        # perpendicularity to the edge direction, stated once per edge at its
+        # slot-0 flag, and the vertex sums
+        for v in g.vertex_ids:
+            flags = [Flag(v, e, slot) for e, slot in g.incident(v) if e in decomp.loop_edges]
+            if not flags:
+                continue
+            width = len(flags) * n
+            rows = []
+            for i, f in enumerate(flags):
+                if f.slot == 0:
+                    row = [Q0] * width
+                    row[i * n : (i + 1) * n] = vec(ct.directions[f.edge])
+                    rows.append(row)
+            for k in range(n):
+                rows.append([Q1 if j % n == k else Q0 for j in range(width)])
+            yield flags, rows
+
+    out = flag_system(g, n, loop, decomp.loop_edges, chain_rows())
     chains = []
     for chain in sorted(decomp.chains, key=lambda c: min(c.edges)):
-        dirs = [vec(ct.directions[eid]) for eid in chain.edges]
-        perp = Subspace.span(dirs, n).annihilator()
+        perp = Subspace(n, [ct.directions[eid] for eid in chain.edges]).annihilator()
         chains.append(
             {
                 "edges": list(chain.edges),
@@ -145,200 +142,79 @@ def dual_obstruction_chain(obj) -> dict:
                 "perp": [integer_primitive(bv) for bv in perp.basis],
             }
         )
-    return {
-        "dim": space.dim,
-        "space": space,
-        "flag_order": tuple(lflags),
-        "basis": basis,
-        "loop_edges": loop,
-        "chains": chains,
-    }
-
-
-def type_expected_dim(ct: CombinatorialType) -> int:
-    e = len(ct.graph.unbounded_edge_ids())
-    return e + (ct.n - 3) * (1 - ct.graph.genus())
+    out["loop_edges"] = loop
+    out["chains"] = chains
+    return out
 
 
 def parameter_dimension(obj) -> int:
     """Dimension of the deformation space of the combinatorial type."""
-    ct = _as_type(obj)
-    return type_expected_dim(ct) + dual_obstruction_chain(ct)["dim"]
+    return expected_dim(obj) + dual_obstruction_chain(obj)["dim"]
 
 
 # -- abundancy ------------------------------------------------------------------
 
 
-def _spanning_tree_chains(c: TropicalCurve):
-    """Greedy spanning tree over sorted bounded edges; per-vertex signed
-    root paths as {edge: sign} maps, plus the leftover (fundamental) edges.
-    """
-    g = c.graph
-    parent = {v: v for v in g.vertex_ids}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    rest = []
-    for eid in g.bounded_edge_ids():
-        a, b = g.edges[eid].ends
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            rest.append(eid)
-        else:
-            parent[max(ra, rb)] = min(ra, rb)
-            tree.append(eid)
-    root = g.vertex_ids[0]
-    chains = {root: {}}
-    todo = [root]
-    tree_set = set(tree)
-    while todo:
-        v = todo.pop()
-        for eid, slot in g.incident(v):
-            if eid not in tree_set:
-                continue
-            o = g.edges[eid].ends[1 - slot]
-            if o in chains:
-                continue
-            m = dict(chains[v])
-            # +1 when the walk crosses the edge from ends[0] to ends[1]
-            m[eid] = m.get(eid, 0) + (1 if slot == 0 else -1)
-            if m[eid] == 0:
-                del m[eid]
-            chains[o] = m
-            todo.append(o)
-    return chains, rest
-
-
-def _fundamental_cycle(c: TropicalCurve, chains: dict, eid: str) -> dict:
-    """Signed edge coefficients of the cycle closed by a non-tree edge."""
+def _cycle_rows(c: TropicalCurve, path: dict, eid: str, col: dict) -> list:
+    """The n rows of length-weighted directions around the cycle that the
+    non-tree edge eid closes, over the loop-edge columns `col`."""
     a, b = c.graph.edges[eid].ends
     coeff = {eid: 1}
-    for e2, s in chains[a].items():
+    for e2, s in path[a].items():
         coeff[e2] = coeff.get(e2, 0) + s
-    for e2, s in chains[b].items():
+    for e2, s in path[b].items():
         coeff[e2] = coeff.get(e2, 0) - s
-    return {e2: s for e2, s in coeff.items() if s != 0}
+    rows = [[Q0] * len(col) for _ in range(c.n)]
+    for e2, s in coeff.items():
+        if s == 0:
+            continue
+        u = c.directions[e2]
+        if u is None:
+            raise PreconditionError(
+                "zero-direction-loop",
+                f"loop edge {e2} has no direction; the abundancy map needs one",
+                edge=e2,
+            )
+        le = c.edge_length(e2)
+        for k in range(c.n):
+            rows[k][col[e2]] += s * le * u[k]
+    return rows
 
 
 def abundancy_map(c: TropicalCurve):
     """Length-weighted cycle-direction map; surjective iff rank is genus * n.
 
-    Rows come in blocks of n per fundamental cycle; columns are indexed by
-    the loop edges in sorted order.
+    Rows come in blocks of n per fundamental cycle of the greedy spanning
+    tree over sorted bounded edges; columns are indexed by the loop edges in
+    sorted order.
     """
     g = c.graph
-    n = c.n
-    loop = sorted(g.loop_part())
-    col = {eid: j for j, eid in enumerate(loop)}
-    chains, rest = _spanning_tree_chains(c)
-    genus = g.genus()
+    col = {eid: j for j, eid in enumerate(sorted(g.loop_part()))}
+    forest = spanning_forest(g, g.bounded_edge_ids())
     rows = []
-    for eid in rest:
-        coeff = _fundamental_cycle(c, chains, eid)
-        block = [[Q0] * len(loop) for _ in range(n)]
-        for e2, s in coeff.items():
-            u = c.directions[e2]
-            if u is None:
-                raise PreconditionError(
-                    "zero-direction-loop",
-                    f"loop edge {e2} has no direction; the abundancy map needs one",
-                    edge=e2,
-                )
-            le = c.edge_length(e2)
-            for k in range(n):
-                block[k][col[e2]] += s * le * u[k]
-        rows.extend(block)
-    m = Matrix(rows, cols=len(loop))
+    for eid in forest.rest:
+        rows.extend(_cycle_rows(c, forest.path, eid, col))
+    m = Matrix(rows, cols=len(col))
     rank = m.rank()
-    return m, rank, rank == genus * n
-
-
-def _greedy_cut_set(g: AbstractGraph) -> list[str]:
-    """Lexicographically first bounded edge set whose removal leaves a tree."""
-    remaining = set(g.bounded_edge_ids())
-    genus = g.genus()
-    cut = []
-
-    def connected_without(eid):
-        keep = remaining - {eid}
-        verts = set(g.vertex_ids)
-        adj = {v: [] for v in verts}
-        for e2 in keep:
-            a, b = g.edges[e2].ends
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {next(iter(verts))} if verts else set()
-        todo = list(seen)
-        while todo:
-            v = todo.pop()
-            for o in adj[v]:
-                if o not in seen:
-                    seen.add(o)
-                    todo.append(o)
-        return seen == verts
-
-    for eid in g.bounded_edge_ids():
-        if len(cut) == genus:
-            break
-        e = g.edges[eid]
-        if e.is_selfloop or connected_without(eid):
-            cut.append(eid)
-            remaining.discard(eid)
-    return cut
+    return m, rank, rank == g.genus() * c.n
 
 
 def reduced_abundancy_map(c: TropicalCurve):
     """Abundancy composed with the quotients by the cut edge directions.
 
-    For each cut edge the n cycle rows are replaced by n-1 rows obtained from
-    an annihilator basis of its direction, killing the cut edge's own column.
-    Returns (matrix, rank, cut_edges); the map is onto iff rank equals
-    (n-1) * genus, and the obstruction dual dimension is the difference.
+    The cut edges are the lexicographically first bounded edge set whose
+    removal leaves a tree: the edges outside the greedy spanning tree built
+    over the bounded edges in reverse order.  For each cut edge the n cycle
+    rows are replaced by n-1 rows obtained from an annihilator basis of its
+    direction, killing the cut edge's own column.  Returns (matrix, rank,
+    cut_edges); the map is onto iff rank equals (n-1) * genus, and the
+    obstruction dual dimension is the difference.
     """
     g = c.graph
     n = c.n
-    cut = _greedy_cut_set(g)
-    loop = sorted(g.loop_part())
-    col = {eid: j for j, eid in enumerate(loop)}
-    # spanning tree = bounded edges minus the cut set
-    keep = [eid for eid in g.bounded_edge_ids() if eid not in set(cut)]
-    parent = {v: v for v in g.vertex_ids}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree_set = set()
-    for eid in keep:
-        a, b = g.edges[eid].ends
-        ra, rb = find(a), find(b)
-        assert ra != rb, "cut complement is not a tree"
-        parent[max(ra, rb)] = min(ra, rb)
-        tree_set.add(eid)
-    root = g.vertex_ids[0]
-    chains = {root: {}}
-    todo = [root]
-    while todo:
-        v = todo.pop()
-        for eid, slot in g.incident(v):
-            if eid not in tree_set:
-                continue
-            o = g.edges[eid].ends[1 - slot]
-            if o in chains:
-                continue
-            m2 = dict(chains[v])
-            m2[eid] = m2.get(eid, 0) + (1 if slot == 0 else -1)
-            if m2[eid] == 0:
-                del m2[eid]
-            chains[o] = m2
-            todo.append(o)
+    forest = spanning_forest(g, reversed(g.bounded_edge_ids()))
+    cut = sorted(forest.rest)
+    col = {eid: j for j, eid in enumerate(sorted(g.loop_part()))}
     rows = []
     for eid in cut:
         d = c.directions[eid]
@@ -348,20 +224,13 @@ def reduced_abundancy_map(c: TropicalCurve):
                 f"cut edge {eid} has no direction; the reduced map needs one",
                 edge=eid,
             )
-        ann = Subspace.span([vec(d)], n).annihilator()
-        coeff = _fundamental_cycle(c, chains, eid)
-        cycle_rows = [[Q0] * len(loop) for _ in range(n)]
-        for e2, s in coeff.items():
-            u = c.directions[e2]
-            le = c.edge_length(e2)
-            for k in range(n):
-                cycle_rows[k][col[e2]] += s * le * u[k]
+        ann = Subspace(n, [d]).annihilator()
+        cycle_rows = _cycle_rows(c, forest.path, eid, col)
         for a in ann.basis:
-            row = [Q0] * len(loop)
-            for j in range(len(loop)):
-                row[j] = sum((a[k] * cycle_rows[k][j] for k in range(n)), Q0)
-            rows.append(row)
-    m = Matrix(rows, cols=len(loop))
+            rows.append(
+                [sum((a[k] * cycle_rows[k][j] for k in range(n)), Q0) for j in range(len(col))]
+            )
+    m = Matrix(rows, cols=len(col))
     rank = m.rank()
     return m, rank, cut
 

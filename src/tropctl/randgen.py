@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 
 from .curves import TropicalCurve
 from .graphs import AbstractGraph
 from .laurent import LaurentSeries
-from .linalg import integer_primitive
+from .linalg import content_and_primitive, integer_primitive
 
 
 class GenerationError(RuntimeError):
@@ -32,13 +31,6 @@ def random_int_vec(rng: random.Random, n: int, lo=-3, hi=3) -> tuple:
         if any(x != 0 for x in v):
             return v
     raise GenerationError("could not draw a nonzero vector")
-
-
-def _content_and_prim(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g, tuple(int(x) // g for x in v)
 
 
 # -- abstract graphs ---------------------------------------------------------------
@@ -85,7 +77,7 @@ def random_trivalent_graph(rng: random.Random, genus: int) -> AbstractGraph:
 
 def _leg(deficit):
     """Primitive direction and weight of the leg balancing a deficit."""
-    c, p = _content_and_prim([-x for x in deficit])
+    c, p = content_and_primitive([-x for x in deficit])
     return p, c
 
 
@@ -110,7 +102,7 @@ def random_tree_curve(rng: random.Random, n: int) -> TropicalCurve:
     for _ in range(rng.randint(0, 3)):
         i = rng.randrange(len(legs))
         v, w = legs.pop(i)
-        c, d = _content_and_prim(w)
+        c, d = content_and_primitive(w)
         u = f"v{len(vertices):02d}"
         vertices.append(u)
         positions[u] = tuple(p + x for p, x in zip(positions[v], d))
@@ -128,7 +120,7 @@ def random_tree_curve(rng: random.Random, n: int) -> TropicalCurve:
         legs.append((u, a))
         legs.append((u, b))
     for j, (v, w) in enumerate(legs):
-        c, d = _content_and_prim(w)
+        c, d = content_and_primitive(w)
         eid = f"u{j:02d}"
         edges.append((eid, (v, None), c))
         directions[eid] = d
@@ -146,7 +138,7 @@ def random_genus1_curve(rng: random.Random, n: int, extra_legs: int = 0) -> Trop
         if all(x == 0 for x in closing):
             continue
         steps.append(closing)
-        prims = [_content_and_prim(s)[1] for s in steps]
+        prims = [content_and_primitive(s)[1] for s in steps]
         if any(prims[i] == prims[(i + 1) % k] for i in range(k)):
             continue
         break
@@ -176,7 +168,7 @@ def random_genus1_curve(rng: random.Random, n: int, extra_legs: int = 0) -> Trop
         else:
             parts = [w]
         for part in parts:
-            c, d = _content_and_prim(part)
+            c, d = content_and_primitive(part)
             eid = f"u{leg_counter:02d}"
             edges.append((eid, (vertices[i], None), c))
             directions[eid] = d
@@ -205,7 +197,7 @@ def _split_vector(rng, w, pieces, n):
             continue
         parts.append(remaining)
         # distinct directions keep the star honestly higher-valent
-        prims = [_content_and_prim(p)[1] for p in parts]
+        prims = [content_and_primitive(p)[1] for p in parts]
         if len(set(prims)) != len(prims):
             continue
         return parts
@@ -220,7 +212,7 @@ def random_genus2_curve(rng: random.Random, n: int) -> TropicalCurve:
         s = tuple(-a - b for a, b in zip(d1, d2))
         if all(x == 0 for x in s):
             continue
-        w3, d3 = _content_and_prim(s)
+        w3, d3 = content_and_primitive(s)
         if len({d1, d2, d3}) != 3:
             continue
         nu = integer_primitive(random_int_vec(rng, n))
@@ -250,7 +242,7 @@ def random_genus2_curve(rng: random.Random, n: int) -> TropicalCurve:
         top_leg = tuple(w * x + y for x, y in zip(d, nu))
         bot_leg = tuple(w * x - y for x, y in zip(d, nu))
         for suffix, wd in (("t", top_leg), ("b", bot_leg)):
-            c, p = _content_and_prim(wd)
+            c, p = content_and_primitive(wd)
             eid = f"u{i}{suffix}"
             edges.append((eid, (ti if suffix == "t" else bi, None), c))
             directions[eid] = p
@@ -303,7 +295,7 @@ def _build_loopchain(rng, n, genus):
     directions = {}
 
     def add_leg(eid, vertex, weighted):
-        c, p = _content_and_prim(_nonzero_or_retry(weighted))
+        c, p = content_and_primitive(_nonzero_or_retry(weighted))
         edges.append((eid, (vertex, None), c))
         directions[eid] = p
 
@@ -317,12 +309,12 @@ def _build_loopchain(rng, n, genus):
             add_leg(f"u{i:02d}a", a, tuple(-x - y for x, y in zip(e_vec, f_vec)))
         else:
             f_vec = _nonzero_or_retry(tuple(x - y for x, y in zip(incoming, e_vec)))
-        we, pe = _content_and_prim(e_vec)
-        wf, pf = _content_and_prim(f_vec)
+        we, pe = content_and_primitive(e_vec)
+        wf, pf = content_and_primitive(f_vec)
         positions[m] = tuple(p + x for p, x in zip(positions[a], pf))
         positions[b] = tuple(p + x for p, x in zip(positions[a], pe))
         g_vec = _nonzero_or_retry(tuple(x - y for x, y in zip(positions[b], positions[m])))
-        _, pg = _content_and_prim(tuple(int(x) for x in g_vec))
+        _, pg = content_and_primitive(tuple(int(x) for x in g_vec))
         edges.append((f"c{i:02d}d", (a, b), we))
         directions[f"c{i:02d}d"] = pe
         edges.append((f"c{i:02d}p", (a, m), wf))
@@ -333,7 +325,7 @@ def _build_loopchain(rng, n, genus):
         outgoing = _nonzero_or_retry(tuple(x + y for x, y in zip(e_vec, pg)))
         if i + 1 < genus:
             nxt = f"a{i + 1:02d}"
-            wd, pd = _content_and_prim(outgoing)
+            wd, pd = content_and_primitive(outgoing)
             edges.append((f"r{i:02d}", (b, nxt), wd))
             directions[f"r{i:02d}"] = pd
             positions[nxt] = tuple(p + x for p, x in zip(positions[b], pd))
@@ -401,9 +393,3 @@ def random_ascending_series(rng: random.Random, count: int) -> list[LaurentSerie
         out.append(nxt)
         prev = nxt
     return out
-
-
-def random_series_for_vertex(rng: random.Random, slots: int) -> list[LaurentSeries]:
-    """Series list for a star with the given finite slot count."""
-    base = random_ascending_series(rng, slots)
-    return base

@@ -6,9 +6,9 @@ infinity, the first finite point pinned to 0.  Obstruction covectors w_e on
 the bounded edges satisfy three exact conditions: each w_e is perpendicular
 to its edge direction, the w_e sum to zero, and the residue polynomial built
 from the pair values a[i,j] = weight_i * w_j(direction_i) vanishes
-identically.  Assembling these local systems over a whole curve (with flag
-covectors tied across each bounded edge) gives the curve-level obstruction
-space; on a 3-valent curve it agrees with the chain method.
+identically.  `xi_map` hands these local rows, vertex by vertex, to the flag
+system assembler of `obstruction`, whose kernel is the curve-level
+obstruction space; on a 3-valent curve it agrees with the chain method.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curves import CombinatorialType, TropicalCurve, contract_image, replace_star
+from .curves import TropicalCurve, as_type, contract_image, replace_star
 from .errors import PreconditionError, ValidationError
 from .graphs import Flag
 from .laurent import (
@@ -27,15 +27,8 @@ from .laurent import (
     laurent_cmp,
     phylo_tree,
 )
-from .linalg import Matrix, Q0, Q1, Subspace, integer_primitive, vec
-
-
-def _as_type(obj) -> CombinatorialType:
-    if isinstance(obj, TropicalCurve):
-        return obj.combinatorial_type()
-    if isinstance(obj, CombinatorialType):
-        return obj
-    raise TypeError(f"expected a curve or combinatorial type, got {type(obj).__name__}")
+from .linalg import Matrix, Q0, Q1, Subspace, content_and_primitive, integer_primitive
+from .obstruction import dual_obstruction_chain, flag_system
 
 
 class SlotRecord(NamedTuple):
@@ -81,7 +74,7 @@ class LocalModel:
 
     @classmethod
     def from_star(cls, obj, vertex: str, coords=None) -> "LocalModel":
-        ct = _as_type(obj)
+        ct = as_type(obj)
         g = ct.graph
         inc = g.incident(vertex)
         eids = [eid for eid, _slot in inc]
@@ -102,16 +95,21 @@ class LocalModel:
             records.append(
                 SlotRecord(label, Flag(vertex, eid, slot), e.weight, d, not e.is_unbounded)
             )
-        inf_idx = len(records) - 1
-        for i in range(len(records) - 1, -1, -1):
-            if records[i].bounded:
-                inf_idx = i
-                break
-        slots = [rec for i, rec in enumerate(records) if i != inf_idx]
-        slots.append(records[inf_idx])
+        slots = _infinity_last(records)
         if coords is None:
             coords = tuple(Fraction(i) for i in range(len(slots) - 1))
         return cls(slots, coords, ct.n, vertex=vertex)
+
+
+def _infinity_last(records: list[SlotRecord]) -> list[SlotRecord]:
+    """The records in marked-point order: the last bounded record (the last
+    record when none is bounded) moves to the end, as the infinity slot."""
+    inf_idx = len(records) - 1
+    for i in range(len(records) - 1, -1, -1):
+        if records[i].bounded:
+            inf_idx = i
+            break
+    return [rec for i, rec in enumerate(records) if i != inf_idx] + [records[inf_idx]]
 
 
 def standard_local_model(r: int, n: int, coords, bounded=None, weights=None) -> LocalModel:
@@ -122,8 +120,6 @@ def standard_local_model(r: int, n: int, coords, bounded=None, weights=None) -> 
     the content of the weighted sum.  bounded marks which of the r+2 edges
     are bounded (default: all).
     """
-    from math import gcd
-
     if n < r + 1:
         raise ValidationError("bad-model", "need ambient dimension at least r+1")
     if weights is None:
@@ -138,23 +134,14 @@ def standard_local_model(r: int, n: int, coords, bounded=None, weights=None) -> 
     last = [0] * n
     for i in range(r + 1):
         last[i] = -weights[i]
-    gg = 0
-    for x in last:
-        gg = gcd(gg, abs(x))
-    dirs.append(tuple(x // gg for x in last))
-    all_weights = list(weights) + [gg]
+    last_weight, last_dir = content_and_primitive(last)
+    dirs.append(last_dir)
+    all_weights = list(weights) + [last_weight]
     records = [
         SlotRecord(f"E{i + 1}", None, all_weights[i], dirs[i], bool(bounded[i]))
         for i in range(r + 2)
     ]
-    inf_idx = len(records) - 1
-    for i in range(len(records) - 1, -1, -1):
-        if records[i].bounded:
-            inf_idx = i
-            break
-    slots = [rec for i, rec in enumerate(records) if i != inf_idx]
-    slots.append(records[inf_idx])
-    return LocalModel(slots, coords, n)
+    return LocalModel(_infinity_last(records), coords, n)
 
 
 def model_from_doc(doc) -> LocalModel:
@@ -214,13 +201,7 @@ def model_from_doc(doc) -> LocalModel:
             "unbalanced",
             f"weighted directions sum to {tuple(balance)}, expected zero",
         )
-    inf_idx = len(records) - 1
-    for i in range(len(records) - 1, -1, -1):
-        if records[i].bounded:
-            inf_idx = i
-            break
-    slots = [rec for i, rec in enumerate(records) if i != inf_idx]
-    slots.append(records[inf_idx])
+    slots = _infinity_last(records)
     coords = doc.get("coords")
     if coords is None:
         coords = tuple(Fraction(i) for i in range(len(slots) - 1))
@@ -398,22 +379,18 @@ def b_system(tree) -> dict:
 def xi_map(obj, coords_by_vertex=None) -> dict:
     """Curve-level obstruction space from the local residue systems.
 
-    One covector variable per bounded flag; each vertex contributes its local
-    rows, the two flags of a bounded edge are tied to opposite values, and
-    flags on bounded edges outside the loop subgraph are pinned to zero (on
-    tree parts this is forced anyway; pinning keeps bridges exact as well).
-    Vertices of valence 4 or more need marked coordinates (coords_by_vertex);
-    3-valent and lower vertices get defaults, which cannot change the kernel
-    there.
+    The flag system of `obstruction.flag_system` with the local rows of each
+    vertex's model as its vertex conditions.  Its variables are one covector
+    per loop edge: covectors on bounded edges outside the loop subgraph are
+    zero (on tree parts this is forced anyway; dropping them keeps bridges
+    exact as well).  The kernel is reported over all bounded flags.
+    Vertices of valence 4 or more need marked coordinates
+    (coords_by_vertex); 3-valent and lower vertices get defaults, which
+    cannot change the kernel there.
     """
-    ct = _as_type(obj)
+    ct = as_type(obj)
     g = ct.graph
-    n = ct.n
     coords_by_vertex = coords_by_vertex or {}
-    bflags = [f for f in g.flags() if not g.edges[f.edge].is_unbounded]
-    index = {f: i for i, f in enumerate(bflags)}
-    nvars = len(bflags) * n
-    rows = []
     models = {}
     for v in g.vertex_ids:
         coords = coords_by_vertex.get(v)
@@ -423,46 +400,16 @@ def xi_map(obj, coords_by_vertex=None) -> dict:
                 f"vertex {v} has valence {g.valence(v)} and needs marked coordinates",
                 vertex=v,
             )
-        model = LocalModel.from_star(ct, v, coords)
-        models[v] = model
-        local_rows, bounded = _local_rows(model)
-        gmap = []  # local slot -> global flag index
-        for rec in bounded:
-            gmap.append(index[rec.flag])
-        for lr in local_rows:
-            row = [Q0] * nvars
-            for li, gi in enumerate(gmap):
-                for k in range(n):
-                    row[gi * n + k] += lr[li * n + k]
-            rows.append(row)
-    for eid in g.bounded_edge_ids():
-        e = g.edges[eid]
-        b0 = index[Flag(e.ends[0], eid, 0)] * n
-        b1 = index[Flag(e.ends[1], eid, 1)] * n
-        for k in range(n):
-            row = [Q0] * nvars
-            row[b0 + k] += 1
-            row[b1 + k] += 1
-            rows.append(row)
-    loop = g.loop_part()
-    for f, i in index.items():
-        if f.edge in loop:
-            continue
-        for k in range(n):
-            row = [Q0] * nvars
-            row[i * n + k] = Q1
-            rows.append(row)
-    space = Matrix(rows, cols=nvars).kernel()
-    basis = []
-    for bv in space.basis:
-        basis.append({f: tuple(bv[i * n : (i + 1) * n]) for f, i in index.items()})
-    return {
-        "dim": space.dim,
-        "space": space,
-        "flag_order": tuple(bflags),
-        "basis": basis,
-        "models": models,
-    }
+        models[v] = LocalModel.from_star(ct, v, coords)
+
+    def residue_rows():
+        for model in models.values():
+            rows, bounded = _local_rows(model)
+            yield [rec.flag for rec in bounded], rows
+
+    out = flag_system(g, ct.n, g.bounded_edge_ids(), g.loop_part(), residue_rows())
+    out["models"] = models
+    return out
 
 
 # -- genus-one smoothing criterion ---------------------------------------------------
@@ -491,9 +438,9 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
     for v in loop_vertices:
         for eid, slot in ig.incident(v):
             f = Flag(v, eid, slot)
-            dirs.append(vec(image.curve.flag_direction(f)))
+            dirs.append(image.curve.flag_direction(f))
             flags.append(f)
-    span = Subspace.span(dirs, curve.n)
+    span = Subspace(curve.n, dirs)
     ann = span.annihilator()
     return {
         "span_dim": span.dim,
@@ -548,7 +495,7 @@ def resolve_by_phylo(obj, series_by_vertex: dict) -> tuple:
     Returns (resolved combinatorial type, {vertex: tree}).  The infinity
     edge joins the two top branches at the original vertex.
     """
-    ct = _as_type(obj)
+    ct = as_type(obj)
     g = ct.graph
     trees = {}
     out = ct
@@ -588,8 +535,6 @@ def degeneration_compare(
     evaluated points collide).  The resolved type's chain dimension bounds
     the evaluated dimension from above.
     """
-    from .obstruction import dual_obstruction_chain
-
     image = contract_image(curve)
     ct = image.curve.combinatorial_type()
     g = ct.graph

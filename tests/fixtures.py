@@ -11,7 +11,7 @@ import random
 
 from tropctl.curves import TropicalCurve, parse_curve
 from tropctl.laurent import LaurentSeries
-from tropctl.randgen import random_genus1_curve, random_series_for_vertex
+from tropctl.randgen import random_ascending_series, random_genus1_curve
 
 
 # -- two vertical tripods joined by three chains (genus 2, R^3) -----------------
@@ -276,5 +276,5 @@ def random_higher_valent_case(rng: random.Random):
     assert len(high) == 1
     v = high[0]
     slots = c.graph.valence(v) - 1
-    series = random_series_for_vertex(rng, slots)
+    series = random_ascending_series(rng, slots)
     return c, v, {v: series}

@@ -72,8 +72,8 @@ def test_criterion_02_reference_pair_regression():
     expected_perps = [(1, 0, 0), (0, 1, 0), (1, -1, 0)]
     assert len(res1["chains"]) == 3
     for chain, target in zip(res1["chains"], expected_perps):
-        got = Subspace.span([vec(p) for p in chain["perp"]], 3)
-        want = Subspace.span([vec(target)], 3)
+        got = Subspace(3, [vec(p) for p in chain["perp"]])
+        want = Subspace(3, [vec(target)])
         assert got == want
     assert parameter_dimension(c1) == 7
     assert parameter_dimension(c2) == 8
@@ -183,8 +183,8 @@ def test_criterion_07_methods_give_equal_subspaces():
         def flatten(assignment):
             return vec(sum((list(assignment.get(f, zero)) for f in flags), []))
 
-        s_chain = Subspace.span([flatten(a) for a in chain["basis"]], width)
-        s_xi = Subspace.span([flatten(a) for a in xi["basis"]], width)
+        s_chain = Subspace(width, [flatten(a) for a in chain["basis"]])
+        s_xi = Subspace(width, [flatten(a) for a in xi["basis"]])
         assert s_chain.contains(s_xi)
         assert s_xi.contains(s_chain)
     print("ACCEPTANCE 07: PASS")

@@ -356,3 +356,22 @@ def test_text_mode_error(capsys, tmp_path):
     code, out = run(capsys, "validate", path)
     assert code == 2
     assert out.startswith("error[unbalanced]")
+
+
+def test_obstruction_chain_solves_once(capsys, monkeypatch, square):
+    import tropctl.cli
+    import tropctl.obstruction
+
+    calls = []
+    original = tropctl.obstruction.dual_obstruction_chain
+
+    def counting(obj):
+        calls.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(tropctl.cli, "dual_obstruction_chain", counting)
+    monkeypatch.setattr(tropctl.obstruction, "dual_obstruction_chain", counting)
+    code, rep = run_json(capsys, "obstruction", square, "--format", "json")
+    assert code == 0
+    assert rep["paramDim"] == 5
+    assert len(calls) == 1

@@ -1,0 +1,150 @@
+"""Byte-identity of every subcommand's JSON report on the frozen fixtures.
+
+Each case runs `main([..., "--format", "json"])` from inside a directory
+that holds the fixture files under fixed names, so the reported input paths
+and digests are the same on every machine.  The sha256 of standard output
+must equal the digest recorded for the case: any change to a report, down
+to the order of a basis or the spelling of a rational, is a change of
+behaviour and shows up here.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stdout
+
+import pytest
+
+from tropctl.cli import main
+
+import fixtures
+
+LAURENT_534 = {"vertices": {"V": {"series": [[], [[-2, "1"]], [[-4, "1"], [-1, "1/2"]]]}}}
+LAURENT_536 = {"vertices": {"V": {"series": [[], [[-3, "1"]], [[-5, "1"]]]}}}
+
+FILES = {
+    "square.json": fixtures.square_loop_doc(),
+    "gamma1.json": fixtures.gamma1_doc(),
+    "gamma2.json": fixtures.gamma2_doc(),
+    "ex534.json": fixtures.ex534_doc(),
+    "ex536.json": fixtures.ex536_doc(),
+    "ex534.config.json": {"vertices": {"V": {"coords": ["0", "1", "-2"]}}},
+    "ex536.config.json": {"vertices": {"V": {"coords": ["0", "1", "2"]}}},
+    "ex534.laurent.json": LAURENT_534,
+    "ex536.laurent.json": LAURENT_536,
+    "star.model.json": {
+        "ambient_dim": 4,
+        "edges": [
+            {"label": "E1", "direction": [1, 0, 0, 0]},
+            {"label": "E2", "direction": [0, 1, 0, 0], "weight": 2},
+            {"label": "E3", "direction": [0, 0, 1, 0], "bounded": False},
+            {"label": "E4", "direction": [0, 0, 0, 1]},
+            {"label": "E5", "direction": [-1, -2, -1, -1]},
+        ],
+        "coords": ["0", "1/2", "-3", "5"],
+    },
+}
+
+CURVES = ("square", "gamma1", "gamma2", "ex534", "ex536")
+
+
+def _cases():
+    for name in CURVES:
+        f = f"{name}.json"
+        yield (name, "validate"), ["validate", f]
+        yield (name, "info"), ["info", f]
+        yield (name, "obstruction-chain"), ["obstruction", f, "--method", "chain"]
+        yield (name, "obstruction-xi"), ["obstruction", f, "--method", "xi"]
+        yield (name, "classify"), ["classify", f]
+        yield (name, "abundancy"), ["abundancy", f]
+        yield (name, "genus1-check"), ["genus1-check", f]
+    for name in ("ex534", "ex536"):
+        f = f"{name}.json"
+        yield (name, "obstruction-xi-config"), [
+            "obstruction", f, "--method", "xi", "--config", f"{name}.config.json"]
+        yield (name, "phylo"), ["phylo", f, "--laurent", f"{name}.laurent.json"]
+        yield (name, "compare"), ["compare", f, "--laurent", f"{name}.laurent.json"]
+        yield (name, "compare-t0"), [
+            "compare", f, "--laurent", f"{name}.laurent.json", "--t0", "1/100"]
+    yield ("all", "validate-batch"), ["validate"] + [f"{c}.json" for c in CURVES]
+    yield ("star", "local-model"), ["local-model", "--model", "star.model.json"]
+    yield ("seed3", "selftest"), ["selftest", "--seed", "3", "--cases", "4"]
+
+
+CASES = dict(_cases())
+
+
+def write_fixtures(directory):
+    for name, doc in FILES.items():
+        (directory / name).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+def run_digest(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv) + ["--format", "json"])
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+# (exit code, sha256 of stdout) per case
+GOLDEN = {
+    ('all', 'validate-batch'): (0, '227537d3039add195ac61d5b80046470d073740b4e7e9d3add44bbf305603fcd'),
+    ('ex534', 'abundancy'): (0, '890c98bb83bdfd3319594c0081e66a477bf7c4517c75f8d6b2c4c473d51823ba'),
+    ('ex534', 'classify'): (3, '67d04134f0281f41797c1ae05aff70602a3d80d4cc5a5522f91992bdaa6b4403'),
+    ('ex534', 'compare'): (0, 'dcfb78ac707d41788ca68dac618bb5b500c33ea2b193c173d4c2437181b50c53'),
+    ('ex534', 'compare-t0'): (0, '29ca18fe435a761dae3b6e8749e8a0e03f1f3930dba9c63aa738df8d941691a3'),
+    ('ex534', 'genus1-check'): (0, '718914095c48d1339371d345b332e0e0b56964f8e86d32e03a181ab02d941daf'),
+    ('ex534', 'info'): (0, '16da502a7bdbf4c34e326f4231df0292b1efabea194f098f52c8d3c11c6dbdae'),
+    ('ex534', 'obstruction-chain'): (3, 'ad15783efac7557907c5783c08cc8012be34ada7b21f7fdb3e24d740552e83e5'),
+    ('ex534', 'obstruction-xi'): (3, 'afe243b527966c94478a949ae56f06a33bd448ea7b1636d8de156c4c6b7cd08c'),
+    ('ex534', 'obstruction-xi-config'): (0, '0ed15a53fe3da53da1353783d65faadbd59fb69b9255a395a43c2af065265b35'),
+    ('ex534', 'phylo'): (0, '2559baa5b4e94388430c483dc562b508b2ce33b68c41ea902abb6bf2bf77805c'),
+    ('ex534', 'validate'): (0, '6e774e3718d536ab84645e03b07dad022f2ab9c2dce426a9a89efe2ae2562e28'),
+    ('ex536', 'abundancy'): (0, '5c430c1728b4cac9ebeb1683f0b8029e6124396bd143a9c9bf62a4bb01535528'),
+    ('ex536', 'classify'): (3, '294a6373f5348509534c16c2e1e8153e4275460faef80b7708d6c1c04d9e68ca'),
+    ('ex536', 'compare'): (0, 'fa601a7d4b26afbff24ad86d01a5fbb6d716940128a3ee971ec0c48465398a87'),
+    ('ex536', 'compare-t0'): (0, '9bfa12aec43e8acca4b24268fb26f732506ca7f7e37fc52dd402a3444d4ebf4b'),
+    ('ex536', 'genus1-check'): (3, 'ded78331036eba52361eea4327413ddf9966cef1da91a6557b28419637ea1227'),
+    ('ex536', 'info'): (0, '2fda9ddc6add3bec975671f735e0c635ef34a0a1d881eee4b6e987c3d8932632'),
+    ('ex536', 'obstruction-chain'): (3, '2e18a97f0daff781cc03384428e739ff2087948c97e23ba12232d729ffa74eaa'),
+    ('ex536', 'obstruction-xi'): (3, '1847cae47a91a44cb7d759502c8ef906d12852b3bd0f5b18ddd28e130a92dece'),
+    ('ex536', 'obstruction-xi-config'): (0, '949640f41984d01343edcb05f6ce6a22ca4d7429f860c8a013945e7060d30064'),
+    ('ex536', 'phylo'): (0, '3dc0b19804933fdeed8d426bd223356130cf9977f4a90a7eee4ae407bbe9c79b'),
+    ('ex536', 'validate'): (0, '9adba69067e70240535dd35bad2ece2fe10bb06c4a1594396f229630fe25bea7'),
+    ('gamma1', 'abundancy'): (0, 'e8b83c3060bd03b6a4727d6f99a34a4f3ceace2d9958e3ea022443116df03372'),
+    ('gamma1', 'classify'): (0, 'ffe7d0d0c08a5bd45c26e59a8302f1f5c840bb8a8954c5a2fb16534ee188cd61'),
+    ('gamma1', 'genus1-check'): (3, 'fce377de6302d090b6fd4a372c667963396cb68620a95f402fb196d779f59c93'),
+    ('gamma1', 'info'): (0, '49cd3601cc5788a26a4cf855d6ed57fc13a0f54d4afa1faf636715ca61557f55'),
+    ('gamma1', 'obstruction-chain'): (0, 'bf93fc5d9bf6483e5b95639b438bcf8bfc80de64191ff098195f1cb84973dfff'),
+    ('gamma1', 'obstruction-xi'): (0, 'c02e569f045afb9df2d22c030291cfcc2faae20605b5e03725e3f444766c8329'),
+    ('gamma1', 'validate'): (0, '767f43745cd1dff8dd764d8626f0c7f57ef1ec1307dd0dcef4dfbc93ef02651c'),
+    ('gamma2', 'abundancy'): (0, 'fdea1af344a007beb1bff950df0730f4ce59e80c62e0dbd8a7a58afc2ea2b268'),
+    ('gamma2', 'classify'): (0, '80d9a6a765af53d513eeb941509be7504a7a4f9e403163d7ddf3d3611af176a0'),
+    ('gamma2', 'genus1-check'): (3, 'ea3f3cb350a874c4828dd3ad90adc5ef853eb29ebb79648cd01e0b9b865f97bf'),
+    ('gamma2', 'info'): (0, 'fdc9cdecbde69c8d5805bdaf2f875ba473f806e09419d7c022a394287ee227bc'),
+    ('gamma2', 'obstruction-chain'): (0, 'b54179683e7a658ed048f6b9f418154933c43cf44c1315e5446a7327038980dc'),
+    ('gamma2', 'obstruction-xi'): (0, '5c5112aad06a5ad388adde1b05a4aa9dbe620c5138a685761b4bdb260330a468'),
+    ('gamma2', 'validate'): (0, '5a96a20724875524a053620877d8204ae00cbf1a57810cb282c565647d773888'),
+    ('seed3', 'selftest'): (0, '59c70e07b2f50ea3720e544220d47ff749453125e6888309c1af8896d36ef827'),
+    ('square', 'abundancy'): (0, 'd2771093f2e171b0be577c6423cce07b2478b2f4fa649300588323445e0de94b'),
+    ('square', 'classify'): (0, 'bf57668efa9144dc1be73e74424e65cd5de010e86d28e7789133646cde094616'),
+    ('square', 'genus1-check'): (0, '02ac7e83c12b7e81256e6a0fd450c495f2ef61b0a0a36b05bf320dfefa5acfc6'),
+    ('square', 'info'): (0, 'b1ebbbc9636127254f55a25f45efe178f3494a6ba09ad5804a593b7fe63eb72d'),
+    ('square', 'obstruction-chain'): (0, '2267864c9ee8891c4f6bb3a6a1e083409d2371f021e1f4b589e2b1eea701f753'),
+    ('square', 'obstruction-xi'): (0, 'f309ac8164cf9d12094897a914efb292536bfb6c25952aab6bbba21a48231174'),
+    ('square', 'validate'): (0, '01ae6afb2ea57a898dcd967053918a4f42041540849f7f98c35803036a67f7e8'),
+    ('star', 'local-model'): (0, '65d7f4caf3b90ce4a11cc650361dfa0046644158a86eb2017b20de59908a9c15'),
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    write_fixtures(d)
+    return d
+
+
+@pytest.mark.parametrize("key", sorted(CASES), ids=lambda k: "-".join(k))
+def test_report_bytes_match_golden(key, fixture_dir, monkeypatch):
+    monkeypatch.chdir(fixture_dir)
+    assert run_digest(CASES[key]) == GOLDEN[key]

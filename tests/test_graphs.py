@@ -24,6 +24,20 @@ def theta_graph():
     )
 
 
+def endpoints_connected_without(g, eid):
+    """Search from one end of eid, never crossing eid, for the other end."""
+    a, b = g.edges[eid].ends
+    seen, todo = {a}, [a]
+    while todo:
+        v = todo.pop()
+        for fid, slot in g.incident(v):
+            o = g.edges[fid].ends[1 - slot]
+            if fid != eid and o is not None and o not in seen:
+                seen.add(o)
+                todo.append(o)
+    return b in seen
+
+
 def test_construction_rejects_bad_input():
     with pytest.raises(ValidationError):
         AbstractGraph([], [])
@@ -113,7 +127,7 @@ def test_random_trivalent_graphs_have_requested_genus():
         g = random_trivalent_graph(rng, genus)
         assert g.genus() == genus
         assert all(g.valence(v) == 3 for v in g.vertex_ids)
-        # loop edges keep endpoints connected when removed
-        for eid in g.loop_part():
-            e = g.edges[eid]
-            assert e.is_selfloop or g._endpoints_connected_without(eid)
+        # exactly the bounded edges whose removal keeps their endpoints connected
+        assert g.loop_part() == {
+            eid for eid in g.bounded_edge_ids() if endpoints_connected_without(g, eid)
+        }

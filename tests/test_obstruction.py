@@ -100,10 +100,10 @@ def test_chain_gamma_pair():
     g1 = fixtures.curve(fixtures.gamma1_doc())
     out1 = dual_obstruction_chain(g1)
     assert out1["dim"] == 1
-    perps = [Subspace.span([vec(b) for b in ch["perp"]], 3) for ch in out1["chains"]]
-    assert perps[0] == Subspace.span([vec([1, 0, 0])], 3)
-    assert perps[1] == Subspace.span([vec([0, 1, 0])], 3)
-    assert perps[2] == Subspace.span([vec([1, -1, 0])], 3)
+    perps = [Subspace(3, [vec(b) for b in ch["perp"]]) for ch in out1["chains"]]
+    assert perps[0] == Subspace(3, [vec([1, 0, 0])])
+    assert perps[1] == Subspace(3, [vec([0, 1, 0])])
+    assert perps[2] == Subspace(3, [vec([1, -1, 0])])
     assert parameter_dimension(g1) == 7
 
     g2 = fixtures.curve(fixtures.gamma2_doc())
