@@ -9,7 +9,6 @@ order data, and the loop-direction smoothing criterion for genus-1 curves.
 
 from .curves import (
     CombinatorialType,
-    ImageCurve,
     TropicalCurve,
     assumption_a_report,
     check_balancing,
@@ -36,7 +35,7 @@ from .laurent import (
     phylo_tree,
     rebase,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .obstruction import (
     abundancy_map,
     classify_report,
@@ -66,11 +65,9 @@ __all__ = [
     "CombinatorialType",
     "Edge",
     "Flag",
-    "ImageCurve",
     "LaurentSeries",
     "LocalModel",
     "LoopDecomposition",
-    "Matrix",
     "PhyloLeaf",
     "PhyloNode",
     "PreconditionError",

@@ -20,7 +20,7 @@ import sys
 from .curves import contract_image, degree, expected_dim, is_immersive, parse_curve
 from .errors import TropctlError, ValidationError
 from .laurent import parse_laurent_doc
-from .linalg import parse_rational, rational_str
+from .linalg import checked_rational, rational_str
 from .obstruction import (
     abundancy_map,
     classify_report,
@@ -170,7 +170,7 @@ def _parse_config(path: str):
     for vid, entry in doc["vertices"].items():
         if not isinstance(entry, dict) or not isinstance(entry.get("coords"), list):
             raise ValidationError("bad-config", f"vertex {vid}: expected a coords list", vertex=vid)
-        coords[vid] = tuple(parse_rational(c) for c in entry["coords"])
+        coords[vid] = tuple(checked_rational(c, f"vertex {vid} coords", vertex=vid) for c in entry["coords"])
     return coords, stamp
 
 
@@ -281,10 +281,10 @@ def _cmd_obstruction(args):
             coords, cfg_stamp = _parse_config(args.config)
             stamps.append(cfg_stamp)
         image = contract_image(curve)
-        res = xi_map(image.curve, coords)
+        res = xi_map(image, coords)
         fields = {"method": "xi", "dimH": res["dim"]}
-        if image.curve.graph.is_trivalent():
-            fields["paramDim"] = expected_dim(image.curve) + res["dim"]
+        if image.graph.is_trivalent():
+            fields["paramDim"] = expected_dim(image) + res["dim"]
         else:
             warnings.append(
                 "paramDim omitted: the dimension formula is stated for 3-valent types"
@@ -319,12 +319,11 @@ def _cmd_classify(args):
 
 def _cmd_abundancy(args):
     curve, stamp = _load_curve(args.file)
-    image = contract_image(curve)
-    c = image.curve
+    c = contract_image(curve)
     n = c.n
     g = c.graph.genus()
-    matrix, rank, surjective = abundancy_map(c)
-    red_matrix, red_rank, cut_edges = reduced_abundancy_map(c)
+    _rows, rank, surjective = abundancy_map(c)
+    _red_rows, red_rank, cut_edges = reduced_abundancy_map(c)
     red_target = (n - 1) * g
     fields = {
         "genus": g,
@@ -363,8 +362,7 @@ def _cmd_phylo(args):
     curve, stamp = _load_curve(args.file)
     doc, laurent_stamp = _read_doc(args.laurent)
     series_map = parse_laurent_doc(doc)
-    image = contract_image(curve)
-    ct = image.curve.combinatorial_type()
+    ct = contract_image(curve).combinatorial_type()
     warnings = []
     for vid in sorted(v for v in ct.graph.vertex_ids if ct.graph.valence(v) > 3):
         if vid not in series_map:
@@ -425,7 +423,7 @@ def _cmd_compare(args):
     series_map = parse_laurent_doc(doc)
     t0 = None
     if args.t0 is not None:
-        t0 = parse_rational(args.t0)
+        t0 = checked_rational(args.t0, "--t0")
     res = degeneration_compare(curve, series_map, t0=t0)
     fields = {
         "d": res["d"],
@@ -467,7 +465,7 @@ def _cmd_selftest(args):
             failures.append(f"methods case {i}: chain dim {chain['dim']} != xi dim {xi['dim']}")
         n = curve.n
         g = curve.graph.genus()
-        _m, red_rank, _cut = reduced_abundancy_map(curve)
+        _rows, red_rank, _cut = reduced_abundancy_map(curve)
         checks["abundancy"] += 1
         if chain["dim"] != (n - 1) * g - red_rank:
             failures.append(f"abundancy case {i}: identity violated")

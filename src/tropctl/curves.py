@@ -20,13 +20,16 @@ from .errors import PreconditionError, ValidationError
 from .graphs import AbstractGraph, Flag, spanning_forest
 from .linalg import (
     Q0,
+    Subspace,
+    checked_rational,
     content_and_primitive,
     integer_primitive,
     is_primitive,
     is_zero_vec,
-    parse_rational,
     rational_str,
+    strict_witness,
     vec,
+    vec_add,
     vec_scale,
     vec_sub,
     zero_vec,
@@ -193,7 +196,7 @@ def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
     if not isinstance(doc, dict):
         raise ValidationError("schema", "curve document must be a JSON object")
     n = doc.get("ambient_dim")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError("schema", "ambient_dim must be a positive integer")
     if n > max_dim:
         raise ValidationError(
@@ -214,12 +217,7 @@ def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
             raise ValidationError(
                 "schema", f"vertex {vid} position must list {n} rationals", vertex=vid
             )
-        try:
-            positions[vid] = vec(parse_rational(p) for p in pos)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(
-                "bad-rational", f"vertex {vid} position: {exc}", vertex=vid
-            ) from exc
+        positions[vid] = tuple(checked_rational(p, f"vertex {vid} position", vertex=vid) for p in pos)
         vertex_ids.append(vid)
     edges = []
     directions = {}
@@ -315,21 +313,16 @@ def expected_dim(obj) -> int:
 # -- image graph ---------------------------------------------------------------
 
 
-class ImageCurve:
-    """The curve after contracting zero-length edges.
+def contract_image(c: TropicalCurve) -> TropicalCurve:
+    """The curve after contracting its zero-length edges.
 
-    curve: the quotient as a TropicalCurve (may have higher-valent vertices).
-    source_map: source vertex -> image vertex, the smallest source vertex of
-    its contracted cluster.
+    Each contracted cluster becomes its smallest source vertex, so the image
+    may have higher-valent vertices.  A curve with no contracted edge is its
+    own image and is returned as it is.
     """
-
-    def __init__(self, curve: TropicalCurve, source_map: dict):
-        self.curve = curve
-        self.source_map = dict(source_map)
-
-
-def contract_image(c: TropicalCurve) -> ImageCurve:
     contracted = [eid for eid in c.graph.bounded_edge_ids() if c.is_contracted(eid)]
+    if not contracted:
+        return c
     # a cycle of contracted edges is a contracted loop and is rejected
     forest = spanning_forest(c.graph, contracted)
     if forest.rest:
@@ -353,8 +346,7 @@ def contract_image(c: TropicalCurve) -> ImageCurve:
         directions[eid] = c.directions[eid]
     graph = AbstractGraph(image_vertices, edges)
     positions = {v: c.positions[v] for v in image_vertices}
-    image = TropicalCurve(graph, c.n, positions, directions)
-    return ImageCurve(image, source_map)
+    return TropicalCurve(graph, c.n, positions, directions)
 
 
 # -- assumption A ---------------------------------------------------------------
@@ -382,7 +374,7 @@ def assumption_a_report(c: TropicalCurve) -> dict:
     else:
         from .obstruction import abundancy_map
 
-        _m, _rank, surjective = abundancy_map(image.curve)
+        _rows, _rank, surjective = abundancy_map(image)
         deformability = "guaranteed" if surjective else "undetermined"
     return {
         "trivalent_source": trivalent,
@@ -535,8 +527,6 @@ def _realize_type(ct: CombinatorialType):
     closure gives the equality system, then Fourier-Motzkin decides strict
     positivity over its solution space.
     """
-    from .linalg import AffineInequalities, Matrix, vec_add
-
     g = ct.graph
     bounded = g.bounded_edge_ids()
     if not bounded:
@@ -561,11 +551,9 @@ def _realize_type(ct: CombinatorialType):
                 row[j] -= dv[k]
             row[index[eid]] -= d[k]
             rows.append(row)
-    kernel = Matrix(rows, cols=len(bounded)).kernel()
-    ineqs = AffineInequalities(kernel.dim)
-    for i in range(len(bounded)):
-        ineqs.add([bv[i] for bv in kernel.basis], Q0)
-    w = ineqs.witness()
+    kernel = Subspace(len(bounded), rows).annihilator()
+    positive = [([bv[i] for bv in kernel.basis], Q0) for i in range(len(bounded))]  # each length > 0
+    w = strict_witness(kernel.dim, positive)
     if w is None:
         return False, None
     lengths = [Q0] * len(bounded)

@@ -48,9 +48,7 @@ class Chain(NamedTuple):
 
 class LoopDecomposition(NamedTuple):
     loop_edges: frozenset[str]
-    bouquets: tuple[frozenset[str], ...]
     chains: tuple[Chain, ...]
-    tree_components: tuple[tuple[frozenset[str], str], ...]  # (edge set, "U"|"B")
 
 
 class AbstractGraph:
@@ -66,7 +64,7 @@ class AbstractGraph:
         for eid, ends, weight in edges:
             if eid in emap:
                 raise ValidationError("duplicate-edge", f"edge id repeated: {eid}", edge=eid)
-            if not isinstance(weight, int) or weight < 1:
+            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
                 raise ValidationError("bad-weight", f"edge {eid} weight must be a positive integer", edge=eid)
             a, b = ends
             if a not in set(vs) or (b is not None and b not in set(vs)):
@@ -175,33 +173,7 @@ class AbstractGraph:
 
     def loop_decomposition(self) -> LoopDecomposition:
         loop = self.loop_part()
-        bouquets = _edge_components(self, loop)
-        chains = _cut_chains(self, loop)
-        trees = _tree_components(self, loop)
-        return LoopDecomposition(loop, bouquets, chains, trees)
-
-
-def _edge_components(g: AbstractGraph, edge_set: frozenset[str]) -> tuple[frozenset[str], ...]:
-    """Connected components of the subgraph on the given edges."""
-    remaining = set(edge_set)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        remaining.discard(seed)
-        frontier = [seed]
-        while frontier:
-            eid = frontier.pop()
-            for v in g.edges[eid].ends:
-                if v is None:
-                    continue
-                for fid, _slot in g._adj[v]:
-                    if fid in remaining:
-                        remaining.discard(fid)
-                        comp.add(fid)
-                        frontier.append(fid)
-        comps.append(frozenset(comp))
-    return tuple(sorted(comps, key=min))
+        return LoopDecomposition(loop, _cut_chains(self, loop))
 
 
 def _loop_valence(g: AbstractGraph, loop: frozenset[str]) -> dict[str, int]:
@@ -256,23 +228,6 @@ def _cut_chains(g: AbstractGraph, loop: frozenset[str]) -> tuple[Chain, ...]:
         chains.append(Chain(ch.edges, ch.vertices, closed=True))
         leftover = sorted(loop - used)
     return tuple(sorted(chains, key=lambda c: c.edges[0]))
-
-
-def _tree_components(g: AbstractGraph, loop: frozenset[str]) -> tuple[tuple[frozenset[str], str], ...]:
-    non_loop = frozenset(eid for eid in g.edge_ids if eid not in loop)
-    comps = _edge_components(g, non_loop)
-    loop_vertices = set()
-    for eid in loop:
-        loop_vertices.update(v for v in g.edges[eid].ends if v is not None)
-    out = []
-    for comp in comps:
-        attach = 0
-        for eid in comp:
-            for v in g.edges[eid].ends:
-                if v is not None and v in loop_vertices:
-                    attach += 1
-        out.append((comp, "U" if attach == 1 else "B"))
-    return tuple(sorted(out, key=lambda t: min(t[0])))
 
 
 class Forest(NamedTuple):

@@ -241,9 +241,12 @@ def parse_series(data) -> LaurentSeries:
         e, c = item
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValidationError("bad-series", f"exponent {e!r} is not an integer")
+        if isinstance(c, int) and not isinstance(c, bool):
+            terms.append((e, Fraction(c)))
+            continue
         try:
-            terms.append((e, parse_rational(c) if isinstance(c, str) else Fraction(c)))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            terms.append((e, parse_rational(c)))
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError("bad-series", f"bad coefficient {c!r}") from exc
     return LaurentSeries(terms)
 

@@ -1,10 +1,13 @@
 """Exact dense linear algebra over the rationals.
 
 Everything here works with `fractions.Fraction` entries; no floating point.
-Matrices are immutable and row-major, and elimination is plain dense
-Gauss-Jordan.  The systems built elsewhere in this package are not small:
-a genus-40 loop chain in R^3 gives a 720x360 residue system, and although
-such systems are more than 99% zeros, elimination is most of the run time.
+The one linear-algebra type is `Subspace`, held in reduced echelon form.  A
+linear system is the subspace its rows span: its rank is the dimension and
+its solution space the annihilator.  Elimination is plain dense Gauss-Jordan
+in `_rref`, whose one caller is `Subspace`.  The systems built elsewhere in
+this package are not small: a genus-40 loop chain in R^3 gives a 720x360
+residue system, and although such systems are more than 99% zeros,
+elimination is most of the run time.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+from .errors import ValidationError
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -22,6 +27,15 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {text!r}")
     return Fraction(text.strip())
+
+
+def checked_rational(text, what: str, **context) -> Fraction:
+    """parse_rational for input data: junk (a non-string, "nan", "1/0")
+    raises a bad-rational ValidationError naming what was being read."""
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError("bad-rational", f"{what}: {exc}", **context) from exc
 
 
 def rational_str(q: Fraction) -> str:
@@ -87,128 +101,68 @@ def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*(int(x) for x in v)) == 1
 
 
-class Matrix:
-    """Immutable dense matrix of Fractions."""
+def _rref(rows: list, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The nonzero rows of the reduced row echelon form.
 
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data: Iterable[Iterable], cols: int | None = None):
-        rows = tuple(vec(r) for r in data)
-        if rows:
-            cols = len(rows[0])
-            assert all(len(r) == cols for r in rows), "ragged rows"
-        else:
-            assert cols is not None, "empty matrix needs an explicit column count"
-        object.__setattr__(self, "data", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
-
-    @classmethod
-    def _raw(cls, rows: tuple, cols: int) -> "Matrix":
-        # internal: rows are trusted tuples of Fractions already
-        m = object.__new__(cls)
-        object.__setattr__(m, "data", rows)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", cols)
-        return m
-
-    def __setattr__(self, *a):  # immutability guard
-        raise AttributeError("Matrix is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.cols, self.data))
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def mul_vec(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        assert len(x) == self.cols
-        return tuple(dot(r, x) for r in self.data)
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the tuple of pivot column indices.
-
-        The pivot in each step is the first row with a nonzero entry in the
-        lowest unprocessed column, which makes the result (and everything
-        derived from it) deterministic.
-        """
-        m = [list(r) for r in self.data]
-        pivots = []
-        prow = 0
-        for col in range(self.cols):
-            sel = None
-            for i in range(prow, len(m)):
-                if m[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            m[prow], m[sel] = m[sel], m[prow]
-            pv = m[prow][col]
-            if pv != 1:
-                inv = Q1 / pv
-                m[prow] = [inv * x if x else x for x in m[prow]]
-            mp = m[prow]
-            for i in range(len(m)):
-                if i == prow:
-                    continue
-                c = m[i][col]
-                if not c:
-                    continue
-                if c == 1:
-                    m[i] = [a - b if b else a for a, b in zip(m[i], mp)]
-                elif c == -1:
-                    m[i] = [a + b if b else a for a, b in zip(m[i], mp)]
-                else:
-                    m[i] = [a - c * b if b else a for a, b in zip(m[i], mp)]
-            pivots.append(col)
-            prow += 1
-            if prow == len(m):
+    The pivot in each step is the first row with a nonzero entry in the
+    lowest unprocessed column, which makes the result (and everything
+    derived from it) deterministic.
+    """
+    m = [list(r) for r in rows]
+    prow = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(prow, len(m)):
+            if m[i][col]:
+                sel = i
                 break
-        return Matrix._raw(tuple(tuple(r) for r in m), self.cols), tuple(pivots)
+        if sel is None:
+            continue
+        m[prow], m[sel] = m[sel], m[prow]
+        pv = m[prow][col]
+        if pv != 1:
+            inv = Q1 / pv
+            m[prow] = [inv * x if x else x for x in m[prow]]
+        mp = m[prow]
+        for i in range(len(m)):
+            if i == prow:
+                continue
+            c = m[i][col]
+            if not c:
+                continue
+            if c == 1:
+                m[i] = [a - b if b else a for a, b in zip(m[i], mp)]
+            elif c == -1:
+                m[i] = [a + b if b else a for a, b in zip(m[i], mp)]
+            else:
+                m[i] = [a - c * b if b else a for a, b in zip(m[i], mp)]
+        prow += 1
+        if prow == len(m):
+            break
+    return tuple(tuple(r) for r in m[:prow])
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
-    def kernel(self) -> "Subspace":
-        """Basis of {x : self @ x = 0}, canonical via reduced echelon form."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [Q0] * self.cols
-            v[f] = Q1
-            for i, p in enumerate(pivots):
-                v[p] = -red.entry(i, f)
-            basis.append(tuple(v))
-        # re-reduced so that equal kernels print identically
-        return Subspace(self.cols, basis)
+def _pivot(row: Sequence[Fraction]) -> int:
+    """Column of the first nonzero entry: the pivot of a reduced row."""
+    return next(j for j, x in enumerate(row) if x)
 
 
 class Subspace:
     """A linear subspace of Q^n held as its canonical basis: the nonzero rows
     of the reduced echelon form of any spanning set.  Equal subspaces
-    therefore have equal bases, hashes and printed forms."""
+    therefore have equal bases, hashes and printed forms.
+
+    A linear system is the span of its rows: its rank is `dim` and its
+    solution space is `annihilator()`.
+    """
 
     __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, vectors: Sequence[Sequence[Fraction]] = ()):
-        m = Matrix(vectors, cols=ambient)
-        assert m.cols == ambient, "vectors must lie in the ambient space"
-        red, pivots = m.rref()
+        rows = [vec(v) for v in vectors]
+        assert all(len(r) == ambient for r in rows), "vectors must lie in the ambient space"
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", red.data[: len(pivots)])
+        object.__setattr__(self, "basis", _rref(rows, ambient))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -218,12 +172,15 @@ class Subspace:
         return len(self.basis)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        if is_zero_vec(v):
-            return True
-        if not self.basis:
-            return False
-        stacked = Matrix(list(self.basis) + [vec(v)], cols=self.ambient)
-        return stacked.rank() == self.dim
+        """Reduce v against the canonical basis; v lies in the span iff
+        nothing is left."""
+        rest = vec(v)
+        assert len(rest) == self.ambient
+        for row in self.basis:
+            c = rest[_pivot(row)]
+            if c:
+                rest = tuple(a - c * b if b else a for a, b in zip(rest, row))
+        return is_zero_vec(rest)
 
     def contains(self, other: "Subspace") -> bool:
         assert self.ambient == other.ambient
@@ -243,54 +200,38 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
 
     def annihilator(self) -> "Subspace":
-        """Covectors vanishing on this subspace; dims add up to the ambient."""
-        return Matrix(self.basis, cols=self.ambient).kernel()
+        """Covectors vanishing on this subspace; dims add up to the ambient.
+
+        One null vector per free column f, read off the canonical basis: 1 at
+        f and minus each row's entry at f in that row's pivot column.
+        """
+        pivots = [_pivot(row) for row in self.basis]
+        free = sorted(set(range(self.ambient)).difference(pivots))
+        null = []
+        for f in free:
+            v = [Q0] * self.ambient
+            v[f] = Q1
+            for row, p in zip(self.basis, pivots):
+                v[p] = -row[f]
+            null.append(v)
+        return Subspace(self.ambient, null)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """The covectors vanishing on both annihilators."""
         assert self.ambient == other.ambient
-        return Subspace(self.ambient, _intersection_vectors(self, other))
+        both = self.annihilator().basis + other.annihilator().basis
+        return Subspace(self.ambient, both).annihilator()
 
 
-def _intersection_vectors(a: Subspace, b: Subspace):
-    # kernel of [A^T | -B^T] gives coefficient pairs; read off the A-part
-    if a.dim == 0 or b.dim == 0:
-        return []
-    cols = a.dim + b.dim
-    rows = []
-    for i in range(a.ambient):
-        rows.append([bv[i] for bv in a.basis] + [-bv[i] for bv in b.basis])
-    ker = Matrix(rows, cols=cols).kernel()
-    out = []
-    for coeff in ker.basis:
-        v = zero_vec(a.ambient)
-        for c, bv in zip(coeff[: a.dim], a.basis):
-            v = vec_add(v, vec_scale(c, bv))
-        out.append(v)
-    return out
+def strict_witness(nvars: int, constraints) -> tuple[Fraction, ...] | None:
+    """A point of Q^nvars with L(c) > 0 for every constraint, or None.
 
-
-class AffineInequalities:
-    """Strict feasibility of L_i(c) > 0 over Q^k by Fourier-Motzkin.
-
-    Each functional is a tuple (coeffs over k variables, constant). Used to
-    search for strictly positive edge lengths inside a small solution space;
-    k never exceeds a handful of free parameters in this package.
+    Each constraint is a pair (coeffs over the nvars variables, constant)
+    for L(c) = coeffs . c + constant; Fourier-Motzkin eliminates the
+    variables last to first.  Used to search for strictly positive edge
+    lengths inside a small solution space; nvars never exceeds a handful of
+    free parameters in this package.
     """
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.constraints: list[tuple[tuple[Fraction, ...], Fraction]] = []
-
-    def add(self, coeffs: Sequence[Fraction], const: Fraction):
-        assert len(coeffs) == self.nvars
-        self.constraints.append((vec(coeffs), Fraction(const)))
-
-    def witness(self) -> tuple[Fraction, ...] | None:
-        """A point satisfying every constraint strictly, or None."""
-        return _fm_witness(self.nvars, self.constraints)
-
-
-def _fm_witness(nvars, constraints):
     if nvars == 0:
         for coeffs, const in constraints:
             if const <= 0:
@@ -314,7 +255,7 @@ def _fm_witness(nvars, constraints):
         for up_c, up_k in uppers:
             # up bound - lo bound > 0
             projected.append((vec_sub(up_c, lo_c), up_k - lo_k))
-    sub = _fm_witness(k, projected)
+    sub = strict_witness(k, projected)
     if sub is None:
         return None
     lo_vals = [dot(c, sub) + d for c, d in lowers]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .curves import TropicalCurve, as_type, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, require_trivalent, spanning_forest
-from .linalg import Matrix, Q0, Q1, Subspace, integer_primitive, vec
+from .linalg import Q0, Q1, Subspace, integer_primitive, vec
 
 
 def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict:
@@ -48,7 +48,7 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
                         row[b + k] += c if f.slot == 0 else -c
             if any(row):  # a condition on non-variable flags only is void
                 rows.append(row)
-    space = Matrix(rows, cols=nvars).kernel()
+    space = Subspace(nvars, rows).annihilator()
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     zero = (Q0,) * n
     basis, expanded = [], []
@@ -184,8 +184,9 @@ def _cycle_rows(c: TropicalCurve, path: dict, eid: str, col: dict) -> list:
 def abundancy_map(c: TropicalCurve):
     """Length-weighted cycle-direction map; surjective iff rank is genus * n.
 
-    Rows come in blocks of n per fundamental cycle of the greedy spanning
-    tree over sorted bounded edges; columns are indexed by the loop edges in
+    Returns (rows, rank, surjective), the rows as tuples of Fractions.  Rows
+    come in blocks of n per fundamental cycle of the greedy spanning tree
+    over sorted bounded edges; columns are indexed by the loop edges in
     sorted order.
     """
     g = c.graph
@@ -194,9 +195,9 @@ def abundancy_map(c: TropicalCurve):
     rows = []
     for eid in forest.rest:
         rows.extend(_cycle_rows(c, forest.path, eid, col))
-    m = Matrix(rows, cols=len(col))
-    rank = m.rank()
-    return m, rank, rank == g.genus() * c.n
+    rows = tuple(map(vec, rows))
+    rank = Subspace(len(col), rows).dim
+    return rows, rank, rank == g.genus() * c.n
 
 
 def reduced_abundancy_map(c: TropicalCurve):
@@ -206,9 +207,10 @@ def reduced_abundancy_map(c: TropicalCurve):
     removal leaves a tree: the edges outside the greedy spanning tree built
     over the bounded edges in reverse order.  For each cut edge the n cycle
     rows are replaced by n-1 rows obtained from an annihilator basis of its
-    direction, killing the cut edge's own column.  Returns (matrix, rank,
-    cut_edges); the map is onto iff rank equals (n-1) * genus, and the
-    obstruction dual dimension is the difference.
+    direction, killing the cut edge's own column.  Returns (rows, rank,
+    cut_edges), the rows as tuples of Fractions; the map is onto iff rank
+    equals (n-1) * genus, and the obstruction dual dimension is the
+    difference.
     """
     g = c.graph
     n = c.n
@@ -230,9 +232,8 @@ def reduced_abundancy_map(c: TropicalCurve):
             rows.append(
                 [sum((a[k] * cycle_rows[k][j] for k in range(n)), Q0) for j in range(len(col))]
             )
-    m = Matrix(rows, cols=len(col))
-    rank = m.rank()
-    return m, rank, cut
+    rows = tuple(map(vec, rows))
+    return rows, Subspace(len(col), rows).dim, cut
 
 
 # -- classification --------------------------------------------------------------
@@ -256,9 +257,9 @@ def classify_report(curve: TropicalCurve) -> dict:
     }
     try:
         image = contract_image(curve)
-        _m, rank, surjective = abundancy_map(image.curve)
+        _rows, rank, surjective = abundancy_map(image)
         report["abundancy_rank"] = rank
-        report["abundancy_target_dim"] = image.curve.graph.genus() * curve.n
+        report["abundancy_target_dim"] = image.graph.genus() * curve.n
         report["superabundant_def2"] = not surjective
     except PreconditionError as exc:
         report["abundancy_rank"] = None

@@ -27,7 +27,16 @@ from .laurent import (
     laurent_cmp,
     phylo_tree,
 )
-from .linalg import Matrix, Q0, Q1, Subspace, content_and_primitive, integer_primitive
+from .linalg import (
+    Q0,
+    Q1,
+    Subspace,
+    checked_rational,
+    content_and_primitive,
+    integer_primitive,
+    is_primitive,
+    vec,
+)
 from .obstruction import dual_obstruction_chain, flag_system
 
 
@@ -153,12 +162,10 @@ def model_from_doc(doc) -> LocalModel:
     apply to the remaining edges in listed order and default to 0, 1, 2, ...
     Directions must be primitive and balance against the weights.
     """
-    from .linalg import is_primitive, parse_rational
-
     if not isinstance(doc, dict):
         raise ValidationError("bad-model", "model document must be a JSON object")
     n = doc.get("ambient_dim")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError("bad-model", "ambient_dim must be a positive integer")
     edges = doc.get("edges")
     if not isinstance(edges, list) or len(edges) < 3:
@@ -174,13 +181,13 @@ def model_from_doc(doc) -> LocalModel:
             raise ValidationError("bad-model", f"edge {i} needs a unique string label")
         labels.add(label)
         weight = entry.get("weight", 1)
-        if not isinstance(weight, int) or weight < 1:
+        if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
             raise ValidationError("bad-model", f"edge {label}: weight must be a positive integer", edge=label)
         d = entry.get("direction")
         if (
             not isinstance(d, list)
             or len(d) != n
-            or not all(isinstance(x, int) for x in d)
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in d)
         ):
             raise ValidationError(
                 "bad-model", f"edge {label}: direction must be {n} integers", edge=label
@@ -208,7 +215,7 @@ def model_from_doc(doc) -> LocalModel:
     else:
         if not isinstance(coords, list):
             raise ValidationError("bad-model", "coords must be a list of rationals")
-        coords = tuple(parse_rational(c) for c in coords)
+        coords = tuple(checked_rational(c, "coords") for c in coords)
     return LocalModel(slots, coords, n)
 
 
@@ -284,7 +291,7 @@ def a_system(model: LocalModel) -> dict:
     """Kernel of the local obstruction system at one vertex."""
     rows, bounded = _local_rows(model)
     nvars = len(bounded) * model.n
-    space = Matrix(rows, cols=nvars).kernel()
+    space = Subspace(nvars, rows).annihilator()
     basis = []
     for bv in space.basis:
         basis.append(
@@ -336,7 +343,10 @@ def b_system(tree) -> dict:
 
     Variables are ordered pairs (i, j), i != j, of leaf labels; each internal
     node contributes one row summing the variables over ordered pairs of its
-    descendant leaves.  The rank equals the number of internal nodes.
+    descendant leaves.  Returns the rows (tuples of Fractions, one per
+    internal node in post-order), their rank, the internal node count and
+    the pair order of the columns.  The rank equals the number of internal
+    nodes.
     """
     leaves = _pair_tree_leaves(tree)
     if len(set(leaves)) != len(leaves):
@@ -364,10 +374,10 @@ def b_system(tree) -> dict:
                 if i != j:
                     row[col[(i, j)]] += 1
         rows.append(row)
-    m = Matrix(rows, cols=len(pairs))
+    rows = tuple(map(vec, rows))
     return {
-        "matrix": m,
-        "rank": m.rank(),
+        "rows": rows,
+        "rank": Subspace(len(pairs), rows).dim,
         "internal_nodes": len(node_sets),
         "pairs": pairs,
     }
@@ -428,7 +438,7 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
             "not-genus1", f"genus is {curve.graph.genus()}, need exactly 1"
         )
     image = contract_image(curve)
-    ig = image.curve.graph
+    ig = image.graph
     loop = ig.loop_part()
     loop_vertices = sorted(
         {v for eid in loop for v in ig.edges[eid].ends if v is not None}
@@ -438,7 +448,7 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
     for v in loop_vertices:
         for eid, slot in ig.incident(v):
             f = Flag(v, eid, slot)
-            dirs.append(image.curve.flag_direction(f))
+            dirs.append(image.flag_direction(f))
             flags.append(f)
     span = Subspace(curve.n, dirs)
     ann = span.annihilator()
@@ -535,8 +545,7 @@ def degeneration_compare(
     evaluated points collide).  The resolved type's chain dimension bounds
     the evaluated dimension from above.
     """
-    image = contract_image(curve)
-    ct = image.curve.combinatorial_type()
+    ct = contract_image(curve).combinatorial_type()
     g = ct.graph
     models = {}
     for v in g.vertex_ids:

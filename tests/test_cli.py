@@ -136,6 +136,18 @@ def test_obstruction_xi_with_config(capsys, tmp_path, hv536):
     assert len(rep["inputs"]) == 2
 
 
+def test_obstruction_xi_bad_config_rational(capsys, tmp_path, hv536):
+    cfg = write_json(
+        tmp_path / "cfg.json", {"vertices": {"V": {"coords": ["0", "nan", "2"]}}}
+    )
+    code, rep = run_json(
+        capsys, "obstruction", hv536, "--method", "xi", "--config", cfg, "--format", "json"
+    )
+    assert code == 2
+    assert rep["error"]["error_type"] == "bad-rational"
+    assert rep["error"]["context"] == {"vertex": "V"}
+
+
 def test_obstruction_xi_missing_config(capsys, hv536):
     code, rep = run_json(capsys, "obstruction", hv536, "--method", "xi", "--format", "json")
     assert code == 3
@@ -234,6 +246,19 @@ def test_local_model_command(capsys, tmp_path):
     assert len(rep["basis"]) == 4
 
 
+@pytest.mark.parametrize("coord", ["x", 0])
+def test_local_model_bad_coord_rational(capsys, tmp_path, coord):
+    model = {
+        "ambient_dim": 2,
+        "edges": [{"direction": [1, 0]}, {"direction": [0, 1]}, {"direction": [-1, -1]}],
+        "coords": [coord, "1"],
+    }
+    path = write_json(tmp_path / "model.json", model)
+    code, rep = run_json(capsys, "local-model", "--model", path, "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "bad-rational"
+
+
 def test_local_model_unbalanced(capsys, tmp_path):
     model = {
         "ambient_dim": 2,
@@ -304,6 +329,15 @@ def test_compare_bad_t0(capsys, tmp_path, hv536):
     )
     assert code == 2
     assert rep["error"]["error_type"] == "bad-evaluation-point"
+
+
+def test_compare_t0_not_a_rational(capsys, tmp_path, hv536):
+    lau = write_json(tmp_path / "lau.json", laurent_doc_536())
+    code, rep = run_json(
+        capsys, "compare", hv536, "--laurent", lau, "--t0", "x", "--format", "json"
+    )
+    assert code == 2
+    assert rep["error"]["error_type"] == "bad-rational"
 
 
 def test_selftest_passes(capsys):

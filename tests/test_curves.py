@@ -68,6 +68,32 @@ def test_parse_rejects_dimension_cap():
     assert err.value.kind == "dimension-cap"
 
 
+@pytest.mark.parametrize(
+    "edit, kind",
+    [
+        (lambda d: d.update(ambient_dim=True), "schema"),
+        (lambda d: d["edges"][0].update(weight=True), "bad-weight"),
+        (lambda d: d["edges"][0].update(direction=[True]), "schema"),
+    ],
+    ids=["ambient_dim", "weight", "direction"],
+)
+def test_parse_rejects_bool_integers(edit, kind):
+    # a line through the origin in Q^1, valid until the edit
+    doc = {
+        "ambient_dim": 1,
+        "vertices": [{"id": "a", "position": ["0"]}],
+        "edges": [
+            {"id": "l", "ends": ["a", None], "direction": [-1]},
+            {"id": "r", "ends": ["a", None], "direction": [1]},
+        ],
+    }
+    parse_curve(doc)
+    edit(doc)
+    with pytest.raises(ValidationError) as err:
+        parse_curve(doc)
+    assert err.value.kind == kind
+
+
 def test_serialize_round_trip():
     for doc in (
         fixtures.square_loop_doc(),
@@ -119,14 +145,13 @@ def test_contracted_edge_with_virtual_direction_balances():
     assert c.is_contracted("m")
     assert check_balancing(c) == []
     image = contract_image(c)
-    assert image.curve.graph.vertex_ids == ("a",)
-    assert set(image.curve.graph.edge_ids) == {"p", "q", "r", "s"}
+    assert image.graph.vertex_ids == ("a",)
+    assert set(image.graph.edge_ids) == {"p", "q", "r", "s"}
 
 
 def test_contract_image_is_identity_on_immersive():
     c = fixtures.curve(fixtures.square_loop_doc())
-    image = contract_image(c)
-    assert image.curve == c
+    assert contract_image(c) is c
 
 
 def test_contracted_loop_is_rejected():

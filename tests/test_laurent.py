@@ -78,6 +78,11 @@ def test_parse_serialize_round_trip():
     assert parse_series(data) == s
     with pytest.raises(ValidationError):
         parse_series([["-1", "1"]])  # exponents must be integers, not strings
+    assert parse_series([[-1, 2], [0, "1/3"]]) == _s((-1, 2), (0, Fraction(1, 3)))
+    for coeff in (0.1, True, None, [1]):  # coefficients are ints or "p/q" strings
+        with pytest.raises(ValidationError) as err:
+            parse_series([[-1, coeff]])
+        assert err.value.kind == "bad-series"
 
 
 def test_phylo_r7_frozen_tree():

@@ -1,4 +1,4 @@
-"""Exact linear algebra: rref, kernels, subspaces, inequality witnesses."""
+"""Exact linear algebra: subspaces as ranks and kernels, inequality witnesses."""
 
 from fractions import Fraction
 
@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from tropctl.errors import ValidationError
 from tropctl.linalg import (
-    AffineInequalities,
-    Matrix,
     Subspace,
+    dot,
     integer_primitive,
     is_primitive,
     parse_rational,
     rational_str,
+    strict_witness,
     vec,
 )
 
@@ -51,33 +51,35 @@ def test_rational_str_round_trip():
 
 
 def test_rref_known_matrix():
-    m = Matrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    reduced, pivots = m.rref()
-    assert pivots == (0, 1)
-    assert m.rank() == 2
-    assert m.kernel().dim == 1
-    (k,) = m.kernel().basis
-    assert m.mul_vec(k) == vec([0, 0, 0])
+    rows = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
+    span = Subspace(3, rows)
+    # canonical basis: the reduced echelon rows, pivots in columns 0 and 1
+    assert span.basis == (vec([1, 0, -1]), vec([0, 1, 2]))
+    assert span.dim == 2
+    kernel = span.annihilator()
+    assert kernel.dim == 1
+    (k,) = kernel.basis
+    assert [dot(vec(r), k) for r in rows] == [0, 0, 0]
 
 
 def test_kernel_of_zero_and_full_rank():
-    z = Matrix([[0, 0]], cols=2)
-    assert z.kernel().dim == 2
-    eye = Matrix([[1, 0], [0, 1]])
-    assert eye.kernel().dim == 0
+    assert Subspace(2, [[0, 0]]).annihilator().dim == 2
+    assert Subspace(2, []).annihilator().dim == 2
+    assert Subspace(2, [[1, 0], [0, 1]]).annihilator().dim == 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rank_nullity_and_kernel_membership(rows):
-    m = Matrix(rows)
     cols = len(rows[0])
-    assert m.rank() + m.kernel().dim == cols
-    for b in m.kernel().basis:
-        assert all(x == 0 for x in m.mul_vec(b))
+    span = Subspace(cols, rows)
+    kernel = span.annihilator()
+    assert span.dim + kernel.dim == cols
+    for b in kernel.basis:
+        assert all(dot(vec(r), b) == 0 for r in rows)
     # the independent oracle agrees on both numbers
-    assert m.rank() == oracles.matrix_rank(rows)
-    assert m.kernel().dim == oracles.nullity(rows, cols)
+    assert span.dim == oracles.matrix_rank(rows)
+    assert kernel.dim == oracles.nullity(rows, cols)
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,6 +111,32 @@ def test_equal_subspaces_hash_equal():
     assert Subspace(2, [(1, 1), (0, 0), (3, 3)]) == a
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(rationals, min_size=4, max_size=4), max_size=4),
+    st.lists(st.lists(rationals, min_size=4, max_size=4), max_size=4),
+)
+def test_intersection_and_sum_dimensions(a_rows, b_rows):
+    a, b = Subspace(4, a_rows), Subspace(4, b_rows)
+    cap = a.intersect(b)
+    total = Subspace(4, a_rows + b_rows)
+    assert cap.dim + total.dim == a.dim + b.dim
+    assert a.contains(cap) and b.contains(cap)
+    assert total.dim == oracles.matrix_rank(a_rows + b_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(rationals, min_size=3, max_size=3), max_size=3),
+    st.lists(rationals, min_size=3, max_size=3),
+)
+def test_contains_vector_agrees_with_oracle_rank(rows, v):
+    span = Subspace(3, rows)
+    assert span.contains_vector(v) == (oracles.matrix_rank(rows + [v]) == oracles.matrix_rank(rows))
+    for b in span.basis:
+        assert span.contains_vector(b)
+
+
 def test_intersection():
     a = Subspace(3, [vec([1, 0, 0]), vec([0, 1, 0])])
     b = Subspace(3, [vec([0, 1, 0]), vec([0, 0, 1])])
@@ -126,11 +154,10 @@ def test_integer_primitive():
 
 def test_affine_witness_feasible():
     # x > 0, y > 0, x + y < 3 has rational solutions
-    ineqs = AffineInequalities(2)
-    ineqs.add(vec([1, 0]), Fraction(0))
-    ineqs.add(vec([0, 1]), Fraction(0))
-    ineqs.add(vec([-1, -1]), Fraction(3))
-    w = ineqs.witness()
+    w = strict_witness(
+        2,
+        [(vec([1, 0]), Fraction(0)), (vec([0, 1]), Fraction(0)), (vec([-1, -1]), Fraction(3))],
+    )
     assert w is not None
     x, y = w
     assert x > 0 and y > 0 and x + y < 3
@@ -138,7 +165,4 @@ def test_affine_witness_feasible():
 
 def test_affine_witness_infeasible():
     # x > 1 and x < 0 cannot hold
-    ineqs = AffineInequalities(1)
-    ineqs.add(vec([1]), Fraction(-1))
-    ineqs.add(vec([-1]), Fraction(0))
-    assert ineqs.witness() is None
+    assert strict_witness(1, [(vec([1]), Fraction(-1)), (vec([-1]), Fraction(0))]) is None

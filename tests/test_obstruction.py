@@ -149,7 +149,7 @@ def test_abundancy_identity_on_random_curves():
     rng = random.Random(31)
     for _ in range(20):
         c = random_immersive_curve(rng, rng.choice([2, 3, 4]))
-        image = contract_image(c).curve
+        image = contract_image(c)
         genus = image.graph.genus()
         n = c.n
         _m, rank, surjective = abundancy_map(image)

@@ -109,6 +109,28 @@ def test_model_from_doc_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(ambient_dim=True),
+        lambda d: d["edges"][0].update(weight=True),
+        lambda d: d["edges"][0].update(direction=[True]),
+    ],
+    ids=["ambient_dim", "weight", "direction"],
+)
+def test_model_from_doc_rejects_bool_integers(edit):
+    # a balanced 3-valent star in Q^1, valid until the edit
+    doc = {
+        "ambient_dim": 1,
+        "edges": [{"direction": [1]}, {"direction": [1]}, {"direction": [-1], "weight": 2}],
+    }
+    model_from_doc(doc)
+    edit(doc)
+    with pytest.raises(ValidationError) as err:
+        model_from_doc(doc)
+    assert err.value.kind == "bad-model"
+
+
 def test_model_coords_validation():
     doc = {
         "ambient_dim": 2,
