@@ -19,11 +19,12 @@ import sys
 
 from .curves import contract_image, degree, expected_dim, is_immersive, parse_curve
 from .errors import TropctlError, ValidationError
-from .laurent import parse_laurent_doc
+from .laurent import PhyloLeaf, clusters, parse_laurent_doc
 from .linalg import checked_rational, rational_str
 from .obstruction import (
     abundancy_map,
     classify_report,
+    compatible_numbering_space,
     dual_obstruction_chain,
     reduced_abundancy_map,
 )
@@ -33,6 +34,7 @@ from .residues import (
     degeneration_compare,
     genus1_loop_criterion,
     model_from_doc,
+    standard_local_model,
     vertex_phylo,
     xi_map,
 )
@@ -341,8 +343,6 @@ def _cmd_abundancy(args):
 
 
 def _serialize_phylo(tree):
-    from .laurent import PhyloLeaf
-
     if isinstance(tree, PhyloLeaf):
         return {"leaf": tree.label}
     return {
@@ -352,26 +352,24 @@ def _serialize_phylo(tree):
 
 
 def _cluster_payload(tree) -> list:
-    from .laurent import clusters
-
-    fam = clusters(tree)
-    return sorted(sorted(c) for c in fam)
+    return sorted(sorted(c) for c in clusters(tree))
 
 
 def _cmd_phylo(args):
     curve, stamp = _load_curve(args.file)
     doc, laurent_stamp = _read_doc(args.laurent)
     series_map = parse_laurent_doc(doc)
-    ct = contract_image(curve).combinatorial_type()
+    image = contract_image(curve)
+    g = image.graph
     warnings = []
-    for vid in sorted(v for v in ct.graph.vertex_ids if ct.graph.valence(v) > 3):
+    for vid in sorted(v for v in g.vertex_ids if g.valence(v) > 3):
         if vid not in series_map:
             warnings.append(f"higher-valent vertex {vid} has no Laurent data")
     vertices = {}
     for vid in sorted(series_map):
-        if vid not in ct.graph.vertex_ids:
+        if vid not in g.vertex_ids:
             raise ValidationError("unknown-vertex", f"Laurent data names unknown vertex {vid}", vertex=vid)
-        model = LocalModel.from_star(ct, vid)
+        model = LocalModel.from_star(image, vid)
         tree = vertex_phylo(model, series_map[vid])
         vertices[vid] = {
             "leaves": [rec.label for rec in model.finite],
@@ -384,7 +382,7 @@ def _cmd_phylo(args):
 
 def _cmd_local_model(args):
     doc, stamp = _read_doc(args.model)
-    model = model_from_doc(doc)
+    model = model_from_doc(doc, max_dim=_max_dim())
     res = a_system(model)
     fields = {
         "dimH": res["dim"],
@@ -432,17 +430,14 @@ def _cmd_compare(args):
         "stabilized": res["stabilized"],
         "tUsed": rational_str(res["t_used"]),
         "dimsSeen": list(res["dims_seen"]),
-        "clusters": {
-            vid: [list(c) for c in fam] for vid, fam in res["clusters"].items()
-        },
+        "clusters": {vid: _cluster_payload(tree) for vid, tree in res["trees"].items()},
         "verdict": "semicontinuous" if res["semicontinuous"] else "violation",
     }
     return [_report("compare", [stamp, laurent_stamp], fields)], 0
 
 
 def _cmd_selftest(args):
-    from . import randgen
-    from .obstruction import compatible_numbering_space
+    from . import randgen  # only selftest needs it; importing it costs every command's start-up
 
     rng = random.Random(args.seed)
     cases = max(1, args.cases)
@@ -470,16 +465,13 @@ def _cmd_selftest(args):
         if chain["dim"] != (n - 1) * g - red_rank:
             failures.append(f"abundancy case {i}: identity violated")
 
-    from .randgen import random_marked_coords
-    from .residues import standard_local_model
-
     for i in range(cases):
         r = rng.randint(1, 3)
         n = r + 1 + rng.randint(0, 2)
         s = rng.randint(2, r + 2)
         bounded = [True] * s + [False] * (r + 2 - s)
         rng.shuffle(bounded)
-        coords = random_marked_coords(rng, r + 1)
+        coords = randgen.random_marked_coords(rng, r + 1)
         model = standard_local_model(r, n, coords, bounded=bounded)
         expected = r * (s - 2) + (n - r - 1) * (s - 1)
         checks["localModel"] += 1
@@ -582,7 +574,7 @@ def main(argv=None) -> int:
         reports, code = handler(args)
     except TropctlError as err:
         stamps = []
-        for attr in ("file", "model", "laurent"):
+        for attr in ("file", "config", "model", "laurent"):
             path = getattr(args, attr, None)
             if path:
                 stamps.append({"path": path})

@@ -10,12 +10,13 @@ series from both sides of a comparable pair preserves the comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .linalg import parse_rational
+from .linalg import parse_rational, rational_str
 
 
 class LaurentSeries:
@@ -55,9 +56,6 @@ class LaurentSeries:
             if ee > e:
                 break
         return Fraction(0)
-
-    def leading(self):
-        return self.terms[0] if self.terms else None
 
     def minus_term(self, e: int, c) -> "LaurentSeries":
         return LaurentSeries(self.terms + ((e, -Fraction(c)),))
@@ -149,8 +147,6 @@ def rebase(items: list[tuple], base_label) -> list[tuple]:
     if base is None:
         raise ValidationError("unknown-label", f"no series labeled {base_label!r}")
     shifted = [(lab, s - base) for lab, s in items]
-    import functools
-
     shifted.sort(key=functools.cmp_to_key(lambda a, b: laurent_cmp(a[1], b[1])))
     for (_, a), (_, b) in zip(shifted, shifted[1:]):
         if not laurent_less(a, b):
@@ -194,16 +190,20 @@ def phylo_tree(items: list[tuple]):
 def _phylo(items):
     if len(items) == 1:
         return PhyloLeaf(items[0][0])
-    groups = []
-    for lab, s in items:
-        if groups and groups[-1][0][1].order() == s.order():
-            groups[-1].append((lab, s))
-        else:
-            groups.append([(lab, s)])
-    if len(groups) == 1:
-        e, c = items[0][1].leading()
-        stripped = [(lab, s.minus_term(e, c)) for lab, s in items]
-        return _phylo(stripped)
+    while True:
+        groups = []
+        for lab, s in items:
+            if groups and groups[-1][0][1].order() == s.order():
+                groups[-1].append((lab, s))
+            else:
+                groups.append([(lab, s)])
+        if len(groups) > 1:
+            break
+        # one run: every member shares its leading terms; strip them at once
+        k = 1
+        while all(len(s.terms) > k and s.terms[k] == items[0][1].terms[k] for _lab, s in items):
+            k += 1
+        items = [(lab, LaurentSeries(s.terms[k:])) for lab, s in items]
     tree = _phylo(groups[0])
     for grp in groups[1:]:
         tree = PhyloNode(first=_phylo(grp), second=tree, depth=grp[0][1].order())
@@ -230,6 +230,10 @@ def clusters(tree) -> set[frozenset]:
 
 # -- file format ------------------------------------------------------------------
 
+# Largest |exponent| a series file may use.  Evaluating t^e at the small t of
+# a comparison costs time that grows with |e|: 0.07 s at 10^4, 13 s at 10^6.
+MAX_EXPONENT = 10_000
+
 
 def parse_series(data) -> LaurentSeries:
     if not isinstance(data, list):
@@ -241,6 +245,8 @@ def parse_series(data) -> LaurentSeries:
         e, c = item
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValidationError("bad-series", f"exponent {e!r} is not an integer")
+        if abs(e) > MAX_EXPONENT:
+            raise ValidationError("limit", f"exponent {e} exceeds the bound |e| <= {MAX_EXPONENT}")
         if isinstance(c, int) and not isinstance(c, bool):
             terms.append((e, Fraction(c)))
             continue
@@ -266,6 +272,4 @@ def parse_laurent_doc(doc: dict) -> dict:
 
 
 def serialize_series(s: LaurentSeries) -> list:
-    from .linalg import rational_str
-
     return [[e, rational_str(c)] for e, c in s.terms]

@@ -75,12 +75,6 @@ def random_trivalent_graph(rng: random.Random, genus: int) -> AbstractGraph:
 # -- curves ------------------------------------------------------------------------
 
 
-def _leg(deficit):
-    """Primitive direction and weight of the leg balancing a deficit."""
-    c, p = content_and_primitive([-x for x in deficit])
-    return p, c
-
-
 def random_tree_curve(rng: random.Random, n: int) -> TropicalCurve:
     """Genus-0 immersive 3-valent curve grown from a tripod."""
     for _ in _retrying():

@@ -13,20 +13,14 @@ obstruction space; on a 3-valent curve it agrees with the chain method.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curves import TropicalCurve, as_type, contract_image, replace_star
+from .curves import DEFAULT_MAX_DIM, TropicalCurve, as_type, contract_image, replace_star
 from .errors import PreconditionError, ValidationError
 from .graphs import Flag
-from .laurent import (
-    LaurentSeries,
-    PhyloLeaf,
-    PhyloNode,
-    clusters,
-    laurent_cmp,
-    phylo_tree,
-)
+from .laurent import LaurentSeries, PhyloLeaf, laurent_cmp, phylo_tree
 from .linalg import (
     Q0,
     Q1,
@@ -38,6 +32,12 @@ from .linalg import (
     vec,
 )
 from .obstruction import dual_obstruction_chain, flag_system
+
+
+# Largest star a LocalModel accepts.  The residue system grows like the fifth
+# power of the valence: a 16-valent planar star takes 0.2 s, a 60-valent one
+# more than 100 s.
+MAX_VALENCE = 16
 
 
 class SlotRecord(NamedTuple):
@@ -58,6 +58,12 @@ class LocalModel:
     """
 
     def __init__(self, slots: list[SlotRecord], coords, n: int, vertex=None):
+        if len(slots) > MAX_VALENCE:
+            raise ValidationError(
+                "limit",
+                f"valence {len(slots)} exceeds the maximum {MAX_VALENCE} of a local model",
+                vertex=vertex,
+            )
         self.slots = list(slots)
         self.n = n
         self.vertex = vertex
@@ -153,20 +159,25 @@ def standard_local_model(r: int, n: int, coords, bounded=None, weights=None) -> 
     return LocalModel(_infinity_last(records), coords, n)
 
 
-def model_from_doc(doc) -> LocalModel:
+def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
     """Build a standalone LocalModel from a JSON document.
 
     Schema: {"ambient_dim": n, "edges": [{"label"?, "weight", "direction",
     "bounded"?}, ...], "coords"?: ["p/q", ...]}.  The infinity slot is the
     last bounded edge in listed order (last edge if none is bounded); coords
     apply to the remaining edges in listed order and default to 0, 1, 2, ...
-    Directions must be primitive and balance against the weights.
+    Directions must be primitive and balance against the weights, and
+    ambient_dim is capped at max_dim.
     """
     if not isinstance(doc, dict):
         raise ValidationError("bad-model", "model document must be a JSON object")
     n = doc.get("ambient_dim")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError("bad-model", "ambient_dim must be a positive integer")
+    if n > max_dim:
+        raise ValidationError(
+            "dimension-cap", f"ambient_dim {n} exceeds the configured cap {max_dim}"
+        )
     edges = doc.get("edges")
     if not isinstance(edges, list) or len(edges) < 3:
         raise ValidationError("bad-model", "edges must list at least 3 edges")
@@ -464,6 +475,8 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
 
 # -- phylogenetic resolution and degeneration comparison -------------------------------
 
+_MAX_SHRINKS = 12  # divisions of t by 1000 before degeneration_compare stops
+
 
 def _phylo_to_pairs(tree):
     if isinstance(tree, PhyloLeaf):
@@ -471,9 +484,10 @@ def _phylo_to_pairs(tree):
     return (_phylo_to_pairs(tree.first), _phylo_to_pairs(tree.second))
 
 
-def vertex_series(model: LocalModel, series_list: list[LaurentSeries]):
-    """Pair the finite slots with their series; validates count and the
-    pinned zero series on the first slot."""
+def vertex_phylo(model: LocalModel, series_list: list[LaurentSeries]):
+    """Ascending-sorted phylogenetic tree of a vertex's series, one per
+    finite slot with the first slot's pinned to zero; leaf labels are the
+    finite slot edge ids."""
     if len(series_list) != len(model.finite):
         raise ValidationError(
             "bad-laurent",
@@ -486,16 +500,8 @@ def vertex_series(model: LocalModel, series_list: list[LaurentSeries]):
             f"vertex {model.vertex}: the first slot's series must be zero",
             vertex=model.vertex,
         )
-    return [(rec.label, s) for rec, s in zip(model.finite, series_list)]
-
-
-def vertex_phylo(model: LocalModel, series_list: list[LaurentSeries]):
-    """Ascending-sorted phylogenetic tree of a vertex's series, leaf labels
-    being the finite slot edge ids."""
-    import functools
-
-    items = vertex_series(model, series_list)
-    items = sorted(items, key=functools.cmp_to_key(lambda a, b: laurent_cmp(a[1], b[1])))
+    items = [(rec.label, s) for rec, s in zip(model.finite, series_list)]
+    items.sort(key=functools.cmp_to_key(lambda a, b: laurent_cmp(a[1], b[1])))
     return phylo_tree(items)
 
 
@@ -509,7 +515,6 @@ def resolve_by_phylo(obj, series_by_vertex: dict) -> tuple:
     g = ct.graph
     trees = {}
     out = ct
-    idx = 0
     for v in g.vertex_ids:
         if g.valence(v) <= 3:
             continue
@@ -522,13 +527,12 @@ def resolve_by_phylo(obj, series_by_vertex: dict) -> tuple:
         model = LocalModel.from_star(ct, v)
         tree = vertex_phylo(model, series_by_vertex[v])
         trees[v] = tree
-        idx += 1
         triple = (
             model.infinity.label,
             _phylo_to_pairs(tree.first),
             _phylo_to_pairs(tree.second),
         )
-        out = replace_star(out, v, triple, new_prefix=f"__p{idx}_")
+        out = replace_star(out, v, triple, new_prefix=f"__p{len(trees)}_")
     return out, trees
 
 
@@ -536,28 +540,15 @@ def degeneration_compare(
     curve: TropicalCurve,
     series_by_vertex: dict,
     t0: Fraction | None = None,
-    max_shrinks: int = 12,
 ) -> dict:
     """Evaluated-coordinate obstruction dimension against the resolved type.
 
     The series are evaluated at a small t to produce marked coordinates; t
     shrinks by 1000 until the dimension repeats (and skips any t where
-    evaluated points collide).  The resolved type's chain dimension bounds
-    the evaluated dimension from above.
+    evaluated points collide), at most _MAX_SHRINKS times.  The resolved
+    type's chain dimension bounds the evaluated dimension from above.
     """
-    ct = contract_image(curve).combinatorial_type()
-    g = ct.graph
-    models = {}
-    for v in g.vertex_ids:
-        if g.valence(v) > 3:
-            if v not in series_by_vertex:
-                raise PreconditionError(
-                    "missing-laurent",
-                    f"vertex {v} has valence {g.valence(v)} and needs series data",
-                    vertex=v,
-                )
-            models[v] = LocalModel.from_star(ct, v)
-            vertex_series(models[v], series_by_vertex[v])  # validate counts
+    ct = as_type(contract_image(curve))
     resolved, trees = resolve_by_phylo(ct, series_by_vertex)
     d0 = dual_obstruction_chain(resolved)["dim"]
     t = Fraction(t0) if t0 is not None else Fraction(1, 10**6)
@@ -565,30 +556,20 @@ def degeneration_compare(
         raise ValidationError("bad-evaluation-point", "t must lie strictly between 0 and 1")
     dims = []
     t_used = None
-    shrinks = 0
-    while shrinks <= max_shrinks:
-        coords_by_vertex = {}
-        collision = False
-        for v, model in models.items():
-            vals = [s.evaluate(t) for s in series_by_vertex[v]]
-            if len(set(vals)) != len(vals):
-                collision = True
-                break
-            coords_by_vertex[v] = vals
-        if not collision:
-            d = xi_map(ct, coords_by_vertex)["dim"]
-            dims.append(d)
+    for _ in range(_MAX_SHRINKS + 1):
+        coords_by_vertex = {v: [s.evaluate(t) for s in series_by_vertex[v]] for v in trees}
+        if all(len(set(vals)) == len(vals) for vals in coords_by_vertex.values()):
+            dims.append(xi_map(ct, coords_by_vertex)["dim"])
             t_used = t
             if len(dims) >= 2 and dims[-1] == dims[-2]:
                 break
         t = t / 1000
-        shrinks += 1
     if not dims:
         raise ValidationError(
             "no-admissible-t", "every tried t made some marked points collide"
         )
     d = dims[-1]
-    report = {
+    return {
         "d": d,
         "d0": d0,
         "semicontinuous": d <= d0,
@@ -597,6 +578,4 @@ def degeneration_compare(
         "dims_seen": dims,
         "resolved_type": resolved,
         "trees": trees,
-        "clusters": {v: sorted(tuple(sorted(c)) for c in clusters(tr)) for v, tr in trees.items()},
     }
-    return report

@@ -1,10 +1,17 @@
 """End-to-end command line behavior: exit codes, JSON stability, reports."""
 
+import io
 import json
+import math
+import time
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tropctl.cli import main
+from tropctl.laurent import MAX_EXPONENT
+from tropctl.residues import MAX_VALENCE
 
 import fixtures
 
@@ -146,6 +153,7 @@ def test_obstruction_xi_bad_config_rational(capsys, tmp_path, hv536):
     assert code == 2
     assert rep["error"]["error_type"] == "bad-rational"
     assert rep["error"]["context"] == {"vertex": "V"}
+    assert [stamp["path"] for stamp in rep["inputs"]] == [hv536, cfg]
 
 
 def test_obstruction_xi_missing_config(capsys, hv536):
@@ -340,6 +348,66 @@ def test_compare_t0_not_a_rational(capsys, tmp_path, hv536):
     assert rep["error"]["error_type"] == "bad-rational"
 
 
+def test_long_shared_prefix_resolves(capsys, tmp_path, hv536):
+    # two series agree on 1,000 leading terms before they separate
+    shared = [[e, "1"] for e in range(-2000, -1000)]
+    doc = {"vertices": {"V": {"series": [[], shared + [[-5, "1"]], shared + [[-7, "1"]]]}}}
+    lau = write_json(tmp_path / "lau.json", doc)
+    code, rep = run_json(capsys, "phylo", hv536, "--laurent", lau, "--format", "json")
+    assert code == 0
+    v = rep["vertices"]["V"]
+    assert v["tree"] == {
+        "depth": -2000,
+        "children": [
+            {"depth": -7, "children": [{"leaf": "e3_vp"}, {"leaf": "e2_cv"}]},
+            {"leaf": "e1_va"},
+        ],
+    }
+    code, rep = run_json(capsys, "compare", hv536, "--laurent", lau, "--format", "json")
+    assert code == 0
+    assert rep["clusters"]["V"] == v["clusters"]
+
+
+@pytest.mark.parametrize("exponent", [-10**7, 10**7])
+def test_compare_exponent_bound_returns_at_once(capsys, tmp_path, hv536, exponent):
+    doc = {"vertices": {"V": {"series": [[], [[exponent, "1"]], [[-5, "1"]]]}}}
+    lau = write_json(tmp_path / "lau.json", doc)
+    start = time.perf_counter()
+    code, rep = run_json(capsys, "compare", hv536, "--laurent", lau, "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert rep["error"]["error_type"] == "limit"
+
+
+def test_local_model_valence_cap(capsys, tmp_path):
+    # a balanced 60-valent star in Q^2
+    dirs = [[1, 0], [0, 1], [-1, 0], [0, -1]] * 15
+    path = write_json(tmp_path / "model.json", {"ambient_dim": 2, "edges": [{"direction": d} for d in dirs]})
+    code, rep = run_json(capsys, "local-model", "--model", path, "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "limit"
+
+
+@pytest.mark.parametrize("command", ["phylo", "compare"])
+def test_star_over_valence_cap(capsys, tmp_path, command):
+    # one vertex with 1,100 legs: its tree would be 1,100 levels deep
+    legs = [[1, 0], [-1, 0]] * 550
+    curve = {
+        "ambient_dim": 2,
+        "vertices": [{"id": "V", "position": ["0", "0"]}],
+        "edges": [
+            {"id": f"u{i:04d}", "ends": ["V", None], "direction": d} for i, d in enumerate(legs)
+        ],
+    }
+    series = [[]] + [[[-i, "1"]] for i in range(1, len(legs) - 1)]
+    path = write_json(tmp_path / "star.json", curve)
+    lau = write_json(tmp_path / "lau.json", {"vertices": {"V": {"series": series}}})
+    code, rep = run_json(capsys, command, path, "--laurent", lau, "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "limit"
+    assert rep["error"]["context"] == {"vertex": "V"}
+
+
 def test_selftest_passes(capsys):
     code, rep = run_json(capsys, "selftest", "--seed", "3", "--cases", "6", "--format", "json")
     assert code == 0
@@ -360,9 +428,22 @@ def test_usage_errors_exit_64(capsys, square):
     capsys.readouterr()  # drain argparse noise
 
 
-def test_max_dim_env(capsys, monkeypatch, square):
+def test_max_dim_env(capsys, monkeypatch, tmp_path, square):
+    model = {
+        "ambient_dim": 3,
+        "edges": [
+            {"direction": [1, 0, 0]},
+            {"direction": [0, 1, 0]},
+            {"direction": [0, 0, 1]},
+            {"direction": [-1, -1, -1]},
+        ],
+    }
+    model_path = write_json(tmp_path / "model.json", model)
     monkeypatch.setenv("TROPCTL_MAX_DIM", "2")
     code, rep = run_json(capsys, "validate", square, "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "dimension-cap"
+    code, rep = run_json(capsys, "local-model", "--model", model_path, "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "dimension-cap"
     monkeypatch.setenv("TROPCTL_MAX_DIM", "not-a-number")
@@ -409,3 +490,98 @@ def test_obstruction_chain_solves_once(capsys, monkeypatch, square):
     assert code == 0
     assert rep["paramDim"] == 5
     assert len(calls) == 1
+
+
+# -- generated hostile documents ---------------------------------------------
+
+_WRONG = st.sampled_from([None, True, 1.5, "x", [], {}])
+
+
+def _mostly(strategy, rare=_WRONG):
+    """Values of strategy, about one draw in eight replaced by a value of
+    rare.  hypothesis favours the ends of an integer range, so the rare
+    branch takes a value from its middle."""
+    return st.integers(0, 7).flatmap(lambda k: rare if k == 4 else strategy)
+
+
+_BOUNDS = st.sampled_from([-10**7, -MAX_EXPONENT - 1, -MAX_EXPONENT, MAX_EXPONENT, MAX_EXPONENT + 1])
+_TERM = st.tuples(_mostly(st.integers(-12, 0), _BOUNDS), st.integers(-3, 3)).map(list)
+
+
+@st.composite
+def _laurent_docs(draw):
+    """Series for ex536's vertex V (three finite slots) or another vertex,
+    the first one zero, with at most one value replaced by a value of the
+    wrong type."""
+    count = draw(_mostly(st.just(2), st.sampled_from([1, 3])))
+    series = [[]] + draw(st.lists(st.lists(_TERM, min_size=1, max_size=3), min_size=count, max_size=count))
+    vid = draw(_mostly(st.just("V"), st.sampled_from(["a", "nope"])))
+    doc = {"vertices": {vid: {"series": series}}}
+    terms = [t for s in series for t in s]
+    site = draw(_mostly(st.just(None), st.sampled_from(["doc", "body", "series", "term", "exponent", "coeff"])))
+    if site is None:
+        return doc
+    if site == "doc":
+        doc = draw(st.one_of(_WRONG, st.just({"vertices": []})))
+    elif site == "body":
+        doc["vertices"][vid] = draw(st.one_of(_WRONG, st.just({"series": "x"})))
+    elif site == "series":
+        series[draw(st.integers(0, len(series) - 1))] = draw(_WRONG)
+    elif terms:
+        term = terms[draw(st.integers(0, len(terms) - 1))]
+        if site == "term":
+            term.append(0)
+        else:
+            term[1 if site == "coeff" else 0] = draw(st.one_of(_WRONG, st.sampled_from(["1/2", "x", "1/0"])))
+    return doc
+
+
+@st.composite
+def _model_docs(draw):
+    """Stars of valence 3 to MAX_VALENCE + 2 along the coordinate axes,
+    balanced by their last edge, with at most one field replaced by a value
+    of the wrong type."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    valence = draw(st.integers(min_value=3, max_value=MAX_VALENCE + 2))
+    axes = [[s * (i == k) for i in range(n)] for k in range(n) for s in (1, -1)]
+    dirs = [draw(st.sampled_from(axes)) for _ in range(valence - 1)]
+    last = [-sum(col) for col in zip(*dirs)]
+    weight = math.gcd(*last) or 1
+    edges = [{"direction": d} for d in dirs]
+    edges.append({"direction": [x // weight for x in last], "weight": weight})
+    doc = {"ambient_dim": n, "edges": edges}
+    if draw(st.booleans()):
+        doc["coords"] = [str(i) for i in range(valence - 1)]
+    field = draw(_mostly(st.just(None), st.sampled_from(["ambient_dim", "edges", "coords", "weight", "direction", "bounded"])))
+    if field in ("ambient_dim", "edges", "coords"):
+        doc[field] = draw(_WRONG)
+    elif field is not None:
+        edges[draw(st.integers(0, valence - 1))][field] = draw(_WRONG)
+    return doc
+
+
+def _exit_code(*argv) -> int:
+    """Exit code of one run, which must print one JSON report."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv) + ["--format", "json"])
+    rep = json.loads(out.getvalue())
+    assert isinstance(rep, dict) and rep["schema"] == "tropctl-report/1"
+    return code
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["phylo", "compare"]), doc=_laurent_docs())
+@example(command="compare", doc=laurent_doc_536())
+def test_generated_laurent_documents_give_reports(tmp_path_factory, command, doc):
+    directory = tmp_path_factory.getbasetemp()
+    curve = write_json(directory / "ex536.json", fixtures.ex536_doc())
+    lau = write_json(directory / "lau.json", doc)
+    assert _exit_code(command, curve, "--laurent", lau) in (0, 2, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=_model_docs())
+def test_generated_model_documents_give_reports(tmp_path_factory, doc):
+    path = write_json(tmp_path_factory.getbasetemp() / "model.json", doc)
+    assert _exit_code("local-model", "--model", path) in (0, 2, 3)

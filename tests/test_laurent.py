@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropctl.errors import ValidationError
 from tropctl.laurent import (
+    MAX_EXPONENT,
     LaurentSeries,
     clusters,
     is_strictly_ascending,
@@ -83,6 +84,15 @@ def test_parse_serialize_round_trip():
         with pytest.raises(ValidationError) as err:
             parse_series([[-1, coeff]])
         assert err.value.kind == "bad-series"
+
+
+def test_parse_series_bounds_exponents():
+    ok = parse_series([[-MAX_EXPONENT, 1], [MAX_EXPONENT, "1/2"]])
+    assert ok == _s((-MAX_EXPONENT, 1), (MAX_EXPONENT, Fraction(1, 2)))
+    for e in (-MAX_EXPONENT - 1, MAX_EXPONENT + 1, 10**7):
+        with pytest.raises(ValidationError) as err:
+            parse_series([[e, 1]])
+        assert err.value.kind == "limit"
 
 
 def test_phylo_r7_frozen_tree():

@@ -15,7 +15,9 @@ from tropctl.randgen import (
     random_immersive_curve,
     random_marked_coords,
 )
+from tropctl import residues
 from tropctl.residues import (
+    MAX_VALENCE,
     LocalModel,
     a_system,
     a_values,
@@ -260,6 +262,64 @@ def test_vertex_phylo_labels_are_edge_ids():
     ]
     tree = vertex_phylo(model, series)
     assert leaf_labels(tree) == frozenset({"e1_va", "e2_cv", "e3_vp"})
+
+
+def test_vertex_phylo_checks_the_series():
+    c = fixtures.curve(fixtures.ex536_doc())
+    model = LocalModel.from_star(c, "V")
+    from tropctl.laurent import LaurentSeries
+
+    for series in (
+        [LaurentSeries.zero(), LaurentSeries([(-3, 1)])],  # one series short
+        [LaurentSeries([(-1, 1)]), LaurentSeries([(-3, 1)]), LaurentSeries([(-5, 1)])],
+    ):
+        with pytest.raises(ValidationError) as err:
+            vertex_phylo(model, series)
+        assert err.value.kind == "bad-laurent"
+        assert err.value.context == {"vertex": "V"}
+
+
+def test_compare_models_and_checks_each_star_once(monkeypatch):
+    # outside the xi_map solves, V gets one LocalModel and one series check
+    c = fixtures.curve(fixtures.ex536_doc())
+    from tropctl.laurent import LaurentSeries
+
+    series = {"V": [LaurentSeries.zero(), LaurentSeries([(-3, 1)]), LaurentSeries([(-5, 1)])]}
+    calls = []
+    solving = []
+    from_star = LocalModel.from_star.__func__
+    xi, phylo = residues.xi_map, residues.vertex_phylo
+
+    def counting_from_star(cls, obj, vertex, coords=None):
+        if not solving:
+            calls.append(("model", vertex))
+        return from_star(cls, obj, vertex, coords)
+
+    def marking_xi(*args):
+        solving.append(True)
+        try:
+            return xi(*args)
+        finally:
+            solving.pop()
+
+    def counting_phylo(model, series_list):
+        calls.append(("series", model.vertex))
+        return phylo(model, series_list)
+
+    monkeypatch.setattr(LocalModel, "from_star", classmethod(counting_from_star))
+    monkeypatch.setattr(residues, "xi_map", marking_xi)
+    monkeypatch.setattr(residues, "vertex_phylo", counting_phylo)
+    rep = degeneration_compare(c, series)
+    assert rep["d"] == 1
+    assert sorted(calls) == [("model", "V"), ("series", "V")]
+
+
+def test_local_model_valence_cap():
+    r = MAX_VALENCE - 2  # the largest star accepted
+    assert standard_local_model(r, r + 1, coords=range(r + 1)).r == r
+    with pytest.raises(ValidationError) as err:
+        standard_local_model(r + 1, r + 2, coords=range(r + 2))
+    assert err.value.kind == "limit"
 
 
 def test_degeneration_compare_ex536():
