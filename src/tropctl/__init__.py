@@ -10,15 +10,12 @@ order data, and the loop-direction smoothing criterion for genus-1 curves.
 from .curves import (
     CombinatorialType,
     TropicalCurve,
-    assumption_a_report,
-    check_balancing,
     contract_image,
     degree,
     expected_dim,
     is_immersive,
     parse_curve,
     replace_star,
-    resolve_to_trivalent,
     serialize_curve,
 )
 from .errors import PreconditionError, TropctlError, ValidationError
@@ -78,9 +75,7 @@ __all__ = [
     "a_system",
     "a_values",
     "abundancy_map",
-    "assumption_a_report",
     "b_system",
-    "check_balancing",
     "classify_report",
     "clusters",
     "compatible_numbering_space",
@@ -103,7 +98,6 @@ __all__ = [
     "reduced_abundancy_map",
     "replace_star",
     "resolve_by_phylo",
-    "resolve_to_trivalent",
     "serialize_curve",
     "standard_local_model",
     "xi_map",

@@ -20,17 +20,13 @@ from .errors import PreconditionError, ValidationError
 from .graphs import AbstractGraph, Flag, spanning_forest
 from .linalg import (
     Q0,
-    Subspace,
     checked_rational,
     content_and_primitive,
     integer_primitive,
     is_primitive,
     is_zero_vec,
     rational_str,
-    strict_witness,
     vec,
-    vec_add,
-    vec_scale,
     vec_sub,
     zero_vec,
 )
@@ -182,11 +178,6 @@ def balancing_residuals(c: TropicalCurve) -> list[tuple[str, tuple]]:
             total = tuple(t + w * x for t, x in zip(total, u))
         out.append((v, total))
     return out
-
-
-def check_balancing(c: TropicalCurve) -> list[tuple[str, tuple]]:
-    """Vertices with nonzero residual; empty iff balanced."""
-    return [(v, r) for v, r in balancing_residuals(c) if not is_zero_vec(r)]
 
 
 # -- file format --------------------------------------------------------------
@@ -349,43 +340,7 @@ def contract_image(c: TropicalCurve) -> TropicalCurve:
     return TropicalCurve(graph, c.n, positions, directions)
 
 
-# -- assumption A ---------------------------------------------------------------
-
-
-def assumption_a_report(c: TropicalCurve) -> dict:
-    """The three-part admissibility check.
-
-    Deformability into an immersive curve has no general decision procedure;
-    the report says "guaranteed" (immersive already, or the image curve's
-    abundancy map is surjective) or "undetermined".
-    """
-    higher = [v for v in c.graph.vertex_ids if c.graph.valence(v) > 3]
-    trivalent = not higher
-    try:
-        image = contract_image(c)
-        no_contracted_loop = True
-    except PreconditionError:
-        image = None
-        no_contracted_loop = False
-    if is_immersive(c):
-        deformability = "guaranteed"
-    elif image is None:
-        deformability = "undetermined"
-    else:
-        from .obstruction import abundancy_map
-
-        _rows, _rank, surjective = abundancy_map(image)
-        deformability = "guaranteed" if surjective else "undetermined"
-    return {
-        "trivalent_source": trivalent,
-        "higher_valent_vertices": higher,
-        "no_contracted_loop": no_contracted_loop,
-        "deformability": deformability,
-        "satisfied": no_contracted_loop and deformability == "guaranteed",
-    }
-
-
-# -- star replacement and 3-valent resolution -----------------------------------
+# -- star replacement ----------------------------------------------------------
 
 # A replacement tree for a vertex is a nested structure over its edge ids:
 # the top level is a 3-tuple of subtrees (the vertex keeps valence 3), every
@@ -492,77 +447,3 @@ def replace_star(
         edges.append((eid, (parent_vertex, node), weight))
     graph = AbstractGraph(vertices, edges)
     return CombinatorialType(graph, ct.n, directions)
-
-
-def resolve_to_trivalent(c: TropicalCurve, choices: dict):
-    """Replace each higher-valent star by a chosen 3-valent tree.
-
-    Returns a dict with the new combinatorial type, feasibility of a
-    realization with strictly positive bounded edge lengths, and a sample
-    realization (positions) when one exists.
-    """
-    if not is_immersive(c):
-        raise PreconditionError(
-            "not-embedded", "resolution requires an embedded curve (no contracted edges)"
-        )
-    ct = c.combinatorial_type()
-    higher = [v for v in c.graph.vertex_ids if c.graph.valence(v) > 3]
-    missing = [v for v in higher if v not in choices]
-    if missing:
-        raise PreconditionError(
-            "missing-choice",
-            f"no replacement tree for: {', '.join(missing)}",
-            vertices=missing,
-        )
-    for idx, v in enumerate(higher, 1):
-        ct = replace_star(ct, v, choices[v], new_prefix=f"__r{idx}_")
-    feasible, positions = _realize_type(ct)
-    return {"type": ct, "feasible": feasible, "realization": positions}
-
-
-def _realize_type(ct: CombinatorialType):
-    """Search for positions realizing the type with all lengths positive.
-
-    Lengths are the unknowns; positions follow from a spanning tree.  Cycle
-    closure gives the equality system, then Fourier-Motzkin decides strict
-    positivity over its solution space.
-    """
-    g = ct.graph
-    bounded = g.bounded_edge_ids()
-    if not bounded:
-        return True, {g.vertex_ids[0]: zero_vec(ct.n)}
-    index = {eid: i for i, eid in enumerate(bounded)}
-    forest = spanning_forest(g, bounded)
-    # each vertex position as a linear map of lengths: moving from ends[0]
-    # to ends[1] adds +length*direction
-    coeff = {
-        v: {index[e]: tuple(sign * x for x in ct.directions[e]) for e, sign in path.items()}
-        for v, path in forest.path.items()
-    }
-    rows = []
-    for eid in forest.rest:
-        a, b = g.edges[eid].ends
-        d = ct.directions[eid]
-        for k in range(ct.n):
-            row = [Q0] * len(bounded)
-            for j, dv in coeff[b].items():
-                row[j] += dv[k]
-            for j, dv in coeff[a].items():
-                row[j] -= dv[k]
-            row[index[eid]] -= d[k]
-            rows.append(row)
-    kernel = Subspace(len(bounded), rows).annihilator()
-    positive = [([bv[i] for bv in kernel.basis], Q0) for i in range(len(bounded))]  # each length > 0
-    w = strict_witness(kernel.dim, positive)
-    if w is None:
-        return False, None
-    lengths = [Q0] * len(bounded)
-    for c_val, bv in zip(w, kernel.basis):
-        lengths = [a + c_val * x for a, x in zip(lengths, bv)]
-    positions = {}
-    for v in g.vertex_ids:
-        p = zero_vec(ct.n)
-        for j, dv in coeff[v].items():
-            p = vec_add(p, vec_scale(lengths[j], dv))
-        positions[v] = p
-    return True, positions

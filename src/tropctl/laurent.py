@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .linalg import parse_rational, rational_str
+from .linalg import parse_rational
 
 
 class LaurentSeries:
@@ -82,7 +82,16 @@ class LaurentSeries:
         t0 = Fraction(t0)
         if t0 <= 0:
             raise ValidationError("bad-evaluation-point", "series are evaluated at t > 0")
-        return sum((c * t0**e for e, c in self.terms), Fraction(0))
+        if not self.terms:
+            return Fraction(0)
+        # Horner's rule over the exponent gaps: t0 is raised to the small
+        # gaps and once to the lowest exponent, so a long series near
+        # |e| = MAX_EXPONENT costs one large power, not one per term
+        (e, acc), *rest = reversed(self.terms)
+        for e_lower, c in rest:
+            acc = acc * t0 ** (e - e_lower) + c
+            e = e_lower
+        return acc * t0**e
 
 
 # -- order ----------------------------------------------------------------------
@@ -99,14 +108,6 @@ def laurent_greater(p: LaurentSeries, q: LaurentSeries) -> bool:
 
 def laurent_less(p: LaurentSeries, q: LaurentSeries) -> bool:
     return laurent_greater(q, p)
-
-
-def laurent_comparable(p: LaurentSeries, q: LaurentSeries) -> bool:
-    diff = p - q
-    if diff.is_zero():
-        return True
-    m = diff.order()
-    return p.coeff(m) == 0 or q.coeff(m) == 0
 
 
 def laurent_cmp(p: LaurentSeries, q: LaurentSeries) -> int:
@@ -269,7 +270,3 @@ def parse_laurent_doc(doc: dict) -> dict:
             )
         out[vid] = [parse_series(s) for s in body["series"]]
     return out
-
-
-def serialize_series(s: LaurentSeries) -> list:
-    return [[e, rational_str(c)] for e, c in s.terms]

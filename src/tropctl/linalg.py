@@ -54,24 +54,9 @@ def zero_vec(n: int) -> tuple[Fraction, ...]:
     return (Q0,) * n
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    assert len(u) == len(v)
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     assert len(u) == len(v)
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    assert len(u) == len(v)
-    return sum((a * b for a, b in zip(u, v) if a and b), Q0)
 
 
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
@@ -221,51 +206,3 @@ class Subspace:
         assert self.ambient == other.ambient
         both = self.annihilator().basis + other.annihilator().basis
         return Subspace(self.ambient, both).annihilator()
-
-
-def strict_witness(nvars: int, constraints) -> tuple[Fraction, ...] | None:
-    """A point of Q^nvars with L(c) > 0 for every constraint, or None.
-
-    Each constraint is a pair (coeffs over the nvars variables, constant)
-    for L(c) = coeffs . c + constant; Fourier-Motzkin eliminates the
-    variables last to first.  Used to search for strictly positive edge
-    lengths inside a small solution space; nvars never exceeds a handful of
-    free parameters in this package.
-    """
-    if nvars == 0:
-        for coeffs, const in constraints:
-            if const <= 0:
-                return None
-        return ()
-    # eliminate the last variable
-    lowers, uppers, rest = [], [], []
-    k = nvars - 1
-    for coeffs, const in constraints:
-        a = coeffs[k]
-        head = coeffs[:k]
-        if a == 0:
-            rest.append((head, const))
-        elif a > 0:
-            # c_k > -(head . c + const)/a
-            lowers.append((vec_scale(-Q1 / a, head), -const / a))
-        else:
-            uppers.append((vec_scale(-Q1 / a, head), -const / a))
-    projected = list(rest)
-    for lo_c, lo_k in lowers:
-        for up_c, up_k in uppers:
-            # up bound - lo bound > 0
-            projected.append((vec_sub(up_c, lo_c), up_k - lo_k))
-    sub = strict_witness(k, projected)
-    if sub is None:
-        return None
-    lo_vals = [dot(c, sub) + d for c, d in lowers]
-    up_vals = [dot(c, sub) + d for c, d in uppers]
-    if lo_vals and up_vals:
-        val = (max(lo_vals) + min(up_vals)) / 2
-    elif lo_vals:
-        val = max(lo_vals) + 1
-    elif up_vals:
-        val = min(up_vals) - 1
-    else:
-        val = Q1
-    return sub + (val,)

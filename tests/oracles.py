@@ -146,3 +146,58 @@ def span_dimension(vectors) -> int:
     if not rows:
         return 0
     return matrix_rank(rows)
+
+
+# -- residue polynomial of a local model, coefficient by coefficient ----------
+
+
+def _poly_from_roots(roots):
+    """Coefficients, low degree first, of prod (x - r) over the roots."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        times_x = [Fraction(0)] + coeffs
+        coeffs = [a - r * b for a, b in zip(times_x, coeffs + [Fraction(0)])]
+    return coeffs
+
+
+def residue_coefficient_rows(model):
+    """(rows, unknown count) of a local model's obstruction system, with the
+    residue polynomial written out coefficient by coefficient.
+
+    Unknowns: one covector of n entries per bounded slot, in slot order.
+    Rows: each bounded covector is perpendicular to its own direction, the
+    covectors sum to zero, and every coefficient of
+
+        P(x) = sum over finite i != j of a[i,j] * prod over finite l != i, j of (x - p_l)
+
+    vanishes, where a[i,j] = weight_i * w_j(direction_i).
+    """
+    n = model.n
+    bounded = [rec for rec in model.slots if rec.bounded]
+    start = {rec.label: i * n for i, rec in enumerate(bounded)}
+    nvars = len(bounded) * n
+    rows = []
+    for rec in bounded:
+        row = [Fraction(0)] * nvars
+        for t in range(n):
+            row[start[rec.label] + t] = Fraction(rec.direction[t])
+        rows.append(row)
+    for t in range(n):
+        row = [Fraction(0)] * nvars
+        for rec in bounded:
+            row[start[rec.label] + t] = Fraction(1)
+        rows.append(row)
+    finite = model.finite
+    m = len(finite)
+    coeff_rows = [[Fraction(0)] * nvars for _ in range(m - 1)]
+    for i in range(m):
+        for j in range(m):
+            if i == j or not finite[j].bounded:
+                continue
+            others = [model.coords[l] for l in range(m) if l not in (i, j)]
+            for deg, c in enumerate(_poly_from_roots(others)):
+                for t in range(n):
+                    coeff_rows[deg][start[finite[j].label] + t] += (
+                        c * finite[i].weight * finite[i].direction[t]
+                    )
+    return rows + coeff_rows, nvars

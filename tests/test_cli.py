@@ -368,6 +368,20 @@ def test_long_shared_prefix_resolves(capsys, tmp_path, hv536):
     assert rep["clusters"]["V"] == v["clusters"]
 
 
+def test_compare_long_series_returns_in_time(capsys, tmp_path, hv536):
+    # two 1,000-term series at exponents near -MAX_EXPONENT (a 28 KB file):
+    # evaluated at t = 10^-6 their terms are numbers of some 60,000 digits
+    first = [[e, "1"] for e in range(-MAX_EXPONENT, -MAX_EXPONENT + 1000)]
+    second = [[e, "1"] for e in range(-MAX_EXPONENT + 1, -MAX_EXPONENT + 1001)]
+    doc = {"vertices": {"V": {"series": [[], first, second]}}}
+    lau = write_json(tmp_path / "lau.json", doc)
+    start = time.perf_counter()
+    code, rep = run_json(capsys, "compare", hv536, "--laurent", lau, "--format", "json")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert rep["stabilized"] and rep["semicontinuous"]
+
+
 @pytest.mark.parametrize("exponent", [-10**7, 10**7])
 def test_compare_exponent_bound_returns_at_once(capsys, tmp_path, hv536, exponent):
     doc = {"vertices": {"V": {"series": [[], [[exponent, "1"]], [[-5, "1"]]]}}}

@@ -7,15 +7,13 @@ import pytest
 
 from tropctl.curves import (
     TropicalCurve,
-    assumption_a_report,
-    check_balancing,
+    balancing_residuals,
     contract_image,
     degree,
     expected_dim,
     is_immersive,
     parse_curve,
     replace_star,
-    resolve_to_trivalent,
     serialize_curve,
 )
 from tropctl.errors import PreconditionError, ValidationError
@@ -30,7 +28,7 @@ def test_parse_square_loop():
     assert c.n == 3
     assert c.graph.genus() == 1
     assert is_immersive(c)
-    assert check_balancing(c) == []
+    assert all(not any(r) for _v, r in balancing_residuals(c))
     # directions of bounded edges are inferred from positions
     assert c.directions["s01"] == (1, 0, 0)
     assert c.directions["s12"] == (0, 1, 0)
@@ -111,7 +109,7 @@ def test_random_curves_round_trip_and_balance():
     rng = random.Random(7)
     for _ in range(25):
         c = random_immersive_curve(rng, rng.choice([2, 3, 4]))
-        assert check_balancing(c) == []
+        assert all(not any(r) for _v, r in balancing_residuals(c))
         assert is_immersive(c)
         assert parse_curve(serialize_curve(c)) == c
 
@@ -143,7 +141,7 @@ def test_contracted_edge_with_virtual_direction_balances():
     c = parse_curve(doc)
     assert not is_immersive(c)
     assert c.is_contracted("m")
-    assert check_balancing(c) == []
+    assert all(not any(r) for _v, r in balancing_residuals(c))
     image = contract_image(c)
     assert image.graph.vertex_ids == ("a",)
     assert set(image.graph.edge_ids) == {"p", "q", "r", "s"}
@@ -175,18 +173,6 @@ def test_contracted_loop_is_rejected():
     with pytest.raises(PreconditionError) as err:
         contract_image(c)
     assert err.value.kind == "contracted-loop"
-
-
-def test_assumption_report_on_fixtures():
-    sq = fixtures.curve(fixtures.square_loop_doc())
-    rep = assumption_a_report(sq)
-    assert rep["trivalent_source"]
-    assert rep["satisfied"]
-    hv = fixtures.curve(fixtures.ex536_doc())
-    rep2 = assumption_a_report(hv)
-    assert rep2["higher_valent_vertices"] == ["V"]
-    assert not rep2["trivalent_source"]
-    assert rep2["no_contracted_loop"]
 
 
 def test_replace_star_on_ex536():
@@ -265,25 +251,6 @@ def test_selfloop_star_is_rejected():
     with pytest.raises(PreconditionError) as err:
         replace_star(ct, "v", ("loop", "u1", "u2"), new_prefix="nv_")
     assert err.value.kind == "selfloop-star"
-
-
-def test_resolve_to_trivalent_realizes_ex536():
-    c = fixtures.curve(fixtures.ex536_doc())
-    out = resolve_to_trivalent(c, {"V": fixtures.EX536_SPLIT})
-    assert out["type"].graph.is_trivalent()
-    assert out["feasible"]
-    pos = out["realization"]
-    # a realization respects every bounded edge's direction with positive length
-    ct = out["type"]
-    for eid in ct.graph.bounded_edge_ids():
-        a, b = ct.graph.edges[eid].ends
-        diff = tuple(x - y for x, y in zip(pos[b], pos[a]))
-        d = ct.directions[eid]
-        nz = [diff[i] / d[i] for i in range(len(d)) if d[i] != 0]
-        assert nz and all(x == nz[0] for x in nz)
-        assert nz[0] > 0
-        for i in range(len(d)):
-            assert diff[i] == nz[0] * d[i]
 
 
 def test_flag_direction_signs():

@@ -13,7 +13,6 @@ from tropctl.laurent import (
     clusters,
     is_strictly_ascending,
     laurent_cmp,
-    laurent_comparable,
     laurent_greater,
     laurent_less,
     parse_series,
@@ -21,7 +20,6 @@ from tropctl.laurent import (
     PhyloLeaf,
     PhyloNode,
     rebase,
-    serialize_series,
 )
 from tropctl.randgen import random_ascending_series
 
@@ -61,7 +59,7 @@ def test_incomparable_pair():
     # same order, different leading coefficients: neither dominates
     a = _s((-5, 1))
     b = _s((-5, 2))
-    assert not laurent_comparable(a, b)
+    assert not laurent_less(a, b) and not laurent_greater(a, b)
     with pytest.raises(ValidationError):
         laurent_cmp(a, b)
 
@@ -75,8 +73,7 @@ def test_ascending_chain():
 
 def test_parse_serialize_round_trip():
     s = _s((-5, Fraction(3, 2)), (-1, -2))
-    data = serialize_series(s)
-    assert parse_series(data) == s
+    assert parse_series([[-5, "3/2"], [-1, -2]]) == s
     with pytest.raises(ValidationError):
         parse_series([["-1", "1"]])  # exponents must be integers, not strings
     assert parse_series([[-1, 2], [0, "1/3"]]) == _s((-1, 2), (0, Fraction(1, 3)))

@@ -3,8 +3,10 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tropctl.curves import parse_curve
 from tropctl.errors import PreconditionError, ValidationError
@@ -31,6 +33,7 @@ from tropctl.residues import (
 )
 
 import fixtures
+import oracles
 
 
 def local_dim_formula(r: int, n: int, s: int) -> int:
@@ -386,3 +389,47 @@ def test_local_model_zero_direction_rejected():
     with pytest.raises(PreconditionError) as err:
         LocalModel.from_star(ct, "a")
     assert err.value.kind == "zero-direction-local"
+
+
+@st.composite
+def local_model_docs(draw):
+    """A balanced star of valence 3 to 8 in Q^1..Q^3 with random weights,
+    bounded flags and distinct marked coordinates (after the pinned 0),
+    negative and non-integer ones among them."""
+    n = draw(st.integers(1, 3))
+    valence = draw(st.integers(3, 8))
+    direction = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    dirs = [draw(direction) for _ in range(valence - 1)]
+    dirs = [[x // gcd(*d) for x in d] for d in dirs]
+    weights = [draw(st.integers(1, 3)) for _ in range(valence - 1)]
+    total = [-sum(w * d[t] for w, d in zip(weights, dirs)) for t in range(n)]
+    assume(any(total))
+    content = gcd(*total)
+    dirs.append([x // content for x in total])
+    weights.append(content)
+    coords = draw(
+        st.lists(
+            st.fractions(-5, 5, max_denominator=4).filter(bool),
+            min_size=valence - 2,
+            max_size=valence - 2,
+            unique=True,
+        )
+    )
+    edges = [
+        {"weight": w, "direction": d, "bounded": draw(st.booleans())}
+        for w, d in zip(weights, dirs)
+    ]
+    return {"ambient_dim": n, "edges": edges, "coords": ["0"] + [str(c) for c in coords]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_model_docs())
+def test_residue_sums_span_the_residue_coefficients(doc):
+    # the residue-sum rows and the oracle's coefficient rows span one space
+    model = model_from_doc(doc)
+    rows, _bounded = residues._local_rows(model)
+    expected, nvars = oracles.residue_coefficient_rows(model)
+    assert len(rows) == len(expected)
+    assert Subspace(nvars, rows) == Subspace(nvars, expected)
+    rank = oracles.matrix_rank(expected)
+    assert oracles.matrix_rank(rows) == rank == oracles.matrix_rank(rows + expected)
