@@ -231,39 +231,35 @@ def _curve_summary(curve) -> dict:
     }
 
 
-def _cmd_validate(args):
+def _each_curve(args, command, fields_of):
+    """One report per curve file: fields_of(curve), or the error that
+    loading the file raised.  The exit code is the first error's."""
     reports = []
     code = 0
     for path in _expand_files(args):
         try:
             curve, stamp = _load_curve(path)
         except TropctlError as err:
-            reports.append(_error_report("validate", [{"path": path}], err))
+            reports.append(_error_report(command, [{"path": path}], err))
             code = code or err.exit_code
             continue
-        fields = {"valid": True}
-        fields.update(_curve_summary(curve))
-        reports.append(_report("validate", [stamp], fields))
+        reports.append(_report(command, [stamp], fields_of(curve)))
     return reports, code
+
+
+def _cmd_validate(args):
+    return _each_curve(args, "validate", lambda curve: {"valid": True, **_curve_summary(curve)})
+
+
+def _info_fields(curve) -> dict:
+    fields = _curve_summary(curve)
+    fields["expectedDim"] = expected_dim(curve)
+    fields["degree"] = [{"vector": list(v), "multiplicity": m} for v, m in degree(curve)]
+    return fields
 
 
 def _cmd_info(args):
-    reports = []
-    code = 0
-    for path in _expand_files(args):
-        try:
-            curve, stamp = _load_curve(path)
-        except TropctlError as err:
-            reports.append(_error_report("info", [{"path": path}], err))
-            code = code or err.exit_code
-            continue
-        fields = _curve_summary(curve)
-        fields["expectedDim"] = expected_dim(curve)
-        fields["degree"] = [
-            {"vector": list(v), "multiplicity": m} for v, m in degree(curve)
-        ]
-        reports.append(_report("info", [stamp], fields))
-    return reports, code
+    return _each_curve(args, "info", _info_fields)
 
 
 def _cmd_obstruction(args):
@@ -324,8 +320,8 @@ def _cmd_abundancy(args):
     c = contract_image(curve)
     n = c.n
     g = c.graph.genus()
-    _rows, rank, surjective = abundancy_map(c)
-    _red_rows, red_rank, cut_edges = reduced_abundancy_map(c)
+    rank, surjective = abundancy_map(c)
+    red_rank, cut_edges = reduced_abundancy_map(c)
     red_target = (n - 1) * g
     fields = {
         "genus": g,
@@ -460,7 +456,7 @@ def _cmd_selftest(args):
             failures.append(f"methods case {i}: chain dim {chain['dim']} != xi dim {xi['dim']}")
         n = curve.n
         g = curve.graph.genus()
-        _rows, red_rank, _cut = reduced_abundancy_map(curve)
+        red_rank, _cut = reduced_abundancy_map(curve)
         checks["abundancy"] += 1
         if chain["dim"] != (n - 1) * g - red_rank:
             failures.append(f"abundancy case {i}: identity violated")

@@ -50,7 +50,9 @@ class CombinatorialType:
         return d if flag.slot == 0 else tuple(-x for x in d)
 
 
-class TropicalCurve:
+class TropicalCurve(CombinatorialType):
+    """A combinatorial type with rational vertex positions."""
+
     def __init__(
         self,
         graph: AbstractGraph,
@@ -66,10 +68,6 @@ class TropicalCurve:
             d = directions.get(eid)
             self.directions[eid] = None if d is None else tuple(int(x) for x in d)
         _validate_curve(self)
-
-    # -- directions ----------------------------------------------------------
-
-    flag_direction = CombinatorialType.flag_direction
 
     def is_contracted(self, eid: str) -> bool:
         e = self.graph.edges[eid]
@@ -91,9 +89,6 @@ class TropicalCurve:
                 return diff[i] / x
         raise AssertionError("unreachable: nonzero difference with zero direction")
 
-    def combinatorial_type(self) -> CombinatorialType:
-        return CombinatorialType(self.graph, self.n, self.directions)
-
     def __eq__(self, other):
         return (
             isinstance(other, TropicalCurve)
@@ -106,15 +101,6 @@ class TropicalCurve:
 
     def __hash__(self):
         return hash((self.n, self.graph.vertex_ids, tuple(sorted(self.directions.items()))))
-
-
-def as_type(obj) -> CombinatorialType:
-    """The combinatorial type of a curve, or the type itself."""
-    if isinstance(obj, TropicalCurve):
-        return obj.combinatorial_type()
-    if isinstance(obj, CombinatorialType):
-        return obj
-    raise TypeError(f"expected a curve or combinatorial type, got {type(obj).__name__}")
 
 
 def _validate_curve(c: TropicalCurve):

@@ -13,10 +13,10 @@ and junction vertices impose the signed sum conditions.
 
 from __future__ import annotations
 
-from .curves import TropicalCurve, as_type, contract_image, expected_dim
+from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, require_trivalent, spanning_forest
-from .linalg import Q0, Q1, Subspace, integer_primitive, vec
+from .linalg import Q0, Q1, Subspace, integer_primitive
 
 
 def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict:
@@ -25,7 +25,9 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
     The flag at slot 0 of edge e carries +w_e and the flag at slot 1 carries
     -w_e, for e in `variables`; flags of other edges carry zero.
     `vertex_rows` yields (flags, rows) pairs: each row is a condition at one
-    vertex, written over the concatenated n-covectors of those flags.  The
+    vertex, a sparse {i * n + k: coefficient} dict over the concatenated
+    n-covectors of those flags, so key i * n + k is entry k of the covector
+    at flags[i].  Terms on flags of non-variable edges are dropped.  The
     kernel is reported over the flags of `edges` (sorted bounded edge ids,
     a superset of the variables), edge by edge with slot 0 first.
     """
@@ -37,17 +39,13 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
     rows = []
     for flags, local_rows in vertex_rows:
         for local in local_rows:
-            row = [Q0] * nvars
-            for i, f in enumerate(flags):
-                b = base.get(f.edge)
-                if b is None:
-                    continue
-                for k in range(n):
-                    c = local[i * n + k]
-                    if c:
-                        row[b + k] += c if f.slot == 0 else -c
-            if any(row):  # a condition on non-variable flags only is void
-                rows.append(row)
+            row = {}
+            for key, c in local.items():
+                i, k = divmod(key, n)
+                b = base.get(flags[i].edge)
+                if b is not None:
+                    row[b + k] = row.get(b + k, Q0) + (c if flags[i].slot == 0 else -c)
+            rows.append(row)
     space = Subspace(nvars, rows).annihilator()
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     zero = (Q0,) * n
@@ -61,7 +59,7 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
             elif f.slot == 0:
                 assignment[f] = w[b : b + n]
             else:
-                assignment[f] = tuple(-x for x in w[b : b + n])
+                assignment[f] = tuple(-x if x else x for x in w[b : b + n])
         basis.append(assignment)
         expanded.append(tuple(x for f in flag_order for x in assignment[f]))
     return {
@@ -79,27 +77,24 @@ def compatible_numbering_space(obj) -> dict:
     """Scalar flag numberings: zero on unbounded flags, summing to zero at
     each vertex and across each bounded edge.  The dimension equals the genus.
     """
-    g = obj if isinstance(obj, AbstractGraph) else as_type(obj).graph
+    g = obj if isinstance(obj, AbstractGraph) else obj.graph
     bounded = g.bounded_edge_ids()
     # unbounded flags carry no variable, so the assembler drops their terms
-    vertex_sums = (
-        ([Flag(v, eid, slot) for eid, slot in g.incident(v)], [[Q1] * g.valence(v)])
-        for v in g.vertex_ids
-    )
+    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v)] for v in g.vertex_ids)
+    vertex_sums = ((flags, [dict.fromkeys(range(len(flags)), Q1)]) for flags in stars)
     return flag_system(g, 1, bounded, set(bounded), vertex_sums)
 
 
 # -- chain-method obstruction dual ----------------------------------------------
 
 
-def dual_obstruction_chain(obj) -> dict:
+def dual_obstruction_chain(ct) -> dict:
     """Obstruction dual H of a combinatorial type, from directions only.
 
     Requires valences at most 3 and a direction on every loop edge.  Returns
     the kernel as a subspace over loop-flag covector coordinates, a basis in
     per-flag form, and the maximal chains with their perpendicular spaces.
     """
-    ct = as_type(obj)
     g = ct.graph
     n = ct.n
     require_trivalent(g, "the chain obstruction")
@@ -120,15 +115,12 @@ def dual_obstruction_chain(obj) -> dict:
             flags = [Flag(v, e, slot) for e, slot in g.incident(v) if e in decomp.loop_edges]
             if not flags:
                 continue
-            width = len(flags) * n
-            rows = []
-            for i, f in enumerate(flags):
-                if f.slot == 0:
-                    row = [Q0] * width
-                    row[i * n : (i + 1) * n] = vec(ct.directions[f.edge])
-                    rows.append(row)
-            for k in range(n):
-                rows.append([Q1 if j % n == k else Q0 for j in range(width)])
+            rows = [
+                {i * n + k: x for k, x in enumerate(ct.directions[f.edge])}
+                for i, f in enumerate(flags)
+                if f.slot == 0
+            ]
+            rows += [dict.fromkeys(range(k, len(flags) * n, n), Q1) for k in range(n)]
             yield flags, rows
 
     out = flag_system(g, n, loop, decomp.loop_edges, chain_rows())
@@ -164,7 +156,7 @@ def _cycle_rows(c: TropicalCurve, path: dict, eid: str, col: dict) -> list:
         coeff[e2] = coeff.get(e2, 0) + s
     for e2, s in path[b].items():
         coeff[e2] = coeff.get(e2, 0) - s
-    rows = [[Q0] * len(col) for _ in range(c.n)]
+    rows = [{} for _ in range(c.n)]
     for e2, s in coeff.items():
         if s == 0:
             continue
@@ -177,17 +169,16 @@ def _cycle_rows(c: TropicalCurve, path: dict, eid: str, col: dict) -> list:
             )
         le = c.edge_length(e2)
         for k in range(c.n):
-            rows[k][col[e2]] += s * le * u[k]
+            rows[k][col[e2]] = s * le * u[k]
     return rows
 
 
 def abundancy_map(c: TropicalCurve):
     """Length-weighted cycle-direction map; surjective iff rank is genus * n.
 
-    Returns (rows, rank, surjective), the rows as tuples of Fractions.  Rows
-    come in blocks of n per fundamental cycle of the greedy spanning tree
-    over sorted bounded edges; columns are indexed by the loop edges in
-    sorted order.
+    Returns (rank, surjective).  The map's rows come in blocks of n per
+    fundamental cycle of the greedy spanning tree over sorted bounded edges;
+    columns are indexed by the loop edges in sorted order.
     """
     g = c.graph
     col = {eid: j for j, eid in enumerate(sorted(g.loop_part()))}
@@ -195,9 +186,8 @@ def abundancy_map(c: TropicalCurve):
     rows = []
     for eid in forest.rest:
         rows.extend(_cycle_rows(c, forest.path, eid, col))
-    rows = tuple(map(vec, rows))
     rank = Subspace(len(col), rows).dim
-    return rows, rank, rank == g.genus() * c.n
+    return rank, rank == g.genus() * c.n
 
 
 def reduced_abundancy_map(c: TropicalCurve):
@@ -207,10 +197,9 @@ def reduced_abundancy_map(c: TropicalCurve):
     removal leaves a tree: the edges outside the greedy spanning tree built
     over the bounded edges in reverse order.  For each cut edge the n cycle
     rows are replaced by n-1 rows obtained from an annihilator basis of its
-    direction, killing the cut edge's own column.  Returns (rows, rank,
-    cut_edges), the rows as tuples of Fractions; the map is onto iff rank
-    equals (n-1) * genus, and the obstruction dual dimension is the
-    difference.
+    direction, killing the cut edge's own column.  Returns (rank,
+    cut_edges); the map is onto iff rank equals (n-1) * genus, and the
+    obstruction dual dimension is the difference.
     """
     g = c.graph
     n = c.n
@@ -229,11 +218,12 @@ def reduced_abundancy_map(c: TropicalCurve):
         ann = Subspace(n, [d]).annihilator()
         cycle_rows = _cycle_rows(c, forest.path, eid, col)
         for a in ann.basis:
-            rows.append(
-                [sum((a[k] * cycle_rows[k][j] for k in range(n)), Q0) for j in range(len(col))]
-            )
-    rows = tuple(map(vec, rows))
-    return rows, Subspace(len(col), rows).dim, cut
+            row = {}
+            for k in range(n):
+                for j, x in cycle_rows[k].items():
+                    row[j] = row.get(j, Q0) + a[k] * x
+            rows.append(row)
+    return Subspace(len(col), rows).dim, cut
 
 
 # -- classification --------------------------------------------------------------
@@ -257,7 +247,7 @@ def classify_report(curve: TropicalCurve) -> dict:
     }
     try:
         image = contract_image(curve)
-        _rows, rank, surjective = abundancy_map(image)
+        rank, surjective = abundancy_map(image)
         report["abundancy_rank"] = rank
         report["abundancy_target_dim"] = image.graph.genus() * curve.n
         report["superabundant_def2"] = not surjective

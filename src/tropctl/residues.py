@@ -21,7 +21,7 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .curves import DEFAULT_MAX_DIM, TropicalCurve, as_type, contract_image, replace_star
+from .curves import DEFAULT_MAX_DIM, TropicalCurve, contract_image, replace_star
 from .errors import PreconditionError, ValidationError
 from .graphs import Flag
 from .laurent import LaurentSeries, PhyloLeaf, laurent_cmp, phylo_tree
@@ -33,7 +33,6 @@ from .linalg import (
     content_and_primitive,
     integer_primitive,
     is_primitive,
-    vec,
 )
 from .obstruction import dual_obstruction_chain, flag_system
 
@@ -94,8 +93,7 @@ class LocalModel:
         self.coords = coords
 
     @classmethod
-    def from_star(cls, obj, vertex: str, coords=None) -> "LocalModel":
-        ct = as_type(obj)
+    def from_star(cls, ct, vertex: str, coords=None) -> "LocalModel":
         g = ct.graph
         inc = g.incident(vertex)
         eids = [eid for eid, _slot in inc]
@@ -242,8 +240,11 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
 def _local_rows(model: LocalModel):
     """(rows, bounded slot records) of the local obstruction system.
 
-    Row groups: perpendicularity of each bounded covector to its own edge,
-    the covector sum, and the residue sums
+    The unknowns are one n-covector per bounded slot, in slot order, and
+    each row is a sparse {i * n + k: coefficient} dict, key i * n + k
+    standing for entry k of the i-th bounded covector.  Row groups:
+    perpendicularity of each bounded covector to its own edge, the covector
+    sum, and the residue sums
 
         sum over finite j != k of (a[k,j] + a[j,k]) / (p_k - p_j) = 0
 
@@ -259,22 +260,11 @@ def _local_rows(model: LocalModel):
     n = model.n
     bounded = [rec for rec in model.slots if rec.bounded]
     index = {rec.label: i for i, rec in enumerate(bounded)}
-    nvars = len(bounded) * n
-    rows = []
-    for rec in bounded:
-        row = [Q0] * nvars
-        base = index[rec.label] * n
-        for k in range(n):
-            row[base + k] = Fraction(rec.direction[k])
-        rows.append(row)
-    for k in range(n):
-        row = [Q0] * nvars
-        for rec in bounded:
-            row[index[rec.label] * n + k] += 1
-        rows.append(row)
+    rows = [{i * n + k: x for k, x in enumerate(rec.direction)} for i, rec in enumerate(bounded)]
+    rows += [dict.fromkeys(range(k, len(bounded) * n, n), Q1) for k in range(n)]
     finite, p = model.finite, model.coords
     for k in range(len(finite) - 1):
-        row = [Q0] * nvars
+        row = {}
         for j in range(len(finite)):
             if j == k:
                 continue
@@ -284,7 +274,7 @@ def _local_rows(model: LocalModel):
                 if dst.bounded:
                     base = index[dst.label] * n
                     for t in range(n):
-                        row[base + t] += c * src.weight * src.direction[t]
+                        row[base + t] = row.get(base + t, Q0) + c * src.weight * src.direction[t]
         rows.append(row)
     return rows, bounded
 
@@ -345,10 +335,9 @@ def b_system(tree) -> dict:
 
     Variables are ordered pairs (i, j), i != j, of leaf labels; each internal
     node contributes one row summing the variables over ordered pairs of its
-    descendant leaves.  Returns the rows (tuples of Fractions, one per
-    internal node in post-order), their rank, the internal node count and
-    the pair order of the columns.  The rank equals the number of internal
-    nodes.
+    descendant leaves.  Returns the rank of those rows, the internal node
+    count and the pair order of the columns.  The rank equals the number of
+    internal nodes.
     """
     leaves = _pair_tree_leaves(tree)
     if len(set(leaves)) != len(leaves):
@@ -358,7 +347,6 @@ def b_system(tree) -> dict:
     ordered = sorted(leaves)
     pairs = [(i, j) for i in ordered for j in ordered if i != j]
     col = {p: k for k, p in enumerate(pairs)}
-    rows = []
     node_sets = []
 
     def walk(t):
@@ -369,16 +357,8 @@ def b_system(tree) -> dict:
         return s
 
     walk(tree)
-    for s in node_sets:
-        row = [Q0] * len(pairs)
-        for i in s:
-            for j in s:
-                if i != j:
-                    row[col[(i, j)]] += 1
-        rows.append(row)
-    rows = tuple(map(vec, rows))
+    rows = [{col[(i, j)]: Q1 for i in s for j in s if i != j} for s in node_sets]
     return {
-        "rows": rows,
         "rank": Subspace(len(pairs), rows).dim,
         "internal_nodes": len(node_sets),
         "pairs": pairs,
@@ -388,7 +368,7 @@ def b_system(tree) -> dict:
 # -- curve-level assembly -----------------------------------------------------------
 
 
-def xi_map(obj, coords_by_vertex=None) -> dict:
+def xi_map(ct, coords_by_vertex=None) -> dict:
     """Curve-level obstruction space from the local residue systems.
 
     The flag system of `obstruction.flag_system` with the local rows of each
@@ -400,7 +380,6 @@ def xi_map(obj, coords_by_vertex=None) -> dict:
     (coords_by_vertex); 3-valent and lower vertices get defaults, which
     cannot change the kernel there.
     """
-    ct = as_type(obj)
     g = ct.graph
     coords_by_vertex = coords_by_vertex or {}
     models = {}
@@ -496,13 +475,12 @@ def vertex_phylo(model: LocalModel, series_list: list[LaurentSeries]):
     return phylo_tree(items)
 
 
-def resolve_by_phylo(obj, series_by_vertex: dict) -> tuple:
+def resolve_by_phylo(ct, series_by_vertex: dict) -> tuple:
     """Replace every higher-valent star by its phylogenetic tree.
 
     Returns (resolved combinatorial type, {vertex: tree}).  The infinity
     edge joins the two top branches at the original vertex.
     """
-    ct = as_type(obj)
     g = ct.graph
     trees = {}
     out = ct
@@ -539,7 +517,7 @@ def degeneration_compare(
     evaluated points collide), at most _MAX_SHRINKS times.  The resolved
     type's chain dimension bounds the evaluated dimension from above.
     """
-    ct = as_type(contract_image(curve))
+    ct = contract_image(curve)
     resolved, trees = resolve_by_phylo(ct, series_by_vertex)
     d0 = dual_obstruction_chain(resolved)["dim"]
     t = Fraction(t0) if t0 is not None else Fraction(1, 10**6)

@@ -100,8 +100,8 @@ def test_criterion_04_abundancy_identity_and_agreement():
         n = 2 + (i % 3)
         c = draw(rng, random_immersive_curve, n, genus)
         dim = dual_obstruction_chain(c)["dim"]
-        _m, rank, surjective = abundancy_map(c)
-        _rm, rrank, _cut = reduced_abundancy_map(c)
+        rank, surjective = abundancy_map(c)
+        rrank, _cut = reduced_abundancy_map(c)
         assert dim == (n - 1) * genus - rrank
         assert surjective == (rrank == (n - 1) * genus)
     print("ACCEPTANCE 04: PASS")
@@ -222,7 +222,7 @@ def test_criterion_09_obstructed_star_and_resolution():
         assert vals[(1, 3)] == vals[(3, 2)]
         assert vals[(1, 3)] == -vals[(3, 1)]
         assert vals[(1, 3)] == -vals[(2, 3)]
-    resolved = replace_star(c.combinatorial_type(), "V", fixtures.EX536_SPLIT, "r")
+    resolved = replace_star(c, "V", fixtures.EX536_SPLIT, "r")
     assert dual_obstruction_chain(resolved)["dim"] == 2
     print("ACCEPTANCE 09: PASS")
 

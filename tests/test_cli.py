@@ -393,6 +393,58 @@ def test_compare_exponent_bound_returns_at_once(capsys, tmp_path, hv536, exponen
     assert rep["error"]["error_type"] == "limit"
 
 
+_HUGE = "1e10000000"  # ten characters for a 33-million-bit integer
+
+
+def _huge_position(tmp_path, hv536):
+    doc = fixtures.square_loop_doc()
+    doc["vertices"][1]["position"][0] = _HUGE
+    return ["validate", write_json(tmp_path / "huge.json", doc)]
+
+
+def _huge_config(tmp_path, hv536):
+    cfg = write_json(tmp_path / "cfg.json", {"vertices": {"V": {"coords": ["0", _HUGE, "2"]}}})
+    return ["obstruction", hv536, "--method", "xi", "--config", cfg]
+
+
+def _huge_model(tmp_path, hv536):
+    model = {
+        "ambient_dim": 2,
+        "edges": [{"direction": [1, 0]}, {"direction": [0, 1]}, {"direction": [-1, -1]}],
+        "coords": ["0", _HUGE],
+    }
+    return ["local-model", "--model", write_json(tmp_path / "model.json", model)]
+
+
+def _huge_t0(tmp_path, hv536):
+    lau = write_json(tmp_path / "lau.json", laurent_doc_536())
+    return ["compare", hv536, "--laurent", lau, "--t0", "1e-10000000"]
+
+
+def _huge_coefficient(tmp_path, hv536):
+    doc = {"vertices": {"V": {"series": [[], [[-3, _HUGE]], [[-5, "1"]]]}}}
+    return ["compare", hv536, "--laurent", write_json(tmp_path / "lau.json", doc)]
+
+
+@pytest.mark.parametrize(
+    "argv, error_type",
+    [
+        (_huge_position, "bad-rational"),
+        (_huge_config, "bad-rational"),
+        (_huge_model, "bad-rational"),
+        (_huge_t0, "bad-rational"),
+        (_huge_coefficient, "bad-series"),
+    ],
+    ids=["position", "config", "model", "t0", "coefficient"],
+)
+def test_exponent_notation_is_rejected_at_once(capsys, tmp_path, hv536, argv, error_type):
+    start = time.perf_counter()
+    code, rep = run_json(capsys, *argv(tmp_path, hv536), "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert rep["error"]["error_type"] == error_type
+
+
 def test_local_model_valence_cap(capsys, tmp_path):
     # a balanced 60-valent star in Q^2
     dirs = [[1, 0], [0, 1], [-1, 0], [0, -1]] * 15
@@ -574,6 +626,75 @@ def _model_docs(draw):
     return doc
 
 
+_EXPONENT = st.sampled_from(["1e10000000", "-2E9999999", "1e-10000000"])
+_HOSTILE = st.one_of(_WRONG, _EXPONENT, st.sampled_from(["x", "1/0", "nan"]))
+_CURVES = {"square": fixtures.square_loop_doc, "ex534": fixtures.ex534_doc, "ex536": fixtures.ex536_doc}
+
+
+@st.composite
+def _curve_docs(draw):
+    """The square, ex534 or ex536 document with one site changed: a value of
+    the wrong type, a rational in exponent notation, an id that repeats
+    another, or an endpoint that names no vertex."""
+    doc = _CURVES[draw(st.sampled_from(sorted(_CURVES)))]()
+    vertices, edges = doc["vertices"], doc["edges"]
+    vertex = vertices[draw(st.integers(0, len(vertices) - 1))]
+    edge = edges[draw(st.integers(0, len(edges) - 1))]
+    site = draw(st.sampled_from(
+        ["doc", "ambient_dim", "list", "item", "position", "id", "ends", "end", "weight", "direction"]
+    ))
+    if site == "doc":
+        doc = draw(_WRONG)
+    elif site == "ambient_dim":
+        doc["ambient_dim"] = draw(st.one_of(_WRONG, st.sampled_from([0, 2, 17])))
+    elif site == "list":
+        doc[draw(st.sampled_from(["vertices", "edges"]))] = draw(_WRONG)
+    elif site == "item":
+        items = draw(st.sampled_from([vertices, edges]))
+        items[draw(st.integers(0, len(items) - 1))] = draw(_WRONG)
+    elif site == "position":
+        position = vertex["position"]
+        position[draw(st.integers(0, len(position) - 1))] = draw(_HOSTILE)
+    elif site == "id":
+        items = draw(st.sampled_from([vertices, edges]))
+        items[draw(st.integers(0, len(items) - 1))]["id"] = draw(
+            st.one_of(_WRONG, st.sampled_from([item["id"] for item in items]))
+        )
+    elif site == "ends":
+        edge["ends"] = draw(st.one_of(_WRONG, st.just([vertex["id"]])))
+    elif site == "end":
+        edge["ends"][draw(st.integers(0, 1))] = draw(st.one_of(_WRONG, st.just("nope")))
+    elif site == "weight":
+        edge["weight"] = draw(st.one_of(_WRONG, st.sampled_from([0, -1, 2])))
+    elif site == "direction":
+        edge["direction"] = draw(st.one_of(_WRONG, st.sampled_from([[0, 0, 0], [1, 0], ["1", 0, 0]])))
+    return doc
+
+
+@st.composite
+def _config_docs(draw):
+    """Marked coordinates for the 4-valent vertex V of ex534 and ex536, with
+    one site changed."""
+    coords = ["0", "1", "2"]
+    doc = {"vertices": {"V": {"coords": coords}}}
+    site = draw(st.sampled_from(["doc", "vertices", "vertex", "entry", "coords", "coord"]))
+    if site == "doc":
+        doc = draw(st.one_of(_WRONG, st.just({})))
+    elif site == "vertices":
+        doc["vertices"] = draw(_WRONG)
+    elif site == "vertex":
+        doc["vertices"] = {draw(st.sampled_from(["A", "nope", ""])): {"coords": coords}}
+    elif site == "entry":
+        doc["vertices"]["V"] = draw(st.one_of(_WRONG, st.just({"coords": "0"})))
+    elif site == "coords":
+        # too few, repeated, not starting at 0, too many
+        wrong = [["0", "1"], ["0", "0", "2"], ["1", "2", "3"], ["0", "1", "2", "3"]]
+        doc["vertices"]["V"]["coords"] = draw(st.one_of(_WRONG, st.sampled_from(wrong)))
+    elif site == "coord":
+        coords[draw(st.integers(0, 2))] = draw(_HOSTILE)
+    return doc
+
+
 def _exit_code(*argv) -> int:
     """Exit code of one run, which must print one JSON report."""
     out = io.StringIO()
@@ -599,3 +720,40 @@ def test_generated_laurent_documents_give_reports(tmp_path_factory, command, doc
 def test_generated_model_documents_give_reports(tmp_path_factory, doc):
     path = write_json(tmp_path_factory.getbasetemp() / "model.json", doc)
     assert _exit_code("local-model", "--model", path) in (0, 2, 3)
+
+
+_CURVE_COMMANDS = [
+    ["validate"],
+    ["obstruction", "--method", "chain"],
+    ["obstruction", "--method", "xi"],
+    ["classify"],
+]
+
+
+def _with_position(doc, text):
+    doc["vertices"][0]["position"][0] = text
+    return doc
+
+
+# The explicit examples hold numbers of 40 million digits, which take about a
+# minute to build, so they fail the time bound unless they are rejected unread.
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(_CURVE_COMMANDS), doc=_curve_docs())
+@example(command=["classify"], doc=_with_position(fixtures.square_loop_doc(), "1e40000000"))
+def test_generated_curve_documents_give_reports(tmp_path_factory, command, doc):
+    path = write_json(tmp_path_factory.getbasetemp() / "curve.json", doc)
+    start = time.perf_counter()
+    assert _exit_code(command[0], path, *command[1:]) in (0, 2, 3)
+    assert time.perf_counter() - start < 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(curve=st.sampled_from(["ex534", "ex536"]), doc=_config_docs())
+@example(curve="ex536", doc={"vertices": {"V": {"coords": ["0", "-2E39999999", "2"]}}})
+def test_generated_config_documents_give_reports(tmp_path_factory, curve, doc):
+    directory = tmp_path_factory.getbasetemp()
+    path = write_json(directory / f"{curve}.json", _CURVES[curve]())
+    config = write_json(directory / "config.json", doc)
+    start = time.perf_counter()
+    assert _exit_code("obstruction", path, "--method", "xi", "--config", config) in (0, 2, 3)
+    assert time.perf_counter() - start < 5

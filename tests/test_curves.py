@@ -176,8 +176,7 @@ def test_contracted_loop_is_rejected():
 
 
 def test_replace_star_on_ex536():
-    c = fixtures.curve(fixtures.ex536_doc())
-    ct = c.combinatorial_type()
+    ct = fixtures.curve(fixtures.ex536_doc())
     out = replace_star(ct, "V", fixtures.EX536_SPLIT, new_prefix="nv_")
     assert out.graph.is_trivalent()
     assert out.graph.genus() == 2
@@ -197,8 +196,7 @@ def test_replace_star_on_ex536():
 
 
 def test_replace_star_errors():
-    c = fixtures.curve(fixtures.ex536_doc())
-    ct = c.combinatorial_type()
+    ct = fixtures.curve(fixtures.ex536_doc())
     with pytest.raises(PreconditionError) as err:
         replace_star(ct, "V", ("e1_va", "e2_cv", "e3_vp"), new_prefix="nv_")
     assert err.value.kind == "bad-replacement"

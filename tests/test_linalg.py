@@ -80,6 +80,37 @@ def test_rank_nullity_and_kernel_membership(rows):
     assert kernel.dim == oracles.nullity(rows, cols)
 
 
+# about one entry in three nonzero
+sparse_entries = st.integers(0, 2).flatmap(lambda k: rationals if k == 0 else st.just(Fraction(0)))
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=8, max_cols=8):
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    row = st.lists(sparse_entries, min_size=ncols, max_size=ncols)
+    return ncols, draw(st.lists(row, min_size=1, max_size=max_rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_elimination_matches_oracle_on_dense_and_sparse_rows(matrix, data):
+    ncols, rows = matrix
+    reduced, _pivots = oracles.row_reduce(rows)
+    expected = tuple(tuple(r) for r in reduced if any(r))
+    assert Subspace(ncols, rows).basis == expected
+    # the same rows, shuffled, as {column: value} dicts that keep some zeros
+    order = data.draw(st.permutations(range(len(rows))))
+    sparse = [
+        {j: x for j, x in enumerate(rows[i]) if x or data.draw(st.booleans())} for i in order
+    ]
+    assert Subspace(ncols, sparse).basis == expected
+    kernel = Subspace(ncols, sparse).annihilator()
+    assert kernel.dim == oracles.nullity(rows, ncols)
+    for k in kernel.basis:
+        for r in rows:
+            assert sum(a * b for a, b in zip(r, k)) == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=0, max_size=3))
 def test_annihilator_involution(vectors):

@@ -114,9 +114,9 @@ def test_chain_gamma_pair():
 
 def test_abundancy_square_loop():
     c = fixtures.curve(fixtures.square_loop_doc())
-    _m, rank, surjective = abundancy_map(c)
+    rank, surjective = abundancy_map(c)
     assert (rank, surjective) == (2, False)
-    _m2, rrank, cut = reduced_abundancy_map(c)
+    rrank, cut = reduced_abundancy_map(c)
     assert rrank == 1
     assert cut == ["s01"]
     # genus * (n-1) = 2, so the reduced map misses a 1-dimensional piece,
@@ -152,8 +152,8 @@ def test_abundancy_identity_on_random_curves():
         image = contract_image(c)
         genus = image.graph.genus()
         n = c.n
-        _m, rank, surjective = abundancy_map(image)
-        _m2, rrank, _cut = reduced_abundancy_map(image)
+        rank, surjective = abundancy_map(image)
+        rrank, _cut = reduced_abundancy_map(image)
         dim_h = dual_obstruction_chain(c)["dim"]
         assert dim_h == (n - 1) * genus - rrank
         assert surjective == (rank == genus * n)
