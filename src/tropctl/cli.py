@@ -142,7 +142,7 @@ def _read_doc(path: str):
     digest = hashlib.sha256(data).hexdigest()
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise ValidationError("bad-json", f"{path} is not valid JSON: {err}", path=path)
     return doc, {"path": path, "sha256": digest}
 

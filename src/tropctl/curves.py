@@ -33,6 +33,15 @@ from .linalg import (
 
 DEFAULT_MAX_DIM = 16
 
+# Largest curve file parse_curve accepts.  The worst case measured is a
+# 256-edge loop chain (genus 51, 153 vertices) in Q^16, the default dimension
+# cap: `obstruction --method xi` takes 8.9 s (median of 3) and peaks at
+# 778 MB, most of it the 65 MB report, whose dense basis grows like
+# edges^2 * n^2.  In Q^3 a 511-edge chain takes 0.7 s.  Measured on a shared
+# 2-vCPU Xeon, Python 3.11; the largest benchmark curve has 201 edges.
+MAX_VERTICES = 256
+MAX_EDGES = 256
+
 
 class CombinatorialType:
     """Graph plus direction map; no positions or lengths."""
@@ -183,6 +192,12 @@ def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
     es = doc.get("edges")
     if not isinstance(vs, list) or not isinstance(es, list):
         raise ValidationError("schema", "vertices and edges must be lists")
+    if len(vs) > MAX_VERTICES or len(es) > MAX_EDGES:
+        raise ValidationError(
+            "limit",
+            f"{len(vs)} vertices and {len(es)} edges exceed the maximum "
+            f"{MAX_VERTICES} vertices and {MAX_EDGES} edges of a curve",
+        )
     positions = {}
     vertex_ids = []
     for item in vs:

@@ -129,13 +129,6 @@ class AbstractGraph:
     def genus(self) -> int:
         return len(self.bounded_edge_ids()) - len(self.vertex_ids) + 1
 
-    def euler_counts(self) -> tuple[int, int, int, int]:
-        """(V, e_inn, e, e_tot); satisfies 1 - g = V - e_inn."""
-        v = len(self.vertex_ids)
-        e_inn = len(self.bounded_edge_ids())
-        e = len(self.unbounded_edge_ids())
-        return (v, e_inn, e, e_inn + e)
-
     # -- loop decomposition --------------------------------------------------
 
     def loop_part(self) -> frozenset[str]:

@@ -4,12 +4,15 @@ Everything here works with `fractions.Fraction` entries; no floating point.
 The one linear-algebra type is `Subspace`, held in reduced echelon form.  A
 linear system is the subspace its rows span: its rank is the dimension and
 its solution space the annihilator.  A row is a {column: value} dict that
-lists only its nonzero entries; `Subspace` also takes dense vectors, which
-it turns into such dicts.  Elimination is sparse incremental Gauss-Jordan
-in `_rref`, whose one caller is `Subspace`.  The systems built elsewhere in
-this package are large and sparse: a genus-40 loop chain in R^3 gives a
-798x360 residue system with under 1% of its entries nonzero, because every
-row is a condition at one vertex and touches only the flags there.
+lists only its nonzero entries, from the row builders through elimination
+to the canonical basis of a `Subspace`; `Subspace` also takes dense
+vectors, which it turns into such dicts.  `dense_slice` reads a dense
+stretch of a row where a report needs one.  Elimination is sparse
+incremental Gauss-Jordan in `_rref`, whose one caller is `Subspace`.  The
+systems built elsewhere in this package are large and sparse: a genus-40
+loop chain in R^3 gives a 798x360 residue system with under 1% of its
+entries nonzero, because every row is a condition at one vertex and touches
+only the flags there.
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*(int(x) for x in v)) == 1
 
 
-def _rref(rows: Iterable[dict], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The nonzero rows of the reduced row echelon form, as dense tuples in
+def _rref(rows: Iterable[dict]) -> tuple[dict, ...]:
+    """The nonzero rows of the reduced row echelon form, as sparse rows in
     pivot order.
 
     Each row is reduced against the pivot rows kept so far, normalised on its
@@ -118,13 +121,7 @@ def _rref(rows: Iterable[dict], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
             if p in other:
                 _add_multiple(other, -other[p], row)
         kept[p] = row
-    basis = []
-    for p in sorted(kept):
-        dense = [Q0] * ncols  # the output is dense; the rows never were
-        for j, x in kept[p].items():
-            dense[j] = x
-        basis.append(tuple(dense))
-    return tuple(basis)
+    return tuple(kept[p] for p in sorted(kept))
 
 
 def _add_multiple(target: dict, c: Fraction, source: dict):
@@ -137,15 +134,17 @@ def _add_multiple(target: dict, c: Fraction, source: dict):
             del target[j]
 
 
-def _pivot(row: Sequence[Fraction]) -> int:
-    """Column of the first nonzero entry: the pivot of a reduced row."""
-    return next(j for j, x in enumerate(row) if x)
+def dense_slice(row: dict, start: int, n: int) -> tuple[Fraction, ...]:
+    """Entries start .. start + n - 1 of a sparse row, as a dense tuple."""
+    return tuple(row.get(j, Q0) for j in range(start, start + n))
 
 
 class Subspace:
     """A linear subspace of Q^n held as its canonical basis: the nonzero rows
-    of the reduced echelon form of any spanning set.  Equal subspaces
-    therefore have equal bases, hashes and printed forms.
+    of the reduced echelon form of any spanning set, as sparse
+    {column: value} rows in pivot order.  A row's pivot is its lowest key,
+    where its value is 1.  Equal subspaces therefore have equal bases, so
+    `==` decides both containments at once.
 
     A linear system is the span of its rows: its rank is `dim` and its
     solution space is `annihilator()`.  Vectors are sparse {column: value}
@@ -161,7 +160,7 @@ class Subspace:
         ]
         assert all(0 <= j < ambient for r in rows for j in r), "vectors must lie in the ambient space"
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", _rref(rows, ambient))
+        object.__setattr__(self, "basis", _rref(rows))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -170,30 +169,12 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        """Reduce v against the canonical basis; v lies in the span iff
-        nothing is left."""
-        rest = vec(v)
-        assert len(rest) == self.ambient
-        for row in self.basis:
-            c = rest[_pivot(row)]
-            if c:
-                rest = tuple(a - c * b if b else a for a, b in zip(rest, row))
-        return is_zero_vec(rest)
-
-    def contains(self, other: "Subspace") -> bool:
-        assert self.ambient == other.ambient
-        return all(self.contains_vector(b) for b in other.basis)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
             and self.basis == other.basis
         )
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
@@ -202,15 +183,15 @@ class Subspace:
         """Covectors vanishing on this subspace; dims add up to the ambient.
 
         One null vector per free column f, read off the canonical basis: 1 at
-        f and minus each row's entry at f in that row's pivot column.
+        f and minus each row's entry at f in that row's pivot column.  Every
+        nonzero of a basis row off its pivot lies in a free column, so one
+        pass over those nonzeros writes all the null vectors.
         """
-        pivots = [_pivot(row) for row in self.basis]
-        free = sorted(set(range(self.ambient)).difference(pivots))
-        null = [{f: Q1} | {p: -row[f] for row, p in zip(self.basis, pivots) if row[f]} for f in free]
-        return Subspace(self.ambient, null)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """The covectors vanishing on both annihilators."""
-        assert self.ambient == other.ambient
-        both = self.annihilator().basis + other.annihilator().basis
-        return Subspace(self.ambient, both).annihilator()
+        null = {f: {f: Q1} for f in range(self.ambient)}
+        for row in self.basis:
+            p = min(row)
+            del null[p]
+            for f, x in row.items():
+                if f != p:
+                    null[f][p] = -x
+        return Subspace(self.ambient, null.values())

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, require_trivalent, spanning_forest
-from .linalg import Q0, Q1, Subspace, integer_primitive
+from .linalg import Q0, Q1, Subspace, dense_slice, integer_primitive
 
 
 def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict:
@@ -49,7 +49,7 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
     space = Subspace(nvars, rows).annihilator()
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     zero = (Q0,) * n
-    basis, expanded = [], []
+    basis = []
     for w in space.basis:
         assignment = {}
         for f in flag_order:
@@ -57,17 +57,11 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
             if b is None:
                 assignment[f] = zero
             elif f.slot == 0:
-                assignment[f] = w[b : b + n]
+                assignment[f] = dense_slice(w, b, n)
             else:
-                assignment[f] = tuple(-x if x else x for x in w[b : b + n])
+                assignment[f] = tuple(-x if x else x for x in dense_slice(w, b, n))
         basis.append(assignment)
-        expanded.append(tuple(x for f in flag_order for x in assignment[f]))
-    return {
-        "dim": space.dim,
-        "space": Subspace(len(flag_order) * n, expanded),
-        "flag_order": flag_order,
-        "basis": basis,
-    }
+    return {"dim": space.dim, "flag_order": flag_order, "basis": basis}
 
 
 # -- compatible numberings -----------------------------------------------------
@@ -92,8 +86,8 @@ def dual_obstruction_chain(ct) -> dict:
     """Obstruction dual H of a combinatorial type, from directions only.
 
     Requires valences at most 3 and a direction on every loop edge.  Returns
-    the kernel as a subspace over loop-flag covector coordinates, a basis in
-    per-flag form, and the maximal chains with their perpendicular spaces.
+    the kernel's dimension, a basis in per-flag form, and the maximal chains
+    with their perpendicular spaces.
     """
     g = ct.graph
     n = ct.n
@@ -131,7 +125,7 @@ def dual_obstruction_chain(ct) -> dict:
             {
                 "edges": list(chain.edges),
                 "closed": chain.closed,
-                "perp": [integer_primitive(bv) for bv in perp.basis],
+                "perp": [integer_primitive(dense_slice(bv, 0, n)) for bv in perp.basis],
             }
         )
     out["loop_edges"] = loop
@@ -219,9 +213,9 @@ def reduced_abundancy_map(c: TropicalCurve):
         cycle_rows = _cycle_rows(c, forest.path, eid, col)
         for a in ann.basis:
             row = {}
-            for k in range(n):
+            for k, ak in a.items():
                 for j, x in cycle_rows[k].items():
-                    row[j] = row.get(j, Q0) + a[k] * x
+                    row[j] = row.get(j, Q0) + ak * x
             rows.append(row)
     return Subspace(len(col), rows).dim, cut
 

@@ -31,6 +31,7 @@ from .linalg import (
     Subspace,
     checked_rational,
     content_and_primitive,
+    dense_slice,
     integer_primitive,
     is_primitive,
 )
@@ -287,11 +288,10 @@ def a_system(model: LocalModel) -> dict:
     basis = []
     for bv in space.basis:
         basis.append(
-            {rec.label: tuple(bv[i * model.n : (i + 1) * model.n]) for i, rec in enumerate(bounded)}
+            {rec.label: dense_slice(bv, i * model.n, model.n) for i, rec in enumerate(bounded)}
         )
     return {
         "dim": space.dim,
-        "space": space,
         "variables": [rec.label for rec in bounded],
         "basis": basis,
         "model": model,
@@ -439,7 +439,7 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
         "smoothable": span.dim == curve.n,
         "loop_vertices": loop_vertices,
         "flag_count": len(flags),
-        "h_basis": [integer_primitive(bv) for bv in ann.basis],
+        "h_basis": [integer_primitive(dense_slice(bv, 0, curve.n)) for bv in ann.basis],
     }
 
 

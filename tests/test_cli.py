@@ -97,6 +97,15 @@ def test_validate_bad_json_and_missing_file(capsys, tmp_path):
     assert rep2["error"]["error_type"] == "unreadable-input"
 
 
+@pytest.mark.parametrize("command", [["validate"], ["local-model", "--model"]], ids=["curve", "model"])
+def test_deeply_nested_json_is_bad_json(capsys, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, rep = run_json(capsys, *command, str(deep), "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "bad-json"
+
+
 def test_info_fields(capsys, square):
     code, rep = run_json(capsys, "info", square, "--format", "json")
     assert code == 0
@@ -456,8 +465,9 @@ def test_local_model_valence_cap(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["phylo", "compare"])
 def test_star_over_valence_cap(capsys, tmp_path, command):
-    # one vertex with 1,100 legs: its tree would be 1,100 levels deep
-    legs = [[1, 0], [-1, 0]] * 550
+    # one vertex with 250 legs, within the curve size bound: its tree would be
+    # 250 levels deep
+    legs = [[1, 0], [-1, 0]] * 125
     curve = {
         "ambient_dim": 2,
         "vertices": [{"id": "V", "position": ["0", "0"]}],

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from tropctl.curves import (
+    MAX_EDGES,
+    MAX_VERTICES,
     TropicalCurve,
     balancing_residuals,
     contract_image,
@@ -18,7 +20,7 @@ from tropctl.curves import (
 )
 from tropctl.errors import PreconditionError, ValidationError
 from tropctl.graphs import AbstractGraph, Flag
-from tropctl.randgen import random_immersive_curve
+from tropctl.randgen import random_immersive_curve, random_loopchain_curve
 
 import fixtures
 
@@ -64,6 +66,31 @@ def test_parse_rejects_dimension_cap():
     with pytest.raises(ValidationError) as err:
         parse_curve(doc, max_dim=2)
     assert err.value.kind == "dimension-cap"
+
+
+@pytest.mark.parametrize("key", ["vertices", "edges"])
+def test_parse_bounds_curve_size(key):
+    bound = {"vertices": MAX_VERTICES, "edges": MAX_EDGES}[key]
+    extra = {
+        "vertices": lambda i: {"id": f"x{i}", "position": ["0", "0", "0"]},
+        "edges": lambda i: {"id": f"x{i}", "ends": ["a", None], "direction": [1, 0, 0]},
+    }[key]
+    doc = fixtures.square_loop_doc()
+    doc[key] += [extra(i) for i in range(bound - len(doc[key]))]
+    # at the bound the padding fails later checks; one more fails the size check first
+    with pytest.raises(ValidationError) as err:
+        parse_curve(doc)
+    assert err.value.kind != "limit"
+    doc[key].append(extra(bound))
+    with pytest.raises(ValidationError) as err:
+        parse_curve(doc)
+    assert err.value.kind == "limit"
+
+
+def test_parse_accepts_a_curve_at_the_edge_bound():
+    c = random_loopchain_curve(random.Random(5), 2, (MAX_EDGES - 1) // 5)
+    assert len(c.graph.edge_ids) == MAX_EDGES
+    assert parse_curve(serialize_curve(c)).graph.edge_ids == c.graph.edge_ids
 
 
 @pytest.mark.parametrize(

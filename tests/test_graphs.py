@@ -58,8 +58,8 @@ def test_counts_and_valence():
     assert g.genus() == 2
     assert g.valence("x") == 4
     assert not g.is_trivalent()
-    v, e_inn, e, e_tot = g.euler_counts()
-    assert (v, e_inn, e, e_tot) == (2, 3, 2, 5)
+    v, e_inn, e = len(g.vertex_ids), len(g.bounded_edge_ids()), len(g.unbounded_edge_ids())
+    assert (v, e_inn, e, len(g.edge_ids)) == (2, 3, 2, 5)
     assert 1 - g.genus() == v - e_inn
 
 

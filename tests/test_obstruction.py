@@ -53,8 +53,8 @@ def test_numbering_members_satisfy_rules():
     out = compatible_numbering_space(g)
     assert out["dim"] == 1
     flags = out["flag_order"]
-    (basis_vec,) = out["space"].basis
-    values = dict(zip(flags, basis_vec))
+    (assignment,) = out["basis"]
+    values = {f: assignment[f][0] for f in flags}
     # both flags of an edge sum to zero; vertex sums vanish
     for eid in g.bounded_edge_ids():
         e = g.edges[eid]
