@@ -28,17 +28,17 @@ from .linalg import (
     rational_str,
     vec,
     vec_sub,
-    zero_vec,
 )
 
 DEFAULT_MAX_DIM = 16
 
 # Largest curve file parse_curve accepts.  The worst case measured is a
 # 256-edge loop chain (genus 51, 153 vertices) in Q^16, the default dimension
-# cap: `obstruction --method xi` takes 8.9 s (median of 3) and peaks at
-# 778 MB, most of it the 65 MB report, whose dense basis grows like
-# edges^2 * n^2.  In Q^3 a 511-edge chain takes 0.7 s.  Measured on a shared
-# 2-vCPU Xeon, Python 3.11; the largest benchmark curve has 201 edges.
+# cap: `obstruction --method xi` takes 7.6 s (median of 3 whole-process
+# runs) and peaks at 778 MB, most of it the 65 MB report, whose dense basis
+# grows like edges^2 * n^2.  In Q^3 a 511-edge chain takes 0.9 s.  Measured
+# on a shared 2-vCPU Xeon, Python 3.11; the largest benchmark curve has 201
+# edges.
 MAX_VERTICES = 256
 MAX_EDGES = 256
 
@@ -166,7 +166,7 @@ def balancing_residuals(c: TropicalCurve) -> list[tuple[str, tuple]]:
     """
     out = []
     for v in c.graph.vertex_ids:
-        total = zero_vec(c.n)
+        total = (0,) * c.n
         for eid, slot in c.graph.incident(v):
             w = c.graph.edges[eid].weight
             u = c.flag_direction(Flag(v, eid, slot))

@@ -1,18 +1,21 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything here works with `fractions.Fraction` entries; no floating point.
-The one linear-algebra type is `Subspace`, held in reduced echelon form.  A
-linear system is the subspace its rows span: its rank is the dimension and
-its solution space the annihilator.  A row is a {column: value} dict that
-lists only its nonzero entries, from the row builders through elimination
-to the canonical basis of a `Subspace`; `Subspace` also takes dense
-vectors, which it turns into such dicts.  `dense_slice` reads a dense
-stretch of a row where a report needs one.  Elimination is sparse
-incremental Gauss-Jordan in `_rref`, whose one caller is `Subspace`.  The
-systems built elsewhere in this package are large and sparse: a genus-40
-loop chain in R^3 gives a 798x360 residue system with under 1% of its
-entries nonzero, because every row is a condition at one vertex and touches
-only the flags there.
+Values are `fractions.Fraction`s or ints; no floating point.  The one
+linear-algebra type is `Subspace`, held in reduced echelon form.  A linear
+system is the subspace its rows span: its rank is the dimension and its
+solution space the annihilator.  A row is a {column: value} dict that lists
+only its nonzero entries, from the row builders through elimination to the
+canonical basis of a `Subspace`; `Subspace` also takes dense vectors, which
+it turns into such dicts.  `dense_slice` reads a dense stretch of a row
+where a report needs one.  Elimination is sparse, incremental and
+fraction-free in `_rref`, whose one caller is `Subspace`: rows are cleared
+of denominators on the way in, every step is integer arithmetic with the
+row content divided out, and each output entry is one `Fraction` made by
+dividing by the row's pivot.  The reduced echelon form is unique, so the
+basis does not depend on how it was computed.  The systems built elsewhere
+in this package are large and sparse: a genus-40 loop chain in R^3 gives a
+798x360 residue system with under 1% of its entries nonzero, because every
+row is a condition at one vertex and touches only the flags there.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Iterable, Sequence
 from .errors import ValidationError
 
 Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -49,9 +51,8 @@ def checked_rational(text, what: str, **context) -> Fraction:
         raise ValidationError("bad-rational", f"{what}: {exc}", **context) from exc
 
 
-def rational_str(q: Fraction) -> str:
-    """Serialize a Fraction as "p/q", or "p" when the denominator is 1."""
-    q = Fraction(q)
+def rational_str(q: Fraction | int) -> str:
+    """Serialize a Fraction or int as "p/q", or "p" when the denominator is 1."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -59,10 +60,6 @@ def rational_str(q: Fraction) -> str:
 
 def vec(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
-
-
-def zero_vec(n: int) -> tuple[Fraction, ...]:
-    return (Q0,) * n
 
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -99,39 +96,58 @@ def is_primitive(v: Sequence[int]) -> bool:
 
 def _rref(rows: Iterable[dict]) -> tuple[dict, ...]:
     """The nonzero rows of the reduced row echelon form, as sparse rows in
-    pivot order.
+    pivot order with `Fraction` values.
 
-    Each row is reduced against the pivot rows kept so far, normalised on its
-    lowest column, and that column is cleared from the kept rows, so they
-    stay fully reduced.  Only nonzero entries are touched, and a row that
-    reduces to zero is dropped.  The reduced echelon form of a row space is
-    unique, so the result does not depend on the order of the rows.
+    Fraction-free incremental Gauss-Jordan on Python ints.  Each incoming row
+    is scaled by the lcm of its denominators, reduced against the pivot rows
+    kept so far, made primitive with a positive entry on its lowest column,
+    and that column is cleared from the kept rows, so they stay fully
+    reduced.  A step target := a * target - c * source, with a / c the ratio
+    of the two entries in the cleared column in lowest terms, is followed by
+    dividing out the content of target.  Only nonzero entries are touched,
+    and a row that reduces to zero is dropped.  Each kept row is then a
+    nonzero multiple of a row of the reduced echelon form, which is unique;
+    dividing it by its pivot, the only division, gives that row whatever the
+    order of the rows.
     """
-    kept = {}  # pivot column -> row, zero in every other pivot column
+    kept = {}  # pivot column -> primitive integer row, pivot > 0, zero in every other pivot column
     for row in rows:
-        row = {j: x for j, x in row.items() if x}
+        d = lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
         for p in [j for j in row if j in kept]:
-            _add_multiple(row, -row[p], kept[p])
+            _eliminate(row, p, kept[p])
         if not row:
             continue
         p = min(row)
-        inv = Q1 / row[p]
-        row = {j: x * inv for j, x in row.items()}
+        g = gcd(*row.values()) * (1 if row[p] > 0 else -1)
+        row = {j: x // g for j, x in row.items()}
         for other in kept.values():
             if p in other:
-                _add_multiple(other, -other[p], row)
+                _eliminate(other, p, row)
         kept[p] = row
-    return tuple(kept[p] for p in sorted(kept))
+    return tuple({j: Fraction(x, row[p]) for j, x in row.items()} for p, row in sorted(kept.items()))
 
 
-def _add_multiple(target: dict, c: Fraction, source: dict):
-    """target += c * source on sparse rows; entries that cancel are removed."""
+def _eliminate(target: dict, p: int, source: dict):
+    """Clear column p of the integer row target with source, whose entry at p
+    is positive: target := a * target - c * source, then divide out the
+    content.  Entries that cancel are removed; a positive entry of target
+    stays positive in every column where source is zero."""
+    g = gcd(source[p], target[p])
+    a, c = source[p] // g, target[p] // g
+    if a != 1:
+        for j in target:
+            target[j] *= a
     for j, x in source.items():
-        y = target.get(j, Q0) + c * x
+        y = target.get(j, 0) - c * x
         if y:
             target[j] = y
         else:
             del target[j]
+    g = gcd(*target.values())
+    if g > 1:
+        for j in target:
+            target[j] //= g
 
 
 def dense_slice(row: dict, start: int, n: int) -> tuple[Fraction, ...]:
@@ -187,7 +203,7 @@ class Subspace:
         nonzero of a basis row off its pivot lies in a free column, so one
         pass over those nonzeros writes all the null vectors.
         """
-        null = {f: {f: Q1} for f in range(self.ambient)}
+        null = {f: {f: 1} for f in range(self.ambient)}
         for row in self.basis:
             p = min(row)
             del null[p]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, require_trivalent, spanning_forest
-from .linalg import Q0, Q1, Subspace, dense_slice, integer_primitive
+from .linalg import Q0, Subspace, dense_slice, integer_primitive
 
 
 def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict:
@@ -44,7 +44,7 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
                 i, k = divmod(key, n)
                 b = base.get(flags[i].edge)
                 if b is not None:
-                    row[b + k] = row.get(b + k, Q0) + (c if flags[i].slot == 0 else -c)
+                    row[b + k] = row.get(b + k, 0) + (c if flags[i].slot == 0 else -c)
             rows.append(row)
     space = Subspace(nvars, rows).annihilator()
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
@@ -75,7 +75,7 @@ def compatible_numbering_space(obj) -> dict:
     bounded = g.bounded_edge_ids()
     # unbounded flags carry no variable, so the assembler drops their terms
     stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v)] for v in g.vertex_ids)
-    vertex_sums = ((flags, [dict.fromkeys(range(len(flags)), Q1)]) for flags in stars)
+    vertex_sums = ((flags, [dict.fromkeys(range(len(flags)), 1)]) for flags in stars)
     return flag_system(g, 1, bounded, set(bounded), vertex_sums)
 
 
@@ -114,7 +114,7 @@ def dual_obstruction_chain(ct) -> dict:
                 for i, f in enumerate(flags)
                 if f.slot == 0
             ]
-            rows += [dict.fromkeys(range(k, len(flags) * n, n), Q1) for k in range(n)]
+            rows += [dict.fromkeys(range(k, len(flags) * n, n), 1) for k in range(n)]
             yield flags, rows
 
     out = flag_system(g, n, loop, decomp.loop_edges, chain_rows())

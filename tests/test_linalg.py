@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropctl import residues
 from tropctl.errors import ValidationError
+from tropctl.laurent import LaurentSeries
 from tropctl.linalg import (
     Subspace,
     dense_slice,
@@ -121,6 +123,69 @@ def test_elimination_matches_oracle_on_dense_and_sparse_rows(matrix, data):
     for k in kernel.basis:
         for r in rows:
             assert dot(r, k) == 0
+
+
+def assert_canonical_basis(ncols, rows):
+    """Subspace(ncols, rows).basis is the oracle's reduced echelon form, with
+    `Fraction` values and pivots exactly 1, and its annihilator kills every
+    row.  Returns the subspace."""
+    reduced, _pivots = oracles.row_reduce(rows)
+    span = Subspace(ncols, rows)
+    assert span.basis == sparse(reduced)
+    for b in span.basis:
+        assert all(type(x) is Fraction for x in b.values())
+        assert b[min(b)] == 1
+    for k in span.annihilator().basis:
+        assert all(dot(r, k) == 0 for r in rows)
+    return span
+
+
+# numerators and denominators up to about 2**70, as ints or Fractions
+wide_rationals = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def wide_sparse_matrices(draw, max_rows=6, max_cols=7):
+    """Sparse matrices of wide entries, with zero rows and repeated rows."""
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    entry = st.integers(0, 2).flatmap(lambda k: wide_rationals if k == 0 else st.just(0))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=max_rows))
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return ncols, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_sparse_matrices(), st.randoms(use_true_random=False))
+def test_fraction_free_elimination_gives_the_canonical_basis(matrix, rng):
+    ncols, rows = matrix
+    span = assert_canonical_basis(ncols, rows)
+    shuffled = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    rng.shuffle(shuffled)
+    assert Subspace(ncols, shuffled).basis == span.basis
+
+
+def test_canonical_basis_of_a_six_valent_star_at_a_small_t():
+    # marked points from series evaluated at t = 10^-6, as `compare` makes
+    # them: residue rows with entries of hundreds of bits
+    t = Fraction(1, 10**6)
+    series = [[(-2, 3), (1, -1)], [(-2, 3), (0, 5)], [(-1, -7), (3, 2)], [(0, 1), (1, 1), (2, 1)]]
+    directions = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [2, -1, 3], [-4, -2, -5]]
+    model = residues.model_from_doc(
+        {
+            "ambient_dim": 3,
+            "edges": [{"weight": 2 if i == 1 else 1, "direction": d} for i, d in enumerate(directions)],
+            "coords": ["0"] + [rational_str(LaurentSeries(terms).evaluate(t)) for terms in series],
+        }
+    )
+    rows, bounded = residues._local_rows(model)
+    ncols = len(bounded) * 3
+    span = assert_canonical_basis(ncols, [[r.get(j, 0) for j in range(ncols)] for r in rows])
+    assert Subspace(ncols, rows[::-1]).basis == span.basis
+    assert max(abs(x.numerator).bit_length() for b in span.basis for x in b.values()) > 100
 
 
 @settings(max_examples=40, deadline=None)

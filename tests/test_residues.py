@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -184,6 +185,22 @@ def test_b_system_tripod_and_caterpillar():
     assert out3["rank"] == 3
     with pytest.raises(ValidationError):
         b_system(((1, 1), 2))
+
+
+def test_b_system_reads_a_comb_deeper_than_the_recursion_limit():
+    # a repeated leaf is found before the depth^2 pair columns are built
+    tree = 0
+    for label in range(1, sys.getrecursionlimit() + 100):
+        tree = (tree, label)
+    with pytest.raises(ValidationError) as exc:
+        b_system((tree, 7))
+    assert exc.value.kind == "bad-tree"
+    assert exc.value.message == "leaf labels must be distinct"
+    # each internal node's leaves are a slice of the left-to-right leaf list
+    assert residues._pair_tree_leaves((((1, 2), 3), (4, 5))) == (
+        [1, 2, 3, 4, 5],
+        [(0, 2), (0, 3), (3, 5), (0, 5)],
+    )
 
 
 def test_xi_square_loop_matches_chain():
