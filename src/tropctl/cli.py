@@ -3,7 +3,8 @@
 Reports are deterministic: machine mode serializes one JSON object (or a JSON
 array for batch runs) with sorted keys, so identical inputs produce
 byte-identical output.  Exit codes: 0 success, 2 input validation error,
-3 computation precondition failure, 64 usage error.
+3 computation precondition failure, 64 usage error, 74 standard output
+closed early.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import functools
 import glob as globmod
 import hashlib
 import json
+import math
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .curves import contract_image, degree, expected_dim, is_immersive, parse_curve
 from .errors import TropctlError, ValidationError
@@ -41,6 +44,7 @@ from .residues import (
 
 SCHEMA = "tropctl-report/1"
 EX_USAGE = 64
+EX_IOERR = 74
 DIM_KEYS = (
     "dimH",
     "d",
@@ -183,14 +187,22 @@ def _flag_key(flag) -> list:
     return [flag.vertex, flag.edge, flag.slot]
 
 
-def _covector(vec) -> list:
-    return [rational_str(x) for x in vec]
+def _basis_payload(keys, basis, n) -> list:
+    """Each basis vector as its covectors over `keys`, as lists of strings.
 
-
-def _basis_payload(flag_order, basis) -> list:
+    Each covector a vector holds is converted once.  A key that a vector
+    does not hold is the zero covector, and all of those are one list.
+    Equal covectors are not looked up to share a list: hashing a tuple of
+    Fractions costs more than converting it.
+    """
+    index = {key: i for i, key in enumerate(keys)}
+    zero = [rational_str(0)] * n
     out = []
     for assignment in basis:
-        out.append([_covector(assignment[f]) for f in flag_order])
+        row = [zero] * len(index)
+        for key, cov in assignment.items():
+            row[index[key]] = [rational_str(x) for x in cov]
+        out.append(row)
     return out
 
 
@@ -288,7 +300,7 @@ def _cmd_obstruction(args):
                 "paramDim omitted: the dimension formula is stated for 3-valent types"
             )
     fields["flags"] = [_flag_key(f) for f in res["flag_order"]]
-    fields["basis"] = _basis_payload(res["flag_order"], res["basis"])
+    fields["basis"] = _basis_payload(res["flag_order"], res["basis"], curve.n)
     fields["superabundant"] = res["dim"] > 0
     return [_report("obstruction", stamps, fields, warnings)], 0
 
@@ -388,10 +400,7 @@ def _cmd_local_model(args):
         "infinitySlot": model.infinity.label,
         "coords": [rational_str(c) for c in model.coords],
         "variables": list(res["variables"]),
-        "basis": [
-            [_covector(assignment[label]) for label in res["variables"]]
-            for assignment in res["basis"]
-        ],
+        "basis": _basis_payload(res["variables"], res["basis"], model.n),
     }
     return [_report("local-model", [stamp], fields)], 0
 
@@ -503,8 +512,59 @@ _HANDLERS = {
 
 
 def _print_json(reports):
-    payload = reports[0] if len(reports) == 1 else reports
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print the reports as json.dumps(payload, indent=2, sort_keys=True).
+
+    The indenting encoder is pure Python, and a basis holds most of the
+    strings of a report.  So each report's basis is dumped as NaN, which no
+    report holds otherwise (there are no floats) and which cannot form the
+    token '"basis": NaN' inside an escaped string, and that basis's text is
+    written in place of the token.
+    """
+    bases = [rep["basis"] for rep in reports if "basis" in rep]
+    reports = [{**rep, "basis": math.nan} if "basis" in rep else rep for rep in reports]
+    single = len(reports) == 1
+    parts = json.dumps(reports[0] if single else reports, indent=2, sort_keys=True).split('"basis": NaN')
+    pad = "  " if single else "    "  # indent of the "basis" key
+    covectors = {}
+    write = sys.stdout.write
+    write(parts[0])
+    for basis, part in zip(bases, parts[1:], strict=True):
+        write('"basis": ')
+        _write_basis(write, basis, pad, covectors)
+        write(part)
+    write("\n")
+
+
+def _write_basis(write, basis, pad, covectors):
+    """Write json.dumps(basis, indent=2) for a basis whose key is indented by
+    pad, one vector at a time.
+
+    A basis is a list of vectors, each a list of covectors of strings,
+    which are escaped as json.dumps escapes them.  The text of each
+    covector list is made once and kept in `covectors` under the list's id,
+    which stays unique while the reports hold the list; the zero covector
+    list of `_basis_payload` fills most slots.
+    """
+    if not basis:
+        write("[]")
+        return
+    vec_pad, cov_pad = pad + "  ", pad + "    "
+    cov_sep = ",\n" + cov_pad
+    str_pad = cov_pad + "  "
+    str_sep = ",\n" + str_pad
+    opening = "[\n" + vec_pad
+    for vector in basis:
+        write(opening)
+        opening = ",\n" + vec_pad
+        if not vector:
+            write("[]")
+            continue
+        for cov in vector:
+            if id(cov) not in covectors:
+                strings = str_sep.join(map(encode_basestring_ascii, cov))
+                covectors[id(cov)] = "[\n" + str_pad + strings + "\n" + cov_pad + "]" if cov else "[]"
+        write("[\n" + cov_pad + cov_sep.join([covectors[id(cov)] for cov in vector]) + "\n" + vec_pad + "]")
+    write("\n" + pad + "]")
 
 
 def _format_scalar(value):
@@ -563,6 +623,18 @@ def _print_text(reports):
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        # the reader closed standard output; what is still buffered goes to
+        # devnull, so the flush at interpreter exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EX_IOERR
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]

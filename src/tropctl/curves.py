@@ -34,11 +34,11 @@ DEFAULT_MAX_DIM = 16
 
 # Largest curve file parse_curve accepts.  The worst case measured is a
 # 256-edge loop chain (genus 51, 153 vertices) in Q^16, the default dimension
-# cap: `obstruction --method xi` takes 7.6 s (median of 3 whole-process
-# runs) and peaks at 778 MB, most of it the 65 MB report, whose dense basis
-# grows like edges^2 * n^2.  In Q^3 a 511-edge chain takes 0.9 s.  Measured
-# on a shared 2-vCPU Xeon, Python 3.11; the largest benchmark curve has 201
-# edges.
+# cap: `obstruction --method xi` takes 0.7 s (median of 3 whole-process
+# runs) and peaks at 30 MB, and prints a 65 MB report, whose dense basis
+# format grows like edges^2 * n^2; the bound holds that output down.  In Q^3
+# a 511-edge chain takes 0.18 s.  Measured on a shared 2-vCPU Xeon, Python
+# 3.11; the largest benchmark curve has 201 edges.
 MAX_VERTICES = 256
 MAX_EDGES = 256
 

@@ -6,16 +6,17 @@ system is the subspace its rows span: its rank is the dimension and its
 solution space the annihilator.  A row is a {column: value} dict that lists
 only its nonzero entries, from the row builders through elimination to the
 canonical basis of a `Subspace`; `Subspace` also takes dense vectors, which
-it turns into such dicts.  `dense_slice` reads a dense stretch of a row
-where a report needs one.  Elimination is sparse, incremental and
-fraction-free in `_rref`, whose one caller is `Subspace`: rows are cleared
-of denominators on the way in, every step is integer arithmetic with the
-row content divided out, and each output entry is one `Fraction` made by
-dividing by the row's pivot.  The reduced echelon form is unique, so the
-basis does not depend on how it was computed.  The systems built elsewhere
-in this package are large and sparse: a genus-40 loop chain in R^3 gives a
-798x360 residue system with under 1% of its entries nonzero, because every
-row is a condition at one vertex and touches only the flags there.
+it turns into such dicts.  `row_blocks` reads a row as the dense
+n-covectors of the blocks where it is nonzero, for the per-flag bases.
+Elimination is sparse, incremental and fraction-free in `_rref`, whose one
+caller is `Subspace`: rows are cleared of denominators on the way in,
+every step is integer arithmetic with the row content divided out, and
+each output entry is one `Fraction` made by dividing by the row's pivot.
+The reduced echelon form is unique, so the basis does not depend on how it
+was computed.  The systems built elsewhere in this package are large and
+sparse: a genus-40 loop chain in R^3 gives a 798x360 residue system with
+under 1% of its entries nonzero, because every row is a condition at one
+vertex and touches only the flags there.
 """
 
 from __future__ import annotations
@@ -79,15 +80,17 @@ def content_and_primitive(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 
 
 def integer_primitive(v: Sequence) -> tuple[int, ...]:
-    """Primitive integer vector positively parallel to the rational vector v.
+    """Primitive integer vector positively parallel to the rational vector v
+    of ints and Fractions.
 
     Raises ValueError on the zero vector.
     """
-    fracs = [Fraction(x) for x in v]
-    if all(f == 0 for f in fracs):
+    d = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (d // x.denominator) for x in v]
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = lcm(*(f.denominator for f in fracs))
-    return content_and_primitive([f * denom_lcm for f in fracs])[1]
+    return tuple(x // g for x in ints)
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -150,9 +153,21 @@ def _eliminate(target: dict, p: int, source: dict):
             target[j] //= g
 
 
-def dense_slice(row: dict, start: int, n: int) -> tuple[Fraction, ...]:
-    """Entries start .. start + n - 1 of a sparse row, as a dense tuple."""
-    return tuple(row.get(j, Q0) for j in range(start, start + n))
+def row_blocks(row: dict, n: int) -> dict[int, tuple]:
+    """The blocks of n consecutive columns in which a sparse row has a
+    nonzero, as {i: entries i * n .. i * n + n - 1 as a dense tuple}.
+
+    One pass over the row's nonzeros; a block that is absent is zero.  For a
+    row in Q^n, block 0 is the whole row.
+    """
+    blocks = {}
+    for j, x in row.items():
+        i, k = divmod(j, n)
+        block = blocks.get(i)
+        if block is None:
+            block = blocks[i] = [Q0] * n
+        block[k] = x
+    return {i: tuple(block) for i, block in blocks.items()}
 
 
 class Subspace:

@@ -3,12 +3,16 @@
 The obstruction dual H is the kernel of a flag system: every bounded flag
 carries a covector, opposite on the two flags of an edge and zero on edges
 outside the loop subgraph, subject to linear conditions at each vertex.
-`flag_system` assembles and solves it over one n-covector per loop edge.
-The chain method (here) and the residue method (`residues.xi_map`) differ
-only in the vertex conditions.  The chain method works from directions
-alone: each loop covector is perpendicular to its edge direction and the
-covectors at a vertex sum to zero, so a maximal chain carries one covector
-and junction vertices impose the signed sum conditions.
+`flag_system` assembles and solves it over one n-covector per loop edge,
+and gives a basis of H in per-flag form: each basis vector is a
+{Flag: covector} dict that holds only its nonzero covectors, so it costs
+its nonzeros and not the number of flags (a basis vector of a genus-40
+loop chain is nonzero on about 6 of its 240 flags).  The chain method
+(here) and the residue method (`residues.xi_map`) differ only in the vertex
+conditions.  The chain method works from directions alone: each loop
+covector is perpendicular to its edge direction and the covectors at a
+vertex sum to zero, so a maximal chain carries one covector and junction
+vertices impose the signed sum conditions.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, require_trivalent, spanning_forest
-from .linalg import Q0, Subspace, dense_slice, integer_primitive
+from .linalg import Q0, Subspace, integer_primitive, row_blocks
 
 
 def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict:
@@ -27,15 +31,22 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
     `vertex_rows` yields (flags, rows) pairs: each row is a condition at one
     vertex, a sparse {i * n + k: coefficient} dict over the concatenated
     n-covectors of those flags, so key i * n + k is entry k of the covector
-    at flags[i].  Terms on flags of non-variable edges are dropped.  The
-    kernel is reported over the flags of `edges` (sorted bounded edge ids,
-    a superset of the variables), edge by edge with slot 0 first.
+    at flags[i].  Terms on flags of non-variable edges are dropped.
+
+    Returns the kernel's dimension, `flag_order` (the flags of `edges`,
+    sorted bounded edge ids that include the variables, edge by edge with
+    slot 0 first) and the basis: one {Flag: covector} dict per row of the
+    canonical kernel basis, written in one pass over that row's nonzeros.
+    It holds both flags of each edge on which the row is nonzero, +w_e and
+    -w_e as tuples, and no other flag: a flag of `flag_order` that it does
+    not hold carries the zero covector.
     """
-    base = {}
-    for eid in edges:
-        if eid in variables:
-            base[eid] = len(base) * n
-    nvars = len(base) * n
+    flag_pairs = [
+        (Flag(g.edges[eid].ends[0], eid, 0), Flag(g.edges[eid].ends[1], eid, 1))
+        for eid in edges
+        if eid in variables
+    ]
+    base = {f0.edge: i * n for i, (f0, _f1) in enumerate(flag_pairs)}
     rows = []
     for flags, local_rows in vertex_rows:
         for local in local_rows:
@@ -46,20 +57,15 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
                 if b is not None:
                     row[b + k] = row.get(b + k, 0) + (c if flags[i].slot == 0 else -c)
             rows.append(row)
-    space = Subspace(nvars, rows).annihilator()
+    space = Subspace(len(base) * n, rows).annihilator()
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
-    zero = (Q0,) * n
     basis = []
     for w in space.basis:
         assignment = {}
-        for f in flag_order:
-            b = base.get(f.edge)
-            if b is None:
-                assignment[f] = zero
-            elif f.slot == 0:
-                assignment[f] = dense_slice(w, b, n)
-            else:
-                assignment[f] = tuple(-x if x else x for x in dense_slice(w, b, n))
+        for i, cov in row_blocks(w, n).items():
+            f0, f1 = flag_pairs[i]
+            assignment[f0] = cov
+            assignment[f1] = tuple(-x for x in cov)
         basis.append(assignment)
     return {"dim": space.dim, "flag_order": flag_order, "basis": basis}
 
@@ -125,7 +131,7 @@ def dual_obstruction_chain(ct) -> dict:
             {
                 "edges": list(chain.edges),
                 "closed": chain.closed,
-                "perp": [integer_primitive(dense_slice(bv, 0, n)) for bv in perp.basis],
+                "perp": [integer_primitive(row_blocks(bv, n)[0]) for bv in perp.basis],
             }
         )
     out["loop_edges"] = loop

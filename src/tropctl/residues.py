@@ -31,9 +31,9 @@ from .linalg import (
     Subspace,
     checked_rational,
     content_and_primitive,
-    dense_slice,
     integer_primitive,
     is_primitive,
+    row_blocks,
 )
 from .obstruction import dual_obstruction_chain, flag_system
 
@@ -285,15 +285,17 @@ def _local_rows(model: LocalModel):
 
 
 def a_system(model: LocalModel) -> dict:
-    """Kernel of the local obstruction system at one vertex."""
+    """Kernel of the local obstruction system at one vertex.
+
+    The basis has one {label: covector} dict per row of the canonical kernel
+    basis, holding the bounded slots where that row is nonzero; a label of
+    `variables` that a dict does not hold carries the zero covector.
+    """
     rows, bounded = _local_rows(model)
-    nvars = len(bounded) * model.n
-    space = Subspace(nvars, rows).annihilator()
-    basis = []
-    for bv in space.basis:
-        basis.append(
-            {rec.label: dense_slice(bv, i * model.n, model.n) for i, rec in enumerate(bounded)}
-        )
+    space = Subspace(len(bounded) * model.n, rows).annihilator()
+    basis = [
+        {bounded[i].label: cov for i, cov in row_blocks(bv, model.n).items()} for bv in space.basis
+    ]
     return {
         "dim": space.dim,
         "variables": [rec.label for rec in bounded],
@@ -444,7 +446,7 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
         "smoothable": span.dim == curve.n,
         "loop_vertices": loop_vertices,
         "flag_count": len(flags),
-        "h_basis": [integer_primitive(dense_slice(bv, 0, curve.n)) for bv in ann.basis],
+        "h_basis": [integer_primitive(row_blocks(bv, curve.n)[0]) for bv in ann.basis],
     }
 
 

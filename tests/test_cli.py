@@ -3,14 +3,21 @@
 import io
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tropctl.cli import main
+from tropctl.curves import serialize_curve
 from tropctl.laurent import MAX_EXPONENT
+from tropctl.randgen import random_loopchain_curve
 from tropctl.residues import MAX_VALENCE
 
 import fixtures
@@ -767,3 +774,89 @@ def test_generated_config_documents_give_reports(tmp_path_factory, curve, doc):
     start = time.perf_counter()
     assert _exit_code("obstruction", path, "--method", "xi", "--config", config) in (0, 2, 3)
     assert time.perf_counter() - start < 5
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+_TOKEN = '"basis": NaN'
+# quotes, backslashes, non-ASCII and control characters, and the token that
+# _print_json replaces
+_ADVERSARIAL = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", "é中", "\x00\x1f\n\t", _TOKEN, "basis", "NaN"]),
+    st.builds(lambda a, b: a + _TOKEN + b, st.text(max_size=3), st.text(max_size=3)),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _ADVERSARIAL,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_ADVERSARIAL, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _bases(draw):
+    """Bases whose vectors draw their covectors from a small pool, so that
+    equal and identical lists recur, with one zero covector shared by all."""
+    n = draw(st.integers(0, 3))
+    zero = ["0"] * n
+    pool = [zero] + draw(st.lists(st.lists(_ADVERSARIAL, min_size=n, max_size=n), max_size=4))
+    flags = draw(st.integers(0, 4))
+    indices = st.lists(st.integers(0, len(pool) - 1), min_size=flags, max_size=flags)
+    return [[pool[i] for i in vector] for vector in draw(st.lists(indices, max_size=4))]
+
+
+@st.composite
+def _reports(draw):
+    rep = {
+        "schema": "tropctl-report/1",
+        "command": draw(_ADVERSARIAL),
+        "inputs": draw(
+            st.lists(st.fixed_dictionaries({"path": _ADVERSARIAL, "sha256": _ADVERSARIAL}), max_size=2)
+        ),
+        "warnings": draw(st.lists(_ADVERSARIAL, max_size=2)),
+    }
+    # other fields; a "basis" always holds a basis
+    keys = _ADVERSARIAL.filter(lambda k: k not in rep and k != "basis")
+    rep.update(draw(st.dictionaries(keys, _JSON, max_size=3)))
+    if draw(st.booleans()):
+        rep["basis"] = draw(_bases())
+    return rep
+
+
+_ZERO = ["0", "0"]
+_HEAD = {"schema": "tropctl-report/1", "command": _TOKEN, "inputs": [{"path": '"\\é\x01'}], "warnings": []}
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports=st.lists(_reports(), min_size=1, max_size=3))
+@example(reports=[{**_HEAD, "basis": []}, {**_HEAD, "basis": [[_ZERO, ["1", "-1/2"], _ZERO], [_ZERO] * 3]}])
+def test_print_json_matches_the_json_module(reports):
+    from tropctl.cli import _print_json
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _print_json(reports)
+    payload = reports[0] if len(reports) == 1 else reports
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_74_without_a_traceback(tmp_path, fmt):
+    rng = random.Random(7)
+    curve = write_json(tmp_path / "chain.json", serialize_curve(random_loopchain_curve(rng, 8, 12)))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["obstruction", curve, "--format", fmt]) == 0
+    assert len(out.getvalue()) > 128 * 1024  # twice a pipe's 64 KB buffer
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tropctl", "obstruction", curve, "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(16)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 74
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr

@@ -1,5 +1,6 @@
 """Exact linear algebra: subspaces as ranks and kernels."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,11 @@ from tropctl.errors import ValidationError
 from tropctl.laurent import LaurentSeries
 from tropctl.linalg import (
     Subspace,
-    dense_slice,
     integer_primitive,
     is_primitive,
     parse_rational,
     rational_str,
+    row_blocks,
     vec,
 )
 
@@ -111,7 +112,7 @@ def test_elimination_matches_oracle_on_dense_and_sparse_rows(matrix, data):
     expected = sparse(reduced)
     basis = Subspace(ncols, rows).basis
     assert basis == expected
-    assert tuple(dense_slice(b, 0, ncols) for b in basis) == tuple(tuple(r) for r in reduced if any(r))
+    assert tuple(row_blocks(b, ncols)[0] for b in basis) == tuple(tuple(r) for r in reduced if any(r))
     # the same rows, shuffled, as {column: value} dicts that keep some zeros
     order = data.draw(st.permutations(range(len(rows))))
     shuffled = [
@@ -221,3 +222,47 @@ def test_integer_primitive():
     assert integer_primitive((6, -9, 3)) == (2, -3, 1)
     assert is_primitive((2, -3, 1))
     assert not is_primitive((2, 4))
+
+
+def fraction_primitive(v):
+    """integer_primitive written with Fraction arithmetic."""
+    fracs = [Fraction(x) for x in v]
+    scale = 1
+    for f in fracs:
+        scale = scale * f.denominator // math.gcd(scale, f.denominator)
+    ints = [int(f * scale) for f in fracs]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-(2**70), max_value=2**70),
+            st.fractions(max_denominator=2**40),
+            st.just(0),
+            st.just(Fraction(0)),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_integer_primitive_matches_a_fraction_reference(v):
+    if all(x == 0 for x in v):
+        with pytest.raises(ValueError):
+            integer_primitive(v)
+        return
+    p = integer_primitive(v)
+    assert p == fraction_primitive(v)
+    assert all(type(x) is int for x in p)
+    assert is_primitive(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.lists(rationals, max_size=12))
+def test_row_blocks_read_back_the_dense_row(n, dense):
+    dense += [Fraction(0)] * (-len(dense) % n)
+    blocks = row_blocks({j: x for j, x in enumerate(dense) if x}, n)
+    assert all(len(b) == n and any(b) for b in blocks.values())
+    assert [x for i in range(len(dense) // n) for x in blocks.get(i, (0,) * n)] == dense

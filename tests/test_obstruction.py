@@ -6,7 +6,7 @@ import pytest
 
 from tropctl.curves import parse_curve
 from tropctl.errors import PreconditionError
-from tropctl.graphs import AbstractGraph
+from tropctl.graphs import AbstractGraph, Flag
 from tropctl.linalg import Subspace, vec
 from tropctl.obstruction import (
     abundancy_map,
@@ -17,7 +17,8 @@ from tropctl.obstruction import (
     reduced_abundancy_map,
 )
 from tropctl.curves import contract_image
-from tropctl.randgen import random_immersive_curve, random_trivalent_graph
+from tropctl.randgen import random_immersive_curve, random_loopchain_curve, random_trivalent_graph
+from tropctl.residues import xi_map
 
 import fixtures
 import oracles
@@ -164,3 +165,61 @@ def test_parameter_dimension_formula():
     c = fixtures.curve(fixtures.square_loop_doc())
     # e + (n-3)(1-g) + dim H = 4 + 0 + 1
     assert parameter_dimension(c) == 5
+
+
+def dense_chain_kernel(ct, flag_order):
+    """The chain-method kernel, solved densely by the oracle and expanded to
+    every flag of flag_order: +w_e on slot 0 and -w_e on slot 1 of each loop
+    edge e, and zero on every other flag."""
+    g, n = ct.graph, ct.n
+    loop = sorted(g.loop_part())
+    base = {eid: i * n for i, eid in enumerate(loop)}
+    width = len(loop) * n
+    rows = []
+    for eid in loop:  # w_e is perpendicular to the direction of e
+        row = [0] * width
+        row[base[eid] : base[eid] + n] = ct.directions[eid]
+        rows.append(row)
+    for v in g.vertex_ids:  # the signed covectors at v sum to zero
+        for k in range(n):
+            row = [0] * width
+            for eid, slot in g.incident(v):
+                if eid in base:
+                    row[base[eid] + k] += 1 if slot == 0 else -1
+            rows.append(row)
+    expanded = []
+    for w in oracles.nullspace(rows, width):
+        dense = []
+        for f in flag_order:
+            if f.edge not in base:
+                dense += [0] * n
+            else:
+                cov = w[base[f.edge] : base[f.edge] + n]
+                dense += cov if f.slot == 0 else [-x for x in cov]
+        expanded.append(dense)
+    return expanded
+
+
+def test_sparse_basis_spans_the_dense_kernel():
+    rng = random.Random(1010)
+    curves = [random_immersive_curve(rng, rng.choice([2, 3, 4])) for _ in range(15)]
+    curves += [random_loopchain_curve(rng, rng.choice([2, 3, 5]), genus) for genus in (1, 2, 4, 7)]
+    for c in curves:
+        for out in (dual_obstruction_chain(c), xi_map(c)):
+            flags = out["flag_order"]
+            n = c.n
+            zero = (0,) * n
+            for assignment in out["basis"]:
+                assert set(assignment) <= set(flags)
+                for f, cov in assignment.items():
+                    assert len(cov) == n and any(cov)
+                    if f.slot == 1:
+                        twin = Flag(c.graph.edges[f.edge].ends[0], f.edge, 0)
+                        assert assignment[twin] == tuple(-x for x in cov)
+                    else:
+                        assert Flag(c.graph.edges[f.edge].ends[1], f.edge, 1) in assignment
+            width = len(flags) * n
+            densified = [[x for f in flags for x in assignment.get(f, zero)] for assignment in out["basis"]]
+            expected = Subspace(width, dense_chain_kernel(c, flags))
+            assert len(densified) == out["dim"] == expected.dim
+            assert Subspace(width, densified) == expected
