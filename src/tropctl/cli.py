@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from .curves import contract_image, degree, expected_dim, is_immersive, parse_curve
 from .errors import TropctlError, ValidationError
 from .laurent import PhyloLeaf, clusters, parse_laurent_doc
-from .linalg import checked_rational, rational_str
+from .linalg import checked_rational, parse_rational, rational_str
 from .obstruction import (
     abundancy_map,
     classify_report,
@@ -426,7 +426,10 @@ def _cmd_compare(args):
     series_map = parse_laurent_doc(doc)
     t0 = None
     if args.t0 is not None:
-        t0 = checked_rational(args.t0, "--t0")
+        try:  # unbounded in size, unlike the rationals of input files
+            t0 = parse_rational(args.t0)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError("bad-rational", f"--t0: {exc}") from exc
     res = degeneration_compare(curve, series_map, t0=t0)
     fields = {
         "d": res["d"],

@@ -20,6 +20,7 @@ from .errors import PreconditionError, ValidationError
 from .graphs import AbstractGraph, Flag, spanning_forest
 from .linalg import (
     Q0,
+    check_bits,
     checked_rational,
     content_and_primitive,
     integer_primitive,
@@ -34,11 +35,13 @@ DEFAULT_MAX_DIM = 16
 
 # Largest curve file parse_curve accepts.  The worst case measured is a
 # 256-edge loop chain (genus 51, 153 vertices) in Q^16, the default dimension
-# cap: `obstruction --method xi` takes 0.7 s (median of 3 whole-process
-# runs) and peaks at 30 MB, and prints a 65 MB report, whose dense basis
-# format grows like edges^2 * n^2; the bound holds that output down.  In Q^3
-# a 511-edge chain takes 0.18 s.  Measured on a shared 2-vCPU Xeon, Python
-# 3.11; the largest benchmark curve has 201 edges.
+# cap: `obstruction --method xi` takes 0.5 s (median of 3 whole-process
+# runs) and peaks at 31 MB, and prints a 65 MB report, whose dense basis
+# format grows like edges^2 * n^2; the bound holds that output down.  With
+# positions at linalg.MAX_BITS, `classify` and `abundancy` on such a chain
+# take 0.3 s and 0.2 s.  In Q^3 a 511-edge chain takes 0.27 s with the bound
+# lifted.  Measured on a shared 2-vCPU Xeon, Python 3.11; the largest
+# benchmark curve has 201 edges.
 MAX_VERTICES = 256
 MAX_EDGES = 256
 
@@ -237,6 +240,7 @@ def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
                 raise ValidationError(
                     "schema", f"edge {eid} direction must list {n} integers", edge=eid
                 )
+            check_bits(d, f"edge {eid} direction", edge=eid)
             d = None if all(x == 0 for x in d) else tuple(d)
         else:
             if ends[1] is None:

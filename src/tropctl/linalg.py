@@ -2,18 +2,23 @@
 
 Values are `fractions.Fraction`s or ints; no floating point.  The one
 linear-algebra type is `Subspace`, held in reduced echelon form.  A linear
-system is the subspace its rows span: its rank is the dimension and its
-solution space the annihilator.  A row is a {column: value} dict that lists
-only its nonzero entries, from the row builders through elimination to the
-canonical basis of a `Subspace`; `Subspace` also takes dense vectors, which
-it turns into such dicts.  `row_blocks` reads a row as the dense
-n-covectors of the blocks where it is nonzero, for the per-flag bases.
-Elimination is sparse, incremental and fraction-free in `_rref`, whose one
-caller is `Subspace`: rows are cleared of denominators on the way in,
-every step is integer arithmetic with the row content divided out, and
-each output entry is one `Fraction` made by dividing by the row's pivot.
-The reduced echelon form is unique, so the basis does not depend on how it
-was computed.  The systems built elsewhere in this package are large and
+system is the subspace its rows span: its rank is the dimension of
+`Subspace(n, rows)` and its solution space is `kernel(n, rows)`.  A row is a
+{column: value} dict that lists only its nonzero entries, from the row
+builders through elimination to the canonical basis of a `Subspace`;
+`Subspace` and `kernel` also take dense vectors, which they turn into such
+dicts.  `row_blocks` reads a row as the dense n-covectors of the blocks
+where it is nonzero, for the per-flag bases.
+
+Elimination is sparse, incremental and fraction-free in `_rref`, the one
+eliminator: rows are cleared of denominators on the way in, every step is
+integer arithmetic with the row content divided out, and each output entry
+is one `Fraction` made by dividing by the row's pivot.  `Subspace` reads
+its basis off the reduced rows; `kernel` reduces the rows once, with the
+column order reversed, and reads the canonical basis of the solution space
+off the same reduced rows, so a kernel costs one elimination and not two.
+The reduced echelon form is unique, so no basis depends on how it was
+computed.  The systems built elsewhere in this package are large and
 sparse: a genus-40 loop chain in R^3 gives a 798x360 residue system with
 under 1% of its entries nonzero, because every row is a condition at one
 vertex and touches only the flags there.
@@ -43,13 +48,42 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+# Largest bit length of a numerator, a denominator or a direction entry read
+# from a curve, --config or --model file (40 bits hold every 12-digit
+# integer).  Exact elimination slows with the size of its entries, most of
+# all on a star at residues.MAX_VALENCE in Q^15.  Whole `local-model`
+# processes on such 16-valent stars, medians of 3 on a shared 2-vCPU Xeon,
+# Python 3.11: 1.3 s with random directions in [-3, 3]^15 and coordinates
+# p/q of 40-bit p and q, and 2.6 s with every direction entry at 40 bits
+# too; with 20-digit (66-bit) coordinates 2.4 s if the bound is lifted.  A
+# 256-edge loop chain in Q^16 whose positions have 40-bit numerators and
+# denominators takes 0.3 s for `classify` and 0.2 s for `abundancy`, whose
+# cycle rows hold the edge lengths.  Benchmark inputs use at most 8 bits.
+MAX_BITS = 40
+
+
+def check_bits(numbers: Iterable, what: str, **context):
+    """Raise a limit ValidationError naming what was being read unless every
+    numerator and denominator of the ints or Fractions has at most MAX_BITS
+    bits."""
+    for x in numbers:
+        bits = max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+        if bits > MAX_BITS:
+            raise ValidationError(
+                "limit", f"{what}: a number of {bits} bits exceeds the maximum {MAX_BITS}", **context
+            )
+
+
 def checked_rational(text, what: str, **context) -> Fraction:
     """parse_rational for input data: junk (a non-string, "nan", "1/0")
-    raises a bad-rational ValidationError naming what was being read."""
+    raises a bad-rational ValidationError, and a numerator or denominator of
+    more than MAX_BITS bits a limit one, naming what was being read."""
     try:
-        return parse_rational(text)
+        q = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError("bad-rational", f"{what}: {exc}", **context) from exc
+    check_bits((q,), what, **context)
+    return q
 
 
 def rational_str(q: Fraction | int) -> str:
@@ -97,21 +131,20 @@ def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*(int(x) for x in v)) == 1
 
 
-def _rref(rows: Iterable[dict]) -> tuple[dict, ...]:
-    """The nonzero rows of the reduced row echelon form, as sparse rows in
-    pivot order with `Fraction` values.
+def _rref(rows: Iterable[dict]) -> dict:
+    """The reduced echelon form of the rows, as {pivot: integer row}.
 
     Fraction-free incremental Gauss-Jordan on Python ints.  Each incoming row
     is scaled by the lcm of its denominators, reduced against the pivot rows
     kept so far, made primitive with a positive entry on its lowest column,
-    and that column is cleared from the kept rows, so they stay fully
-    reduced.  A step target := a * target - c * source, with a / c the ratio
-    of the two entries in the cleared column in lowest terms, is followed by
-    dividing out the content of target.  Only nonzero entries are touched,
-    and a row that reduces to zero is dropped.  Each kept row is then a
-    nonzero multiple of a row of the reduced echelon form, which is unique;
-    dividing it by its pivot, the only division, gives that row whatever the
-    order of the rows.
+    its pivot, and that column is cleared from the kept rows, so they stay
+    fully reduced.  A step target := a * target - c * source, with a / c the
+    ratio of the two entries in the cleared column in lowest terms, is
+    followed by dividing out the content of target.  Only nonzero entries
+    are touched, and a row that reduces to zero is dropped.  Each kept row is
+    then a positive multiple of a row of the reduced echelon form, which is
+    unique; dividing it by its pivot entry, which the callers do, gives that
+    row whatever the order of the rows.
     """
     kept = {}  # pivot column -> primitive integer row, pivot > 0, zero in every other pivot column
     for row in rows:
@@ -128,7 +161,7 @@ def _rref(rows: Iterable[dict]) -> tuple[dict, ...]:
             if p in other:
                 _eliminate(other, p, row)
         kept[p] = row
-    return tuple({j: Fraction(x, row[p]) for j, x in row.items()} for p, row in sorted(kept.items()))
+    return kept
 
 
 def _eliminate(target: dict, p: int, source: dict):
@@ -177,21 +210,22 @@ class Subspace:
     where its value is 1.  Equal subspaces therefore have equal bases, so
     `==` decides both containments at once.
 
-    A linear system is the span of its rows: its rank is `dim` and its
-    solution space is `annihilator()`.  Vectors are sparse {column: value}
-    rows or dense sequences of length `ambient`.
+    A linear system is the span of its rows: its rank is `dim`, and its
+    solution space is `kernel(ambient, rows)`, from one elimination.
+    Vectors are sparse {column: value} rows or dense sequences of length
+    `ambient`.
     """
 
     __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, vectors: Iterable[dict | Sequence[Fraction]] = ()):
-        rows = [
-            v if isinstance(v, dict) else dict(zip(range(ambient), v, strict=True))
-            for v in vectors
-        ]
-        assert all(0 <= j < ambient for r in rows for j in r), "vectors must lie in the ambient space"
+        kept = _rref(_sparse_rows(ambient, vectors))
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", _rref(rows))
+        object.__setattr__(
+            self,
+            "basis",
+            tuple({j: Fraction(x, row[p]) for j, x in row.items()} for p, row in sorted(kept.items())),
+        )
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -210,19 +244,43 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
 
-    def annihilator(self) -> "Subspace":
-        """Covectors vanishing on this subspace; dims add up to the ambient.
 
-        One null vector per free column f, read off the canonical basis: 1 at
-        f and minus each row's entry at f in that row's pivot column.  Every
-        nonzero of a basis row off its pivot lies in a free column, so one
-        pass over those nonzeros writes all the null vectors.
-        """
-        null = {f: {f: 1} for f in range(self.ambient)}
-        for row in self.basis:
-            p = min(row)
-            del null[p]
-            for f, x in row.items():
-                if f != p:
-                    null[f][p] = -x
-        return Subspace(self.ambient, null.values())
+def kernel(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> Subspace:
+    """The solution space {x : v . x = 0 for every v in vectors} in Q^ambient,
+    from one elimination.
+
+    The rows are reduced with column j keyed as ambient - 1 - j, so each
+    reduced row has its pivot at its highest column q, where it is 1, and is
+    zero in every other pivot column.  For each free column f the vector
+    e_f - sum over q of row_q[f] * e_q is then orthogonal to every reduced
+    row, so to every input row, and there are ambient - rank of them.  Its
+    lowest column is f, where it is 1, because row_q[f] != 0 only for
+    f < q, and it is zero in every other free column.  So these vectors are
+    the rows of a reduced echelon form of the solution space, with pivots at
+    the free columns, and that form is unique: they are the canonical basis
+    that `Subspace` would compute from any spanning set.  Each is written in
+    increasing column order.
+    """
+    last = ambient - 1
+    kept = _rref({last - j: x for j, x in row.items()} for row in _sparse_rows(ambient, vectors))
+    null = {f: {f: Fraction(1)} for f in range(ambient)}
+    for key in sorted(kept, reverse=True):  # pivot columns q in increasing order
+        row = kept[key]
+        pivot, q = row[key], last - key
+        del null[q]
+        for k, x in row.items():
+            if k != key:
+                null[last - k][q] = Fraction(-x, pivot)
+    space = object.__new__(Subspace)
+    object.__setattr__(space, "ambient", ambient)
+    object.__setattr__(space, "basis", tuple(null.values()))
+    return space
+
+
+def _sparse_rows(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]):
+    """The vectors as sparse {column: value} rows; a dense vector must have
+    length ambient."""
+    for v in vectors:
+        row = v if isinstance(v, dict) else dict(zip(range(ambient), v, strict=True))
+        assert all(0 <= j < ambient for j in row), "vectors must lie in the ambient space"
+        yield row

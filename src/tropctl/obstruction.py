@@ -20,7 +20,7 @@ from __future__ import annotations
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, require_trivalent, spanning_forest
-from .linalg import Q0, Subspace, integer_primitive, row_blocks
+from .linalg import Q0, Subspace, integer_primitive, kernel, row_blocks
 
 
 def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict:
@@ -33,7 +33,8 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
     n-covectors of those flags, so key i * n + k is entry k of the covector
     at flags[i].  Terms on flags of non-variable edges are dropped.
 
-    Returns the kernel's dimension, `flag_order` (the flags of `edges`,
+    The kernel comes from one elimination of the rows (`linalg.kernel`).
+    Returns its dimension, `flag_order` (the flags of `edges`,
     sorted bounded edge ids that include the variables, edge by edge with
     slot 0 first) and the basis: one {Flag: covector} dict per row of the
     canonical kernel basis, written in one pass over that row's nonzeros.
@@ -57,7 +58,7 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
                 if b is not None:
                     row[b + k] = row.get(b + k, 0) + (c if flags[i].slot == 0 else -c)
             rows.append(row)
-    space = Subspace(len(base) * n, rows).annihilator()
+    space = kernel(len(base) * n, rows)
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     basis = []
     for w in space.basis:
@@ -126,7 +127,7 @@ def dual_obstruction_chain(ct) -> dict:
     out = flag_system(g, n, loop, decomp.loop_edges, chain_rows())
     chains = []
     for chain in sorted(decomp.chains, key=lambda c: min(c.edges)):
-        perp = Subspace(n, [ct.directions[eid] for eid in chain.edges]).annihilator()
+        perp = kernel(n, [ct.directions[eid] for eid in chain.edges])
         chains.append(
             {
                 "edges": list(chain.edges),
@@ -196,10 +197,10 @@ def reduced_abundancy_map(c: TropicalCurve):
     The cut edges are the lexicographically first bounded edge set whose
     removal leaves a tree: the edges outside the greedy spanning tree built
     over the bounded edges in reverse order.  For each cut edge the n cycle
-    rows are replaced by n-1 rows obtained from an annihilator basis of its
-    direction, killing the cut edge's own column.  Returns (rank,
-    cut_edges); the map is onto iff rank equals (n-1) * genus, and the
-    obstruction dual dimension is the difference.
+    rows are replaced by n-1 rows, one per vector of the canonical basis of
+    the covectors vanishing on its direction, killing the cut edge's own
+    column.  Returns (rank, cut_edges); the map is onto iff rank equals
+    (n-1) * genus, and the obstruction dual dimension is the difference.
     """
     g = c.graph
     n = c.n
@@ -215,7 +216,7 @@ def reduced_abundancy_map(c: TropicalCurve):
                 f"cut edge {eid} has no direction; the reduced map needs one",
                 edge=eid,
             )
-        ann = Subspace(n, [d]).annihilator()
+        ann = kernel(n, [d])
         cycle_rows = _cycle_rows(c, forest.path, eid, col)
         for a in ann.basis:
             row = {}

@@ -29,22 +29,32 @@ from .laurent import LaurentSeries, PhyloLeaf, laurent_cmp, phylo_tree
 from .linalg import (
     Q0,
     Subspace,
+    check_bits,
     checked_rational,
     content_and_primitive,
     integer_primitive,
     is_primitive,
+    kernel,
     row_blocks,
 )
 from .obstruction import dual_obstruction_chain, flag_system
 
 
 # Largest star a LocalModel accepts.  Building the residue rows is O(m^2 n);
-# eliminating them grows faster than the fourth power of the valence.
-# Medians of `a_system` on a shared 2-vCPU Xeon, Python 3.11: 0.008 s for a
-# 16-valent planar star, 0.04 s for the 16-valent unit-vector star in Q^15
-# and 1.0 s for a 16-valent star in Q^15 with random directions in
-# [-3, 3]^15; with the cap lifted, a 32-valent planar star takes 0.14 s and
-# a 60-valent one 4.5 s.
+# eliminating them, once, grows faster than the fourth power of the valence.
+# Medians of 5 in-process `a_system` runs on a shared 2-vCPU Xeon, Python
+# 3.11, at the default coordinates 0, 1, 2, ...: 0.003 s for a 16-valent
+# planar star, 0.004 s for the 16-valent unit-vector star in Q^15 and 0.04 s
+# for a 16-valent star in Q^15 with random directions in [-3, 3]^15.  That
+# star takes 0.4 s with 7-digit coordinates, 0.9 s with coordinates at the
+# 40-bit linalg.MAX_BITS and 2.2 s with its direction entries at the bound
+# too.  With the cap lifted, a 32-valent planar star takes 0.03 s and a
+# 60-valent one 1.1 s.  The coordinates `compare` evaluates from Laurent
+# series are not bounded: on a genus-8 curve in Q^15 with a 16-valent vertex
+# whose series reach |e| = 10,000 (laurent.MAX_EXPONENT), numbers of some
+# 60,000 digits at t = 10^-6, `compare` ran 570 s and grew past 1 GB before
+# it was stopped.  Evaluation points that keep them small are left to the
+# certified `compare` of ROADMAP.md (direction 3).
 MAX_VALENCE = 16
 
 
@@ -210,6 +220,7 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
             raise ValidationError(
                 "bad-model", f"edge {label}: direction must be {n} integers", edge=label
             )
+        check_bits(d, f"edge {label} direction", edge=label)
         d = tuple(d)
         if not is_primitive(d):
             raise ValidationError(
@@ -285,14 +296,15 @@ def _local_rows(model: LocalModel):
 
 
 def a_system(model: LocalModel) -> dict:
-    """Kernel of the local obstruction system at one vertex.
+    """Kernel of the local obstruction system at one vertex, from one
+    elimination of its rows (`linalg.kernel`).
 
     The basis has one {label: covector} dict per row of the canonical kernel
     basis, holding the bounded slots where that row is nonzero; a label of
     `variables` that a dict does not hold carries the zero covector.
     """
     rows, bounded = _local_rows(model)
-    space = Subspace(len(bounded) * model.n, rows).annihilator()
+    space = kernel(len(bounded) * model.n, rows)
     basis = [
         {bounded[i].label: cov for i, cov in row_blocks(bv, model.n).items()} for bv in space.basis
     ]
@@ -419,7 +431,7 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
     For a genus-one curve, collect the directions of all image edges at the
     vertices of the (unique) image cycle; a full span certifies an
     unobstructed smoothing, and in general the obstruction dual is the
-    annihilator of the span.
+    kernel of the directions, the covectors vanishing on their span.
     """
     if curve.graph.genus() != 1:
         raise PreconditionError(
@@ -438,12 +450,11 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
             f = Flag(v, eid, slot)
             dirs.append(image.flag_direction(f))
             flags.append(f)
-    span = Subspace(curve.n, dirs)
-    ann = span.annihilator()
+    ann = kernel(curve.n, dirs)
     return {
-        "span_dim": span.dim,
-        "dim_h": curve.n - span.dim,
-        "smoothable": span.dim == curve.n,
+        "span_dim": curve.n - ann.dim,
+        "dim_h": ann.dim,
+        "smoothable": ann.dim == 0,
         "loop_vertices": loop_vertices,
         "flag_count": len(flags),
         "h_basis": [integer_primitive(row_blocks(bv, curve.n)[0]) for bv in ann.basis],

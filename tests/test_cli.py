@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from tropctl.cli import main
 from tropctl.curves import serialize_curve
 from tropctl.laurent import MAX_EXPONENT
+from tropctl.linalg import MAX_BITS
 from tropctl.randgen import random_loopchain_curve
 from tropctl.residues import MAX_VALENCE
 
@@ -459,6 +460,106 @@ def test_exponent_notation_is_rejected_at_once(capsys, tmp_path, hv536, argv, er
     assert time.perf_counter() - start < 1
     assert code == 2
     assert rep["error"]["error_type"] == error_type
+
+
+_OVER = str(2**MAX_BITS)  # one bit more than the bound allows
+
+
+def _over_position(tmp_path, hv536):
+    doc = fixtures.square_loop_doc()
+    doc["vertices"][1]["position"][0] = f"1/{_OVER}"
+    return ["validate", write_json(tmp_path / "wide.json", doc)]
+
+
+def _over_curve_direction(tmp_path, hv536):
+    doc = fixtures.square_loop_doc()
+    next(e for e in doc["edges"] if "direction" in e)["direction"][0] = -int(_OVER)
+    return ["validate", write_json(tmp_path / "wide.json", doc)]
+
+
+def _over_config(tmp_path, hv536):
+    cfg = write_json(tmp_path / "cfg.json", {"vertices": {"V": {"coords": ["0", _OVER, "2"]}}})
+    return ["obstruction", hv536, "--method", "xi", "--config", cfg]
+
+
+def _over_model(tmp_path, hv536, coord="1", entry=1):
+    model = {
+        "ambient_dim": 2,
+        "edges": [{"direction": [1, 0]}, {"direction": [entry, 1]}, {"direction": [-1 - entry, -1]}],
+        "coords": ["0", coord],
+    }
+    return ["local-model", "--model", write_json(tmp_path / "model.json", model)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _over_position,
+        _over_curve_direction,
+        _over_config,
+        lambda tmp_path, hv536: _over_model(tmp_path, hv536, coord=f"-{_OVER}/3"),
+        lambda tmp_path, hv536: _over_model(tmp_path, hv536, entry=int(_OVER)),
+    ],
+    ids=["position", "curve-direction", "config", "model-coord", "model-direction"],
+)
+def test_numbers_over_the_bit_bound_give_a_limit_report(capsys, tmp_path, hv536, argv):
+    code, rep = run_json(capsys, *argv(tmp_path, hv536), "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "limit"
+
+
+def test_numbers_at_the_bit_bound_are_read(capsys, tmp_path, hv536):
+    top = 2**MAX_BITS - 1
+    argv = _over_model(tmp_path, hv536, coord=f"-{top}/{top - 2}", entry=top - 1)
+    code, rep = run_json(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert rep["coords"] == ["0", f"-{top}/{top - 2}"]
+
+
+def _random_star(draw_number, n=15, valence=16, seed=11):
+    """A balanced star model in Q^n with random primitive directions in
+    [-3, 3]^n (the last edge balances the others) and marked points p/q
+    with p and q from draw_number(rng)."""
+    rng = random.Random(seed)
+    edges, total = [], [0] * n
+    while len(edges) < valence - 1:
+        d = [rng.randint(-3, 3) for _ in range(n)]
+        if math.gcd(*d) == 1:
+            edges.append({"direction": d})
+            total = [a + b for a, b in zip(total, d)]
+    g = math.gcd(*total)
+    edges.append({"weight": g, "direction": [-x // g for x in total]})
+    coords = ["0"] + [f"{rng.choice('+-')}{draw_number(rng)}/{draw_number(rng)}" for _ in range(valence - 2)]
+    return {"ambient_dim": n, "edges": edges, "coords": [c.lstrip("+") for c in coords]}
+
+
+def _local_model_process(tmp_path, doc):
+    path = write_json(tmp_path / "star.json", doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropctl", "local-model", "--model", path, "--format", "json"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def test_hostile_star_gives_a_limit_report_at_once(tmp_path):
+    # a 2 KB file of 20-digit coordinates whose residue system took over 30 s
+    # to solve before sizes were bounded
+    doc = _random_star(lambda rng: rng.randint(10**19, 10**20 - 1))
+    assert len(json.dumps(doc)) < 2500
+    code, rep = _local_model_process(tmp_path, doc)
+    assert code == 2
+    assert rep["error"]["error_type"] == "limit"
+
+
+def test_star_at_the_bit_bound_is_solved(tmp_path):
+    doc = _random_star(lambda rng: rng.randint(2 ** (MAX_BITS - 1), 2**MAX_BITS - 1))
+    code, rep = _local_model_process(tmp_path, doc)
+    assert code == 0
+    assert rep["r"] == 14 and rep["ambientDim"] == 15
 
 
 def test_local_model_valence_cap(capsys, tmp_path):

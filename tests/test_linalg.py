@@ -13,6 +13,7 @@ from tropctl.linalg import (
     Subspace,
     integer_primitive,
     is_primitive,
+    kernel,
     parse_rational,
     rational_str,
     row_blocks,
@@ -67,16 +68,16 @@ def test_rref_known_matrix():
     # canonical basis: the reduced echelon rows, pivots in columns 0 and 1
     assert span.basis == ({0: 1, 2: -1}, {1: 1, 2: 2})
     assert span.dim == 2
-    kernel = span.annihilator()
-    assert kernel.dim == 1
-    (k,) = kernel.basis
+    null = kernel(3, rows)
+    assert null.dim == 1
+    (k,) = null.basis
     assert [dot(r, k) for r in rows] == [0, 0, 0]
 
 
 def test_kernel_of_zero_and_full_rank():
-    assert Subspace(2, [[0, 0]]).annihilator().dim == 2
-    assert Subspace(2, []).annihilator().dim == 2
-    assert Subspace(2, [[1, 0], [0, 1]]).annihilator().dim == 0
+    assert kernel(2, [[0, 0]]).dim == 2
+    assert kernel(2, []).dim == 2
+    assert kernel(2, [[1, 0], [0, 1]]).dim == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,13 +85,13 @@ def test_kernel_of_zero_and_full_rank():
 def test_rank_nullity_and_kernel_membership(rows):
     cols = len(rows[0])
     span = Subspace(cols, rows)
-    kernel = span.annihilator()
-    assert span.dim + kernel.dim == cols
-    for b in kernel.basis:
+    null = kernel(cols, rows)
+    assert span.dim + null.dim == cols
+    for b in null.basis:
         assert all(dot(r, b) == 0 for r in rows)
     # the independent oracle agrees on both numbers
     assert span.dim == oracles.matrix_rank(rows)
-    assert kernel.dim == oracles.nullity(rows, cols)
+    assert null.dim == oracles.nullity(rows, cols)
 
 
 # about one entry in three nonzero
@@ -119,24 +120,24 @@ def test_elimination_matches_oracle_on_dense_and_sparse_rows(matrix, data):
         {j: x for j, x in enumerate(rows[i]) if x or data.draw(st.booleans())} for i in order
     ]
     assert Subspace(ncols, shuffled).basis == expected
-    kernel = Subspace(ncols, shuffled).annihilator()
-    assert kernel.dim == oracles.nullity(rows, ncols)
-    for k in kernel.basis:
+    null = kernel(ncols, shuffled)
+    assert null.dim == oracles.nullity(rows, ncols)
+    for k in null.basis:
         for r in rows:
             assert dot(r, k) == 0
 
 
 def assert_canonical_basis(ncols, rows):
     """Subspace(ncols, rows).basis is the oracle's reduced echelon form, with
-    `Fraction` values and pivots exactly 1, and its annihilator kills every
-    row.  Returns the subspace."""
+    `Fraction` values and pivots exactly 1, and kernel(ncols, rows) kills
+    every row.  Returns the subspace."""
     reduced, _pivots = oracles.row_reduce(rows)
     span = Subspace(ncols, rows)
     assert span.basis == sparse(reduced)
     for b in span.basis:
         assert all(type(x) is Fraction for x in b.values())
         assert b[min(b)] == 1
-    for k in span.annihilator().basis:
+    for k in kernel(ncols, rows).basis:
         assert all(dot(r, k) == 0 for r in rows)
     return span
 
@@ -169,19 +170,57 @@ def test_fraction_free_elimination_gives_the_canonical_basis(matrix, rng):
     assert Subspace(ncols, shuffled).basis == span.basis
 
 
+def oracle_kernel_basis(ncols, rows):
+    """The canonical basis of the solution space from the oracle: the
+    reduced echelon form of its one-vector-per-free-column null basis."""
+    reduced, _pivots = oracles.row_reduce(oracles.nullspace(rows, ncols))
+    return sparse(reduced)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_sparse_matrices(), st.randoms(use_true_random=False))
+def test_kernel_is_the_canonical_basis_of_the_oracle_null_space(matrix, rng):
+    ncols, rows = matrix
+    expected = oracle_kernel_basis(ncols, rows)
+    null = kernel(ncols, rows)
+    assert null.ambient == ncols
+    assert null.basis == expected
+    assert null == Subspace(ncols, expected)
+    for b in null.basis:
+        assert all(type(x) is Fraction for x in b.values())
+        assert b[min(b)] == 1
+        assert list(b) == sorted(b)
+    shuffled = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    rng.shuffle(shuffled)
+    assert kernel(ncols, shuffled).basis == expected
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 5])
+def test_kernel_of_no_rows_zero_rows_and_full_rank(ncols):
+    identity = tuple({j: Fraction(1)} for j in range(ncols))
+    assert kernel(ncols, []).basis == identity == oracle_kernel_basis(ncols, [])
+    assert kernel(ncols, [{}, [0] * ncols]).basis == identity
+    assert kernel(ncols, [[Fraction(j + 1, 3) ** i for j in range(ncols)] for i in range(ncols)]).basis == ()
+    if ncols == 1:
+        assert kernel(1, [[2**70]]).basis == ()
+        assert kernel(1, [[Fraction(2**70 + 1, 2**69)], [0]]).dim == 0
+
+
 def test_canonical_basis_of_a_six_valent_star_at_a_small_t():
     # marked points from series evaluated at t = 10^-6, as `compare` makes
-    # them: residue rows with entries of hundreds of bits
+    # them: residue rows with entries of hundreds of bits.  Such coordinates
+    # exceed the bit bound of input files, so the model takes them directly.
     t = Fraction(1, 10**6)
     series = [[(-2, 3), (1, -1)], [(-2, 3), (0, 5)], [(-1, -7), (3, 2)], [(0, 1), (1, 1), (2, 1)]]
     directions = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [2, -1, 3], [-4, -2, -5]]
-    model = residues.model_from_doc(
+    star = residues.model_from_doc(
         {
             "ambient_dim": 3,
             "edges": [{"weight": 2 if i == 1 else 1, "direction": d} for i, d in enumerate(directions)],
-            "coords": ["0"] + [rational_str(LaurentSeries(terms).evaluate(t)) for terms in series],
         }
     )
+    coords = [Fraction(0)] + [LaurentSeries(terms).evaluate(t) for terms in series]
+    model = residues.LocalModel(star.slots, coords, 3)
     rows, bounded = residues._local_rows(model)
     ncols = len(bounded) * 3
     span = assert_canonical_basis(ncols, [[r.get(j, 0) for j in range(ncols)] for r in rows])
@@ -193,9 +232,9 @@ def test_canonical_basis_of_a_six_valent_star_at_a_small_t():
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=0, max_size=3))
 def test_annihilator_involution(vectors):
     s = Subspace(4, vectors)
-    ann = s.annihilator()
+    ann = kernel(4, vectors)
     assert s.dim + ann.dim == 4
-    assert ann.annihilator() == s
+    assert kernel(4, ann.basis).basis == s.basis
     for a in ann.basis:
         for v in vectors:
             assert dot(v, a) == 0
