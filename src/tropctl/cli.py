@@ -180,6 +180,16 @@ def _parse_config(path: str):
     return coords, stamp
 
 
+def _check_image_vertices(entries: dict, image, what: str):
+    """Raise an unknown-vertex ValidationError unless every key of the
+    per-vertex entries of a --config or --laurent file is a vertex of the
+    image curve; a source vertex that contract_image merged away is not."""
+    known = set(image.graph.vertex_ids)
+    for vid in sorted(entries):
+        if vid not in known:
+            raise ValidationError("unknown-vertex", f"{what} names unknown vertex {vid}", vertex=vid)
+
+
 # -- report helpers ----------------------------------------------------------
 
 
@@ -291,6 +301,7 @@ def _cmd_obstruction(args):
             coords, cfg_stamp = _parse_config(args.config)
             stamps.append(cfg_stamp)
         image = contract_image(curve)
+        _check_image_vertices(coords, image, "config")
         res = xi_map(image, coords)
         fields = {"method": "xi", "dimH": res["dim"]}
         if image.graph.is_trivalent():
@@ -368,6 +379,7 @@ def _cmd_phylo(args):
     doc, laurent_stamp = _read_doc(args.laurent)
     series_map = parse_laurent_doc(doc)
     image = contract_image(curve)
+    _check_image_vertices(series_map, image, "Laurent data")
     g = image.graph
     warnings = []
     for vid in sorted(v for v in g.vertex_ids if g.valence(v) > 3):
@@ -375,8 +387,6 @@ def _cmd_phylo(args):
             warnings.append(f"higher-valent vertex {vid} has no Laurent data")
     vertices = {}
     for vid in sorted(series_map):
-        if vid not in g.vertex_ids:
-            raise ValidationError("unknown-vertex", f"Laurent data names unknown vertex {vid}", vertex=vid)
         model = LocalModel.from_star(image, vid)
         tree = vertex_phylo(model, series_map[vid])
         vertices[vid] = {
@@ -430,7 +440,9 @@ def _cmd_compare(args):
             t0 = parse_rational(args.t0)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError("bad-rational", f"--t0: {exc}") from exc
-    res = degeneration_compare(curve, series_map, t0=t0)
+    image = contract_image(curve)
+    _check_image_vertices(series_map, image, "Laurent data")
+    res = degeneration_compare(image, series_map, t0=t0)
     fields = {
         "d": res["d"],
         "d0": res["d0"],

@@ -4,11 +4,17 @@ A curve is an abstract graph plus rational vertex positions in Q^n and
 primitive integer directions per edge.  Directions are stored once per edge,
 measured from ends[0]; the flag direction flips sign at the other end.
 
-A bounded edge whose endpoints share a position is contracted.  Contracted
-edges must carry a direction entry in input files; the zero vector means "no
-virtual direction" (stored as None), a nonzero vector is the virtual
-direction of the degenerating family and participates in per-vertex
-balancing.
+A curve also holds the lattice length of each bounded edge: the position
+difference ends[1] - ends[0] is that length times the primitive direction.
+Validation takes the difference once per edge and splits it into content
+and primitive part (`linalg.content_and_primitive`); the content is the
+length and the primitive part the direction.
+
+A bounded edge whose endpoints share a position is contracted, of length
+0.  Contracted edges must carry a direction entry in input files; the zero
+vector means "no virtual direction" (stored as None), a nonzero vector is
+the virtual direction of the degenerating family and participates in
+per-vertex balancing.
 """
 
 from __future__ import annotations
@@ -18,18 +24,7 @@ from typing import Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
 from .graphs import AbstractGraph, Flag, spanning_forest
-from .linalg import (
-    Q0,
-    check_bits,
-    checked_rational,
-    content_and_primitive,
-    integer_primitive,
-    is_primitive,
-    is_zero_vec,
-    rational_str,
-    vec,
-    vec_sub,
-)
+from .linalg import check_bits, checked_rational, content_and_primitive, is_primitive, rational_str
 
 DEFAULT_MAX_DIM = 16
 
@@ -39,9 +34,9 @@ DEFAULT_MAX_DIM = 16
 # runs) and peaks at 31 MB, and prints a 65 MB report, whose dense basis
 # format grows like edges^2 * n^2; the bound holds that output down.  With
 # positions at linalg.MAX_BITS, `classify` and `abundancy` on such a chain
-# take 0.3 s and 0.2 s.  In Q^3 a 511-edge chain takes 0.27 s with the bound
-# lifted.  Measured on a shared 2-vCPU Xeon, Python 3.11; the largest
-# benchmark curve has 201 edges.
+# take 0.23 s and 0.12 s (medians of 3 whole-process runs).  In Q^3 a
+# 511-edge chain takes 0.27 s with the bound lifted.  Measured on a shared
+# 2-vCPU Xeon, Python 3.11; the largest benchmark curve has 201 edges.
 MAX_VERTICES = 256
 MAX_EDGES = 256
 
@@ -63,7 +58,12 @@ class CombinatorialType:
 
 
 class TropicalCurve(CombinatorialType):
-    """A combinatorial type with rational vertex positions."""
+    """A combinatorial type with rational vertex positions.
+
+    `lengths` maps each bounded edge to its lattice length, 0 for a
+    contracted edge; validation derives it with the edge's direction from
+    the position difference, so no method measures an edge again.
+    """
 
     def __init__(
         self,
@@ -74,7 +74,8 @@ class TropicalCurve(CombinatorialType):
     ):
         self.graph = graph
         self.n = n
-        self.positions = {v: vec(positions[v]) for v in graph.vertex_ids}
+        self.positions = {v: tuple(positions[v]) for v in graph.vertex_ids}
+        self.lengths = {}
         self.directions = {}
         for eid in graph.edge_ids:
             d = directions.get(eid)
@@ -82,24 +83,13 @@ class TropicalCurve(CombinatorialType):
         _validate_curve(self)
 
     def is_contracted(self, eid: str) -> bool:
-        e = self.graph.edges[eid]
-        if e.is_unbounded:
-            return False
-        return self.positions[e.ends[0]] == self.positions[e.ends[1]]
+        return self.lengths.get(eid) == 0
 
-    def edge_length(self, eid: str) -> Fraction:
+    def edge_length(self, eid: str) -> int | Fraction:
         """Lattice length: position difference = length * primitive direction."""
-        e = self.graph.edges[eid]
-        if e.is_unbounded:
+        if self.graph.edges[eid].is_unbounded:
             raise PreconditionError("unbounded-length", f"edge {eid} is unbounded", edge=eid)
-        diff = vec_sub(self.positions[e.ends[1]], self.positions[e.ends[0]])
-        if is_zero_vec(diff):
-            return Q0
-        d = self.directions[eid]
-        for i, x in enumerate(d):
-            if x != 0:
-                return diff[i] / x
-        raise AssertionError("unreachable: nonzero difference with zero direction")
+        return self.lengths[eid]
 
     def __eq__(self, other):
         return (
@@ -111,11 +101,10 @@ class TropicalCurve(CombinatorialType):
             and self.directions == other.directions
         )
 
-    def __hash__(self):
-        return hash((self.n, self.graph.vertex_ids, tuple(sorted(self.directions.items()))))
-
 
 def _validate_curve(c: TropicalCurve):
+    """Check the curve and store the length of each bounded edge, and the
+    direction of each one whose direction is omitted."""
     g = c.graph
     for v in g.vertex_ids:
         if len(c.positions[v]) != c.n:
@@ -135,8 +124,9 @@ def _validate_curve(c: TropicalCurve):
                     "non-primitive", f"edge {eid} direction is not primitive", edge=eid
                 )
             continue
-        diff = vec_sub(c.positions[e.ends[1]], c.positions[e.ends[0]])
-        if is_zero_vec(diff):
+        start, end = c.positions[e.ends[0]], c.positions[e.ends[1]]
+        if start == end:
+            c.lengths[eid] = 0
             if d is not None and not is_primitive(d):
                 raise ValidationError(
                     "non-primitive",
@@ -144,17 +134,17 @@ def _validate_curve(c: TropicalCurve):
                     edge=eid,
                 )
             continue
-        prim = integer_primitive(diff)
+        c.lengths[eid], prim = content_and_primitive([b - a for a, b in zip(start, end)])
         if d is None:
             c.directions[eid] = prim
-        elif tuple(d) != prim:
+        elif d != prim:
             raise ValidationError(
                 "direction-mismatch",
                 f"edge {eid} direction does not match endpoint positions",
                 edge=eid,
             )
     residuals = balancing_residuals(c)
-    bad = [v for v, r in residuals if not is_zero_vec(r)]
+    bad = [v for v, r in residuals if any(r)]
     if bad:
         raise ValidationError(
             "unbalanced", f"balancing fails at: {', '.join(bad)}", vertices=bad
@@ -297,7 +287,7 @@ def degree(c: TropicalCurve) -> tuple[tuple[tuple, int], ...]:
 
 
 def is_immersive(c: TropicalCurve) -> bool:
-    return not any(c.is_contracted(eid) for eid in c.graph.bounded_edge_ids())
+    return 0 not in c.lengths.values()
 
 
 def expected_dim(obj) -> int:

@@ -57,8 +57,9 @@ def parse_rational(text: str) -> Fraction:
 # p/q of 40-bit p and q, and 2.6 s with every direction entry at 40 bits
 # too; with 20-digit (66-bit) coordinates 2.4 s if the bound is lifted.  A
 # 256-edge loop chain in Q^16 whose positions have 40-bit numerators and
-# denominators takes 0.3 s for `classify` and 0.2 s for `abundancy`, whose
-# cycle rows hold the edge lengths.  Benchmark inputs use at most 8 bits.
+# denominators takes 0.23 s for `classify` and 0.12 s for `abundancy`, whose
+# cycle rows hold the edge lengths (whole processes, medians of 3).
+# Benchmark inputs use at most 8 bits.
 MAX_BITS = 40
 
 
@@ -93,38 +94,20 @@ def rational_str(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def vec(entries: Iterable) -> tuple[Fraction, ...]:
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+def content_and_primitive(v: Sequence) -> tuple[int | Fraction, tuple[int, ...]]:
+    """Content and primitive part of a nonzero vector of ints and Fractions:
+    (c, p) with v = c * p, p a primitive integer vector and c > 0.  c is an
+    int when every entry of v is an integer, else a Fraction.
 
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    assert len(u) == len(v)
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def is_zero_vec(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
-
-
-def content_and_primitive(v: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Content (gcd of the entries) and primitive part of a nonzero integer
-    vector, so that v = content * primitive."""
-    c = gcd(*(int(x) for x in v))
-    return c, tuple(int(x) // c for x in v)
-
-
-def integer_primitive(v: Sequence) -> tuple[int, ...]:
-    """Primitive integer vector positively parallel to the rational vector v
-    of ints and Fractions.
-
-    Raises ValueError on the zero vector.
+    One lcm of the denominators and one gcd.  Raises ValueError on the zero
+    vector.
     """
     d = lcm(*(x.denominator for x in v))
     ints = [x.numerator * (d // x.denominator) for x in v]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in ints)
+    return (g if d == 1 else Fraction(g, d)), tuple(x // g for x in ints)
 
 
 def is_primitive(v: Sequence[int]) -> bool:

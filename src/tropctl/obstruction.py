@@ -20,7 +20,7 @@ from __future__ import annotations
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, require_trivalent, spanning_forest
-from .linalg import Q0, Subspace, integer_primitive, kernel, row_blocks
+from .linalg import Q0, Subspace, content_and_primitive, kernel, row_blocks
 
 
 def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict:
@@ -132,7 +132,7 @@ def dual_obstruction_chain(ct) -> dict:
             {
                 "edges": list(chain.edges),
                 "closed": chain.closed,
-                "perp": [integer_primitive(row_blocks(bv, n)[0]) for bv in perp.basis],
+                "perp": [content_and_primitive(row_blocks(bv, n)[0])[1] for bv in perp.basis],
             }
         )
     out["loop_edges"] = loop

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .curves import TropicalCurve
 from .graphs import AbstractGraph
 from .laurent import LaurentSeries
-from .linalg import content_and_primitive, integer_primitive
+from .linalg import content_and_primitive
 
 
 class GenerationError(RuntimeError):
@@ -201,15 +201,15 @@ def _split_vector(rng, w, pieces, n):
 def random_genus2_curve(rng: random.Random, n: int) -> TropicalCurve:
     """Randomized double tripod: two star centers, three rungs between them."""
     for _ in _retrying():
-        d1 = integer_primitive(random_int_vec(rng, n))
-        d2 = integer_primitive(random_int_vec(rng, n))
+        d1 = content_and_primitive(random_int_vec(rng, n))[1]
+        d2 = content_and_primitive(random_int_vec(rng, n))[1]
         s = tuple(-a - b for a, b in zip(d1, d2))
         if all(x == 0 for x in s):
             continue
         w3, d3 = content_and_primitive(s)
         if len({d1, d2, d3}) != 3:
             continue
-        nu = integer_primitive(random_int_vec(rng, n))
+        nu = content_and_primitive(random_int_vec(rng, n))[1]
         arms = [(d1, 1), (d2, 1), (d3, w3)]
         if any(_parallel(d, nu) for d, _w in arms):
             continue
@@ -308,7 +308,7 @@ def _build_loopchain(rng, n, genus):
         positions[m] = tuple(p + x for p, x in zip(positions[a], pf))
         positions[b] = tuple(p + x for p, x in zip(positions[a], pe))
         g_vec = _nonzero_or_retry(tuple(x - y for x, y in zip(positions[b], positions[m])))
-        _, pg = content_and_primitive(tuple(int(x) for x in g_vec))
+        _, pg = content_and_primitive(g_vec)
         edges.append((f"c{i:02d}d", (a, b), we))
         directions[f"c{i:02d}d"] = pe
         edges.append((f"c{i:02d}p", (a, m), wf))

@@ -32,7 +32,6 @@ from .linalg import (
     check_bits,
     checked_rational,
     content_and_primitive,
-    integer_primitive,
     is_primitive,
     kernel,
     row_blocks,
@@ -457,7 +456,7 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
         "smoothable": ann.dim == 0,
         "loop_vertices": loop_vertices,
         "flag_count": len(flags),
-        "h_basis": [integer_primitive(row_blocks(bv, curve.n)[0]) for bv in ann.basis],
+        "h_basis": [content_and_primitive(row_blocks(bv, curve.n)[0])[1] for bv in ann.basis],
     }
 
 

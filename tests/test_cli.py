@@ -244,6 +244,50 @@ def test_phylo_unknown_vertex(capsys, tmp_path, square):
     assert rep["error"]["error_type"] == "unknown-vertex"
 
 
+def merged_pair_doc():
+    """Two 3-valent vertices a and b at one point, joined by a contracted edge
+    with a virtual direction; contract_image merges b into a, which becomes
+    4-valent like V of ex536."""
+    return {
+        "ambient_dim": 2,
+        "vertices": [
+            {"id": "a", "position": ["0", "0"]},
+            {"id": "b", "position": ["0", "0"]},
+        ],
+        "edges": [
+            {"id": "m", "ends": ["a", "b"], "weight": 2, "direction": [1, 0]},
+            {"id": "p", "ends": ["a", None], "weight": 1, "direction": [-1, 1]},
+            {"id": "q", "ends": ["a", None], "weight": 1, "direction": [-1, -1]},
+            {"id": "r", "ends": ["b", None], "weight": 1, "direction": [1, 1]},
+            {"id": "s", "ends": ["b", None], "weight": 1, "direction": [1, -1]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", ["obstruction", "phylo", "compare"])
+@pytest.mark.parametrize(
+    "doc, names, unknown",
+    [(fixtures.ex536_doc(), ["V", "ZZ"], "ZZ"), (merged_pair_doc(), ["b"], "b")],
+    ids=["typo", "merged-away"],
+)
+def test_per_vertex_data_for_an_unknown_vertex(capsys, tmp_path, command, doc, names, unknown):
+    """An entry of --config or --laurent that names no vertex of the image
+    gives the same unknown-vertex report, exit 2, in every command."""
+    curve = write_json(tmp_path / "curve.json", doc)
+    if command == "obstruction":
+        entries = {v: {"coords": ["0", "1", "2"]} for v in names}
+        argv = ["obstruction", curve, "--method", "xi", "--config"]
+    else:
+        entries = {v: laurent_doc_536()["vertices"]["V"] for v in names}
+        argv = [command, curve, "--laurent"]
+    data = write_json(tmp_path / "data.json", {"vertices": entries})
+    code, rep = run_json(capsys, *argv, data, "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "unknown-vertex"
+    assert rep["error"]["message"].endswith(f"names unknown vertex {unknown}")
+    assert rep["error"]["context"] == {"vertex": unknown}
+
+
 def test_phylo_warns_on_missing_data(capsys, tmp_path, hv536):
     lau = write_json(tmp_path / "lau.json", {"vertices": {}})
     code, rep = run_json(capsys, "phylo", hv536, "--laurent", lau, "--format", "json")

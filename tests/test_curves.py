@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropctl.curves import (
     MAX_EDGES,
@@ -284,3 +285,55 @@ def test_flag_direction_signs():
     f1 = Flag("b", "s01", 1)
     assert c.flag_direction(f0) == (1, 0, 0)
     assert c.flag_direction(f1) == (-1, 0, 0)
+
+
+def _contract_bridge(c, positions, eid):
+    """Positions with the side of bridge eid that holds ends[1] moved so the
+    bridge is contracted; every other edge keeps its length and direction."""
+    a, b = c.graph.edges[eid].ends
+    shift = [x - y for x, y in zip(positions[a], positions[b])]
+    side, stack = {b}, [b]
+    while stack:
+        for e, _slot in c.graph.incident(stack.pop()):
+            for w in c.graph.edges[e].ends:
+                if e != eid and w is not None and w not in side:
+                    side.add(w)
+                    stack.append(w)
+    return {v: tuple(x + s for x, s in zip(p, shift)) if v in side else p for v, p in positions.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+    st.lists(st.fractions(min_value=-1000, max_value=1000, max_denominator=1000), min_size=4, max_size=4),
+)
+def test_stored_lengths_measure_each_edge(seed, scale, shift):
+    """Random curves, scaled and translated by rationals, some with bridges
+    contracted to a point that keep their direction as a virtual one."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    base = random_immersive_curve(rng, n, genus=rng.randint(0, 3))
+    positions = {v: tuple(scale * x + t for x, t in zip(p, shift)) for v, p in base.positions.items()}
+    bridges = [eid for eid in base.graph.bounded_edge_ids() if eid not in base.graph.loop_part()]
+    contracted = [eid for eid in bridges if rng.random() < 0.5]
+    for eid in contracted:
+        positions = _contract_bridge(base, positions, eid)
+    c = TropicalCurve(base.graph, n, positions, base.directions)
+    for eid in c.graph.edge_ids:
+        e = c.graph.edges[eid]
+        if e.is_unbounded:
+            with pytest.raises(PreconditionError) as info:
+                c.edge_length(eid)
+            assert info.value.kind == "unbounded-length"
+            assert not c.is_contracted(eid)
+            continue
+        length = c.edge_length(eid)
+        diff = tuple(Fraction(y) - Fraction(x) for x, y in zip(positions[e.ends[0]], positions[e.ends[1]]))
+        assert diff == tuple(Fraction(length) * x for x in c.directions[eid])
+        assert c.is_contracted(eid) == (length == 0)
+        assert c.is_contracted(eid) == (eid in contracted)
+        if eid not in contracted:
+            assert length == scale * base.edge_length(eid)
+    ends = [c.graph.edges[eid].ends for eid in c.graph.bounded_edge_ids()]
+    assert is_immersive(c) == all(positions[a] != positions[b] for a, b in ends)

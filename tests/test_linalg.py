@@ -11,13 +11,12 @@ from tropctl.errors import ValidationError
 from tropctl.laurent import LaurentSeries
 from tropctl.linalg import (
     Subspace,
-    integer_primitive,
+    content_and_primitive,
     is_primitive,
     kernel,
     parse_rational,
     rational_str,
     row_blocks,
-    vec,
 )
 
 import oracles
@@ -241,10 +240,10 @@ def test_annihilator_involution(vectors):
 
 
 def test_subspace_equality_ignores_basis_choice():
-    a = Subspace(3, [vec([1, 0, 0]), vec([0, 1, 0])])
-    b = Subspace(3, [vec([1, 1, 0]), vec([1, -1, 0])])
+    a = Subspace(3, [(1, 0, 0), (0, 1, 0)])
+    b = Subspace(3, [(1, 1, 0), (1, -1, 0)])
     assert a == b
-    assert a != Subspace(3, [vec([1, 0, 0]), vec([0, 0, 1])])
+    assert a != Subspace(3, [(1, 0, 0), (0, 0, 1)])
 
 
 def test_equal_subspaces_have_equal_bases():
@@ -253,18 +252,19 @@ def test_equal_subspaces_have_equal_bases():
     assert a == b
     assert a.basis == b.basis == ({0: 1, 1: 1},)
     assert Subspace(2, [(1, 1), (0, 0), (3, 3)]) == a
-    assert Subspace(2, [vec([1, 2]), vec([2, 4])]).dim == 1
+    assert Subspace(2, [(1, 2), (2, 4)]).dim == 1
 
 
-def test_integer_primitive():
-    assert integer_primitive(vec([Fraction(2, 3), Fraction(-4, 3)])) == (1, -2)
-    assert integer_primitive((6, -9, 3)) == (2, -3, 1)
+def test_content_and_primitive():
+    assert content_and_primitive((Fraction(2, 3), Fraction(-4, 3))) == (Fraction(2, 3), (1, -2))
+    assert content_and_primitive((6, -9, 3)) == (3, (2, -3, 1))
+    assert content_and_primitive((Fraction(6), 0)) == (6, (1, 0))
     assert is_primitive((2, -3, 1))
     assert not is_primitive((2, 4))
 
 
 def fraction_primitive(v):
-    """integer_primitive written with Fraction arithmetic."""
+    """The primitive part, written with Fraction arithmetic."""
     fracs = [Fraction(x) for x in v]
     scale = 1
     for f in fracs:
@@ -279,7 +279,7 @@ def fraction_primitive(v):
     st.lists(
         st.one_of(
             st.integers(min_value=-(2**70), max_value=2**70),
-            st.fractions(max_denominator=2**40),
+            st.fractions(min_value=-(2**70), max_value=2**70, max_denominator=2**70),
             st.just(0),
             st.just(Fraction(0)),
         ),
@@ -287,15 +287,18 @@ def fraction_primitive(v):
         max_size=6,
     )
 )
-def test_integer_primitive_matches_a_fraction_reference(v):
+def test_content_and_primitive_matches_a_fraction_reference(v):
     if all(x == 0 for x in v):
         with pytest.raises(ValueError):
-            integer_primitive(v)
+            content_and_primitive(v)
         return
-    p = integer_primitive(v)
+    c, p = content_and_primitive(v)
+    assert all(x == c * y for x, y in zip(v, p, strict=True))
     assert p == fraction_primitive(v)
     assert all(type(x) is int for x in p)
-    assert is_primitive(p)
+    assert is_primitive(p) and math.gcd(*p) == 1
+    assert c > 0
+    assert (type(c) is int) == all(Fraction(x).denominator == 1 for x in v)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,8 @@
 """No dead helpers: every module-level function and class of the package is
 named somewhere in the package besides its own definition, or is public
 API listed in `tropctl.__all__`; every method of a package class is named
-somewhere in the package besides its own definition."""
+somewhere in the package besides its own definition; every module-level
+constant is read somewhere in the package, or is in `tropctl.__all__`."""
 
 import ast
 import importlib
@@ -70,3 +71,29 @@ def test_every_method_is_used():
                 if named[node.name] - _names(node)[node.name] <= 0:
                     unused.append(f"{module}.{cls.name}.{node.name}")
     assert unused == []
+
+
+def test_every_module_constant_is_read():
+    """A non-dunder name assigned at module level, such as Q0 or a cap such
+    as MAX_BITS, is read as a name or an attribute somewhere in the package."""
+    trees, _named = _package()
+    reads = Counter()
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                reads[sub.id] += 1
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                reads[sub.attr] += 1
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if not isinstance(name, ast.Name) or name.id.startswith("__"):
+                        continue
+                    if name.id not in tropctl.__all__ and not reads[name.id]:
+                        unread.append(f"{module}.{name.id}")
+    assert unread == []

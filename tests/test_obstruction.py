@@ -7,7 +7,7 @@ import pytest
 from tropctl.curves import parse_curve
 from tropctl.errors import PreconditionError
 from tropctl.graphs import AbstractGraph, Flag
-from tropctl.linalg import Subspace, vec
+from tropctl.linalg import Subspace
 from tropctl.obstruction import (
     abundancy_map,
     classify_report,
@@ -101,10 +101,10 @@ def test_chain_gamma_pair():
     g1 = fixtures.curve(fixtures.gamma1_doc())
     out1 = dual_obstruction_chain(g1)
     assert out1["dim"] == 1
-    perps = [Subspace(3, [vec(b) for b in ch["perp"]]) for ch in out1["chains"]]
-    assert perps[0] == Subspace(3, [vec([1, 0, 0])])
-    assert perps[1] == Subspace(3, [vec([0, 1, 0])])
-    assert perps[2] == Subspace(3, [vec([1, -1, 0])])
+    perps = [Subspace(3, ch["perp"]) for ch in out1["chains"]]
+    assert perps[0] == Subspace(3, [(1, 0, 0)])
+    assert perps[1] == Subspace(3, [(0, 1, 0)])
+    assert perps[2] == Subspace(3, [(1, -1, 0)])
     assert parameter_dimension(g1) == 7
 
     g2 = fixtures.curve(fixtures.gamma2_doc())
