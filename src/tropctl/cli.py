@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from .curves import contract_image, degree, expected_dim, is_immersive, parse_curve
 from .errors import TropctlError, ValidationError
 from .laurent import PhyloLeaf, clusters, parse_laurent_doc
-from .linalg import checked_rational, parse_rational, rational_str
+from .linalg import checked_rational, input_error, parse_rational, rational_str
 from .obstruction import (
     abundancy_map,
     classify_report,
@@ -144,9 +144,11 @@ def _read_doc(path: str):
     except OSError as err:
         raise ValidationError("unreadable-input", f"cannot read {path}: {err.strerror}", path=path)
     digest = hashlib.sha256(data).hexdigest()
+    # ValueError covers UnicodeDecodeError, json.JSONDecodeError and an
+    # integer literal longer than sys.get_int_max_str_digits() digits
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+    except (ValueError, RecursionError) as err:
         raise ValidationError("bad-json", f"{path} is not valid JSON: {err}", path=path)
     return doc, {"path": path, "sha256": digest}
 
@@ -176,7 +178,10 @@ def _parse_config(path: str):
     for vid, entry in doc["vertices"].items():
         if not isinstance(entry, dict) or not isinstance(entry.get("coords"), list):
             raise ValidationError("bad-config", f"vertex {vid}: expected a coords list", vertex=vid)
-        coords[vid] = tuple(checked_rational(c, f"vertex {vid} coords", vertex=vid) for c in entry["coords"])
+        try:
+            coords[vid] = tuple([checked_rational(c) for c in entry["coords"]])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise input_error(exc, f"vertex {vid} coords", vertex=vid) from exc
     return coords, stamp
 
 

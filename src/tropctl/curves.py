@@ -20,11 +20,19 @@ per-vertex balancing.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
 from .graphs import AbstractGraph, Flag, spanning_forest
-from .linalg import check_bits, checked_rational, content_and_primitive, is_primitive, rational_str
+from .linalg import (
+    check_bits,
+    checked_rational,
+    content_and_primitive,
+    input_error,
+    is_primitive,
+    rational_str,
+)
 
 DEFAULT_MAX_DIM = 16
 
@@ -60,6 +68,9 @@ class CombinatorialType:
 class TropicalCurve(CombinatorialType):
     """A combinatorial type with rational vertex positions.
 
+    Position entries are ints or Fractions, exact either way; `parse_curve`
+    reads an integer entry as an int.
+
     `lengths` maps each bounded edge to its lattice length, 0 for a
     contracted edge; validation derives it with the edge's direction from
     the position difference, so no method measures an edge again.
@@ -69,7 +80,7 @@ class TropicalCurve(CombinatorialType):
         self,
         graph: AbstractGraph,
         n: int,
-        positions: Mapping[str, Sequence[Fraction]],
+        positions: Mapping[str, Sequence[int | Fraction]],
         directions: Mapping[str, tuple | None],
     ):
         self.graph = graph
@@ -143,8 +154,7 @@ def _validate_curve(c: TropicalCurve):
                 f"edge {eid} direction does not match endpoint positions",
                 edge=eid,
             )
-    residuals = balancing_residuals(c)
-    bad = [v for v, r in residuals if any(r)]
+    bad = [v for v, r in balancing_residuals(c) if any(r)]
     if bad:
         raise ValidationError(
             "unbalanced", f"balancing fails at: {', '.join(bad)}", vertices=bad
@@ -156,16 +166,20 @@ def balancing_residuals(c: TropicalCurve) -> list[tuple[str, tuple]]:
 
     Contracted edges contribute their virtual direction when they have one
     (the curve is then a limit of honest curves) and nothing otherwise.
+    One pass over the edges: w * d is added at ends[0] and subtracted at
+    ends[1], the flag directions there.  Sums are in vertex_ids order.
     """
-    out = []
-    for v in c.graph.vertex_ids:
-        total = (0,) * c.n
-        for eid, slot in c.graph.incident(v):
-            w = c.graph.edges[eid].weight
-            u = c.flag_direction(Flag(v, eid, slot))
-            total = tuple(t + w * x for t, x in zip(total, u))
-        out.append((v, total))
-    return out
+    totals = {v: [0] * c.n for v in c.graph.vertex_ids}
+    for eid, e in c.graph.edges.items():
+        d = c.directions[eid]
+        if d is None:
+            continue
+        a, b = e.ends
+        wd = [e.weight * x for x in d]
+        totals[a] = list(map(add, totals[a], wd))
+        if b is not None:
+            totals[b] = list(map(sub, totals[b], wd))
+    return [(v, tuple(t)) for v, t in totals.items()]
 
 
 # -- file format --------------------------------------------------------------
@@ -202,7 +216,10 @@ def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
             raise ValidationError(
                 "schema", f"vertex {vid} position must list {n} rationals", vertex=vid
             )
-        positions[vid] = tuple(checked_rational(p, f"vertex {vid} position", vertex=vid) for p in pos)
+        try:
+            positions[vid] = tuple([checked_rational(p) for p in pos])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise input_error(exc, f"vertex {vid} position", vertex=vid) from exc
         vertex_ids.append(vid)
     edges = []
     directions = {}
@@ -230,8 +247,11 @@ def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
                 raise ValidationError(
                     "schema", f"edge {eid} direction must list {n} integers", edge=eid
                 )
-            check_bits(d, f"edge {eid} direction", edge=eid)
-            d = None if all(x == 0 for x in d) else tuple(d)
+            try:
+                check_bits(d)
+            except OverflowError as exc:
+                raise input_error(exc, f"edge {eid} direction", edge=eid) from exc
+            d = tuple(d) if any(d) else None
         else:
             if ends[1] is None:
                 raise ValidationError(
@@ -247,6 +267,11 @@ def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
                     f"contracted edge {eid} needs a direction entry (zero vector for none)",
                     edge=eid,
                 )
+        if isinstance(weight, int):  # AbstractGraph rejects a weight of another type
+            try:
+                check_bits((weight,))
+            except OverflowError as exc:
+                raise input_error(exc, f"edge {eid} weight", edge=eid) from exc
         edges.append((eid, (ends[0], ends[1]), weight))
         directions[eid] = d
     graph = AbstractGraph(vertex_ids, edges)

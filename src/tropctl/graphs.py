@@ -55,10 +55,11 @@ class AbstractGraph:
     """Weighted connected finite graph with bounded and unbounded edges."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple]):
-        vs = sorted(set(vertices))
-        if not vs:
+        vertices = list(vertices)
+        known = set(vertices)
+        if not known:
             raise ValidationError("empty-graph", "graph has no vertices")
-        if len(vs) != len(list(vertices)):
+        if len(known) != len(vertices):
             raise ValidationError("duplicate-vertex", "vertex ids must be unique")
         emap: dict[str, Edge] = {}
         for eid, ends, weight in edges:
@@ -67,10 +68,10 @@ class AbstractGraph:
             if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
                 raise ValidationError("bad-weight", f"edge {eid} weight must be a positive integer", edge=eid)
             a, b = ends
-            if a not in set(vs) or (b is not None and b not in set(vs)):
+            if a not in known or (b is not None and b not in known):
                 raise ValidationError("unknown-endpoint", f"edge {eid} references an unknown vertex", edge=eid)
             emap[eid] = Edge(eid, (a, b), weight)
-        self.vertex_ids: tuple[str, ...] = tuple(vs)
+        self.vertex_ids: tuple[str, ...] = tuple(sorted(known))
         self.edge_ids: tuple[str, ...] = tuple(sorted(emap))
         self.edges: dict[str, Edge] = {eid: emap[eid] for eid in self.edge_ids}
         self._adj: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertex_ids}

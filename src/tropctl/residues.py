@@ -32,6 +32,7 @@ from .linalg import (
     check_bits,
     checked_rational,
     content_and_primitive,
+    input_error,
     is_primitive,
     kernel,
     row_blocks,
@@ -210,6 +211,10 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
         weight = entry.get("weight", 1)
         if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
             raise ValidationError("bad-model", f"edge {label}: weight must be a positive integer", edge=label)
+        try:
+            check_bits((weight,))
+        except OverflowError as exc:
+            raise input_error(exc, f"edge {label} weight", edge=label) from exc
         d = entry.get("direction")
         if (
             not isinstance(d, list)
@@ -219,7 +224,10 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
             raise ValidationError(
                 "bad-model", f"edge {label}: direction must be {n} integers", edge=label
             )
-        check_bits(d, f"edge {label} direction", edge=label)
+        try:
+            check_bits(d)
+        except OverflowError as exc:
+            raise input_error(exc, f"edge {label} direction", edge=label) from exc
         d = tuple(d)
         if not is_primitive(d):
             raise ValidationError(
@@ -243,7 +251,10 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
     else:
         if not isinstance(coords, list):
             raise ValidationError("bad-model", "coords must be a list of rationals")
-        coords = tuple(checked_rational(c, "coords") for c in coords)
+        try:
+            coords = tuple([checked_rational(c) for c in coords])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise input_error(exc, "coords") from exc
     return LocalModel(slots, coords, n)
 
 

@@ -114,6 +114,42 @@ def test_deeply_nested_json_is_bad_json(capsys, tmp_path, command):
     assert rep["error"]["error_type"] == "bad-json"
 
 
+_LONG = "7" * 5000  # longer than the 4,300 digits Python turns into an int by default
+
+
+def _long_curve(tmp_path, hv536):
+    doc = fixtures.square_loop_doc()
+    doc["edges"][0]["weight"] = "LONG"
+    return ["validate"], tmp_path / "long.json", doc
+
+
+def _long_config(tmp_path, hv536):
+    doc = {"vertices": {"V": {"coords": [0, "LONG", 2]}}}
+    return ["obstruction", hv536, "--method", "xi", "--config"], tmp_path / "cfg.json", doc
+
+
+def _long_model(tmp_path, hv536):
+    doc = {"ambient_dim": 2, "edges": [{"direction": [1, 0], "weight": "LONG"}] + [{"direction": [0, 1]}] * 2}
+    return ["local-model", "--model"], tmp_path / "model.json", doc
+
+
+def _long_laurent(tmp_path, hv536):
+    doc = {"vertices": {"V": {"series": [[], [[-3, "LONG"]], [[-5, 1]]]}}}
+    return ["compare", hv536, "--laurent"], tmp_path / "lau.json", doc
+
+
+@pytest.mark.parametrize(
+    "case", [_long_curve, _long_config, _long_model, _long_laurent], ids=["curve", "config", "model", "laurent"]
+)
+def test_a_json_number_too_long_to_convert_is_bad_json(capsys, tmp_path, hv536, case):
+    command, path, doc = case(tmp_path, hv536)
+    path.write_text(json.dumps(doc).replace('"LONG"', _LONG))
+    code, rep = run_json(capsys, *command, str(path), "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "bad-json"
+    assert rep["error"]["context"] == {"path": str(path)}
+
+
 def test_info_fields(capsys, square):
     code, rep = run_json(capsys, "info", square, "--format", "json")
     assert code == 0
@@ -521,15 +557,26 @@ def _over_curve_direction(tmp_path, hv536):
     return ["validate", write_json(tmp_path / "wide.json", doc)]
 
 
+def _over_curve_weight(tmp_path, hv536):
+    doc = fixtures.square_loop_doc()
+    for e in doc["edges"]:  # the same weight everywhere keeps every vertex balanced
+        e["weight"] = int(_OVER)
+    return ["validate", write_json(tmp_path / "wide.json", doc)]
+
+
 def _over_config(tmp_path, hv536):
     cfg = write_json(tmp_path / "cfg.json", {"vertices": {"V": {"coords": ["0", _OVER, "2"]}}})
     return ["obstruction", hv536, "--method", "xi", "--config", cfg]
 
 
-def _over_model(tmp_path, hv536, coord="1", entry=1):
+def _over_model(tmp_path, hv536, coord="1", entry=1, weight=1):
     model = {
         "ambient_dim": 2,
-        "edges": [{"direction": [1, 0]}, {"direction": [entry, 1]}, {"direction": [-1 - entry, -1]}],
+        "edges": [
+            {"weight": weight, "direction": [1, 0]},
+            {"weight": weight, "direction": [entry, 1]},
+            {"weight": weight, "direction": [-1 - entry, -1]},
+        ],
         "coords": ["0", coord],
     }
     return ["local-model", "--model", write_json(tmp_path / "model.json", model)]
@@ -540,21 +587,24 @@ def _over_model(tmp_path, hv536, coord="1", entry=1):
     [
         _over_position,
         _over_curve_direction,
+        _over_curve_weight,
         _over_config,
         lambda tmp_path, hv536: _over_model(tmp_path, hv536, coord=f"-{_OVER}/3"),
         lambda tmp_path, hv536: _over_model(tmp_path, hv536, entry=int(_OVER)),
+        lambda tmp_path, hv536: _over_model(tmp_path, hv536, weight=int(_OVER)),
     ],
-    ids=["position", "curve-direction", "config", "model-coord", "model-direction"],
+    ids=["position", "curve-direction", "curve-weight", "config", "model-coord", "model-direction", "model-weight"],
 )
 def test_numbers_over_the_bit_bound_give_a_limit_report(capsys, tmp_path, hv536, argv):
     code, rep = run_json(capsys, *argv(tmp_path, hv536), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "limit"
+    assert rep["error"]["message"].endswith(f"a number of {MAX_BITS + 1} bits exceeds the maximum {MAX_BITS}")
 
 
 def test_numbers_at_the_bit_bound_are_read(capsys, tmp_path, hv536):
     top = 2**MAX_BITS - 1
-    argv = _over_model(tmp_path, hv536, coord=f"-{top}/{top - 2}", entry=top - 1)
+    argv = _over_model(tmp_path, hv536, coord=f"-{top}/{top - 2}", entry=top - 1, weight=top)
     code, rep = run_json(capsys, *argv, "--format", "json")
     assert code == 0
     assert rep["coords"] == ["0", f"-{top}/{top - 2}"]
@@ -587,6 +637,16 @@ def _local_model_process(tmp_path, doc):
         timeout=60,
     )
     return proc.returncode, json.loads(proc.stdout)
+
+
+def test_importing_the_cli_leaves_out_selftest_only_modules():
+    # randgen is imported by selftest alone, and hypothesis by tests alone;
+    # either on the import path of tropctl.cli costs every command's start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import json, sys, tropctl.cli; print(json.dumps([m for m in ('tropctl.randgen', 'hypothesis') if m in sys.modules]))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_hostile_star_gives_a_limit_report_at_once(tmp_path):

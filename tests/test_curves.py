@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropctl.curves import (
+    CombinatorialType,
     MAX_EDGES,
     MAX_VERTICES,
     TropicalCurve,
@@ -269,14 +270,42 @@ def test_selfloop_star_is_rejected():
             ("u2", ("v", None), 1),
         ],
     )
-    from tropctl.curves import CombinatorialType
-
     ct = CombinatorialType(
         g, 2, {"loop": (1, 0), "u1": (-1, 1), "u2": (-1, -1)}
     )
     with pytest.raises(PreconditionError) as err:
         replace_star(ct, "v", ("loop", "u1", "u2"), new_prefix="nv_")
     assert err.value.kind == "selfloop-star"
+
+
+def _flag_residuals(c):
+    """balancing_residuals by its definition: at each vertex, the sum of
+    weight times flag direction over the flags there."""
+    out = []
+    for v in c.graph.vertex_ids:
+        total = (0,) * c.n
+        for eid, slot in c.graph.incident(v):
+            w = c.graph.edges[eid].weight
+            total = tuple(t + w * x for t, x in zip(total, c.flag_direction(Flag(v, eid, slot))))
+        out.append((v, total))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_balancing_residuals_sum_weighted_flag_directions(seed):
+    """Random curves and a weighted graph with a self-loop, with their
+    directions replaced by random ones (some None), so most vertices are
+    unbalanced."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    base = random_immersive_curve(rng, n, genus=rng.randint(0, 3))
+    loop = AbstractGraph(["v", "w"], [("loop", ("v", "v"), 2), ("b", ("v", "w"), 3), ("u", ("w", None), 1)])
+    for graph in (base.graph, loop):
+        ct = CombinatorialType(graph, n, {})
+        for eid in graph.edge_ids:
+            ct.directions[eid] = None if rng.random() < 0.2 else tuple(rng.randint(-3, 3) for _ in range(n))
+        assert balancing_residuals(ct) == _flag_residuals(ct)
 
 
 def test_flag_direction_signs():

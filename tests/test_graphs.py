@@ -53,6 +53,11 @@ def test_construction_rejects_bad_input():
         AbstractGraph(["v", "w"], [("e", ("v", "w"), 1), ("e", ("v", "w"), 1)])
 
 
+def test_construction_takes_vertices_from_a_generator():
+    g = AbstractGraph((v for v in ["y", "x"]), [("e", ("x", "y"), 1), ("ux", ("x", None), 1), ("uy", ("y", None), 1)])
+    assert g.vertex_ids == ("x", "y")
+
+
 def test_counts_and_valence():
     g = theta_graph()
     assert g.genus() == 2

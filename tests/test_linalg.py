@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropctl import residues
 from tropctl.errors import ValidationError
@@ -54,6 +54,54 @@ def test_parse_rational_forms():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("abc")
+
+
+# strings near the edges of what Fraction accepts: signs, surrounding and
+# Unicode whitespace, "_" separators, ASCII and Arabic-Indic digits,
+# decimals, "p/q", exponents, and junk
+_ws = st.sampled_from(["", " ", "\t\n", "\u2000", "\x1c"])
+_digits = st.one_of(
+    st.from_regex(r"[0-9\u0660-\u0669]{1,3}(_[0-9]{1,2})?", fullmatch=True),
+    st.text(alphabet="0123456789_\u0663", max_size=4),
+)
+_number_like = st.builds(
+    "".join,
+    st.tuples(
+        _ws,
+        st.sampled_from(["", "+", "-", "+-"]),
+        _digits,
+        st.sampled_from(["", ".", "/", " / ", "e", "E"]),
+        _digits,
+        st.sampled_from(["", "e3", "E-2", "x"]),
+        _ws,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_number_like, st.text(max_size=8)))
+@example("1/0")
+@example(" -1_000/3 ")
+@example("\u0661\u0662\u0663")
+@example("-0.5e1")
+@example("nan")
+def test_parse_rational_agrees_with_fraction(text):
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    if expected is None or "e" in text or "E" in text:
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_rational(text)
+        return
+    try:
+        int(text.strip())  # int strips less than str.strip: not "\x1c"
+        kind = int
+    except ValueError:
+        kind = Fraction
+    q = parse_rational(text)
+    assert type(q) is kind
+    assert q == expected
 
 
 def test_rational_str_round_trip():
