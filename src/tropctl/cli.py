@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import glob as globmod
-import hashlib
 import json
 import math
 import os
@@ -23,7 +22,8 @@ from json.encoder import encode_basestring_ascii
 from .curves import contract_image, degree, expected_dim, is_immersive, parse_curve
 from .errors import TropctlError, ValidationError
 from .laurent import PhyloLeaf, clusters, parse_laurent_doc
-from .linalg import checked_rational, input_error, parse_rational, rational_str
+from .inputs import parse_rational, rationals, read_doc, vertex_lists
+from .linalg import rational_str
 from .obstruction import (
     abundancy_map,
     classify_report,
@@ -137,24 +137,8 @@ def _max_dim() -> int:
     return cap
 
 
-def _read_doc(path: str):
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as err:
-        raise ValidationError("unreadable-input", f"cannot read {path}: {err.strerror}", path=path)
-    digest = hashlib.sha256(data).hexdigest()
-    # ValueError covers UnicodeDecodeError, json.JSONDecodeError and an
-    # integer literal longer than sys.get_int_max_str_digits() digits
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as err:
-        raise ValidationError("bad-json", f"{path} is not valid JSON: {err}", path=path)
-    return doc, {"path": path, "sha256": digest}
-
-
 def _load_curve(path: str):
-    doc, stamp = _read_doc(path)
+    doc, stamp = read_doc(path)
     return parse_curve(doc, max_dim=_max_dim()), stamp
 
 
@@ -171,18 +155,9 @@ def _expand_files(args) -> list:
 
 
 def _parse_config(path: str):
-    doc, stamp = _read_doc(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), dict):
-        raise ValidationError("bad-config", "config file must be {\"vertices\": {...}}", path=path)
-    coords = {}
-    for vid, entry in doc["vertices"].items():
-        if not isinstance(entry, dict) or not isinstance(entry.get("coords"), list):
-            raise ValidationError("bad-config", f"vertex {vid}: expected a coords list", vertex=vid)
-        try:
-            coords[vid] = tuple([checked_rational(c) for c in entry["coords"]])
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise input_error(exc, f"vertex {vid} coords", vertex=vid) from exc
-    return coords, stamp
+    doc, stamp = read_doc(path)
+    entries = vertex_lists(doc, "coords", "bad-config", "config file", path=path)
+    return {vid: rationals(items, "coords", vid) for vid, items in entries}, stamp
 
 
 def _check_image_vertices(entries: dict, image, what: str):
@@ -381,7 +356,7 @@ def _cluster_payload(tree) -> list:
 
 def _cmd_phylo(args):
     curve, stamp = _load_curve(args.file)
-    doc, laurent_stamp = _read_doc(args.laurent)
+    doc, laurent_stamp = read_doc(args.laurent)
     series_map = parse_laurent_doc(doc)
     image = contract_image(curve)
     _check_image_vertices(series_map, image, "Laurent data")
@@ -404,7 +379,7 @@ def _cmd_phylo(args):
 
 
 def _cmd_local_model(args):
-    doc, stamp = _read_doc(args.model)
+    doc, stamp = read_doc(args.model)
     model = model_from_doc(doc, max_dim=_max_dim())
     res = a_system(model)
     fields = {
@@ -437,7 +412,7 @@ def _cmd_genus1_check(args):
 
 def _cmd_compare(args):
     curve, stamp = _load_curve(args.file)
-    doc, laurent_stamp = _read_doc(args.laurent)
+    doc, laurent_stamp = read_doc(args.laurent)
     series_map = parse_laurent_doc(doc)
     t0 = None
     if args.t0 is not None:

@@ -25,14 +25,8 @@ from typing import Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
 from .graphs import AbstractGraph, Flag, spanning_forest
-from .linalg import (
-    check_bits,
-    checked_rational,
-    content_and_primitive,
-    input_error,
-    is_primitive,
-    rational_str,
-)
+from .inputs import ambient_dim, integer_direction, positive_weight, rationals
+from .linalg import content_and_primitive, is_primitive, rational_str
 
 DEFAULT_MAX_DIM = 16
 
@@ -41,7 +35,7 @@ DEFAULT_MAX_DIM = 16
 # cap: `obstruction --method xi` takes 0.5 s (median of 3 whole-process
 # runs) and peaks at 31 MB, and prints a 65 MB report, whose dense basis
 # format grows like edges^2 * n^2; the bound holds that output down.  With
-# positions at linalg.MAX_BITS, `classify` and `abundancy` on such a chain
+# positions at inputs.MAX_BITS, `classify` and `abundancy` on such a chain
 # take 0.23 s and 0.12 s (medians of 3 whole-process runs).  In Q^3 a
 # 511-edge chain takes 0.27 s with the bound lifted.  Measured on a shared
 # 2-vCPU Xeon, Python 3.11; the largest benchmark curve has 201 edges.
@@ -87,10 +81,7 @@ class TropicalCurve(CombinatorialType):
         self.n = n
         self.positions = {v: tuple(positions[v]) for v in graph.vertex_ids}
         self.lengths = {}
-        self.directions = {}
-        for eid in graph.edge_ids:
-            d = directions.get(eid)
-            self.directions[eid] = None if d is None else tuple(int(x) for x in d)
+        self.directions = {eid: directions.get(eid) for eid in graph.edge_ids}
         _validate_curve(self)
 
     def is_contracted(self, eid: str) -> bool:
@@ -117,11 +108,6 @@ def _validate_curve(c: TropicalCurve):
     """Check the curve and store the length of each bounded edge, and the
     direction of each one whose direction is omitted."""
     g = c.graph
-    for v in g.vertex_ids:
-        if len(c.positions[v]) != c.n:
-            raise ValidationError(
-                "bad-position", f"vertex {v} position must have {c.n} entries", vertex=v
-            )
     for eid in g.edge_ids:
         e = g.edges[eid]
         d = c.directions[eid]
@@ -188,13 +174,7 @@ def balancing_residuals(c: TropicalCurve) -> list[tuple[str, tuple]]:
 def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
     if not isinstance(doc, dict):
         raise ValidationError("schema", "curve document must be a JSON object")
-    n = doc.get("ambient_dim")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("schema", "ambient_dim must be a positive integer")
-    if n > max_dim:
-        raise ValidationError(
-            "dimension-cap", f"ambient_dim {n} exceeds the configured cap {max_dim}"
-        )
+    n = ambient_dim(doc, "schema", max_dim)
     vs = doc.get("vertices")
     es = doc.get("edges")
     if not isinstance(vs, list) or not isinstance(es, list):
@@ -216,10 +196,7 @@ def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
             raise ValidationError(
                 "schema", f"vertex {vid} position must list {n} rationals", vertex=vid
             )
-        try:
-            positions[vid] = tuple([checked_rational(p) for p in pos])
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise input_error(exc, f"vertex {vid} position", vertex=vid) from exc
+        positions[vid] = rationals(pos, "position", vid)
         vertex_ids.append(vid)
     edges = []
     directions = {}
@@ -236,22 +213,10 @@ def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
             raise ValidationError(
                 "schema", f"edge {eid} second end must be a vertex id or null", edge=eid
             )
-        weight = item.get("weight", 1)
         d = item.get("direction")
         if d is not None:
-            if (
-                not isinstance(d, list)
-                or len(d) != n
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in d)
-            ):
-                raise ValidationError(
-                    "schema", f"edge {eid} direction must list {n} integers", edge=eid
-                )
-            try:
-                check_bits(d)
-            except OverflowError as exc:
-                raise input_error(exc, f"edge {eid} direction", edge=eid) from exc
-            d = tuple(d) if any(d) else None
+            d = integer_direction(d, n, "schema", eid)
+            d = d if any(d) else None
         else:
             if ends[1] is None:
                 raise ValidationError(
@@ -267,11 +232,7 @@ def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
                     f"contracted edge {eid} needs a direction entry (zero vector for none)",
                     edge=eid,
                 )
-        if isinstance(weight, int):  # AbstractGraph rejects a weight of another type
-            try:
-                check_bits((weight,))
-            except OverflowError as exc:
-                raise input_error(exc, f"edge {eid} weight", edge=eid) from exc
+        weight = positive_weight(item.get("weight", 1), "bad-weight", eid)
         edges.append((eid, (ends[0], ends[1]), weight))
         directions[eid] = d
     graph = AbstractGraph(vertex_ids, edges)

@@ -1,0 +1,156 @@
+"""The input boundary: every file tropctl reads, and every rule for a field
+that two of its file kinds share.
+
+`read_doc` reads the four kinds of JSON file: curve files
+(`curves.parse_curve`), `--model` files (`residues.model_from_doc`),
+`--config` files (`cli._parse_config`) and `--laurent` files
+(`laurent.parse_laurent_doc`).  Each of those parsers keeps the checks of
+its own format and calls the readers here for the field shapes it shares
+with another kind: `ambient_dim`, `integer_direction` and `positive_weight`
+(curve and model files), `rationals` (curve positions, `--config` and
+`--model` coordinates) and `vertex_lists` (the envelope of `--config` and
+`--laurent` files).  Every number a reader returns has at most MAX_BITS
+bits; `--t0` and Laurent coefficients go through `parse_rational` alone and
+are not bounded.  A reader takes the caller's error kind and the id of what
+it reads, and builds a message only when a check fails.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from fractions import Fraction
+
+from .errors import ValidationError
+
+# Largest bit length of a numerator, a denominator, a direction entry or an
+# edge weight read from a curve, --config or --model file (40 bits hold
+# every 12-digit integer).  Exact elimination slows with the size of its
+# entries, and a weight multiplies every entry of its edge's direction.  The
+# worst case measured at the bound, a 16-valent star in Q^15
+# (residues.MAX_VALENCE) with every number at 40 bits, takes 2.6 s for
+# `local-model`, and a 256-edge loop chain in Q^16 0.23 s for `classify`
+# (whole processes, medians of 3 on a shared 2-vCPU Xeon, Python 3.11).
+# Benchmark inputs use at most 8 bits.
+MAX_BITS = 40
+
+
+def read_doc(path: str):
+    """(document, stamp) of the JSON file at path.  The stamp, which reports
+    list under `inputs`, holds the path and the sha256 of the file's bytes."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise ValidationError("unreadable-input", f"cannot read {path}: {err.strerror}", path=path)
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+        reason = str(err)
+    except ValueError:  # int() refuses an over-long literal
+        reason = f"a number literal has more than {sys.get_int_max_str_digits()} digits"
+    else:
+        return doc, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    raise ValidationError("bad-json", f"{path} is not valid JSON: {reason}", path=path)
+
+
+def parse_rational(text: str) -> int | Fraction:
+    """Parse "p", "p/q" or a decimal such as "0.5", exactly: an integer
+    string gives an int and every other string a Fraction.
+
+    The strings accepted are those `Fraction` accepts, with surrounding
+    whitespace, signs, "_" digit separators and Unicode digits, except that
+    exponent notation raises ValueError: "1e10000000" is ten characters long
+    but a 33-million-bit integer.  Junk raises ValueError and "p/0"
+    ZeroDivisionError.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be a string, got {text!r}")
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted, got {text!r}")
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        return Fraction(text)
+
+
+def _bits(x: int | Fraction) -> int:
+    """The bit length of an int, or the longer of a Fraction's numerator
+    and denominator; the sign does not count.  A JSON integer is an int and
+    never an int subclass other than bool, so `type(x) is int` tells a
+    JSON integer from a JSON true or false here and in the readers."""
+    if type(x) is int:
+        return x.bit_length()
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
+def _limit(x, what: str, **context) -> ValidationError:
+    return ValidationError(
+        "limit", f"{what}: a number of {_bits(x)} bits exceeds the maximum {MAX_BITS}", **context
+    )
+
+
+def ambient_dim(doc: dict, kind: str, max_dim: int) -> int:
+    """The document's `ambient_dim`: a positive integer (else kind) of at
+    most max_dim (else dimension-cap)."""
+    n = doc.get("ambient_dim")
+    if type(n) is not int or n < 1:
+        raise ValidationError(kind, "ambient_dim must be a positive integer")
+    if n > max_dim:
+        raise ValidationError("dimension-cap", f"ambient_dim {n} exceeds the configured cap {max_dim}")
+    return n
+
+
+def integer_direction(value, n: int, kind: str, edge: str) -> tuple:
+    """An edge's direction as a tuple: a list of n JSON integers (else
+    kind), each of at most MAX_BITS bits (else limit).  Whether it must be
+    primitive or nonzero is the caller's rule."""
+    if not isinstance(value, list) or len(value) != n or not all(type(x) is int for x in value):
+        raise ValidationError(kind, f"edge {edge} direction must list {n} integers", edge=edge)
+    for x in value:
+        if x.bit_length() > MAX_BITS:
+            raise _limit(x, f"edge {edge} direction", edge=edge)
+    return tuple(value)
+
+
+def positive_weight(value, kind: str, edge: str) -> int:
+    """An edge's weight: a positive JSON integer (else kind) of at most
+    MAX_BITS bits (else limit)."""
+    if type(value) is not int or value < 1:
+        raise ValidationError(kind, f"edge {edge} weight must be a positive integer", edge=edge)
+    if value.bit_length() > MAX_BITS:
+        raise _limit(value, f"edge {edge} weight", edge=edge)
+    return value
+
+
+def rationals(items: list, field: str, vertex: str | None = None) -> tuple:
+    """The rational strings of a list, read in order by parse_rational:
+    bad-rational for one it rejects, limit for one of more than MAX_BITS
+    bits.  The message names "vertex <vertex> <field>", or field alone for
+    a list that belongs to no vertex."""
+    out = []
+    for text in items:
+        try:
+            q = parse_rational(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            what = field if vertex is None else f"vertex {vertex} {field}"
+            raise ValidationError("bad-rational", f"{what}: {exc}", vertex=vertex) from exc
+        if _bits(q) > MAX_BITS:
+            raise _limit(q, field if vertex is None else f"vertex {vertex} {field}", vertex=vertex)
+        out.append(q)
+    return tuple(out)
+
+
+def vertex_lists(doc, key: str, kind: str, name: str, **context):
+    """Yield (vertex id, list) for each entry of a document {"vertices":
+    {id: {key: [...]}, ...}} in file order, checking each entry as it is
+    yielded.  Another document shape is a kind error for the file, with
+    context; an entry without its key list is a kind error for its vertex."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), dict):
+        raise ValidationError(kind, f"{name} needs a vertices object", **context)
+    for vid, entry in doc["vertices"].items():
+        if not isinstance(entry, dict) or not isinstance(entry.get(key), list):
+            raise ValidationError(kind, f"vertex {vid} needs a {key} list", vertex=vid)
+        yield vid, entry[key]

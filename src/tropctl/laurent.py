@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .linalg import parse_rational
+from .inputs import parse_rational, vertex_lists
 
 
 class LaurentSeries:
@@ -62,9 +62,6 @@ class LaurentSeries:
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return LaurentSeries(self.terms + tuple((e, -c) for e, c in other.terms))
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(tuple((e, -c) for e, c in self.terms))
 
     def __eq__(self, other):
         return isinstance(other, LaurentSeries) and self.terms == other.terms
@@ -260,13 +257,7 @@ def parse_series(data) -> LaurentSeries:
 
 def parse_laurent_doc(doc: dict) -> dict:
     """{vertex id: [series, ...]} from the on-disk structure."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), dict):
-        raise ValidationError("schema", "laurent document needs a vertices object")
-    out = {}
-    for vid, body in doc["vertices"].items():
-        if not isinstance(body, dict) or not isinstance(body.get("series"), list):
-            raise ValidationError(
-                "schema", f"vertex {vid} needs a series list", vertex=vid
-            )
-        out[vid] = [parse_series(s) for s in body["series"]]
-    return out
+    return {
+        vid: [parse_series(s) for s in series]
+        for vid, series in vertex_lists(doc, "series", "schema", "laurent document")
+    }

@@ -1,16 +1,14 @@
 """Exact sparse linear algebra over the rationals.
 
 Values are ints or `fractions.Fraction`s, always exact; no floating point.
-A parsed input number is an int when its string is an integer and a
-Fraction otherwise (`parse_rational`).  The one linear-algebra type is
-`Subspace`, held in reduced echelon form.  A linear system is the subspace
-its rows span: its rank is the dimension of `Subspace(n, rows)` and its
-solution space is `kernel(n, rows)`.  A row is a {column: value} dict that
-lists only its nonzero entries, from the row builders through elimination
-to the canonical basis of a `Subspace`; `Subspace` and `kernel` also take
-dense vectors, which they turn into such dicts.  `row_blocks` reads a row
-as the dense n-covectors of the blocks where it is nonzero, for the
-per-flag bases.
+The one linear-algebra type is `Subspace`, held in reduced echelon form.
+A linear system is the subspace its rows span: its rank is the dimension
+of `Subspace(n, rows)` and its solution space is `kernel(n, rows)`.  A row
+is a {column: value} dict that lists only its nonzero entries, from the
+row builders through elimination to the canonical basis of a `Subspace`;
+`Subspace` and `kernel` also take dense vectors, which they turn into such
+dicts.  `row_blocks` reads a row as the dense n-covectors of the blocks
+where it is nonzero, for the per-flag bases.
 
 Elimination is sparse, incremental and fraction-free in `_rref`, the one
 eliminator: rows are cleared of denominators on the way in, every step is
@@ -32,83 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
-
 Q0 = Fraction(0)
-
-
-def parse_rational(text: str) -> int | Fraction:
-    """Parse "p", "p/q" or a decimal such as "0.5", exactly: an integer
-    string gives an int and every other string a Fraction.
-
-    The strings accepted are those `Fraction` accepts, with surrounding
-    whitespace, signs, "_" digit separators and Unicode digits, except that
-    exponent notation raises ValueError: "1e10000000" is ten characters long
-    but a 33-million-bit integer.  Junk raises ValueError and "p/0"
-    ZeroDivisionError.
-    """
-    if not isinstance(text, str):
-        raise ValueError(f"rational must be a string, got {text!r}")
-    if "e" in text or "E" in text:
-        raise ValueError(f"exponent notation is not accepted, got {text!r}")
-    text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        return Fraction(text)
-
-
-# Largest bit length of a numerator, a denominator, a direction entry or an
-# edge weight read from a curve, --config or --model file (40 bits hold
-# every 12-digit integer).  Exact elimination slows with the size of its
-# entries, most of all on a star at residues.MAX_VALENCE in Q^15.  Whole
-# `local-model` processes on such 16-valent stars, medians of 3 on a shared
-# 2-vCPU Xeon, Python 3.11: 1.3 s with random directions in [-3, 3]^15 and
-# coordinates p/q of 40-bit p and q, and 2.6 s with every direction entry at
-# 40 bits too; with 20-digit (66-bit) coordinates 2.4 s if the bound is
-# lifted.  A 256-edge loop chain in Q^16 whose positions have 40-bit
-# numerators and denominators takes 0.23 s for `classify` and 0.12 s for
-# `abundancy`, whose cycle rows hold the edge lengths (whole processes,
-# medians of 3).  Weights multiply every direction entry in balancing and in
-# the rows, so they are bounded as well.  Benchmark inputs use at most 8
-# bits.
-MAX_BITS = 40
-
-
-def check_bits(numbers: Iterable):
-    """Raise OverflowError unless every int among the numbers, and the
-    numerator and denominator of every Fraction, has at most MAX_BITS bits.
-
-    The message names the width only; `input_error` says what was read.
-    """
-    for x in numbers:
-        if type(x) is int:
-            bits = x.bit_length()  # of abs(x): bit_length ignores the sign
-        else:
-            bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-        if bits > MAX_BITS:
-            raise OverflowError(f"a number of {bits} bits exceeds the maximum {MAX_BITS}")
-
-
-def checked_rational(text) -> int | Fraction:
-    """parse_rational for input data, bounded by check_bits: ValueError on
-    junk (a non-string, "nan"), ZeroDivisionError on "1/0" and OverflowError
-    on a number of more than MAX_BITS bits."""
-    q = parse_rational(text)
-    check_bits((q,))
-    return q
-
-
-def input_error(exc: Exception, what: str, **context) -> ValidationError:
-    """The ValidationError for an input number that checked_rational or
-    check_bits rejected with exc, naming what was being read: limit for a
-    number too wide, bad-rational for junk.
-
-    Callers catch those exceptions around a whole vector and build this only
-    on failure, so reading valid input formats no message.
-    """
-    kind = "limit" if isinstance(exc, OverflowError) else "bad-rational"
-    return ValidationError(kind, f"{what}: {exc}", **context)
 
 
 def rational_str(q: Fraction | int) -> str:

@@ -25,18 +25,9 @@ from typing import NamedTuple
 from .curves import DEFAULT_MAX_DIM, TropicalCurve, contract_image, replace_star
 from .errors import PreconditionError, ValidationError
 from .graphs import Flag
+from .inputs import ambient_dim, integer_direction, positive_weight, rationals
 from .laurent import LaurentSeries, PhyloLeaf, laurent_cmp, phylo_tree
-from .linalg import (
-    Q0,
-    Subspace,
-    check_bits,
-    checked_rational,
-    content_and_primitive,
-    input_error,
-    is_primitive,
-    kernel,
-    row_blocks,
-)
+from .linalg import Q0, Subspace, content_and_primitive, is_primitive, kernel, row_blocks
 from .obstruction import dual_obstruction_chain, flag_system
 
 
@@ -47,7 +38,7 @@ from .obstruction import dual_obstruction_chain, flag_system
 # planar star, 0.004 s for the 16-valent unit-vector star in Q^15 and 0.04 s
 # for a 16-valent star in Q^15 with random directions in [-3, 3]^15.  That
 # star takes 0.4 s with 7-digit coordinates, 0.9 s with coordinates at the
-# 40-bit linalg.MAX_BITS and 2.2 s with its direction entries at the bound
+# 40-bit inputs.MAX_BITS and 2.2 s with its direction entries at the bound
 # too.  With the cap lifted, a 32-valent planar star takes 0.03 s and a
 # 60-valent one 1.1 s.  The coordinates `compare` evaluates from Laurent
 # series are not bounded: on a genus-8 curve in Q^15 with a 16-valent vertex
@@ -70,25 +61,20 @@ class LocalModel:
     """Star of one vertex with marked-point coordinates.
 
     slots lists the edges in marked-point order: the finite slots first
-    (coordinate coords[i] for slot i), then the infinity slot last.  The
-    infinity slot is the last bounded edge in sorted order, falling back to
-    the last edge when nothing is bounded.
+    (coordinate coords[i] for slot i, by default i), then the infinity
+    slot.  The infinity slot is the last bounded edge in sorted order,
+    falling back to the last edge when nothing is bounded.
     """
 
     def __init__(self, slots: list[SlotRecord], coords, n: int, vertex=None):
-        if len(slots) > MAX_VALENCE:
-            raise ValidationError(
-                "limit",
-                f"valence {len(slots)} exceeds the maximum {MAX_VALENCE} of a local model",
-                vertex=vertex,
-            )
+        _check_valence(len(slots), vertex)
         self.slots = list(slots)
         self.n = n
         self.vertex = vertex
         self.finite = self.slots[:-1]
         self.infinity = self.slots[-1] if self.slots else None
         self.r = len(self.slots) - 2
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(Fraction(c) for c in (range(len(self.finite)) if coords is None else coords))
         if len(coords) != len(self.finite):
             raise ValidationError(
                 "bad-coords",
@@ -127,10 +113,16 @@ class LocalModel:
             records.append(
                 SlotRecord(label, Flag(vertex, eid, slot), e.weight, d, not e.is_unbounded)
             )
-        slots = _infinity_last(records)
-        if coords is None:
-            coords = tuple(Fraction(i) for i in range(len(slots) - 1))
-        return cls(slots, coords, ct.n, vertex=vertex)
+        return cls(_infinity_last(records), coords, ct.n, vertex=vertex)
+
+
+def _check_valence(valence: int, vertex=None):
+    if valence > MAX_VALENCE:
+        raise ValidationError(
+            "limit",
+            f"valence {valence} exceeds the maximum {MAX_VALENCE} of a local model",
+            vertex=vertex,
+        )
 
 
 def _infinity_last(records: list[SlotRecord]) -> list[SlotRecord]:
@@ -183,21 +175,17 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
     "bounded"?}, ...], "coords"?: ["p/q", ...]}.  The infinity slot is the
     last bounded edge in listed order (last edge if none is bounded); coords
     apply to the remaining edges in listed order and default to 0, 1, 2, ...
-    Directions must be primitive and balance against the weights, and
-    ambient_dim is capped at max_dim.
+    Directions must be primitive and balance against the weights,
+    ambient_dim is capped at max_dim, and a model of more than MAX_VALENCE
+    edges is rejected before any edge is read.
     """
     if not isinstance(doc, dict):
         raise ValidationError("bad-model", "model document must be a JSON object")
-    n = doc.get("ambient_dim")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("bad-model", "ambient_dim must be a positive integer")
-    if n > max_dim:
-        raise ValidationError(
-            "dimension-cap", f"ambient_dim {n} exceeds the configured cap {max_dim}"
-        )
+    n = ambient_dim(doc, "bad-model", max_dim)
     edges = doc.get("edges")
     if not isinstance(edges, list) or len(edges) < 3:
         raise ValidationError("bad-model", "edges must list at least 3 edges")
+    _check_valence(len(edges))
     records = []
     labels = set()
     balance = [0] * n
@@ -208,27 +196,8 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
         if not isinstance(label, str) or label in labels:
             raise ValidationError("bad-model", f"edge {i} needs a unique string label")
         labels.add(label)
-        weight = entry.get("weight", 1)
-        if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
-            raise ValidationError("bad-model", f"edge {label}: weight must be a positive integer", edge=label)
-        try:
-            check_bits((weight,))
-        except OverflowError as exc:
-            raise input_error(exc, f"edge {label} weight", edge=label) from exc
-        d = entry.get("direction")
-        if (
-            not isinstance(d, list)
-            or len(d) != n
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in d)
-        ):
-            raise ValidationError(
-                "bad-model", f"edge {label}: direction must be {n} integers", edge=label
-            )
-        try:
-            check_bits(d)
-        except OverflowError as exc:
-            raise input_error(exc, f"edge {label} direction", edge=label) from exc
-        d = tuple(d)
+        weight = positive_weight(entry.get("weight", 1), "bad-model", label)
+        d = integer_direction(entry.get("direction"), n, "bad-model", label)
         if not is_primitive(d):
             raise ValidationError(
                 "bad-model", f"edge {label}: direction must be primitive and nonzero", edge=label
@@ -244,18 +213,12 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
             "unbalanced",
             f"weighted directions sum to {tuple(balance)}, expected zero",
         )
-    slots = _infinity_last(records)
     coords = doc.get("coords")
-    if coords is None:
-        coords = tuple(Fraction(i) for i in range(len(slots) - 1))
-    else:
+    if coords is not None:
         if not isinstance(coords, list):
             raise ValidationError("bad-model", "coords must be a list of rationals")
-        try:
-            coords = tuple([checked_rational(c) for c in coords])
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise input_error(exc, "coords") from exc
-    return LocalModel(slots, coords, n)
+        coords = rationals(coords, "coords")
+    return LocalModel(_infinity_last(records), coords, n)
 
 
 # -- residue rows -------------------------------------------------------------------

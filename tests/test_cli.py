@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from tropctl.cli import main
 from tropctl.curves import serialize_curve
+from tropctl.inputs import MAX_BITS
 from tropctl.laurent import MAX_EXPONENT
-from tropctl.linalg import MAX_BITS
 from tropctl.randgen import random_loopchain_curve
 from tropctl.residues import MAX_VALENCE
 
@@ -148,6 +148,7 @@ def test_a_json_number_too_long_to_convert_is_bad_json(capsys, tmp_path, hv536, 
     assert code == 2
     assert rep["error"]["error_type"] == "bad-json"
     assert rep["error"]["context"] == {"path": str(path)}
+    assert rep["error"]["message"].endswith(f"a number literal has more than {sys.get_int_max_str_digits()} digits")
 
 
 def test_info_fields(capsys, square):
@@ -608,6 +609,87 @@ def test_numbers_at_the_bit_bound_are_read(capsys, tmp_path, hv536):
     code, rep = run_json(capsys, *argv, "--format", "json")
     assert code == 0
     assert rep["coords"] == ["0", f"-{top}/{top - 2}"]
+
+
+def _curve_with(tmp_path, change):
+    doc = fixtures.square_loop_doc()
+    change(doc)
+    return ["validate", write_json(tmp_path / "curve.json", doc)]
+
+
+def _model_with(tmp_path, edges):
+    return ["local-model", "--model", write_json(tmp_path / "model.json", {"ambient_dim": 2, "edges": edges})]
+
+
+def _config_of(tmp_path, hv536, doc):
+    return ["obstruction", hv536, "--method", "xi", "--config", write_json(tmp_path / "cfg.json", doc)]
+
+
+def _laurent_of(tmp_path, hv536, doc):
+    return ["phylo", hv536, "--laurent", write_json(tmp_path / "lau.json", doc)]
+
+
+# case: (error_type, context, argv builder); a context that names the
+# file is a function of tmp_path
+_SHARED_FIELD_FAULTS = {
+    "curve-position-bits": ("limit", {"vertex": "b"}, _over_position),
+    "config-coords-bits": ("limit", {"vertex": "V"}, _over_config),
+    "model-coords-bits": ("limit", {}, lambda tmp_path, hv536: _over_model(tmp_path, hv536, coord=_OVER)),
+    "curve-direction-entry": (
+        "schema",
+        {"edge": "u1"},
+        lambda tmp_path, hv536: _curve_with(tmp_path, lambda doc: doc["edges"][5].update(direction=[1, 1.5, 0])),
+    ),
+    "model-direction-entry": (
+        "bad-model",
+        {"edge": "E2"},
+        lambda tmp_path, hv536: _model_with(
+            tmp_path, [{"direction": [1, 0]}, {"direction": [0, "1"]}, {"direction": [-1, -1]}]
+        ),
+    ),
+    "curve-weight-0": (
+        "bad-weight",
+        {"edge": "s12"},
+        lambda tmp_path, hv536: _curve_with(tmp_path, lambda doc: doc["edges"][1].update(weight=0)),
+    ),
+    "model-weight-0": ("bad-model", {"edge": "E1"}, lambda tmp_path, hv536: _over_model(tmp_path, hv536, weight=0)),
+    "curve-weight-bits": ("limit", {"edge": "s01"}, _over_curve_weight),
+    "model-weight-bits": ("limit", {"edge": "E1"}, lambda tmp_path, hv536: _over_model(tmp_path, hv536, weight=int(_OVER))),
+    "config-vertices": (
+        "bad-config",
+        lambda tmp_path: {"path": str(tmp_path / "cfg.json")},
+        lambda tmp_path, hv536: _config_of(tmp_path, hv536, {"vertices": []}),
+    ),
+    "laurent-vertices": ("schema", {}, lambda tmp_path, hv536: _laurent_of(tmp_path, hv536, {"vertices": []})),
+    "config-entry": (
+        "bad-config",
+        {"vertex": "V"},
+        lambda tmp_path, hv536: _config_of(tmp_path, hv536, {"vertices": {"V": {"series": []}}}),
+    ),
+    "laurent-entry": (
+        "schema",
+        {"vertex": "V"},
+        lambda tmp_path, hv536: _laurent_of(tmp_path, hv536, {"vertices": {"V": {"coords": []}}}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_FIELD_FAULTS))
+def test_a_shared_field_fault_reads_alike_in_every_file_kind(capsys, tmp_path, hv536, case):
+    error_type, context, build = _SHARED_FIELD_FAULTS[case]
+    code, rep = run_json(capsys, *build(tmp_path, hv536), "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == error_type
+    assert rep["error"].get("context", {}) == (context(tmp_path) if callable(context) else context)
+
+
+def test_a_model_over_the_valence_cap_is_rejected_before_its_edges_are_read(capsys, tmp_path):
+    # at most MAX_VALENCE edges are read: the malformed edge after them is not
+    edges = [{"direction": [1, 0]}] * MAX_VALENCE + ["not an edge"]
+    code, rep = run_json(capsys, *_model_with(tmp_path, edges), "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "limit"
+    assert rep["error"]["message"] == f"valence {MAX_VALENCE + 1} exceeds the maximum {MAX_VALENCE} of a local model"
 
 
 def _random_star(draw_number, n=15, valence=16, seed=11):

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from tropctl import residues
 from tropctl.errors import ValidationError
+from tropctl.inputs import parse_rational
 from tropctl.laurent import LaurentSeries
 from tropctl.linalg import (
     Subspace,
     content_and_primitive,
     is_primitive,
     kernel,
-    parse_rational,
     rational_str,
     row_blocks,
 )
