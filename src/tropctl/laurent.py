@@ -1,11 +1,14 @@
 """Laurent series in one variable over Q, their domination order, and the
 phylogenetic tree of an ascending family.
 
-The order compares p and q by the lowest-exponent term of p - q: p exceeds q
-when that term belongs to p and is absent from q.  This is a partial order
-(two series whose difference leads at an exponent where both have terms are
-incomparable) and it is not translation invariant, but subtracting the same
-series from both sides of a comparable pair preserves the comparison.
+One fact about two series p and q carries all of it: the lowest exponent m
+where they differ, with both coefficients there (an absent term counts as
+0).  p exceeds q when q's coefficient at m is 0, so that the lowest term of
+p - q is p's alone; the pair is incomparable when neither is 0.  This is a
+partial order and it is not translation invariant, but subtracting the same
+series from both sides of a comparable pair preserves the comparison.  The
+exponents where neighbours of an ascending family first differ give its
+phylogenetic tree.
 """
 
 from __future__ import annotations
@@ -20,17 +23,16 @@ from .inputs import parse_rational, vertex_lists
 
 
 class LaurentSeries:
-    """Finite sum of c * t^e with rational c; terms sorted by exponent."""
+    """Finite sum of c * t^e with rational c (an int or a Fraction); terms
+    sorted by exponent.  The terms are taken as given: `parse_series` is
+    where a term read from a file is checked."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        acc: dict[int, Fraction] = {}
+        acc = {}
         for e, c in terms:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ValidationError("bad-series", f"exponent {e!r} is not an integer")
-            c = Fraction(c)
-            acc[e] = acc.get(e, Fraction(0)) + c
+            acc[e] = acc.get(e, 0) + c
         object.__setattr__(
             self, "terms", tuple(sorted((e, c) for e, c in acc.items() if c != 0))
         )
@@ -49,16 +51,13 @@ class LaurentSeries:
         """Lowest exponent with a nonzero coefficient; +inf for the zero series."""
         return self.terms[0][0] if self.terms else math.inf
 
-    def coeff(self, e: int) -> Fraction:
+    def coeff(self, e: int):
         for ee, c in self.terms:
             if ee == e:
                 return c
             if ee > e:
                 break
-        return Fraction(0)
-
-    def minus_term(self, e: int, c) -> "LaurentSeries":
-        return LaurentSeries(self.terms + ((e, -Fraction(c)),))
+        return 0
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return LaurentSeries(self.terms + tuple((e, -c) for e, c in other.terms))
@@ -94,13 +93,23 @@ class LaurentSeries:
 # -- order ----------------------------------------------------------------------
 
 
+def _first_difference(p: LaurentSeries, q: LaurentSeries):
+    """(m, p's coefficient at m, q's coefficient at m) for the lowest
+    exponent m where p and q differ, or None when p == q."""
+    # past their common run of equal terms, the two first differ at the lower
+    # of their next exponents; a closing term at +inf ends each series
+    end = ((math.inf, 0),)
+    for (ea, ca), (eb, cb) in zip(p.terms + end, q.terms + end):
+        if ea != eb or ca != cb:
+            m = min(ea, eb)
+            return m, ca if ea == m else 0, cb if eb == m else 0
+    return None
+
+
 def laurent_greater(p: LaurentSeries, q: LaurentSeries) -> bool:
     """p dominates q: the lowest term of p - q is p's alone."""
-    diff = p - q
-    if diff.is_zero():
-        return False
-    m = diff.order()
-    return q.coeff(m) == 0
+    diff = _first_difference(p, q)
+    return diff is not None and diff[2] == 0
 
 
 def laurent_less(p: LaurentSeries, q: LaurentSeries) -> bool:
@@ -109,13 +118,13 @@ def laurent_less(p: LaurentSeries, q: LaurentSeries) -> bool:
 
 def laurent_cmp(p: LaurentSeries, q: LaurentSeries) -> int:
     """-1, 0, or 1; raises when the pair is incomparable."""
-    diff = p - q
-    if diff.is_zero():
+    diff = _first_difference(p, q)
+    if diff is None:
         return 0
-    m = diff.order()
-    if q.coeff(m) == 0:
+    _m, at_p, at_q = diff
+    if at_q == 0:
         return 1
-    if p.coeff(m) == 0:
+    if at_p == 0:
         return -1
     raise ValidationError(
         "incomparable-series",
@@ -146,11 +155,8 @@ def rebase(items: list[tuple], base_label) -> list[tuple]:
         raise ValidationError("unknown-label", f"no series labeled {base_label!r}")
     shifted = [(lab, s - base) for lab, s in items]
     shifted.sort(key=functools.cmp_to_key(lambda a, b: laurent_cmp(a[1], b[1])))
-    for (_, a), (_, b) in zip(shifted, shifted[1:]):
-        if not laurent_less(a, b):
-            raise ValidationError(
-                "not-ascending", "rebased family is not strictly ascending"
-            )
+    if not is_strictly_ascending([s for _lab, s in shifted]):
+        raise ValidationError("not-ascending", "rebased family is not strictly ascending")
     return shifted
 
 
@@ -162,67 +168,55 @@ class PhyloLeaf(NamedTuple):
 
 
 class PhyloNode(NamedTuple):
-    first: object  # the subtree attached at this node (larger series)
-    second: object  # the rest of the comb (smaller series, closer to the end)
-    depth: object  # order of the first subtree's series when the node formed
+    first: object  # the subtree of the larger series
+    second: object  # the subtree of the smaller series
+    depth: object  # exponent where the two subtrees' series first differ
 
 
 def phylo_tree(items: list[tuple]):
     """Tree of an ascending (label, series) family.
 
-    Maximal runs of equal order split the family; the runs become a comb
-    with the largest series nearest the root, and a run with more than one
-    member recurses after its common leading term is removed (equal orders
-    inside an ascending chain force equal leading coefficients).
+    Neighbours s_i < s_{i+1} first differ at exponents m_1 .. m_{k-1}, and
+    two members first differ at the lowest m between them.  The root splits
+    the family at the lowest m_b into the members above it (`first`) and
+    those below (`second`), at depth m_b, and each side is split the same
+    way.  The lowest m of a run of neighbours is attained once: if
+    m_i = m_j = m with i < j and no lower m between them, s_{i+1} gains a
+    nonzero coefficient at m, which s_{i+1} .. s_j share since they first
+    differ above m, yet s_j < s_{j+1} needs s_j's coefficient at m to be 0.
     """
     if not items:
         raise ValidationError("empty-family", "the series family is empty")
-    series = [s for _lab, s in items]
-    if not is_strictly_ascending(series):
-        raise ValidationError(
-            "not-ascending", "the series family must be strictly ascending"
-        )
-    return _phylo(list(items))
+    cuts = []
+    for (_a, p), (_b, q) in zip(items, items[1:]):
+        diff = _first_difference(p, q)
+        if diff is None or diff[1] != 0:  # p < q needs p's coefficient there to be 0
+            raise ValidationError(
+                "not-ascending", "the series family must be strictly ascending"
+            )
+        cuts.append(diff[0])
 
+    def split(lo: int, hi: int):  # the members lo .. hi - 1
+        if hi - lo == 1:
+            return PhyloLeaf(items[lo][0])
+        b = min(range(lo, hi - 1), key=cuts.__getitem__)
+        return PhyloNode(first=split(b + 1, hi), second=split(lo, b + 1), depth=cuts[b])
 
-def _phylo(items):
-    if len(items) == 1:
-        return PhyloLeaf(items[0][0])
-    while True:
-        groups = []
-        for lab, s in items:
-            if groups and groups[-1][0][1].order() == s.order():
-                groups[-1].append((lab, s))
-            else:
-                groups.append([(lab, s)])
-        if len(groups) > 1:
-            break
-        # one run: every member shares its leading terms; strip them at once
-        k = 1
-        while all(len(s.terms) > k and s.terms[k] == items[0][1].terms[k] for _lab, s in items):
-            k += 1
-        items = [(lab, LaurentSeries(s.terms[k:])) for lab, s in items]
-    tree = _phylo(groups[0])
-    for grp in groups[1:]:
-        tree = PhyloNode(first=_phylo(grp), second=tree, depth=grp[0][1].order())
-    return tree
-
-
-def leaf_labels(tree) -> frozenset:
-    if isinstance(tree, PhyloLeaf):
-        return frozenset([tree.label])
-    return leaf_labels(tree.first) | leaf_labels(tree.second)
+    return split(0, len(items))
 
 
 def clusters(tree) -> set[frozenset]:
     """Leaf-label sets of all internal nodes."""
     out = set()
-    todo = [tree]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, PhyloNode):
-            out.add(leaf_labels(t))
-            todo.extend([t.first, t.second])
+
+    def leaves(t) -> frozenset:
+        if isinstance(t, PhyloLeaf):
+            return frozenset([t.label])
+        below = leaves(t.first) | leaves(t.second)
+        out.add(below)
+        return below
+
+    leaves(tree)
     return out
 
 
@@ -245,11 +239,8 @@ def parse_series(data) -> LaurentSeries:
             raise ValidationError("bad-series", f"exponent {e!r} is not an integer")
         if abs(e) > MAX_EXPONENT:
             raise ValidationError("limit", f"exponent {e} exceeds the bound |e| <= {MAX_EXPONENT}")
-        if isinstance(c, int) and not isinstance(c, bool):
-            terms.append((e, Fraction(c)))
-            continue
         try:
-            terms.append((e, parse_rational(c)))
+            terms.append((e, c if type(c) is int else parse_rational(c)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError("bad-series", f"bad coefficient {c!r}") from exc
     return LaurentSeries(terms)

@@ -380,7 +380,7 @@ def random_ascending_series(rng: random.Random, count: int) -> list[LaurentSerie
                 if prev.coeff(m) != 0 or nxt.coeff(m) != prev.coeff(m):
                     continue
                 c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-                nxt = nxt.minus_term(m, -c)  # add c * t^m
+                nxt = LaurentSeries(nxt.terms + ((m, c),))
                 break
             else:
                 raise GenerationError("series draw failed")

@@ -200,11 +200,11 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
         d = integer_direction(entry.get("direction"), n, "bad-model", label)
         if not is_primitive(d):
             raise ValidationError(
-                "bad-model", f"edge {label}: direction must be primitive and nonzero", edge=label
+                "bad-model", f"edge {label} direction must be primitive and nonzero", edge=label
             )
         bounded = entry.get("bounded", True)
         if not isinstance(bounded, bool):
-            raise ValidationError("bad-model", f"edge {label}: bounded must be a boolean", edge=label)
+            raise ValidationError("bad-model", f"edge {label} bounded must be a boolean", edge=label)
         for k in range(n):
             balance[k] += weight * d[k]
         records.append(SlotRecord(label, None, weight, d, bounded))
@@ -285,7 +285,6 @@ def a_system(model: LocalModel) -> dict:
         "dim": space.dim,
         "variables": [rec.label for rec in bounded],
         "basis": basis,
-        "model": model,
     }
 
 
@@ -416,20 +415,15 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
     loop_vertices = sorted(
         {v for eid in loop for v in ig.edges[eid].ends if v is not None}
     )
-    dirs = []
-    flags = []
-    for v in loop_vertices:
-        for eid, slot in ig.incident(v):
-            f = Flag(v, eid, slot)
-            dirs.append(image.flag_direction(f))
-            flags.append(f)
+    dirs = [
+        image.flag_direction(Flag(v, eid, slot)) for v in loop_vertices for eid, slot in ig.incident(v)
+    ]
     ann = kernel(curve.n, dirs)
     return {
         "span_dim": curve.n - ann.dim,
         "dim_h": ann.dim,
         "smoothable": ann.dim == 0,
         "loop_vertices": loop_vertices,
-        "flag_count": len(flags),
         "h_basis": [content_and_primitive(row_blocks(bv, curve.n)[0])[1] for bv in ann.basis],
     }
 

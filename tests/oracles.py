@@ -2,14 +2,19 @@
 
 Deliberately self-contained: the row reduction here is written from scratch
 over Fractions and must not import the package's linear algebra, so that
-dimension claims are checked by two unrelated code paths.
+dimension claims are checked by two unrelated code paths.  The Laurent
+references read the order off the difference series p - q and build the
+phylogenetic tree from runs of equal order, not from where neighbours first
+differ as `tropctl.laurent` does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from tropctl.errors import ValidationError
 from tropctl.graphs import Flag
+from tropctl.laurent import LaurentSeries, PhyloLeaf, PhyloNode
 
 
 def row_reduce(rows):
@@ -201,3 +206,63 @@ def residue_coefficient_rows(model):
                         c * finite[i].weight * finite[i].direction[t]
                     )
     return rows + coeff_rows, nvars
+
+
+# -- Laurent order and phylogenetic tree ----------------------------------------
+
+
+def series_greater(p, q) -> bool:
+    """p dominates q: the lowest term of p - q is p's alone."""
+    diff = p - q
+    return not diff.is_zero() and q.coeff(diff.order()) == 0
+
+
+def series_cmp(p, q) -> int:
+    """-1, 0 or 1 by the lowest term of p - q; raises incomparable-series."""
+    diff = p - q
+    if diff.is_zero():
+        return 0
+    m = diff.order()
+    if q.coeff(m) == 0:
+        return 1
+    if p.coeff(m) == 0:
+        return -1
+    raise ValidationError("incomparable-series", "two series are incomparable")
+
+
+def phylo_by_runs(items):
+    """Tree of an ascending (label, series) family.
+
+    Maximal runs of equal order split the family; the runs become a comb
+    with the largest series nearest the root, and a run with more than one
+    member recurses after its common leading terms are removed (equal orders
+    inside an ascending chain force equal leading coefficients).
+    """
+    if not items:
+        raise ValidationError("empty-family", "the series family is empty")
+    if not all(series_greater(q, p) for (_a, p), (_b, q) in zip(items, items[1:])):
+        raise ValidationError("not-ascending", "the series family must be strictly ascending")
+    return _runs(list(items))
+
+
+def _runs(items):
+    if len(items) == 1:
+        return PhyloLeaf(items[0][0])
+    while True:
+        groups = []
+        for lab, s in items:
+            if groups and groups[-1][0][1].order() == s.order():
+                groups[-1].append((lab, s))
+            else:
+                groups.append([(lab, s)])
+        if len(groups) > 1:
+            break
+        # one run: every member shares its leading terms; strip them at once
+        k = 1
+        while all(len(s.terms) > k and s.terms[k] == items[0][1].terms[k] for _lab, s in items):
+            k += 1
+        items = [(lab, LaurentSeries(s.terms[k:])) for lab, s in items]
+    tree = _runs(groups[0])
+    for grp in groups[1:]:
+        tree = PhyloNode(first=_runs(grp), second=tree, depth=grp[0][1].order())
+    return tree

@@ -325,6 +325,23 @@ def test_per_vertex_data_for_an_unknown_vertex(capsys, tmp_path, command, doc, n
     assert rep["error"]["context"] == {"vertex": unknown}
 
 
+@pytest.mark.parametrize("command", ["phylo", "compare"])
+@pytest.mark.parametrize(
+    "series, error_type",
+    [
+        ([[], [[-3, "1"]], [[-3, "2"]]], "incomparable-series"),
+        ([[], [[-3, "1"]], [[-3, "1"]]], "not-ascending"),
+        ([[[-1, "1"]], [[-3, "1"]], [[-5, "1"]]], "bad-laurent"),
+    ],
+    ids=["incomparable", "repeated", "nonzero-first"],
+)
+def test_series_that_give_no_tree(capsys, tmp_path, hv536, command, series, error_type):
+    lau = write_json(tmp_path / "lau.json", {"vertices": {"V": {"series": series}}})
+    code, rep = run_json(capsys, command, hv536, "--laurent", lau, "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == error_type
+
+
 def test_phylo_warns_on_missing_data(capsys, tmp_path, hv536):
     lau = write_json(tmp_path / "lau.json", {"vertices": {}})
     code, rep = run_json(capsys, "phylo", hv536, "--laurent", lau, "--format", "json")
@@ -681,6 +698,23 @@ def test_a_shared_field_fault_reads_alike_in_every_file_kind(capsys, tmp_path, h
     assert code == 2
     assert rep["error"]["error_type"] == error_type
     assert rep["error"].get("context", {}) == (context(tmp_path) if callable(context) else context)
+
+
+@pytest.mark.parametrize(
+    "first_edge, message",
+    [
+        ({"direction": [2, 0]}, "edge E1 direction must be primitive and nonzero"),
+        ({"direction": [1, 0], "bounded": "yes"}, "edge E1 bounded must be a boolean"),
+    ],
+    ids=["direction", "bounded"],
+)
+def test_model_edge_checks_read_like_the_shared_readers(capsys, tmp_path, first_edge, message):
+    edges = [first_edge, {"direction": [0, 1]}, {"direction": [-1, -1]}]
+    code, rep = run_json(capsys, *_model_with(tmp_path, edges), "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "bad-model"
+    assert rep["error"]["message"] == message
+    assert rep["error"]["context"] == {"edge": "E1"}
 
 
 def test_a_model_over_the_valence_cap_is_rejected_before_its_edges_are_read(capsys, tmp_path):

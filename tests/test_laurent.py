@@ -24,6 +24,7 @@ from tropctl.laurent import (
 from tropctl.randgen import random_ascending_series
 
 import fixtures
+import oracles
 
 
 def _s(*terms):
@@ -158,3 +159,50 @@ def test_random_ascending_families_are_chains(seed):
     for i in range(len(fam)):
         for j in range(i + 1, len(fam)):
             assert laurent_less(fam[i], fam[j])
+
+
+# -- differential checks against tests/oracles.py ------------------------------
+
+# small exponent ranges and few coefficients, so that equal, comparable and
+# incomparable pairs all come up often
+_terms = st.lists(
+    st.tuples(st.integers(-6, 2), st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)])),
+    max_size=5,
+)
+_series = _terms.map(LaurentSeries)
+
+
+def _outcome(f, *args):
+    """f's result, or the kind of the ValidationError it raises."""
+    try:
+        return f(*args)
+    except ValidationError as err:
+        return ("raised", err.kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series, _series, _terms)
+def test_order_matches_the_difference_series(p, q, tail):
+    r = LaurentSeries(p.terms + tuple(tail))  # agrees with p up to tail's lowest exponent
+    for a, b in [(p, q), (q, p), (p, p), (p, r), (r, p)]:
+        assert _outcome(laurent_cmp, a, b) == _outcome(oracles.series_cmp, a, b)
+        assert laurent_greater(a, b) == oracles.series_greater(a, b)
+        assert laurent_less(a, b) == oracles.series_greater(b, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=9))
+def test_phylo_tree_matches_the_runs_reference(seed, count):
+    rng = random.Random(seed)
+    items = list(enumerate(random_ascending_series(rng, count), start=1))
+    for family in [items] + [rebase(items, lab) for lab, _s in items]:
+        assert phylo_tree(family) == oracles.phylo_by_runs(family)
+    rng.shuffle(items)  # usually no longer ascending
+    assert _outcome(phylo_tree, items) == _outcome(oracles.phylo_by_runs, items)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_series, max_size=5))
+def test_phylo_tree_of_any_family_matches_the_runs_reference(family):
+    items = list(enumerate(family))
+    assert _outcome(phylo_tree, items) == _outcome(oracles.phylo_by_runs, items)

@@ -273,7 +273,7 @@ def test_genus1_criterion_rejects_other_genus():
 def test_vertex_phylo_labels_are_edge_ids():
     c = fixtures.curve(fixtures.ex536_doc())
     model = LocalModel.from_star(c, "V")
-    from tropctl.laurent import LaurentSeries, leaf_labels
+    from tropctl.laurent import LaurentSeries, clusters
 
     series = [
         LaurentSeries.zero(),
@@ -281,7 +281,7 @@ def test_vertex_phylo_labels_are_edge_ids():
         LaurentSeries([(-5, 1)]),
     ]
     tree = vertex_phylo(model, series)
-    assert leaf_labels(tree) == frozenset({"e1_va", "e2_cv", "e3_vp"})
+    assert frozenset({"e1_va", "e2_cv", "e3_vp"}) in clusters(tree)
 
 
 def test_vertex_phylo_checks_the_series():
