@@ -19,7 +19,7 @@ import random
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .curves import contract_image, degree, expected_dim, is_immersive, parse_curve
+from .curves import DEFAULT_MAX_DIM, contract_image, degree, expected_dim, is_immersive, parse_curve
 from .errors import TropctlError, ValidationError
 from .laurent import PhyloLeaf, clusters, parse_laurent_doc
 from .inputs import parse_rational, rationals, read_doc, vertex_lists
@@ -127,7 +127,7 @@ def build_parser() -> _Parser:
 
 
 def _max_dim() -> int:
-    raw = os.environ.get("TROPCTL_MAX_DIM", "16")
+    raw = os.environ.get("TROPCTL_MAX_DIM", str(DEFAULT_MAX_DIM))
     try:
         cap = int(raw)
     except ValueError:

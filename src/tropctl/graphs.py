@@ -4,6 +4,13 @@ Graphs may have parallel edges and (rarely useful but legal) self-loops.
 Unbounded edges have exactly one vertex endpoint; the missing endpoint is
 represented by None.  All iteration orders are fixed by sorted ids so that
 every downstream matrix and report is reproducible.
+
+Each graph builds one greedy spanning forest over its sorted bounded edges
+when it is made.  That forest answers the cycle questions: the graph is
+connected when the forest has one root, the genus is the number of edges
+left out of it, the loop part is the union of its fundamental cycles, and
+the abundancy map has one row block per fundamental cycle.  Only the walk
+that cuts the loop part into chains steps over the graph itself.
 """
 
 from __future__ import annotations
@@ -74,47 +81,29 @@ class AbstractGraph:
         self.vertex_ids: tuple[str, ...] = tuple(sorted(known))
         self.edge_ids: tuple[str, ...] = tuple(sorted(emap))
         self.edges: dict[str, Edge] = {eid: emap[eid] for eid in self.edge_ids}
-        self._adj: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertex_ids}
+        adj: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertex_ids}
         for eid in self.edge_ids:
             e = self.edges[eid]
-            self._adj[e.ends[0]].append((eid, 0))
+            adj[e.ends[0]].append((eid, 0))
             if e.ends[1] is not None:
-                self._adj[e.ends[1]].append((eid, 1))
+                adj[e.ends[1]].append((eid, 1))
+        # edges in sorted id order, slot 0 before slot 1: already sorted
+        self._adj: dict[str, tuple[tuple[str, int], ...]] = {v: tuple(a) for v, a in adj.items()}
         for v in self.vertex_ids:
             if not self._adj[v]:
                 raise ValidationError("isolated-vertex", f"vertex {v} has no incident edge", vertex=v)
-        if not self._connected():
+        self.forest = spanning_forest(self, self.bounded_edge_ids())
+        if len(set(self.forest.root.values())) > 1:
             raise ValidationError("disconnected", "graph is not connected")
 
     # -- basic structure ---------------------------------------------------
 
-    def _connected(self) -> bool:
-        seen = {self.vertex_ids[0]}
-        stack = [self.vertex_ids[0]]
-        while stack:
-            v = stack.pop()
-            for eid, slot in self._adj[v]:
-                o = self.edges[eid].ends[1 - slot]
-                if o is not None and o not in seen:
-                    seen.add(o)
-                    stack.append(o)
-        return len(seen) == len(self.vertex_ids)
-
-    def incident(self, v: str) -> list[tuple[str, int]]:
+    def incident(self, v: str) -> tuple[tuple[str, int], ...]:
         """(edge id, slot) pairs at v, sorted by edge id then slot."""
-        return sorted(self._adj[v])
+        return self._adj[v]
 
     def valence(self, v: str) -> int:
         return len(self._adj[v])
-
-    def flags(self) -> list[Flag]:
-        out = []
-        for eid in self.edge_ids:
-            e = self.edges[eid]
-            out.append(Flag(e.ends[0], eid, 0))
-            if e.ends[1] is not None:
-                out.append(Flag(e.ends[1], eid, 1))
-        return out
 
     def bounded_edge_ids(self) -> list[str]:
         return [eid for eid in self.edge_ids if not self.edges[eid].is_unbounded]
@@ -128,42 +117,24 @@ class AbstractGraph:
     # -- counts ------------------------------------------------------------
 
     def genus(self) -> int:
-        return len(self.bounded_edge_ids()) - len(self.vertex_ids) + 1
+        return len(self.forest.rest)
 
     # -- loop decomposition --------------------------------------------------
 
     def loop_part(self) -> frozenset[str]:
         """Bounded edges whose interior removal lowers the first Betti number.
 
-        These are the bounded edges that are not bridges, found by one
-        iterative depth-first search with low points (Tarjan 1972).  The
-        search steps over edge ids rather than parent vertices, so a
-        parallel edge or a self-loop is never mistaken for a bridge.
+        These are the bounded edges that lie on a cycle, found as the union
+        of the forest's fundamental cycles.  An edge lies on some cycle
+        exactly when it lies on a fundamental cycle, because the fundamental
+        cycles span the cycle space: a sum of them has a zero coefficient on
+        every edge that none of them crosses.  A self-loop or a parallel
+        edge is left out of the forest and closes a cycle of its own.
         """
-        order = {self.vertex_ids[0]: 0}
-        low = dict(order)
-        bridges = set()
-        stack = [(self.vertex_ids[0], None, iter(self._adj[self.vertex_ids[0]]))]
-        while stack:
-            v, via, todo = stack[-1]
-            for eid, slot in todo:
-                o = self.edges[eid].ends[1 - slot]
-                if o is None or eid == via:
-                    continue
-                if o in order:
-                    low[v] = min(low[v], order[o])
-                else:
-                    order[o] = low[o] = len(order)
-                    stack.append((o, eid, iter(self._adj[o])))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[v])
-                    if low[v] > order[p]:
-                        bridges.add(via)
-        return frozenset(self.bounded_edge_ids()).difference(bridges)
+        loop: set[str] = set()
+        for eid in self.forest.rest:
+            loop.update(fundamental_cycle(self, self.forest, eid))
+        return frozenset(loop)
 
     def loop_decomposition(self) -> LoopDecomposition:
         loop = self.loop_part()
@@ -184,7 +155,7 @@ def _cut_chains(g: AbstractGraph, loop: frozenset[str]) -> tuple[Chain, ...]:
     used: set[str] = set()
     chains: list[Chain] = []
 
-    def walk(start_v: str, eid: str) -> Chain:
+    def walk(start_v: str, eid: str, closed: bool) -> Chain:
         edges = [eid]
         verts = [start_v]
         used.add(eid)
@@ -207,36 +178,34 @@ def _cut_chains(g: AbstractGraph, loop: frozenset[str]) -> tuple[Chain, ...]:
             f = g.edges[fid]
             cur = f.ends[1 - slot]
             verts.append(cur)
-        return Chain(tuple(edges), tuple(verts), closed=False)
+        return Chain(tuple(edges), tuple(verts), closed)
 
     for j in sorted(junctions):
         for eid, _slot in g.incident(j):
             if eid in loop and eid not in used:
-                chains.append(walk(j, eid))
+                chains.append(walk(j, eid, closed=False))
     # leftover loop edges belong to cycles with no junction: closed chains
-    leftover = sorted(loop - used)
-    while leftover:
-        start = leftover[0]
-        e = g.edges[start]
-        ch = walk(e.ends[0], start)
-        chains.append(Chain(ch.edges, ch.vertices, closed=True))
-        leftover = sorted(loop - used)
-    return tuple(sorted(chains, key=lambda c: c.edges[0]))
+    for eid in sorted(loop):
+        if eid not in used:
+            chains.append(walk(g.edges[eid].ends[0], eid, closed=True))
+    return tuple(sorted(chains, key=lambda c: min(c.edges)))
 
 
 class Forest(NamedTuple):
-    """A spanning forest and the signed paths to its roots.
+    """A greedy spanning forest, as one parent pointer per vertex.
 
     rest lists, in the order given, the edges left out of the forest because
-    they close a cycle.  root maps every vertex to the smallest vertex of its
-    component.  path maps every vertex to the forest edges from its root to
-    it, as {edge: +1} when the walk crosses the edge from ends[0] to ends[1]
-    and {edge: -1} when it crosses the other way.
+    they close a cycle; each closes one fundamental cycle
+    (`fundamental_cycle`).  root maps every vertex to the smallest vertex of
+    its component.  up maps every vertex to (parent, edge, sign, depth): the
+    forest edge towards its root, with sign +1 when the walk from the root
+    crosses it from ends[0] to ends[1] and -1 the other way, and its number
+    of edges from the root.  A root's entry is (None, None, 0, 0).
     """
 
     rest: tuple[str, ...]
     root: dict[str, str]
-    path: dict[str, dict[str, int]]
+    up: dict[str, tuple]
 
 
 def spanning_forest(g: AbstractGraph, edges: Iterable[str]) -> Forest:
@@ -260,20 +229,44 @@ def spanning_forest(g: AbstractGraph, edges: Iterable[str]) -> Forest:
             parent[max(ra, rb)] = min(ra, rb)  # each root is its component's smallest vertex
             tree[a].append((eid, b, 1))
             tree[b].append((eid, a, -1))
-    root = {v: find(v) for v in g.vertex_ids}
-    path: dict[str, dict[str, int]] = {}
+    root: dict[str, str] = {}
+    up: dict[str, tuple] = {}
     for r in g.vertex_ids:
-        if root[r] != r:
+        if parent[r] != r:
             continue
-        path[r] = {}
+        root[r] = r
+        up[r] = (None, None, 0, 0)
         todo = [r]
         while todo:
             v = todo.pop()
+            depth = up[v][3] + 1
             for eid, o, sign in tree[v]:
-                if o not in path:
-                    path[o] = {**path[v], eid: sign}
+                if o not in up:
+                    root[o] = r
+                    up[o] = (v, eid, sign, depth)
                     todo.append(o)
-    return Forest(tuple(rest), root, path)
+    return Forest(tuple(rest), root, up)
+
+
+def fundamental_cycle(g: AbstractGraph, forest: Forest, eid: str) -> dict[str, int]:
+    """The cycle that eid, an edge of forest.rest, closes in the forest.
+
+    The cycle runs along eid from ends[0] to ends[1] and back through the
+    forest; it is returned as {edge: +1} for the edges it crosses from
+    ends[0] to ends[1] and {edge: -1} for the others.  Both ends climb to
+    the vertex where they meet, so the cost is the cycle's length.
+    """
+    a, b = g.edges[eid].ends
+    cycle = {eid: 1}
+    up = forest.up
+    while a != b:
+        if up[a][3] >= up[b][3]:
+            a, e, sign, _depth = up[a]
+            cycle[e] = sign
+        else:
+            b, e, sign, _depth = up[b]
+            cycle[e] = -sign
+    return cycle
 
 
 def require_trivalent(g: AbstractGraph, what: str = "operation"):

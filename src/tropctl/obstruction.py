@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
-from .graphs import AbstractGraph, Flag, require_trivalent, spanning_forest
+from .graphs import AbstractGraph, Flag, Forest, fundamental_cycle, require_trivalent, spanning_forest
 from .linalg import Q0, Subspace, content_and_primitive, kernel, row_blocks
 
 
@@ -126,7 +126,7 @@ def dual_obstruction_chain(ct) -> dict:
 
     out = flag_system(g, n, loop, decomp.loop_edges, chain_rows())
     chains = []
-    for chain in sorted(decomp.chains, key=lambda c: min(c.edges)):
+    for chain in decomp.chains:
         perp = kernel(n, [ct.directions[eid] for eid in chain.edges])
         chains.append(
             {
@@ -148,19 +148,11 @@ def parameter_dimension(obj) -> int:
 # -- abundancy ------------------------------------------------------------------
 
 
-def _cycle_rows(c: TropicalCurve, path: dict, eid: str, col: dict) -> list:
+def _cycle_rows(c: TropicalCurve, forest: Forest, eid: str, col: dict) -> list:
     """The n rows of length-weighted directions around the cycle that the
     non-tree edge eid closes, over the loop-edge columns `col`."""
-    a, b = c.graph.edges[eid].ends
-    coeff = {eid: 1}
-    for e2, s in path[a].items():
-        coeff[e2] = coeff.get(e2, 0) + s
-    for e2, s in path[b].items():
-        coeff[e2] = coeff.get(e2, 0) - s
     rows = [{} for _ in range(c.n)]
-    for e2, s in coeff.items():
-        if s == 0:
-            continue
+    for e2, s in fundamental_cycle(c.graph, forest, eid).items():
         u = c.directions[e2]
         if u is None:
             raise PreconditionError(
@@ -183,10 +175,9 @@ def abundancy_map(c: TropicalCurve):
     """
     g = c.graph
     col = {eid: j for j, eid in enumerate(sorted(g.loop_part()))}
-    forest = spanning_forest(g, g.bounded_edge_ids())
     rows = []
-    for eid in forest.rest:
-        rows.extend(_cycle_rows(c, forest.path, eid, col))
+    for eid in g.forest.rest:
+        rows.extend(_cycle_rows(c, g.forest, eid, col))
     rank = Subspace(len(col), rows).dim
     return rank, rank == g.genus() * c.n
 
@@ -217,7 +208,7 @@ def reduced_abundancy_map(c: TropicalCurve):
                 edge=eid,
             )
         ann = kernel(n, [d])
-        cycle_rows = _cycle_rows(c, forest.path, eid, col)
+        cycle_rows = _cycle_rows(c, forest, eid, col)
         for a in ann.basis:
             row = {}
             for k, ak in a.items():

@@ -2,10 +2,12 @@
 
 Deliberately self-contained: the row reduction here is written from scratch
 over Fractions and must not import the package's linear algebra, so that
-dimension claims are checked by two unrelated code paths.  The Laurent
-references read the order off the difference series p - q and build the
-phylogenetic tree from runs of equal order, not from where neighbours first
-differ as `tropctl.laurent` does.
+dimension claims are checked by two unrelated code paths.  The cycle
+reference builds a root path per vertex and merges the two paths of an
+edge's ends, not the parent pointers that `tropctl.graphs` climbs.  The
+Laurent references read the order off the difference series p - q and
+build the phylogenetic tree from runs of equal order, not from where
+neighbours first differ as `tropctl.laurent` does.
 """
 
 from __future__ import annotations
@@ -73,14 +75,80 @@ def nullity(rows, ncols) -> int:
     return ncols - matrix_rank(rows)
 
 
+# -- fundamental cycles from root paths ------------------------------------
+
+
+def root_path_cycles(graph, edges):
+    """(rest, root, cycles) of the greedy spanning forest of `edges`.
+
+    A union-find takes the edges in order; rest lists the ones that close a
+    cycle and root maps each vertex to its component's smallest vertex.
+    Every vertex gets the signed forest path from its root ({edge: +1} when
+    crossed from ends[0] to ends[1]), and the cycle of a rest edge a-b is
+    {edge: 1} plus path(a) minus path(b), without the zero coefficients of
+    the edges the two paths share.
+    """
+    parent = {v: v for v in graph.vertex_ids}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    tree = {v: [] for v in graph.vertex_ids}
+    rest = []
+    for eid in edges:
+        a, b = graph.edges[eid].ends
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            rest.append(eid)
+        else:
+            parent[max(ra, rb)] = min(ra, rb)
+            tree[a].append((eid, b, 1))
+            tree[b].append((eid, a, -1))
+    root = {v: find(v) for v in graph.vertex_ids}
+    path = {}
+    for r in graph.vertex_ids:
+        if root[r] == r:
+            path[r] = {}
+            todo = [r]
+            while todo:
+                v = todo.pop()
+                for eid, o, sign in tree[v]:
+                    if o not in path:
+                        path[o] = {**path[v], eid: sign}
+                        todo.append(o)
+    cycles = {}
+    for eid in rest:
+        a, b = graph.edges[eid].ends
+        coeff = {eid: 1}
+        for e, s in path[a].items():
+            coeff[e] = coeff.get(e, 0) + s
+        for e, s in path[b].items():
+            coeff[e] = coeff.get(e, 0) - s
+        cycles[eid] = {e: s for e, s in coeff.items() if s != 0}
+    return tuple(rest), root, cycles
+
+
 # -- naive compatible-numbering flag system ----------------------------------
+
+
+def all_flags(graph):
+    """Every flag of the graph, edge by edge in sorted id order, slot 0 first."""
+    out = []
+    for eid in graph.edge_ids:
+        e = graph.edges[eid]
+        out.append(Flag(e.ends[0], eid, 0))
+        if e.ends[1] is not None:
+            out.append(Flag(e.ends[1], eid, 1))
+    return out
 
 
 def numbering_system(graph):
     """One scalar per flag (bounded and unbounded alike); rows pin unbounded
     flags to zero, sum each vertex's flags to zero, and sum each bounded
     edge's two flags to zero."""
-    flags = list(graph.flags())
+    flags = all_flags(graph)
     index = {f: i for i, f in enumerate(flags)}
     nvars = len(flags)
     rows = []

@@ -856,6 +856,15 @@ def test_max_dim_env(capsys, monkeypatch, tmp_path, square):
     assert rep2["error"]["error_type"] == "bad-env"
 
 
+def test_max_dim_without_env_is_the_curve_default(capsys, monkeypatch, square):
+    monkeypatch.delenv("TROPCTL_MAX_DIM", raising=False)
+    assert run_json(capsys, "validate", square, "--format", "json")[0] == 0
+    monkeypatch.setattr("tropctl.cli.DEFAULT_MAX_DIM", 2)
+    code, rep = run_json(capsys, "validate", square, "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "dimension-cap"
+
+
 def test_text_mode_orders_dimensions_first(capsys, square):
     code, out = run(capsys, "obstruction", square)
     assert code == 0

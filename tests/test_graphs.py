@@ -1,14 +1,17 @@
 """Graph core: construction checks, genus, loop decomposition, chains."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropctl.errors import ValidationError
-from tropctl.graphs import AbstractGraph
+from tropctl.graphs import AbstractGraph, Edge, fundamental_cycle, spanning_forest
 from tropctl.randgen import random_trivalent_graph
 
 import fixtures
+import oracles
 
 
 def theta_graph():
@@ -132,3 +135,88 @@ def test_random_trivalent_graphs_have_requested_genus():
         assert g.loop_part() == {
             eid for eid in g.bounded_edge_ids() if endpoints_connected_without(g, eid)
         }
+
+
+def random_multigraph(rng, connected=True):
+    """(vertices, edges) of a random multigraph: a random tree (its edges
+    are bridges and twigs) plus chords, parallel edges and self-loops, and
+    one unbounded leg per vertex so that none is isolated.  Ids are drawn
+    at random so that sorted order has nothing to do with the structure.
+    Unless connected, each tree edge is dropped with probability 1/3."""
+    k = rng.randint(1, 8)
+    vertices = [f"v{i:02d}" for i in rng.sample(range(100), k)]
+    ends = [(vertices[rng.randrange(i)], vertices[i]) for i in range(1, k)]
+    if not connected:
+        ends = [pair for pair in ends if rng.random() > 1 / 3]
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.choice(["chord", "parallel", "selfloop"])
+        if kind == "parallel" and ends:
+            ends.append(rng.choice(ends))
+        elif kind == "selfloop":
+            v = rng.choice(vertices)
+            ends.append((v, v))
+        else:
+            ends.append((rng.choice(vertices), rng.choice(vertices)))
+    ends = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in ends]
+    ends += [(v, None) for v in vertices]
+    ids = [f"e{i:03d}" for i in rng.sample(range(1000), len(ends))]
+    return vertices, [(eid, pair, 1) for eid, pair in zip(ids, ends)]
+
+
+def reaches_every_vertex(vertices, edges):
+    seen, todo = {vertices[0]}, [vertices[0]]
+    while todo:
+        v = todo.pop()
+        for _eid, (a, b), _weight in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == v and y is not None and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    return len(seen) == len(vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_random_multigraphs_loop_part_and_connectivity(seed, connected):
+    vertices, edges = random_multigraph(random.Random(seed), connected)
+    if not reaches_every_vertex(vertices, edges):
+        with pytest.raises(ValidationError) as err:
+            AbstractGraph(vertices, edges)
+        assert err.value.kind == "disconnected"
+        return
+    g = AbstractGraph(vertices, edges)
+    assert g.loop_part() == {
+        eid for eid in g.bounded_edge_ids() if endpoints_connected_without(g, eid)
+    }
+    assert g.genus() == len(g.bounded_edge_ids()) - len(g.vertex_ids) + 1
+    assert all(list(g.incident(v)) == sorted(g.incident(v)) for v in g.vertex_ids)
+    # the chains partition the loop part, in the order of their smallest edge
+    chains = g.loop_decomposition().chains
+    assert sorted(e for ch in chains for e in ch.edges) == sorted(g.loop_part())
+    assert [min(ch.edges) for ch in chains] == sorted(min(ch.edges) for ch in chains)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_fundamental_cycles_match_the_root_path_reference(seed, connected):
+    vertices, edges = random_multigraph(random.Random(seed), connected)
+    # the fields that spanning_forest reads, also of a disconnected graph
+    g = SimpleNamespace(
+        vertex_ids=tuple(sorted(vertices)),
+        edges={eid: Edge(eid, pair, weight) for eid, pair, weight in edges},
+    )
+    bounded = sorted(eid for eid, (_a, b), _w in edges if b is not None)
+    # the orders of the abundancy map and of the reduced abundancy map
+    for order in (bounded, bounded[::-1]):
+        forest = spanning_forest(g, order)
+        rest, root, cycles = oracles.root_path_cycles(g, order)
+        assert (forest.rest, forest.root) == (rest, root)
+        for eid in forest.rest:
+            cycle = fundamental_cycle(g, forest, eid)
+            assert cycle == cycles[eid]
+            boundary = {}
+            for e, sign in cycle.items():
+                a, b = g.edges[e].ends
+                boundary[b] = boundary.get(b, 0) + sign
+                boundary[a] = boundary.get(a, 0) - sign
+            assert set(boundary.values()) <= {0}

@@ -1,8 +1,9 @@
 """No dead helpers: every module-level function and class of the package is
 named somewhere in the package besides its own definition, or is public
-API listed in `tropctl.__all__`; every method of a package class is named
-somewhere in the package besides its own definition; every module-level
-constant is read somewhere in the package, or is in `tropctl.__all__`."""
+API listed in `tropctl.__all__`; every method of a package class is reached
+by attribute access somewhere in the package besides its own definition;
+every module-level constant is read somewhere in the package, or is in
+`tropctl.__all__`."""
 
 import ast
 import importlib
@@ -28,6 +29,11 @@ def _names(node) -> Counter:
     return out
 
 
+def _attributes(node) -> Counter:
+    """How often each attribute name is reached as `x.name` inside node."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def _package():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     return trees, sum((_names(tree) for tree in trees.values()), Counter())
@@ -50,9 +56,12 @@ def test_every_definition_is_used_or_exported():
 
 
 def test_every_method_is_used():
-    """Dunders are called by the language, and an override of a base-class
-    method (such as `_Parser.error`) by the base class."""
-    trees, named = _package()
+    """A method counts as used only when reached as `x.method`: a bare name
+    of the same spelling is some other variable.  Dunders are called by the
+    language, and an override of a base-class method (such as
+    `_Parser.error`) by the base class."""
+    trees, _named = _package()
+    reached = sum((_attributes(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
         if module in EXEMPT:
@@ -68,7 +77,7 @@ def test_every_method_is_used():
                     continue
                 if any(hasattr(base, node.name) for base in bases):
                     continue
-                if named[node.name] - _names(node)[node.name] <= 0:
+                if reached[node.name] - _attributes(node)[node.name] <= 0:
                     unused.append(f"{module}.{cls.name}.{node.name}")
     assert unused == []
 
