@@ -574,7 +574,8 @@ def _print_text_report(rep):
     if "error" in rep:
         payload = rep["error"]
         ctx = payload.get("context") or {}
-        extra = "".join(f" {k}={v}" for k, v in sorted(ctx.items()))
+        shown = {k: v if isinstance(v, str) else json.dumps(v, sort_keys=True) for k, v in ctx.items()}
+        extra = "".join(f" {k}={v}" for k, v in sorted(shown.items()))
         print(f"error[{payload['error_type']}]: {payload['message']}{extra}")
         return
     keys = [k for k in rep if k not in ("schema", "command", "inputs", "warnings")]

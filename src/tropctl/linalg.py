@@ -19,9 +19,9 @@ column order reversed, and reads the canonical basis of the solution space
 off the same reduced rows, so a kernel costs one elimination and not two.
 The reduced echelon form is unique, so no basis depends on how it was
 computed.  The systems built elsewhere in this package are large and
-sparse: a genus-40 loop chain in R^3 gives a 798x360 residue system with
-under 1% of its entries nonzero, because every row is a condition at one
-vertex and touches only the flags there.
+sparse: a genus-40 loop chain in R^3 gives a 600x360 residue system with
+under 1% of its entries nonzero, because every row is a condition on one
+edge or at one vertex and touches only the flags there.
 """
 
 from __future__ import annotations

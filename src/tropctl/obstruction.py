@@ -7,15 +7,17 @@ outside the loop subgraph, subject to linear conditions at each vertex.
 and gives a basis of H in per-flag form: each basis vector is a
 {Flag: covector} dict that holds only its nonzero covectors, so it costs
 its nonzeros and not the number of flags (a basis vector of a genus-40
-loop chain is nonzero on about 6 of its 240 flags).  The chain method
-(here) and the residue method (`residues.xi_map`) differ only in the vertex
-conditions.  The chain method works from directions alone: each loop
-covector is perpendicular to its edge direction and the covectors at a
-vertex sum to zero, so a maximal chain carries one covector and junction
-vertices impose the signed sum conditions.
+loop chain is nonzero on about 6 of its 240 flags).  It writes the
+conditions of every method: the covectors at a vertex sum to zero and each
+is perpendicular to its edge direction.  The chain method (here) adds
+nothing to them, so a maximal chain carries one covector and junction
+vertices impose the signed sums; the residue method (`residues.xi_map`)
+adds the residue sums at each vertex.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
@@ -23,15 +25,20 @@ from .graphs import AbstractGraph, Flag, Forest, fundamental_cycle, require_triv
 from .linalg import Q0, Subspace, content_and_primitive, kernel, row_blocks
 
 
-def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict:
+def flag_system(g: AbstractGraph, n: int, edges, variables, directions=None, vertex_rows=()) -> dict:
     """Kernel of a flag system, solved over one n-covector w_e per variable edge.
 
     The flag at slot 0 of edge e carries +w_e and the flag at slot 1 carries
-    -w_e, for e in `variables`; flags of other edges carry zero.
-    `vertex_rows` yields (flags, rows) pairs: each row is a condition at one
-    vertex, a sparse {i * n + k: coefficient} dict over the concatenated
-    n-covectors of those flags, so key i * n + k is entry k of the covector
-    at flags[i].  Terms on flags of non-variable edges are dropped.
+    -w_e, for e in `variables`; flags of other edges carry zero.  The shared
+    conditions are written here: n rows per vertex with a variable flag say
+    that the covectors on its variable flags sum to zero, and when
+    `directions` ({edge id: direction}) is given, one row per variable edge
+    says that w_e is perpendicular to its direction.  `vertex_rows` yields
+    a method's own conditions as (flags, rows) pairs: each row is a
+    condition at one vertex, a sparse {i * n + k: coefficient} dict over
+    the concatenated n-covectors of those flags, so key i * n + k is entry
+    k of the covector at flags[i].  Terms on flags of non-variable edges
+    are dropped, and so is a row they leave empty.
 
     The kernel comes from one elimination of the rows (`linalg.kernel`).
     Returns its dimension, `flag_order` (the flags of `edges`,
@@ -48,8 +55,11 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
         if eid in variables
     ]
     base = {f0.edge: i * n for i, (f0, _f1) in enumerate(flag_pairs)}
-    rows = []
-    for flags, local_rows in vertex_rows:
+    perpendicular = base if directions is not None else ()
+    rows = [{base[eid] + k: x for k, x in enumerate(directions[eid])} for eid in perpendicular]
+    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in base] for v in g.vertex_ids)
+    sums = ((f, [dict.fromkeys(range(k, len(f) * n, n), 1) for k in range(n)]) for f in stars if f)
+    for flags, local_rows in itertools.chain(sums, vertex_rows):
         for local in local_rows:
             row = {}
             for key, c in local.items():
@@ -57,7 +67,8 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, vertex_rows) -> dict
                 b = base.get(flags[i].edge)
                 if b is not None:
                     row[b + k] = row.get(b + k, 0) + (c if flags[i].slot == 0 else -c)
-            rows.append(row)
+            if row:
+                rows.append(row)
     space = kernel(len(base) * n, rows)
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     basis = []
@@ -80,10 +91,7 @@ def compatible_numbering_space(obj) -> dict:
     """
     g = obj if isinstance(obj, AbstractGraph) else obj.graph
     bounded = g.bounded_edge_ids()
-    # unbounded flags carry no variable, so the assembler drops their terms
-    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v)] for v in g.vertex_ids)
-    vertex_sums = ((flags, [dict.fromkeys(range(len(flags)), 1)]) for flags in stars)
-    return flag_system(g, 1, bounded, set(bounded), vertex_sums)
+    return flag_system(g, 1, bounded, set(bounded))
 
 
 # -- chain-method obstruction dual ----------------------------------------------
@@ -108,23 +116,7 @@ def dual_obstruction_chain(ct) -> dict:
                 f"loop edge {eid} has no direction; chains need one on every loop edge",
                 edge=eid,
             )
-
-    def chain_rows():
-        # perpendicularity to the edge direction, stated once per edge at its
-        # slot-0 flag, and the vertex sums
-        for v in g.vertex_ids:
-            flags = [Flag(v, e, slot) for e, slot in g.incident(v) if e in decomp.loop_edges]
-            if not flags:
-                continue
-            rows = [
-                {i * n + k: x for k, x in enumerate(ct.directions[f.edge])}
-                for i, f in enumerate(flags)
-                if f.slot == 0
-            ]
-            rows += [dict.fromkeys(range(k, len(flags) * n, n), 1) for k in range(n)]
-            yield flags, rows
-
-    out = flag_system(g, n, loop, decomp.loop_edges, chain_rows())
+    out = flag_system(g, n, loop, decomp.loop_edges, ct.directions)
     chains = []
     for chain in decomp.chains:
         perp = kernel(n, [ct.directions[eid] for eid in chain.edges])

@@ -10,9 +10,9 @@ identically.  That polynomial has degree m - 2 for m finite marked points
 p_k, so it vanishes iff it vanishes at p_1..p_{m-1}; its value at p_k is,
 up to a nonzero factor, the residue sum over j != k of
 (a[k,j] + a[j,k]) / (p_k - p_j), and those m - 1 sums are the rows written
-here.  `xi_map` hands these local rows, vertex by vertex, to the flag system
-assembler of `obstruction`, whose kernel is the curve-level obstruction
-space; on a 3-valent curve it agrees with the chain method.
+here.  In `xi_map`, `obstruction.flag_system` adds the other two conditions
+to them; its kernel is the curve-level obstruction space, and on a
+3-valent curve it agrees with the chain method.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .obstruction import dual_obstruction_chain, flag_system
 # whose series reach |e| = 10,000 (laurent.MAX_EXPONENT), numbers of some
 # 60,000 digits at t = 10^-6, `compare` ran 570 s and grew past 1 GB before
 # it was stopped.  Evaluation points that keep them small are left to the
-# certified `compare` of ROADMAP.md (direction 3).
+# certified `compare` that ROADMAP.md plans.
 MAX_VALENCE = 16
 
 
@@ -225,13 +225,22 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
 
 
 def _local_rows(model: LocalModel):
-    """(rows, bounded slot records) of the local obstruction system.
+    """(rows, bounded slot records) of the local obstruction system, over
+    one n-covector per bounded slot in slot order: each bounded covector is
+    perpendicular to its own edge, the covectors sum to zero, and the
+    residue sums of `_residue_rows` vanish."""
+    n = model.n
+    bounded = [rec for rec in model.slots if rec.bounded]
+    rows = [{i * n + k: x for k, x in enumerate(rec.direction)} for i, rec in enumerate(bounded)]
+    rows += [dict.fromkeys(range(k, len(bounded) * n, n), 1) for k in range(n)]
+    return rows + _residue_rows(model, bounded), bounded
 
-    The unknowns are one n-covector per bounded slot, in slot order, and
-    each row is a sparse {i * n + k: coefficient} dict, key i * n + k
-    standing for entry k of the i-th bounded covector.  Row groups:
-    perpendicularity of each bounded covector to its own edge, the covector
-    sum, and the residue sums
+
+def _residue_rows(model: LocalModel, bounded: list[SlotRecord]) -> list[dict]:
+    """The residue sums of a local model over the covectors of `bounded`,
+    its bounded slot records in slot order: each row is a sparse
+    {i * n + k: coefficient} dict, key i * n + k standing for entry k of the
+    i-th bounded covector.  The sums are
 
         sum over finite j != k of (a[k,j] + a[j,k]) / (p_k - p_j) = 0
 
@@ -247,11 +256,9 @@ def _local_rows(model: LocalModel):
     every coefficient an integer and the row space the same.
     """
     n = model.n
-    bounded = [rec for rec in model.slots if rec.bounded]
     index = {rec.label: i for i, rec in enumerate(bounded)}
-    rows = [{i * n + k: x for k, x in enumerate(rec.direction)} for i, rec in enumerate(bounded)]
-    rows += [dict.fromkeys(range(k, len(bounded) * n, n), 1) for k in range(n)]
     finite, p = model.finite, model.coords
+    rows = []
     for k in range(len(finite) - 1):
         diffs = {j: p[k] - p[j] for j in range(len(finite)) if j != k}
         scale = lcm(*(d.numerator for d in diffs.values()))
@@ -265,7 +272,7 @@ def _local_rows(model: LocalModel):
                     for t in range(n):
                         row[base + t] = row.get(base + t, 0) + c * src.weight * src.direction[t]
         rows.append(row)
-    return rows, bounded
+    return rows
 
 
 def a_system(model: LocalModel) -> dict:
@@ -362,14 +369,14 @@ def b_system(tree) -> dict:
 def xi_map(ct, coords_by_vertex=None) -> dict:
     """Curve-level obstruction space from the local residue systems.
 
-    The flag system of `obstruction.flag_system` with the local rows of each
-    vertex's model as its vertex conditions.  Its variables are one covector
-    per loop edge: covectors on bounded edges outside the loop subgraph are
-    zero (on tree parts this is forced anyway; dropping them keeps bridges
-    exact as well).  The kernel is reported over all bounded flags.
-    Vertices of valence 4 or more need marked coordinates
-    (coords_by_vertex); 3-valent and lower vertices get defaults, which
-    cannot change the kernel there.
+    The flag system of `obstruction.flag_system`, with the residue sums of
+    each vertex's model as the method's own vertex conditions.  Its
+    variables are one covector per loop edge: covectors on bounded edges
+    outside the loop subgraph are zero (on tree parts this is forced anyway;
+    dropping them keeps bridges exact as well).  The kernel is reported over
+    all bounded flags.  Vertices of valence 4 or more need marked
+    coordinates (coords_by_vertex); 3-valent and lower vertices get
+    defaults, which cannot change the kernel there.
     """
     g = ct.graph
     coords_by_vertex = coords_by_vertex or {}
@@ -386,10 +393,10 @@ def xi_map(ct, coords_by_vertex=None) -> dict:
 
     def residue_rows():
         for model in models.values():
-            rows, bounded = _local_rows(model)
-            yield [rec.flag for rec in bounded], rows
+            bounded = [rec for rec in model.slots if rec.bounded]
+            yield [rec.flag for rec in bounded], _residue_rows(model, bounded)
 
-    out = flag_system(g, ct.n, g.bounded_edge_ids(), g.loop_part(), residue_rows())
+    out = flag_system(g, ct.n, g.bounded_edge_ids(), g.loop_part(), ct.directions, residue_rows())
     out["models"] = models
     return out
 

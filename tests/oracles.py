@@ -7,7 +7,10 @@ reference builds a root path per vertex and merges the two paths of an
 edge's ends, not the parent pointers that `tropctl.graphs` climbs.  The
 Laurent references read the order off the difference series p - q and
 build the phylogenetic tree from runs of equal order, not from where
-neighbours first differ as `tropctl.laurent` does.
+neighbours first differ as `tropctl.laurent` does.  The flag-system
+references assemble rows vertex by vertex, each vertex restating the
+perpendicularity and sum conditions it shares with the others, where
+`tropctl.obstruction.flag_system` writes those once per edge and vertex.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 from tropctl.errors import ValidationError
 from tropctl.graphs import Flag
 from tropctl.laurent import LaurentSeries, PhyloLeaf, PhyloNode
+from tropctl.residues import LocalModel, _local_rows
 
 
 def row_reduce(rows):
@@ -274,6 +278,90 @@ def residue_coefficient_rows(model):
                         c * finite[i].weight * finite[i].direction[t]
                     )
     return rows + coeff_rows, nvars
+
+
+# -- flag systems assembled vertex by vertex -----------------------------------
+
+
+def per_vertex_flag_kernel(g, n, edges, variables, vertex_rows) -> dict:
+    """The flag-system kernel in the form `obstruction.flag_system` reports.
+
+    Each (flags, rows) pair of vertex_rows holds conditions at one vertex,
+    {i * n + k: coefficient} over the concatenated n-covectors of those
+    flags.  The flag at slot 0 of a variable edge e carries +w_e, the flag
+    at slot 1 carries -w_e, and every other flag zero.  The kernel is solved
+    densely, and its basis is the reduced echelon form of the kernel, one
+    {Flag: covector} dict of the nonzero covectors per row.
+    """
+    var = [eid for eid in edges if eid in variables]
+    base = {eid: i * n for i, eid in enumerate(var)}
+    width = len(var) * n
+    rows = []
+    for flags, local_rows in vertex_rows:
+        for local in local_rows:
+            row = [Fraction(0)] * width
+            for key, c in local.items():
+                i, k = divmod(key, n)
+                f = flags[i]
+                if f.edge in base:
+                    row[base[f.edge] + k] += c if f.slot == 0 else -c
+            rows.append(row)
+    reduced, pivots = row_reduce(nullspace(rows, width))
+    basis = []
+    for w in reduced[: len(pivots)]:
+        assignment = {}
+        for eid in var:
+            cov = tuple(w[base[eid] : base[eid] + n])
+            if any(cov):
+                ends = g.edges[eid].ends
+                assignment[Flag(ends[0], eid, 0)] = cov
+                assignment[Flag(ends[1], eid, 1)] = tuple(-x for x in cov)
+        basis.append(assignment)
+    flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
+    return {"dim": len(basis), "flag_order": flag_order, "basis": basis}
+
+
+def per_vertex_numbering(g) -> dict:
+    """Compatible numberings: the flags at each vertex, unbounded ones
+    included, sum to zero."""
+    bounded = g.bounded_edge_ids()
+    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v)] for v in g.vertex_ids)
+    rows = ((flags, [dict.fromkeys(range(len(flags)), 1)]) for flags in stars)
+    return per_vertex_flag_kernel(g, 1, bounded, set(bounded), rows)
+
+
+def per_vertex_chain(ct) -> dict:
+    """Chain method: at each vertex, over its loop flags, every slot-0
+    covector is perpendicular to its edge direction and the n sums vanish."""
+    g, n = ct.graph, ct.n
+    loop = g.loop_part()
+
+    def rows():
+        for v in g.vertex_ids:
+            flags = [Flag(v, e, slot) for e, slot in g.incident(v) if e in loop]
+            perp = [
+                {i * n + k: x for k, x in enumerate(ct.directions[f.edge])}
+                for i, f in enumerate(flags)
+                if f.slot == 0
+            ]
+            yield flags, perp + [dict.fromkeys(range(k, len(flags) * n, n), 1) for k in range(n)]
+
+    return per_vertex_flag_kernel(g, n, sorted(loop), loop, rows())
+
+
+def per_vertex_xi(ct, coords_by_vertex=None) -> dict:
+    """Residue method: each vertex's full local rows (perpendicularity at
+    both ends of an edge, the sums and the residue sums) over its bounded
+    flags, with the loop edges as variables."""
+    g = ct.graph
+    coords_by_vertex = coords_by_vertex or {}
+
+    def rows():
+        for v in g.vertex_ids:
+            local, bounded = _local_rows(LocalModel.from_star(ct, v, coords_by_vertex.get(v)))
+            yield [rec.flag for rec in bounded], local
+
+    return per_vertex_flag_kernel(g, ct.n, g.bounded_edge_ids(), g.loop_part(), rows())
 
 
 # -- Laurent order and phylogenetic tree ----------------------------------------

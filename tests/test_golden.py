@@ -1,10 +1,11 @@
-"""Byte-identity of every subcommand's JSON report on the frozen fixtures.
+"""Byte-identity of every subcommand's report on the frozen fixtures, in
+both output formats.
 
-Each case runs `main([..., "--format", "json"])` from inside a directory
-that holds the fixture files under fixed names, so the reported input paths
-and digests are the same on every machine.  The sha256 of standard output
-must equal the digest recorded for the case: any change to a report, down
-to the order of a basis or the spelling of a rational, is a change of
+Each case runs `main([..., "--format", fmt])` from inside a directory that
+holds the fixture files under fixed names, so the reported input paths and
+digests are the same on every machine.  The sha256 of standard output must
+equal the digest recorded for the case and format: any change to a report,
+down to the order of a basis or the spelling of a rational, is a change of
 behaviour and shows up here.
 """
 
@@ -79,10 +80,10 @@ def write_fixtures(directory):
         (directory / name).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def run_digest(argv) -> tuple[int, str]:
+def run_digest(argv, fmt="json") -> tuple[int, str]:
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(list(argv) + ["--format", "json"])
+        code = main(list(argv) + ["--format", fmt])
     return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
@@ -136,6 +137,56 @@ GOLDEN = {
     ('star', 'local-model'): (0, '65d7f4caf3b90ce4a11cc650361dfa0046644158a86eb2017b20de59908a9c15'),
 }
 
+# (exit code, sha256 of stdout) per case, with --format text
+GOLDEN_TEXT = {
+    ('all', 'validate-batch'): (0, '1a95ee5ff75b11caf779628b3680df156f1c93e30f09c557e4687acfc32a607c'),
+    ('ex534', 'abundancy'): (0, '60d2428a6ea76712eeddccd3521b0d40651b66e4749b9cfbd3b0a85a4bbd9473'),
+    ('ex534', 'classify'): (3, '5239922824d1d2d94c47aefa370926a6c3b5f1ed7e534da469eb795bc49734d4'),
+    ('ex534', 'compare'): (0, '66aac5b01737c37f4de2aa398ea64e301a109de709029635e17a830ef139b631'),
+    ('ex534', 'compare-t0'): (0, '166d76e5ff3493b1b622cee78c71e77bdddecc5f5030fdb3e7dfc40fe07b1138'),
+    ('ex534', 'genus1-check'): (0, 'c731d46e1e1344acb95a45e37f2823c7c29a6f3e21dfc4a7b8bff0b4ee9dcdb3'),
+    ('ex534', 'info'): (0, '2a6aaa3135b57db1b039038c520d2e9a66a67f7253117ce45794e7c1ed87d741'),
+    ('ex534', 'obstruction-chain'): (3, '5239922824d1d2d94c47aefa370926a6c3b5f1ed7e534da469eb795bc49734d4'),
+    ('ex534', 'obstruction-xi'): (3, 'a9359cfea77ac408ce0971fe114c0b5dced0ed5c9b93b448d4b7dcc9f560a4fd'),
+    ('ex534', 'obstruction-xi-config'): (0, '4da0169b55ebead04f81f625b419ee44ee0a673e3986a9b58909da838b661bea'),
+    ('ex534', 'phylo'): (0, 'f4f4b9c6201bda1c914e13d8cbb4d0bad1612d59110421afa9beece948499b7c'),
+    ('ex534', 'validate'): (0, '34c5bcafce4d1adfaaf51be3a600fde9d3bc70202308fcb571de35d6c3cd4379'),
+    ('ex536', 'abundancy'): (0, 'cbde996878f76c7c425ca1d0a3012cf0127b74669b70c66d4f7fbc5f1259dae6'),
+    ('ex536', 'classify'): (3, '5239922824d1d2d94c47aefa370926a6c3b5f1ed7e534da469eb795bc49734d4'),
+    ('ex536', 'compare'): (0, 'ebbee072879ff8eb4d16bbaaf4497d4de0489a740229bf866260acbab228f84e'),
+    ('ex536', 'compare-t0'): (0, 'b038448d097c60d9659b3e6e47acd7033ede7fd81f822041e89ac2c859480cbc'),
+    ('ex536', 'genus1-check'): (3, 'ca27a18c4d3d1576f7f88ffa361d2f5d951f30b0cc13f23206c441831bffe7df'),
+    ('ex536', 'info'): (0, '1cae289e994e25a0ed703d6e07a6948c97d4124c99409e50da91d2b650d75021'),
+    ('ex536', 'obstruction-chain'): (3, '5239922824d1d2d94c47aefa370926a6c3b5f1ed7e534da469eb795bc49734d4'),
+    ('ex536', 'obstruction-xi'): (3, 'a9359cfea77ac408ce0971fe114c0b5dced0ed5c9b93b448d4b7dcc9f560a4fd'),
+    ('ex536', 'obstruction-xi-config'): (0, 'c51ccb4abfcac0c5dc8a193fd68aa5061b450f0ced9e5e2e2435c22f59fc2b65'),
+    ('ex536', 'phylo'): (0, '35cf619605fe2e0d71c98ddd53f0d1daa5f3ccc9e6d73af56ae4c05e78367efc'),
+    ('ex536', 'validate'): (0, '5c439d73f5f683252e20b4066ea16d0fc90548e944dd6b17cb3f80ebaf659096'),
+    ('gamma1', 'abundancy'): (0, '07034dd838da59671f0a8c7d5c75f73dffd80a1a496b9a1ef81e93092859423d'),
+    ('gamma1', 'classify'): (0, '9a19afa6a5746719658117945d69dc8adda6a5f250cff7849dd88a8f7ce0b8f3'),
+    ('gamma1', 'genus1-check'): (3, 'ca27a18c4d3d1576f7f88ffa361d2f5d951f30b0cc13f23206c441831bffe7df'),
+    ('gamma1', 'info'): (0, 'f0d031214f9e29355cc136e67ba65f7ffdddf0402009f4cad07c302afd8d9c17'),
+    ('gamma1', 'obstruction-chain'): (0, 'bb939ed57c17cb807dbb8c606b9e8cd53c33efb3312cb6507328fe86119690bb'),
+    ('gamma1', 'obstruction-xi'): (0, '8865124e708d606a85723825fb4cc61972748dada44891318ba57af82923d2a4'),
+    ('gamma1', 'validate'): (0, 'c1b6332500e727495a1503306243d4a8865e5eda3c321f8c0a66b3619ac58c55'),
+    ('gamma2', 'abundancy'): (0, '1c75a25af4f0e3e9e74373722d742fa925ebabe70c44973f88df84e35d5abb25'),
+    ('gamma2', 'classify'): (0, 'b6daf87695117d41e0bea8d4ea2345f074b39858bf8dd3c331b956087429f5ec'),
+    ('gamma2', 'genus1-check'): (3, 'ca27a18c4d3d1576f7f88ffa361d2f5d951f30b0cc13f23206c441831bffe7df'),
+    ('gamma2', 'info'): (0, '57ddcc27155e822b2da1b2f85dfb6b7caefdcc30f0abd5e1b72657871cda49a3'),
+    ('gamma2', 'obstruction-chain'): (0, '6a2853a88df5eb6b77af6664e7f320b45e7405560c1cc172167646cbbc16f3c1'),
+    ('gamma2', 'obstruction-xi'): (0, '7150a83750e1b724fa2a5450ff501053a7358252b3cb55477c42e05db3eecafb'),
+    ('gamma2', 'validate'): (0, 'ac03ab45be218f7b30181fe6b25fa07d08b4b0e9f5251a4a65ad0f3bb39db0a6'),
+    ('seed3', 'selftest'): (0, '253552b558a2acbfd951413ba39a31ac91ff167b2cc1795fb4921492b96b03e4'),
+    ('square', 'abundancy'): (0, '951f6285d23224e9f51e9bc7b079775f20f6c4b77e70ad5ccd7048d911857f19'),
+    ('square', 'classify'): (0, '12fe4a74fc7ef7719c87150f6b30d5ae7aced889fdc332382364c2ce44862ad4'),
+    ('square', 'genus1-check'): (0, '363ec9bd41162d525c391dd9697c65d17cb3255e0e044516085eeb353bfe2d43'),
+    ('square', 'info'): (0, '6a4e78ca3c9ea5490908457cad31c02105bc3982dd61db7a6ae63af66968fff5'),
+    ('square', 'obstruction-chain'): (0, '51e0ff679dbf303a8573226adc02dd4f6c4458ffcb773fe153832b7c24f8b366'),
+    ('square', 'obstruction-xi'): (0, '4518abf13b42252876b6c93f286f7763e69def3b50407a66f4b1fbfc5cc8ca5c'),
+    ('square', 'validate'): (0, '8af1e1a2aebb84293fabecabed9543935f86e602e4cba6b82fb2219f07989e7a'),
+    ('star', 'local-model'): (0, '17da1626445ae40f46d2fc7fb047f4992a984a826522c3bad1e72a51f30cdd11'),
+}
+
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
@@ -148,3 +199,9 @@ def fixture_dir(tmp_path_factory):
 def test_report_bytes_match_golden(key, fixture_dir, monkeypatch):
     monkeypatch.chdir(fixture_dir)
     assert run_digest(CASES[key]) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(CASES), ids=lambda k: "-".join(k))
+def test_text_report_bytes_match_golden(key, fixture_dir, monkeypatch):
+    monkeypatch.chdir(fixture_dir)
+    assert run_digest(CASES[key], "text") == GOLDEN_TEXT[key]

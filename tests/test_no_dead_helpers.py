@@ -3,7 +3,8 @@ named somewhere in the package besides its own definition, or is public
 API listed in `tropctl.__all__`; every method of a package class is reached
 by attribute access somewhere in the package besides its own definition;
 every module-level constant is read somewhere in the package, or is in
-`tropctl.__all__`."""
+`tropctl.__all__`; every name a module imports is read in that module, or
+is re-exported through `tropctl.__all__`."""
 
 import ast
 import importlib
@@ -105,4 +106,23 @@ def test_every_module_constant_is_read():
                         continue
                     if name.id not in tropctl.__all__ and not reads[name.id]:
                         unread.append(f"{module}.{name.id}")
+    assert unread == []
+
+
+def test_every_import_is_read():
+    """A name bound by an import statement is read as a name in the module
+    that imports it (`json` in `json.dumps` counts), unless `tropctl`
+    re-exports it through `__all__`.  `from __future__` imports bind no name."""
+    trees, _named = _package()
+    unread = []
+    for module, tree in trees.items():
+        reads = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in reads and name not in tropctl.__all__:
+                        unread.append(f"{module}.{name}")
     assert unread == []

@@ -16,8 +16,14 @@ from tropctl.obstruction import (
     parameter_dimension,
     reduced_abundancy_map,
 )
-from tropctl.curves import contract_image
-from tropctl.randgen import random_immersive_curve, random_loopchain_curve, random_trivalent_graph
+from tropctl.curves import CombinatorialType, contract_image
+from tropctl.randgen import (
+    random_genus1_curve,
+    random_immersive_curve,
+    random_loopchain_curve,
+    random_marked_coords,
+    random_trivalent_graph,
+)
 from tropctl.residues import xi_map
 
 import fixtures
@@ -223,3 +229,61 @@ def test_sparse_basis_spans_the_dense_kernel():
             expected = Subspace(width, dense_chain_kernel(c, flags))
             assert len(densified) == out["dim"] == expected.dim
             assert Subspace(width, densified) == expected
+
+
+def _same_flag_system(out, reference):
+    """Equal dim, flag_order and basis, the keys of a reference."""
+    return {key: out[key] for key in reference} == reference
+
+
+def _padded(c, n) -> CombinatorialType:
+    """The type of c with its directions padded with zeros into Q^n."""
+    pad = (0,) * (n - c.n)
+    return CombinatorialType(c.graph, n, {eid: d + pad for eid, d in c.directions.items()})
+
+
+def _wedge(c1, c2) -> CombinatorialType:
+    """The two types glued at their first vertices.  Both stars there are
+    balanced, so their union is, and the glued vertex carries loop flags of
+    both types."""
+    v, w = c1.graph.vertex_ids[0], c2.graph.vertex_ids[0]
+    name = {x: "b" + x for x in c2.graph.vertex_ids} | {w: v, None: None}
+    vertices = c1.graph.vertex_ids + tuple(name[x] for x in c2.graph.vertex_ids if x != w)
+    edges = list(c1.graph.edges.values())
+    edges += [("b" + e.id, tuple(name[x] for x in e.ends), e.weight) for e in c2.graph.edges.values()]
+    directions = c1.directions | {"b" + eid: d for eid, d in c2.directions.items()}
+    return CombinatorialType(AbstractGraph(vertices, edges), c1.n, directions)
+
+
+def _random_coords(rng, ct) -> dict:
+    g = ct.graph
+    return {v: random_marked_coords(rng, g.valence(v) - 1) for v in g.vertex_ids if g.valence(v) > 3}
+
+
+def test_flag_system_matches_per_vertex_assembly():
+    """The shared conditions, written once per edge and vertex, give the
+    kernel that restating them at every vertex gives."""
+    rng = random.Random(1717)
+    for _ in range(12):
+        g = random_trivalent_graph(rng, rng.randint(0, 4))
+        assert _same_flag_system(compatible_numbering_space(g), oracles.per_vertex_numbering(g))
+    curves = [random_immersive_curve(rng, rng.choice([2, 3, 4])) for _ in range(12)]
+    curves += [random_loopchain_curve(rng, rng.choice([2, 3, 4]), genus) for genus in (1, 3, 5)]
+    for c in curves:
+        assert _same_flag_system(dual_obstruction_chain(c), oracles.per_vertex_chain(c))
+        assert _same_flag_system(xi_map(c), oracles.per_vertex_xi(c))
+    # curves in Q^k padded with zeros into Q^n: for n > k the covectors
+    # vanishing on Q^k give the kernel a nonzero basis to compare
+    for _ in range(12):
+        k = rng.choice([2, 3])
+        ct = _padded(random_genus1_curve(rng, k, extra_legs=rng.randint(1, 5)), rng.randint(k, 4))
+        coords = _random_coords(rng, ct)
+        assert _same_flag_system(xi_map(ct, coords), oracles.per_vertex_xi(ct, coords))
+    # two loops through one vertex, where the residue sums often cut the kernel
+    for _ in range(12):
+        k = rng.choice([2, 3])
+        n = rng.randint(k, 4)
+        c1, c2 = (_padded(random_genus1_curve(rng, k, extra_legs=rng.randint(0, 2)), n) for _ in "12")
+        ct = _wedge(c1, c2)
+        coords = _random_coords(rng, ct)
+        assert _same_flag_system(xi_map(ct, coords), oracles.per_vertex_xi(ct, coords))
