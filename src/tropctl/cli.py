@@ -2,9 +2,9 @@
 
 Reports are deterministic: machine mode serializes one JSON object (or a JSON
 array for batch runs) with sorted keys, so identical inputs produce
-byte-identical output.  Exit codes: 0 success, 2 input validation error,
-3 computation precondition failure, 64 usage error, 74 standard output
-closed early.
+byte-identical output.  Exit codes: 0 success, 1 selftest found a failing
+invariant, 2 input validation error, 3 computation precondition failure,
+64 usage error, 74 standard output closed early.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import random
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .curves import DEFAULT_MAX_DIM, contract_image, degree, expected_dim, is_immersive, parse_curve
+from .curves import contract_image, degree, expected_dim, is_immersive, parse_curve
 from .errors import TropctlError, ValidationError
 from .laurent import PhyloLeaf, clusters, parse_laurent_doc
 from .inputs import parse_rational, rationals, read_doc, vertex_lists
@@ -126,20 +126,9 @@ def build_parser() -> _Parser:
 # -- input plumbing ----------------------------------------------------------
 
 
-def _max_dim() -> int:
-    raw = os.environ.get("TROPCTL_MAX_DIM", str(DEFAULT_MAX_DIM))
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError("bad-env", f"TROPCTL_MAX_DIM must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValidationError("bad-env", "TROPCTL_MAX_DIM must be positive")
-    return cap
-
-
 def _load_curve(path: str):
     doc, stamp = read_doc(path)
-    return parse_curve(doc, max_dim=_max_dim()), stamp
+    return parse_curve(doc), stamp
 
 
 def _expand_files(args) -> list:
@@ -380,7 +369,7 @@ def _cmd_phylo(args):
 
 def _cmd_local_model(args):
     doc, stamp = read_doc(args.model)
-    model = model_from_doc(doc, max_dim=_max_dim())
+    model = model_from_doc(doc)
     res = a_system(model)
     fields = {
         "dimH": res["dim"],

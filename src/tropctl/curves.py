@@ -28,13 +28,11 @@ from .graphs import AbstractGraph, Flag, spanning_forest
 from .inputs import ambient_dim, integer_direction, positive_weight, rationals
 from .linalg import content_and_primitive, is_primitive, rational_str
 
-DEFAULT_MAX_DIM = 16
-
 # Largest curve file parse_curve accepts.  The worst case measured is a
-# 256-edge loop chain (genus 51, 153 vertices) in Q^16, the default dimension
-# cap: `obstruction --method xi` takes 0.5 s (median of 3 whole-process
-# runs) and peaks at 31 MB, and prints a 65 MB report, whose dense basis
-# format grows like edges^2 * n^2; the bound holds that output down.  With
+# 256-edge loop chain (genus 51, 153 vertices) in Q^16 (inputs.MAX_DIM):
+# `obstruction --method xi` takes 0.5 s (median of 3 whole-process runs)
+# and peaks at 31 MB, and prints a 65 MB report, whose dense basis format
+# grows like edges^2 * n^2; the bound holds that output down.  With
 # positions at inputs.MAX_BITS, `classify` and `abundancy` on such a chain
 # take 0.23 s and 0.12 s (medians of 3 whole-process runs).  In Q^3 a
 # 511-edge chain takes 0.27 s with the bound lifted.  Measured on a shared
@@ -171,10 +169,10 @@ def balancing_residuals(c: TropicalCurve) -> list[tuple[str, tuple]]:
 # -- file format --------------------------------------------------------------
 
 
-def parse_curve(doc: dict, max_dim: int = DEFAULT_MAX_DIM) -> TropicalCurve:
+def parse_curve(doc: dict) -> TropicalCurve:
     if not isinstance(doc, dict):
         raise ValidationError("schema", "curve document must be a JSON object")
-    n = ambient_dim(doc, "schema", max_dim)
+    n = ambient_dim(doc, "schema")
     vs = doc.get("vertices")
     es = doc.get("edges")
     if not isinstance(vs, list) or not isinstance(es, list):

@@ -9,10 +9,11 @@ its own format and calls the readers here for the field shapes it shares
 with another kind: `ambient_dim`, `integer_direction` and `positive_weight`
 (curve and model files), `rationals` (curve positions, `--config` and
 `--model` coordinates) and `vertex_lists` (the envelope of `--config` and
-`--laurent` files).  Every number a reader returns has at most MAX_BITS
-bits; `--t0` and Laurent coefficients go through `parse_rational` alone and
-are not bounded.  A reader takes the caller's error kind and the id of what
-it reads, and builds a message only when a check fails.
+`--laurent` files).  An ambient dimension is at most MAX_DIM, and every
+number a reader returns has at most MAX_BITS bits; `--t0` and Laurent
+coefficients go through `parse_rational` alone and are not bounded.  A
+reader takes the caller's error kind and the id of what it reads, and
+builds a message only when a check fails.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ from .errors import ValidationError
 # (whole processes, medians of 3 on a shared 2-vCPU Xeon, Python 3.11).
 # Benchmark inputs use at most 8 bits.
 MAX_BITS = 40
+
+# Largest ambient dimension of a curve or --model file.  The worst cases
+# measured behind MAX_BITS, curves.MAX_EDGES and residues.MAX_VALENCE lie in
+# Q^15 and Q^16; a larger n is outside what they vouch for.  Benchmark
+# inputs use n <= 12.
+MAX_DIM = 16
 
 
 def read_doc(path: str):
@@ -92,14 +99,14 @@ def _limit(x, what: str, **context) -> ValidationError:
     )
 
 
-def ambient_dim(doc: dict, kind: str, max_dim: int) -> int:
+def ambient_dim(doc: dict, kind: str) -> int:
     """The document's `ambient_dim`: a positive integer (else kind) of at
-    most max_dim (else dimension-cap)."""
+    most MAX_DIM (else dimension-cap)."""
     n = doc.get("ambient_dim")
     if type(n) is not int or n < 1:
         raise ValidationError(kind, "ambient_dim must be a positive integer")
-    if n > max_dim:
-        raise ValidationError("dimension-cap", f"ambient_dim {n} exceeds the configured cap {max_dim}")
+    if n > MAX_DIM:
+        raise ValidationError("dimension-cap", f"ambient_dim {n} exceeds the maximum {MAX_DIM}")
     return n
 
 

@@ -21,8 +21,8 @@ class GenerationError(RuntimeError):
     pass
 
 
-def _retrying(tries=200):
-    return range(tries)
+def _retrying():
+    return range(200)
 
 
 def random_int_vec(rng: random.Random, n: int, lo=-3, hi=3) -> tuple:
@@ -345,16 +345,21 @@ def random_immersive_curve(rng: random.Random, n: int, genus=None) -> TropicalCu
 # -- coordinates and series -----------------------------------------------------------
 
 
+# the number of distinct values a/b with |a| <= 30 and 1 <= b <= 6
+_MARKED_VALUES = 229
+
+
 def random_marked_coords(rng: random.Random, count: int) -> list:
-    """count pairwise distinct rationals starting at 0."""
-    for _ in _retrying():
-        vals = [Fraction(0)]
-        while len(vals) < count:
-            q = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
-            if q not in vals:
-                vals.append(q)
-        return vals
-    raise GenerationError("coordinate draw failed")
+    """count pairwise distinct rationals a/b with |a| <= 30 and 1 <= b <= 6,
+    the first 0; a count past the number of such values raises."""
+    if count > _MARKED_VALUES:
+        raise GenerationError(f"cannot draw {count} distinct coordinates from {_MARKED_VALUES} values")
+    vals = [Fraction(0)]
+    while len(vals) < count:
+        q = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        if q not in vals:
+            vals.append(q)
+    return vals
 
 
 def random_ascending_series(rng: random.Random, count: int) -> list[LaurentSeries]:

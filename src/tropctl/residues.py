@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .curves import DEFAULT_MAX_DIM, TropicalCurve, contract_image, replace_star
+from .curves import TropicalCurve, contract_image, replace_star
 from .errors import PreconditionError, ValidationError
 from .graphs import Flag
 from .inputs import ambient_dim, integer_direction, positive_weight, rationals
@@ -136,18 +136,15 @@ def _infinity_last(records: list[SlotRecord]) -> list[SlotRecord]:
     return [rec for i, rec in enumerate(records) if i != inf_idx] + [records[inf_idx]]
 
 
-def standard_local_model(r: int, n: int, coords, bounded=None, weights=None) -> LocalModel:
+def standard_local_model(r: int, n: int, coords, bounded=None) -> LocalModel:
     """The (r+2)-valent star with unit-vector directions in Q^n.
 
-    Edges 1..r+1 point along the first r+1 coordinate vectors with the given
-    weights (default all 1); the last edge balances them, its weight being
-    the content of the weighted sum.  bounded marks which of the r+2 edges
-    are bounded (default: all).
+    Edges 1..r+1 point along the first r+1 coordinate vectors and the last
+    edge, along (-1, ..., -1, 0, ..., 0), balances them; every weight is 1.
+    bounded marks which of the r+2 edges are bounded (default: all).
     """
     if n < r + 1:
         raise ValidationError("bad-model", "need ambient dimension at least r+1")
-    if weights is None:
-        weights = [1] * (r + 1)
     if bounded is None:
         bounded = [True] * (r + 2)
     dirs = []
@@ -155,20 +152,12 @@ def standard_local_model(r: int, n: int, coords, bounded=None, weights=None) -> 
         d = [0] * n
         d[i] = 1
         dirs.append(tuple(d))
-    last = [0] * n
-    for i in range(r + 1):
-        last[i] = -weights[i]
-    last_weight, last_dir = content_and_primitive(last)
-    dirs.append(last_dir)
-    all_weights = list(weights) + [last_weight]
-    records = [
-        SlotRecord(f"E{i + 1}", None, all_weights[i], dirs[i], bool(bounded[i]))
-        for i in range(r + 2)
-    ]
+    dirs.append(tuple([-1] * (r + 1) + [0] * (n - r - 1)))
+    records = [SlotRecord(f"E{i + 1}", None, 1, dirs[i], bool(bounded[i])) for i in range(r + 2)]
     return LocalModel(_infinity_last(records), coords, n)
 
 
-def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
+def model_from_doc(doc) -> LocalModel:
     """Build a standalone LocalModel from a JSON document.
 
     Schema: {"ambient_dim": n, "edges": [{"label"?, "weight", "direction",
@@ -176,12 +165,12 @@ def model_from_doc(doc, max_dim: int = DEFAULT_MAX_DIM) -> LocalModel:
     last bounded edge in listed order (last edge if none is bounded); coords
     apply to the remaining edges in listed order and default to 0, 1, 2, ...
     Directions must be primitive and balance against the weights,
-    ambient_dim is capped at max_dim, and a model of more than MAX_VALENCE
-    edges is rejected before any edge is read.
+    ambient_dim is capped at inputs.MAX_DIM, and a model of more than
+    MAX_VALENCE edges is rejected before any edge is read.
     """
     if not isinstance(doc, dict):
         raise ValidationError("bad-model", "model document must be a JSON object")
-    n = ambient_dim(doc, "bad-model", max_dim)
+    n = ambient_dim(doc, "bad-model")
     edges = doc.get("edges")
     if not isinstance(edges, list) or len(edges) < 3:
         raise ValidationError("bad-model", "edges must list at least 3 edges")

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tropctl.cli import main
 from tropctl.curves import serialize_curve
-from tropctl.inputs import MAX_BITS
+from tropctl.inputs import MAX_BITS, MAX_DIM
 from tropctl.laurent import MAX_EXPONENT
 from tropctl.randgen import random_loopchain_curve
 from tropctl.residues import MAX_VALENCE
@@ -672,6 +672,20 @@ _SHARED_FIELD_FAULTS = {
     "model-weight-0": ("bad-model", {"edge": "E1"}, lambda tmp_path, hv536: _over_model(tmp_path, hv536, weight=0)),
     "curve-weight-bits": ("limit", {"edge": "s01"}, _over_curve_weight),
     "model-weight-bits": ("limit", {"edge": "E1"}, lambda tmp_path, hv536: _over_model(tmp_path, hv536, weight=int(_OVER))),
+    "curve-dimension-cap": (
+        "dimension-cap",
+        {},
+        lambda tmp_path, hv536: _curve_with(tmp_path, lambda doc: doc.update(ambient_dim=MAX_DIM + 1)),
+    ),
+    "model-dimension-cap": (
+        "dimension-cap",
+        {},
+        lambda tmp_path, hv536: [
+            "local-model",
+            "--model",
+            write_json(tmp_path / "model.json", {"ambient_dim": MAX_DIM + 1, "edges": []}),
+        ],
+    ),
     "config-vertices": (
         "bad-config",
         lambda tmp_path: {"path": str(tmp_path / "cfg.json")},
@@ -698,6 +712,107 @@ def test_a_shared_field_fault_reads_alike_in_every_file_kind(capsys, tmp_path, h
     assert code == 2
     assert rep["error"]["error_type"] == error_type
     assert rep["error"].get("context", {}) == (context(tmp_path) if callable(context) else context)
+
+
+def _contracted_square(direction):
+    """The quick-start square with b moved onto a, so that its side s01 is
+    contracted with the given virtual direction, and the legs rebalanced."""
+    doc = fixtures.square_loop_doc()
+    doc["vertices"][1]["position"] = ["0", "0", "0"]
+    directions = {"s01": direction, "u0": [0, -1, 0], "u1": [-1, -1, 0], "u2": [2, 1, 0]}
+    for e in doc["edges"]:
+        if e["id"] in directions:
+            e["direction"] = directions[e["id"]]
+    return doc
+
+
+def _command_on(command, doc):
+    return lambda tmp_path, hv536: [command, write_json(tmp_path / "curve.json", doc)]
+
+
+def _square_fault(change):
+    return lambda tmp_path, hv536: _curve_with(tmp_path, change)
+
+
+def _coords_of(coords):
+    return lambda tmp_path, hv536: _config_of(tmp_path, hv536, {"vertices": {"V": {"coords": coords}}})
+
+
+# case: (exit code, error_type, context, argv builder), one case for each
+# fault of an error kind that no other test names
+_ERROR_KIND_FAULTS = {
+    "zero-direction-loop-obstruction": (
+        3, "zero-direction-loop", {"edge": "s01"}, _command_on("obstruction", _contracted_square([0, 0, 0]))
+    ),
+    "zero-direction-loop-classify": (
+        3, "zero-direction-loop", {"edge": "s01"}, _command_on("classify", _contracted_square([0, 0, 0]))
+    ),
+    "non-primitive-leg": (
+        2, "non-primitive", {"edge": "u0"}, _square_fault(lambda doc: doc["edges"][4].update(direction=[-2, -2, 0]))
+    ),
+    "non-primitive-contracted": (
+        2, "non-primitive", {"edge": "s01"}, _command_on("validate", _contracted_square([2, 0, 0]))
+    ),
+    "missing-laurent": (
+        3,
+        "missing-laurent",
+        {"vertex": "V"},
+        lambda tmp_path, hv536: ["compare", hv536, "--laurent", write_json(tmp_path / "lau.json", {"vertices": {}})],
+    ),
+    "bad-coords-count": (2, "bad-coords", {"vertex": "V"}, _coords_of(["0", "1"])),
+    "bad-coords-first": (2, "bad-coords", {"vertex": "V"}, _coords_of(["1", "2", "3"])),
+    "bad-coords-repeated": (2, "bad-coords", {"vertex": "V"}, _coords_of(["0", "1", "1"])),
+    "duplicate-edge": (
+        2, "duplicate-edge", {"edge": "s01"}, _square_fault(lambda doc: doc["edges"].append(doc["edges"][0]))
+    ),
+    "duplicate-vertex": (
+        2, "duplicate-vertex", {}, _square_fault(lambda doc: doc["vertices"].append(doc["vertices"][0]))
+    ),
+    "unknown-endpoint": (
+        2, "unknown-endpoint", {"edge": "s01"}, _square_fault(lambda doc: doc["edges"][0].update(ends=["a", "z"]))
+    ),
+    "isolated-vertex": (
+        2,
+        "isolated-vertex",
+        {"vertex": "e"},
+        _square_fault(lambda doc: doc["vertices"].append({"id": "e", "position": ["5", "5", "5"]})),
+    ),
+    "empty-graph": (2, "empty-graph", {}, _command_on("validate", {"ambient_dim": 2, "vertices": [], "edges": []})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ERROR_KIND_FAULTS))
+def test_an_error_kind_reads_with_its_exit_code_and_context(capsys, tmp_path, hv536, case):
+    exit_code, error_type, context, build = _ERROR_KIND_FAULTS[case]
+    code, rep = run_json(capsys, *build(tmp_path, hv536), "--format", "json")
+    assert code == exit_code
+    assert rep["error"]["error_type"] == error_type
+    assert rep["error"].get("context", {}) == context
+
+
+def test_classify_without_the_abundancy_map(capsys, tmp_path):
+    # two contracted edges p, q from a to b with virtual directions (1,0,0)
+    # and (0,1,0): contracting q collapses the loop they close
+    doc = {
+        "ambient_dim": 3,
+        "vertices": [{"id": "a", "position": ["0", "0", "0"]}, {"id": "b", "position": ["0", "0", "0"]}],
+        "edges": [
+            {"id": "p", "ends": ["a", "b"], "direction": [1, 0, 0]},
+            {"id": "q", "ends": ["a", "b"], "direction": [0, 1, 0]},
+            {"id": "u", "ends": ["a", None], "direction": [-1, -1, 0]},
+            {"id": "v", "ends": ["b", None], "direction": [1, 1, 0]},
+        ],
+    }
+    path = write_json(tmp_path / "pair.json", doc)
+    code, rep = run_json(capsys, "classify", path, "--format", "json")
+    assert code == 0
+    assert rep["superabundantDef1"] is True
+    for key in ("superabundantDef2", "agree", "abundancyRank", "abundancyTargetDim"):
+        assert rep[key] is None
+    assert rep["warnings"] == ["abundancy map unavailable: contracting edge q collapses a loop"]
+    code, out = run(capsys, "classify", path)
+    assert code == 0
+    assert {"agree: -", "superabundantDef2: -"} <= set(out.splitlines())
 
 
 @pytest.mark.parametrize(
@@ -832,37 +947,27 @@ def test_usage_errors_exit_64(capsys, square):
     capsys.readouterr()  # drain argparse noise
 
 
-def test_max_dim_env(capsys, monkeypatch, tmp_path, square):
-    model = {
-        "ambient_dim": 3,
-        "edges": [
-            {"direction": [1, 0, 0]},
-            {"direction": [0, 1, 0]},
-            {"direction": [0, 0, 1]},
-            {"direction": [-1, -1, -1]},
-        ],
-    }
-    model_path = write_json(tmp_path / "model.json", model)
-    monkeypatch.setenv("TROPCTL_MAX_DIM", "2")
-    code, rep = run_json(capsys, "validate", square, "--format", "json")
-    assert code == 2
-    assert rep["error"]["error_type"] == "dimension-cap"
-    code, rep = run_json(capsys, "local-model", "--model", model_path, "--format", "json")
-    assert code == 2
-    assert rep["error"]["error_type"] == "dimension-cap"
-    monkeypatch.setenv("TROPCTL_MAX_DIM", "not-a-number")
-    code2, rep2 = run_json(capsys, "validate", square, "--format", "json")
-    assert code2 == 2
-    assert rep2["error"]["error_type"] == "bad-env"
+def _square_in(n):
+    """The quick-start square padded with zeros from Q^3 into Q^n."""
+    doc = fixtures.square_loop_doc()
+    doc["ambient_dim"] = n
+    for v in doc["vertices"]:
+        v["position"] += ["0"] * (n - 3)
+    for e in doc["edges"]:
+        if "direction" in e:
+            e["direction"] += [0] * (n - 3)
+    return doc
 
 
-def test_max_dim_without_env_is_the_curve_default(capsys, monkeypatch, square):
-    monkeypatch.delenv("TROPCTL_MAX_DIM", raising=False)
-    assert run_json(capsys, "validate", square, "--format", "json")[0] == 0
-    monkeypatch.setattr("tropctl.cli.DEFAULT_MAX_DIM", 2)
-    code, rep = run_json(capsys, "validate", square, "--format", "json")
+def test_ambient_dim_is_capped_at_max_dim(capsys, tmp_path):
+    top = write_json(tmp_path / "top.json", _square_in(MAX_DIM))
+    code, rep = run_json(capsys, "validate", top, "--format", "json")
+    assert code == 0
+    assert rep["valid"] is True
+    over = write_json(tmp_path / "over.json", _square_in(MAX_DIM + 1))
+    code, rep = run_json(capsys, "validate", over, "--format", "json")
     assert code == 2
-    assert rep["error"]["error_type"] == "dimension-cap"
+    assert rep["error"]["message"] == f"ambient_dim {MAX_DIM + 1} exceeds the maximum {MAX_DIM}"
 
 
 def test_text_mode_orders_dimensions_first(capsys, square):

@@ -22,6 +22,7 @@ from tropctl.curves import (
 )
 from tropctl.errors import PreconditionError, ValidationError
 from tropctl.graphs import AbstractGraph, Flag
+from tropctl.inputs import MAX_DIM
 from tropctl.randgen import random_immersive_curve, random_loopchain_curve
 
 import fixtures
@@ -65,8 +66,9 @@ def test_parse_rejects_missing_leg_direction():
 
 def test_parse_rejects_dimension_cap():
     doc = fixtures.square_loop_doc()
+    doc["ambient_dim"] = MAX_DIM + 1
     with pytest.raises(ValidationError) as err:
-        parse_curve(doc, max_dim=2)
+        parse_curve(doc)
     assert err.value.kind == "dimension-cap"
 
 

@@ -4,7 +4,8 @@ API listed in `tropctl.__all__`; every method of a package class is reached
 by attribute access somewhere in the package besides its own definition;
 every module-level constant is read somewhere in the package, or is in
 `tropctl.__all__`; every name a module imports is read in that module, or
-is re-exported through `tropctl.__all__`."""
+is re-exported through `tropctl.__all__`; every parameter with a default is
+passed by some call in the package or the tests."""
 
 import ast
 import importlib
@@ -126,3 +127,59 @@ def test_every_import_is_read():
                     if name not in reads and name not in tropctl.__all__:
                         unread.append(f"{module}.{name}")
     assert unread == []
+
+
+def _defaulted(fn, is_method):
+    """(position, name) of each parameter of fn that has a default; the
+    position counts positional arguments of a call (None for keyword-only),
+    after the bound first parameter of a method that is not static."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    skip = 1 if is_method and not static and positional else 0
+    out = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call, position, name) -> bool:
+    """Whether call passes the parameter: by keyword, by position, or
+    through a `*` or `**` argument that could hold it."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A parameter with a default in a package function or method (randgen
+    included) is passed by some call in the package or the tests: a setting
+    that every caller leaves at its default is a constant.  Calls are matched
+    by the called name; a class name, or `cls` inside the class, calls its
+    `__init__`."""
+    trees, _named = _package()
+    tests = [ast.parse(p.read_text()) for p in sorted(Path(__file__).parent.glob("*.py"))]
+    calls = {}
+    for tree in [*trees.values(), *tests]:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(call)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                own = [c for c in ast.walk(cls) if isinstance(c, ast.Call) and getattr(c.func, "id", None) == "cls"]
+                calls.setdefault(cls.name, []).extend(own)
+    unpassed = []
+    for module, tree in trees.items():
+        methods = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = methods.get(id(fn))
+            called = owner if fn.name == "__init__" else fn.name
+            for position, name in _defaulted(fn, owner is not None):
+                if not any(_passes(call, position, name) for call in calls.get(called, [])):
+                    unpassed.append(f"{module}.{fn.name}({name})")
+    assert unpassed == []

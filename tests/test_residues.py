@@ -1,10 +1,14 @@
 """Local residue systems, xi assembly, genus-1 span test, degenerations."""
 
+import hashlib
 import itertools
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -452,3 +456,34 @@ def test_residue_sums_span_the_residue_coefficients(doc):
     dense = [[row.get(j, 0) for j in range(nvars)] for row in rows]
     rank = oracles.matrix_rank(expected)
     assert oracles.matrix_rank(dense) == rank == oracles.matrix_rank(dense + expected)
+
+
+@pytest.mark.parametrize(
+    "seed, count, digest",
+    [
+        (7, 229, "ec3a19c4d7c29cf7143b51eee7788cd3a0c51ce59eab7dc76a53987f2d1e523e"),
+        (1, 40, "898c8d81af36eda4bd0865be302673201514c1e31cf7c6645d778367727e51ef"),
+    ],
+)
+def test_marked_coords_draw_distinct_values_of_the_pool(seed, count, digest):
+    # digests recorded before the pool bound was checked: the draws are unchanged
+    coords = random_marked_coords(random.Random(seed), count)
+    assert coords[0] == 0 and len(set(coords)) == count
+    assert set(coords) <= {Fraction(a, b) for a in range(-30, 31) for b in range(1, 7)}
+    assert hashlib.sha256(" ".join(map(str, coords)).encode()).hexdigest() == digest
+
+
+def test_marked_coords_past_the_pool_raise_rather_than_loop():
+    # 229 values a/b with |a| <= 30 and 1 <= b <= 6 exist; a subprocess with a
+    # timeout fails this test, instead of hanging it, if the draw never ends
+    assert len({Fraction(a, b) for a in range(-30, 31) for b in range(1, 7)}) == 229
+    probe = (
+        "import random\n"
+        "from tropctl.randgen import GenerationError, random_marked_coords\n"
+        "try:\n    random_marked_coords(random.Random(0), 230)\n"
+        "except GenerationError as err:\n    print(err)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout == "cannot draw 230 distinct coordinates from 229 values\n"
