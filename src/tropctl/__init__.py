@@ -38,6 +38,7 @@ from .obstruction import (
     classify_report,
     compatible_numbering_space,
     dual_obstruction_chain,
+    dual_obstruction_dim,
     parameter_dimension,
     reduced_abundancy_map,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "degeneration_compare",
     "degree",
     "dual_obstruction_chain",
+    "dual_obstruction_dim",
     "expected_dim",
     "genus1_loop_criterion",
     "is_immersive",

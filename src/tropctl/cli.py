@@ -23,7 +23,6 @@ from .curves import contract_image, degree, expected_dim, is_immersive, parse_cu
 from .errors import TropctlError, ValidationError
 from .laurent import PhyloLeaf, clusters, parse_laurent_doc
 from .inputs import parse_rational, rationals, read_doc, vertex_lists
-from .linalg import rational_str
 from .obstruction import (
     abundancy_map,
     classify_report,
@@ -69,6 +68,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _case_count(text: str) -> int:
+    """--cases as a positive int; anything else is a usage error."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -119,7 +129,7 @@ def build_parser() -> _Parser:
 
     p = command("selftest", "seeded randomized invariant battery")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=25)
+    p.add_argument("--cases", type=_case_count, default=25)
     return parser
 
 
@@ -175,12 +185,12 @@ def _basis_payload(keys, basis, n) -> list:
     Fractions costs more than converting it.
     """
     index = {key: i for i, key in enumerate(keys)}
-    zero = [rational_str(0)] * n
+    zero = ["0"] * n
     out = []
     for assignment in basis:
         row = [zero] * len(index)
         for key, cov in assignment.items():
-            row[index[key]] = [rational_str(x) for x in cov]
+            row[index[key]] = list(map(str, cov))
         out.append(row)
     return out
 
@@ -377,7 +387,7 @@ def _cmd_local_model(args):
         "ambientDim": model.n,
         "boundedCount": sum(1 for rec in model.slots if rec.bounded),
         "infinitySlot": model.infinity.label,
-        "coords": [rational_str(c) for c in model.coords],
+        "coords": [str(c) for c in model.coords],
         "variables": list(res["variables"]),
         "basis": _basis_payload(res["variables"], res["basis"], model.n),
     }
@@ -417,7 +427,7 @@ def _cmd_compare(args):
         "d0": res["d0"],
         "semicontinuous": res["semicontinuous"],
         "stabilized": res["stabilized"],
-        "tUsed": rational_str(res["t_used"]),
+        "tUsed": str(res["t_used"]),
         "dimsSeen": list(res["dims_seen"]),
         "clusters": {vid: _cluster_payload(tree) for vid, tree in res["trees"].items()},
         "verdict": "semicontinuous" if res["semicontinuous"] else "violation",
@@ -429,18 +439,17 @@ def _cmd_selftest(args):
     from . import randgen  # only selftest needs it; importing it costs every command's start-up
 
     rng = random.Random(args.seed)
-    cases = max(1, args.cases)
     failures = []
     checks = {"numbering": 0, "methods": 0, "abundancy": 0, "localModel": 0}
 
-    for i in range(cases):
+    for i in range(args.cases):
         genus = rng.randint(0, 3)
         graph = randgen.random_trivalent_graph(rng, genus)
         checks["numbering"] += 1
         if compatible_numbering_space(graph)["dim"] != genus:
             failures.append(f"numbering case {i}: dim != genus {genus}")
 
-    for i in range(cases):
+    for i in range(args.cases):
         curve = randgen.random_immersive_curve(rng, 3)
         chain = dual_obstruction_chain(curve)
         xi = xi_map(curve)
@@ -454,7 +463,7 @@ def _cmd_selftest(args):
         if chain["dim"] != (n - 1) * g - red_rank:
             failures.append(f"abundancy case {i}: identity violated")
 
-    for i in range(cases):
+    for i in range(args.cases):
         r = rng.randint(1, 3)
         n = r + 1 + rng.randint(0, 2)
         s = rng.randint(2, r + 2)
@@ -469,7 +478,7 @@ def _cmd_selftest(args):
 
     fields = {
         "seed": args.seed,
-        "cases": cases,
+        "cases": args.cases,
         "checks": checks,
         "failures": failures,
         "passed": not failures,

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 from .errors import PreconditionError, ValidationError
 from .graphs import AbstractGraph, Flag, spanning_forest
 from .inputs import ambient_dim, integer_direction, positive_weight, rationals
-from .linalg import content_and_primitive, is_primitive, rational_str
+from .linalg import content_and_primitive, is_primitive
 
 # Largest curve file parse_curve accepts.  The worst case measured is a
 # 256-edge loop chain (genus 51, 153 vertices) in Q^16 (inputs.MAX_DIM):
@@ -239,7 +239,7 @@ def parse_curve(doc: dict) -> TropicalCurve:
 
 def serialize_curve(c: TropicalCurve) -> dict:
     vs = [
-        {"id": v, "position": [rational_str(x) for x in c.positions[v]]}
+        {"id": v, "position": [str(x) for x in c.positions[v]]}
         for v in c.graph.vertex_ids
     ]
     es = []

@@ -2,13 +2,14 @@
 
 Values are ints or `fractions.Fraction`s, always exact; no floating point.
 The one linear-algebra type is `Subspace`, held in reduced echelon form.
-A linear system is the subspace its rows span: its rank is the dimension
-of `Subspace(n, rows)` and its solution space is `kernel(n, rows)`.  A row
-is a {column: value} dict that lists only its nonzero entries, from the
-row builders through elimination to the canonical basis of a `Subspace`;
-`Subspace` and `kernel` also take dense vectors, which they turn into such
-dicts.  `row_blocks` reads a row as the dense n-covectors of the blocks
-where it is nonzero, for the per-flag bases.
+A linear system is the subspace its rows span: its rank is
+`rank(n, rows)`, which builds no basis, and its solution space is
+`kernel(n, rows)`.  A row is a {column: value} dict that lists only its
+nonzero entries, from the row builders through elimination to the
+canonical basis of a `Subspace`; `Subspace`, `kernel`, `rank` and
+`echelon` also take dense vectors, which they turn into such dicts.
+`row_blocks` reads a row as the dense n-covectors of the blocks where it is
+nonzero, for the per-flag bases.
 
 Elimination is sparse, incremental and fraction-free in `_rref`, the one
 eliminator: rows are cleared of denominators on the way in, every step is
@@ -17,8 +18,14 @@ is one `Fraction` made by dividing by the row's pivot.  `Subspace` reads
 its basis off the reduced rows; `kernel` reduces the rows once, with the
 column order reversed, and reads the canonical basis of the solution space
 off the same reduced rows, so a kernel costs one elimination and not two.
-The reduced echelon form is unique, so no basis depends on how it was
-computed.  The systems built elsewhere in this package are large and
+`rank` is the number of reduced rows.  The reduced echelon form is unique,
+so no basis depends on how it was computed.
+
+`_rref` reduces each incoming row modulo the rows kept so far with
+`residual`, and a caller whose rows split into a fixed part and a part that
+varies does the same: with the fixed rows reduced once by `echelon`,
+rank(fixed + new) = len(echelon(fixed)) + rank(residuals of the new rows).
+The systems built elsewhere in this package are large and
 sparse: a genus-40 loop chain in R^3 gives a 600x360 residue system with
 under 1% of its entries nonzero, because every row is a condition on one
 edge or at one vertex and touches only the flags there.
@@ -31,13 +38,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q0 = Fraction(0)
-
-
-def rational_str(q: Fraction | int) -> str:
-    """Serialize a Fraction or int as "p/q", or "p" when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def content_and_primitive(v: Sequence) -> tuple[int | Fraction, tuple[int, ...]]:
@@ -64,23 +64,17 @@ def _rref(rows: Iterable[dict]) -> dict:
     """The reduced echelon form of the rows, as {pivot: integer row}.
 
     Fraction-free incremental Gauss-Jordan on Python ints.  Each incoming row
-    is scaled by the lcm of its denominators, reduced against the pivot rows
-    kept so far, made primitive with a positive entry on its lowest column,
-    its pivot, and that column is cleared from the kept rows, so they stay
-    fully reduced.  A step target := a * target - c * source, with a / c the
-    ratio of the two entries in the cleared column in lowest terms, is
-    followed by dividing out the content of target.  Only nonzero entries
-    are touched, and a row that reduces to zero is dropped.  Each kept row is
-    then a positive multiple of a row of the reduced echelon form, which is
-    unique; dividing it by its pivot entry, which the callers do, gives that
-    row whatever the order of the rows.
+    is reduced against the pivot rows kept so far (`residual`), made
+    primitive with a positive entry on its lowest column, its pivot, and
+    that column is cleared from the kept rows, so they stay fully reduced.
+    A row that reduces to zero is dropped.  Each kept row is then a positive
+    multiple of a row of the reduced echelon form, which is unique; dividing
+    it by its pivot entry, which the callers do, gives that row whatever the
+    order of the rows.
     """
     kept = {}  # pivot column -> primitive integer row, pivot > 0, zero in every other pivot column
     for row in rows:
-        d = lcm(*(x.denominator for x in row.values()))
-        row = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
-        for p in [j for j in row if j in kept]:
-            _eliminate(row, p, kept[p])
+        row = residual(row, kept)
         if not row:
             continue
         p = min(row)
@@ -91,6 +85,26 @@ def _rref(rows: Iterable[dict]) -> dict:
                 _eliminate(other, p, row)
         kept[p] = row
     return kept
+
+
+def residual(row: dict, kept: dict) -> dict:
+    """A sparse row modulo reduced rows `kept` ({pivot: integer row}, as
+    `_rref` and `echelon` return them): an integer row, zero in every pivot
+    column of kept, that differs from a positive multiple of row by a
+    combination of the kept rows.  It is empty exactly when row lies in
+    their span.
+
+    The row is scaled by the lcm of its denominators, and each pivot column
+    where it is nonzero is cleared with that pivot's row (`_eliminate`).
+    The kept rows are zero in each other's pivot columns, so clearing one
+    pivot column sets no other, and one pass over the row's entries clears
+    them all.
+    """
+    d = lcm(*(x.denominator for x in row.values()))
+    row = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+    for p in [j for j in row if j in kept]:
+        _eliminate(row, p, kept[p])
+    return row
 
 
 def _eliminate(target: dict, p: int, source: dict):
@@ -139,8 +153,9 @@ class Subspace:
     where its value is 1.  Equal subspaces therefore have equal bases, so
     `==` decides both containments at once.
 
-    A linear system is the span of its rows: its rank is `dim`, and its
-    solution space is `kernel(ambient, rows)`, from one elimination.
+    A linear system is the span of its rows: its rank is `dim`, or
+    `rank(ambient, rows)` where no basis is wanted, and its solution space
+    is `kernel(ambient, rows)`, from one elimination.
     Vectors are sparse {column: value} rows or dense sequences of length
     `ambient`.
     """
@@ -148,7 +163,7 @@ class Subspace:
     __slots__ = ("ambient", "basis")
 
     def __init__(self, ambient: int, vectors: Iterable[dict | Sequence[Fraction]] = ()):
-        kept = _rref(_sparse_rows(ambient, vectors))
+        kept = echelon(ambient, vectors)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(
             self,
@@ -204,6 +219,19 @@ def kernel(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> Subspa
     object.__setattr__(space, "ambient", ambient)
     object.__setattr__(space, "basis", tuple(null.values()))
     return space
+
+
+def echelon(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> dict:
+    """The reduced echelon form of the vectors in Q^ambient as `_rref` gives
+    it, {pivot: integer row}, for reducing further rows with `residual`.
+    Its length is the rank."""
+    return _rref(_sparse_rows(ambient, vectors))
+
+
+def rank(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> int:
+    """The dimension of the span of the vectors in Q^ambient, from one
+    elimination and without building a basis."""
+    return len(echelon(ambient, vectors))
 
 
 def _sparse_rows(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]):

@@ -3,16 +3,20 @@
 The obstruction dual H is the kernel of a flag system: every bounded flag
 carries a covector, opposite on the two flags of an edge and zero on edges
 outside the loop subgraph, subject to linear conditions at each vertex.
-`flag_system` assembles and solves it over one n-covector per loop edge,
-and gives a basis of H in per-flag form: each basis vector is a
-{Flag: covector} dict that holds only its nonzero covectors, so it costs
-its nonzeros and not the number of flags (a basis vector of a genus-40
-loop chain is nonzero on about 6 of its 240 flags).  It writes the
-conditions of every method: the covectors at a vertex sum to zero and each
-is perpendicular to its edge direction.  The chain method (here) adds
-nothing to them, so a maximal chain carries one covector and junction
-vertices impose the signed sums; the residue method (`residues.xi_map`)
-adds the residue sums at each vertex.
+`flag_assembly` writes the rows of a flag system over one n-covector per
+loop edge, and `flag_system` solves them and gives a basis of H in
+per-flag form: each basis vector is a {Flag: covector} dict that holds only
+its nonzero covectors, so it costs its nonzeros and not the number of flags
+(a basis vector of a genus-40 loop chain is nonzero on about 6 of its 240
+flags).  The assembly writes the conditions of every method: the covectors
+at a vertex sum to zero and each is perpendicular to its edge direction.
+The chain method (here) adds nothing to them, so a maximal chain carries
+one covector and junction vertices impose the signed sums; the residue
+method (`residues.xi_map`) adds the residue sums at each vertex.
+
+Where only a dimension is reported, no basis is built: dim H is the number
+of columns minus the rank of the assembled rows (`linalg.rank`), as in
+`dual_obstruction_dim`, and the abundancy maps report ranks the same way.
 """
 
 from __future__ import annotations
@@ -22,44 +26,50 @@ import itertools
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, Forest, fundamental_cycle, require_trivalent, spanning_forest
-from .linalg import Q0, Subspace, content_and_primitive, kernel, row_blocks
+from .linalg import Q0, content_and_primitive, kernel, rank, row_blocks
 
 
-def flag_system(g: AbstractGraph, n: int, edges, variables, directions=None, vertex_rows=()) -> dict:
-    """Kernel of a flag system, solved over one n-covector w_e per variable edge.
+def flag_assembly(g: AbstractGraph, n: int, edges, variables, directions=None, vertex_rows=()) -> tuple:
+    """The rows of a flag system over one n-covector w_e per variable edge.
 
     The flag at slot 0 of edge e carries +w_e and the flag at slot 1 carries
-    -w_e, for e in `variables`; flags of other edges carry zero.  The shared
-    conditions are written here: n rows per vertex with a variable flag say
-    that the covectors on its variable flags sum to zero, and when
-    `directions` ({edge id: direction}) is given, one row per variable edge
-    says that w_e is perpendicular to its direction.  `vertex_rows` yields
-    a method's own conditions as (flags, rows) pairs: each row is a
-    condition at one vertex, a sparse {i * n + k: coefficient} dict over
-    the concatenated n-covectors of those flags, so key i * n + k is entry
-    k of the covector at flags[i].  Terms on flags of non-variable edges
-    are dropped, and so is a row they leave empty.
-
-    The kernel comes from one elimination of the rows (`linalg.kernel`).
-    Returns its dimension, `flag_order` (the flags of `edges`,
-    sorted bounded edge ids that include the variables, edge by edge with
-    slot 0 first) and the basis: one {Flag: covector} dict per row of the
-    canonical kernel basis, written in one pass over that row's nonzeros.
-    It holds both flags of each edge on which the row is nonzero, +w_e and
-    -w_e as tuples, and no other flag: a flag of `flag_order` that it does
-    not hold carries the zero covector.
+    -w_e, for e in `variables`; flags of other edges carry zero.  Returns
+    (flag_pairs, rows): flag_pairs holds the (slot 0, slot 1) flags of each
+    variable edge, in the order of `edges`, and columns i * n .. i * n + n - 1
+    hold the covector of the i-th pair.  The shared conditions are written
+    here: n rows per vertex with a variable flag say that the covectors on
+    its variable flags sum to zero, and when `directions` ({edge id:
+    direction}) is given, one row per variable edge says that w_e is
+    perpendicular to its direction.  `vertex_rows` yields a method's own
+    conditions, placed by `place_rows`.
     """
     flag_pairs = [
         (Flag(g.edges[eid].ends[0], eid, 0), Flag(g.edges[eid].ends[1], eid, 1))
         for eid in edges
         if eid in variables
     ]
-    base = {f0.edge: i * n for i, (f0, _f1) in enumerate(flag_pairs)}
-    perpendicular = base if directions is not None else ()
-    rows = [{base[eid] + k: x for k, x in enumerate(directions[eid])} for eid in perpendicular]
-    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in base] for v in g.vertex_ids)
+    variable = {f0.edge for f0, _f1 in flag_pairs}
+    perpendicular = () if directions is None else (
+        ([f0], [{k: x for k, x in enumerate(directions[f0.edge]) if x}]) for f0, _f1 in flag_pairs
+    )
+    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in variable] for v in g.vertex_ids)
     sums = ((f, [dict.fromkeys(range(k, len(f) * n, n), 1) for k in range(n)]) for f in stars if f)
-    for flags, local_rows in itertools.chain(sums, vertex_rows):
+    return flag_pairs, place_rows(n, flag_pairs, itertools.chain(perpendicular, sums, vertex_rows))
+
+
+def place_rows(n: int, flag_pairs, vertex_rows) -> list[dict]:
+    """Vertex conditions as rows over the columns of `flag_pairs`.
+
+    `vertex_rows` yields (flags, rows) pairs: each row is a condition at one
+    vertex, a sparse {i * n + k: coefficient} dict over the concatenated
+    n-covectors of those flags, so key i * n + k is entry k of the covector
+    at flags[i].  A term on a slot-1 flag changes sign, since that flag
+    carries -w_e.  Terms on flags of non-variable edges are dropped, and so
+    is a row they leave empty.
+    """
+    base = {f0.edge: i * n for i, (f0, _f1) in enumerate(flag_pairs)}
+    rows = []
+    for flags, local_rows in vertex_rows:
         for local in local_rows:
             row = {}
             for key, c in local.items():
@@ -69,7 +79,23 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, directions=None, ver
                     row[b + k] = row.get(b + k, 0) + (c if flags[i].slot == 0 else -c)
             if row:
                 rows.append(row)
-    space = kernel(len(base) * n, rows)
+    return rows
+
+
+def flag_system(g: AbstractGraph, n: int, edges, variables, directions=None, vertex_rows=()) -> dict:
+    """Kernel of the flag system that `flag_assembly` writes from the same
+    arguments, from one elimination of its rows (`linalg.kernel`).
+
+    Returns its dimension, `flag_order` (the flags of `edges`, sorted
+    bounded edge ids that include the variables, edge by edge with slot 0
+    first) and the basis: one {Flag: covector} dict per row of the
+    canonical kernel basis, written in one pass over that row's nonzeros.
+    It holds both flags of each edge on which the row is nonzero, +w_e and
+    -w_e as tuples, and no other flag: a flag of `flag_order` that it does
+    not hold carries the zero covector.
+    """
+    flag_pairs, rows = flag_assembly(g, n, edges, variables, directions, vertex_rows)
+    space = kernel(len(flag_pairs) * n, rows)
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     basis = []
     for w in space.basis:
@@ -97,6 +123,20 @@ def compatible_numbering_space(obj) -> dict:
 # -- chain-method obstruction dual ----------------------------------------------
 
 
+def _directed_loop(ct, loop_edges) -> list:
+    """The loop edges in sorted order, once each is checked to have a
+    direction, as the chain method needs."""
+    loop = sorted(loop_edges)
+    for eid in loop:
+        if ct.directions.get(eid) is None:
+            raise PreconditionError(
+                "zero-direction-loop",
+                f"loop edge {eid} has no direction; chains need one on every loop edge",
+                edge=eid,
+            )
+    return loop
+
+
 def dual_obstruction_chain(ct) -> dict:
     """Obstruction dual H of a combinatorial type, from directions only.
 
@@ -108,14 +148,7 @@ def dual_obstruction_chain(ct) -> dict:
     n = ct.n
     require_trivalent(g, "the chain obstruction")
     decomp = g.loop_decomposition()
-    loop = sorted(decomp.loop_edges)
-    for eid in loop:
-        if ct.directions.get(eid) is None:
-            raise PreconditionError(
-                "zero-direction-loop",
-                f"loop edge {eid} has no direction; chains need one on every loop edge",
-                edge=eid,
-            )
+    loop = _directed_loop(ct, decomp.loop_edges)
     out = flag_system(g, n, loop, decomp.loop_edges, ct.directions)
     chains = []
     for chain in decomp.chains:
@@ -132,9 +165,21 @@ def dual_obstruction_chain(ct) -> dict:
     return out
 
 
+def dual_obstruction_dim(ct) -> int:
+    """dim H of `dual_obstruction_chain`, with its preconditions and errors,
+    as the number of columns minus the rank of the chain rows; no basis is
+    built."""
+    g = ct.graph
+    require_trivalent(g, "the chain obstruction")
+    variables = g.loop_part()
+    flag_pairs, rows = flag_assembly(g, ct.n, _directed_loop(ct, variables), variables, ct.directions)
+    columns = len(flag_pairs) * ct.n
+    return columns - rank(columns, rows)
+
+
 def parameter_dimension(obj) -> int:
     """Dimension of the deformation space of the combinatorial type."""
-    return expected_dim(obj) + dual_obstruction_chain(obj)["dim"]
+    return expected_dim(obj) + dual_obstruction_dim(obj)
 
 
 # -- abundancy ------------------------------------------------------------------
@@ -170,8 +215,8 @@ def abundancy_map(c: TropicalCurve):
     rows = []
     for eid in g.forest.rest:
         rows.extend(_cycle_rows(c, g.forest, eid, col))
-    rank = Subspace(len(col), rows).dim
-    return rank, rank == g.genus() * c.n
+    r = rank(len(col), rows)
+    return r, r == g.genus() * c.n
 
 
 def reduced_abundancy_map(c: TropicalCurve):
@@ -207,7 +252,7 @@ def reduced_abundancy_map(c: TropicalCurve):
                 for j, x in cycle_rows[k].items():
                     row[j] = row.get(j, Q0) + ak * x
             rows.append(row)
-    return Subspace(len(col), rows).dim, cut
+    return rank(len(col), rows), cut
 
 
 # -- classification --------------------------------------------------------------
@@ -220,14 +265,13 @@ def classify_report(curve: TropicalCurve) -> dict:
     count (positive obstruction dual dimension).  Definition 2 asks whether
     the image curve's abundancy map is onto.
     """
-    chain = dual_obstruction_chain(curve)
+    dim = dual_obstruction_dim(curve)
     expected = expected_dim(curve)
-    param = expected + chain["dim"]
     report = {
-        "dim_obstruction_dual": chain["dim"],
+        "dim_obstruction_dual": dim,
         "expected_dim": expected,
-        "parameter_dim": param,
-        "superabundant_def1": chain["dim"] > 0,
+        "parameter_dim": expected + dim,
+        "superabundant_def1": dim > 0,
     }
     try:
         image = contract_image(curve)

@@ -12,7 +12,10 @@ up to a nonzero factor, the residue sum over j != k of
 (a[k,j] + a[j,k]) / (p_k - p_j), and those m - 1 sums are the rows written
 here.  In `xi_map`, `obstruction.flag_system` adds the other two conditions
 to them; its kernel is the curve-level obstruction space, and on a
-3-valent curve it agrees with the chain method.
+3-valent curve it agrees with the chain method.  `degeneration_compare`
+needs only that space's dimension at each evaluation point, so it
+assembles the same rows (`obstruction.flag_assembly`) and takes a rank:
+the rows that do not depend on the point are reduced once.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .errors import PreconditionError, ValidationError
 from .graphs import Flag
 from .inputs import ambient_dim, integer_direction, positive_weight, rationals
 from .laurent import LaurentSeries, PhyloLeaf, laurent_cmp, phylo_tree
-from .linalg import Q0, Subspace, content_and_primitive, is_primitive, kernel, row_blocks
-from .obstruction import dual_obstruction_chain, flag_system
+from .linalg import Q0, content_and_primitive, echelon, is_primitive, kernel, rank, residual, row_blocks
+from .obstruction import dual_obstruction_dim, flag_assembly, flag_system, place_rows
 
 
 # Largest star a LocalModel accepts.  Building the residue rows is O(m^2 n);
@@ -346,7 +349,7 @@ def b_system(tree) -> dict:
     col = {p: k for k, p in enumerate(pairs)}
     rows = [{col[(i, j)]: 1 for i in leaves[a:b] for j in leaves[a:b] if i != j} for a, b in spans]
     return {
-        "rank": Subspace(len(pairs), rows).dim,
+        "rank": rank(len(pairs), rows),
         "internal_nodes": len(spans),
         "pairs": pairs,
     }
@@ -379,15 +382,18 @@ def xi_map(ct, coords_by_vertex=None) -> dict:
                 vertex=v,
             )
         models[v] = LocalModel.from_star(ct, v, coords)
-
-    def residue_rows():
-        for model in models.values():
-            bounded = [rec for rec in model.slots if rec.bounded]
-            yield [rec.flag for rec in bounded], _residue_rows(model, bounded)
-
-    out = flag_system(g, ct.n, g.bounded_edge_ids(), g.loop_part(), ct.directions, residue_rows())
+    residue_rows = _star_residues(models.values())
+    out = flag_system(g, ct.n, g.bounded_edge_ids(), g.loop_part(), ct.directions, residue_rows)
     out["models"] = models
     return out
+
+
+def _star_residues(models):
+    """The residue sums of each model of a vertex of a curve, as the
+    (flags, rows) pairs that `obstruction.place_rows` places."""
+    for model in models:
+        bounded = [rec for rec in model.slots if rec.bounded]
+        yield [rec.flag for rec in bounded], _residue_rows(model, bounded)
 
 
 # -- genus-one smoothing criterion ---------------------------------------------------
@@ -496,20 +502,37 @@ def degeneration_compare(
     The series are evaluated at a small t to produce marked coordinates; t
     shrinks by 1000 until the dimension repeats (and skips any t where
     evaluated points collide), at most _MAX_SHRINKS times.  The resolved
-    type's chain dimension bounds the evaluated dimension from above.
+    type's chain dimension d0 (`dual_obstruction_dim`) bounds the evaluated
+    dimension from above.
+
+    The dimension at t is that of `xi_map` with the evaluated coordinates,
+    computed as a rank and without a basis.  Only the residue sums of the
+    vertices with series depend on t: the perpendicularity rows, the vertex
+    sums and the residue sums of the other vertices, whose models are built
+    once, are reduced once (`linalg.echelon`), and at each t only the
+    residue sums of the vertices with series are reduced modulo them
+    (`linalg.residual`), at most sum over those vertices of (m_v - 1) rows
+    for m_v finite slots.
     """
     ct = contract_image(curve)
     resolved, trees = resolve_by_phylo(ct, series_by_vertex)
-    d0 = dual_obstruction_chain(resolved)["dim"]
+    d0 = dual_obstruction_dim(resolved)
     t = Fraction(t0) if t0 is not None else Fraction(1, 10**6)
     if not 0 < t < 1:
         raise ValidationError("bad-evaluation-point", "t must lie strictly between 0 and 1")
+    g, n = ct.graph, ct.n
+    fixed = [LocalModel.from_star(ct, v) for v in g.vertex_ids if v not in trees]
+    flag_pairs, rows = flag_assembly(g, n, g.bounded_edge_ids(), g.loop_part(), ct.directions, _star_residues(fixed))
+    columns = len(flag_pairs) * n
+    kept = echelon(columns, rows)
     dims = []
     t_used = None
     for _ in range(_MAX_SHRINKS + 1):
         coords_by_vertex = {v: [s.evaluate(t) for s in series_by_vertex[v]] for v in trees}
         if all(len(set(vals)) == len(vals) for vals in coords_by_vertex.values()):
-            dims.append(xi_map(ct, coords_by_vertex)["dim"])
+            moving = [LocalModel.from_star(ct, v, coords) for v, coords in coords_by_vertex.items()]
+            extra = [residual(row, kept) for row in place_rows(n, flag_pairs, _star_residues(moving))]
+            dims.append(columns - len(kept) - rank(columns, extra))
             t_used = t
             if len(dims) >= 2 and dims[-1] == dims[-2]:
                 break

@@ -11,6 +11,9 @@ neighbours first differ as `tropctl.laurent` does.  The flag-system
 references assemble rows vertex by vertex, each vertex restating the
 perpendicularity and sum conditions it shares with the others, where
 `tropctl.obstruction.flag_system` writes those once per edge and vertex.
+The abundancy references measure each edge from its end positions and take
+the cycles from root paths.  `rational_str` is the rational format that
+reports print, written out where the package uses `str`.
 """
 
 from __future__ import annotations
@@ -79,6 +82,13 @@ def nullity(rows, ncols) -> int:
     return ncols - matrix_rank(rows)
 
 
+def rational_str(q) -> str:
+    """An int or Fraction as "p/q", or "p" when the denominator is 1."""
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
 # -- fundamental cycles from root paths ------------------------------------
 
 
@@ -132,6 +142,50 @@ def root_path_cycles(graph, edges):
             coeff[e] = coeff.get(e, 0) - s
         cycles[eid] = {e: s for e, s in coeff.items() if s != 0}
     return tuple(rest), root, cycles
+
+
+# -- abundancy maps from root-path cycles --------------------------------------
+
+
+def abundancy_ranks(curve) -> tuple[int, int]:
+    """Ranks of the abundancy map and of the reduced abundancy map.
+
+    The full map has n rows per cycle of the greedy forest over the sorted
+    bounded edges: entry k of the length-weighted direction of each cycle
+    edge, signed as the cycle crosses it.  The reduced map takes the cycles
+    of the greedy forest over the bounded edges in reverse order and
+    combines each cycle's n rows by every vector of a null basis of its
+    closing edge's direction.  Lengths are measured from the positions.
+    """
+    g, n = curve.graph, curve.n
+    bounded = [eid for eid in g.edge_ids if g.edges[eid].ends[1] is not None]
+
+    def length(eid):
+        a, b = g.edges[eid].ends
+        d = curve.directions[eid]
+        k = next(k for k in range(n) if d[k])
+        return Fraction(curve.positions[b][k] - curve.positions[a][k]) / d[k]
+
+    def cycle_rows(cycle):
+        return [{e: s * length(e) * curve.directions[e][k] for e, s in cycle.items()} for k in range(n)]
+
+    rest, _root, cycles = root_path_cycles(g, bounded)
+    rev_rest, _rev_root, rev_cycles = root_path_cycles(g, bounded[::-1])
+    col = {e: j for j, e in enumerate(sorted({e for c in (*cycles.values(), *rev_cycles.values()) for e in c}))}
+
+    def dense(row):
+        out = [Fraction(0)] * len(col)
+        for e, x in row.items():
+            out[col[e]] = x
+        return out
+
+    full = [dense(row) for eid in rest for row in cycle_rows(cycles[eid])]
+    reduced = []
+    for eid in rev_rest:
+        rows = [dense(row) for row in cycle_rows(rev_cycles[eid])]
+        for a in nullspace([curve.directions[eid]], n):
+            reduced.append([sum(a[k] * rows[k][j] for k in range(n)) for j in range(len(col))])
+    return matrix_rank(full), matrix_rank(reduced)
 
 
 # -- naive compatible-numbering flag system ----------------------------------

@@ -947,6 +947,17 @@ def test_usage_errors_exit_64(capsys, square):
     capsys.readouterr()  # drain argparse noise
 
 
+@pytest.mark.parametrize("cases", ["0", "-3", "x"])
+def test_selftest_needs_a_positive_case_count(capsys, cases):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--cases", cases, "--format", "json"])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    expected = f"invalid int value: '{cases}'" if cases == "x" else f"must be at least 1, got {cases}"
+    assert err.endswith(f"tropctl selftest: error: argument --cases: {expected}\n")
+
+
 def _square_in(n):
     """The quick-start square padded with zeros from Q^3 into Q^n."""
     doc = fixtures.square_loop_doc()

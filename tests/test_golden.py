@@ -16,7 +16,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from tropctl import obstruction, residues
 from tropctl.cli import main
+from tropctl.linalg import Subspace
 
 import fixtures
 
@@ -197,6 +199,22 @@ def fixture_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("key", sorted(CASES), ids=lambda k: "-".join(k))
 def test_report_bytes_match_golden(key, fixture_dir, monkeypatch):
+    monkeypatch.chdir(fixture_dir)
+    assert run_digest(CASES[key]) == GOLDEN[key]
+
+
+# the commands that report dimensions only: they compute ranks and build no basis
+RANK_ONLY = sorted(key for key in CASES if key[1] in ("classify", "abundancy", "compare", "compare-t0"))
+
+
+@pytest.mark.parametrize("key", RANK_ONLY, ids=lambda k: "-".join(k))
+def test_dimension_reports_build_no_basis(key, fixture_dir, monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a dimension-only report built a basis")
+
+    for module in (obstruction, residues):
+        monkeypatch.setattr(module, "flag_system", no_basis)
+    monkeypatch.setattr(Subspace, "__init__", no_basis)
     monkeypatch.chdir(fixture_dir)
     assert run_digest(CASES[key]) == GOLDEN[key]
 

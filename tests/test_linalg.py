@@ -13,9 +13,11 @@ from tropctl.laurent import LaurentSeries
 from tropctl.linalg import (
     Subspace,
     content_and_primitive,
+    echelon,
     is_primitive,
     kernel,
-    rational_str,
+    rank,
+    residual,
     row_blocks,
 )
 
@@ -105,8 +107,19 @@ def test_parse_rational_agrees_with_fraction(text):
 
 
 def test_rational_str_round_trip():
-    for q in [Fraction(3, 4), Fraction(-2), Fraction(0), Fraction(11, 3)]:
-        assert parse_rational(rational_str(q)) == q
+    for q in [Fraction(3, 4), Fraction(-2), Fraction(0), Fraction(11, 3), 7, -2**70]:
+        assert parse_rational(str(q)) == q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+))
+def test_str_is_the_rational_format(q):
+    # reports print rationals with str, which must keep the "p/q" or "p" format
+    assert str(q) == oracles.rational_str(q)
+    assert parse_rational(str(q)) == q
 
 
 def test_rref_known_matrix():
@@ -215,6 +228,26 @@ def test_fraction_free_elimination_gives_the_canonical_basis(matrix, rng):
     shuffled = [{j: x for j, x in enumerate(r) if x} for r in rows]
     rng.shuffle(shuffled)
     assert Subspace(ncols, shuffled).basis == span.basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_sparse_matrices(), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_rank_and_residuals_modulo_a_reduced_set(matrix, split, rng):
+    ncols, rows = matrix
+    assert rank(ncols, rows) == oracles.matrix_rank(rows) == Subspace(ncols, rows).dim
+    rows = list(rows)
+    rng.shuffle(rows)
+    assert len(echelon(ncols, rows[:split])) == oracles.matrix_rank(rows[:split])
+    fixed, new = [[{j: x for j, x in enumerate(r) if x} for r in part] for part in (rows[:split], rows[split:])]
+    kept = echelon(ncols, fixed)
+    residuals = [residual(row, kept) for row in new]
+    for res in residuals:
+        assert not set(res) & set(kept)
+        assert all(type(x) is int and x for x in res.values())
+    assert len(kept) + rank(ncols, residuals) == rank(ncols, rows)
+    # a residual is empty exactly when its row lies in the span of the fixed rows
+    for row, res in zip(new, residuals):
+        assert (not res) == (rank(ncols, fixed + [row]) == len(kept))
 
 
 def oracle_kernel_basis(ncols, rows):

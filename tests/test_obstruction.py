@@ -13,10 +13,11 @@ from tropctl.obstruction import (
     classify_report,
     compatible_numbering_space,
     dual_obstruction_chain,
+    dual_obstruction_dim,
     parameter_dimension,
     reduced_abundancy_map,
 )
-from tropctl.curves import CombinatorialType, contract_image
+from tropctl.curves import CombinatorialType, contract_image, expected_dim
 from tropctl.randgen import (
     random_genus1_curve,
     random_immersive_curve,
@@ -165,6 +166,39 @@ def test_abundancy_identity_on_random_curves():
         assert dim_h == (n - 1) * genus - rrank
         assert surjective == (rank == genus * n)
         assert (rrank == (n - 1) * genus) == surjective
+
+
+def _rank_path_curves():
+    """The fixtures, random curves and loop chains."""
+    rng = random.Random(2323)
+    docs = (fixtures.square_loop_doc, fixtures.gamma1_doc, fixtures.gamma2_doc, fixtures.ex534_doc, fixtures.ex536_doc)
+    curves = [fixtures.curve(doc()) for doc in docs]
+    curves += [random_immersive_curve(rng, rng.choice([2, 3, 4])) for _ in range(20)]
+    curves += [random_genus1_curve(rng, rng.choice([2, 3]), extra_legs=rng.randint(0, 3)) for _ in range(6)]
+    curves += [random_loopchain_curve(rng, rng.choice([2, 3, 5]), genus) for genus in (1, 3, 6)]
+    return curves
+
+
+def test_chain_rank_is_the_chain_kernel_dimension():
+    for c in _rank_path_curves():
+        try:
+            expected = dual_obstruction_chain(c)["dim"]
+        except PreconditionError as err:
+            with pytest.raises(PreconditionError) as again:
+                dual_obstruction_dim(c)
+            assert again.value.payload() == err.payload()
+            continue
+        assert dual_obstruction_dim(c) == expected
+        assert parameter_dimension(c) == expected_dim(c) + expected
+        assert classify_report(c)["dim_obstruction_dual"] == expected
+
+
+def test_abundancy_ranks_match_the_oracle():
+    for c in _rank_path_curves():
+        image = contract_image(c)
+        full, reduced = oracles.abundancy_ranks(image)
+        assert abundancy_map(image)[0] == full
+        assert reduced_abundancy_map(image)[0] == reduced
 
 
 def test_parameter_dimension_formula():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tropctl.curves import parse_curve
+from tropctl.curves import contract_image, parse_curve
 from tropctl.errors import PreconditionError, ValidationError
 from tropctl.graphs import AbstractGraph, Flag
 from tropctl.linalg import Subspace
@@ -304,38 +304,38 @@ def test_vertex_phylo_checks_the_series():
 
 
 def test_compare_models_and_checks_each_star_once(monkeypatch):
-    # outside the xi_map solves, V gets one LocalModel and one series check
+    # compare solves no xi_map: each vertex without series gets one
+    # LocalModel, V gets one when it is resolved and one more at each
+    # evaluation point, and V's series are checked once
     c = fixtures.curve(fixtures.ex536_doc())
     from tropctl.laurent import LaurentSeries
 
     series = {"V": [LaurentSeries.zero(), LaurentSeries([(-3, 1)]), LaurentSeries([(-5, 1)])]}
     calls = []
-    solving = []
     from_star = LocalModel.from_star.__func__
-    xi, phylo = residues.xi_map, residues.vertex_phylo
+    phylo = residues.vertex_phylo
 
     def counting_from_star(cls, obj, vertex, coords=None):
-        if not solving:
-            calls.append(("model", vertex))
+        calls.append(("model", vertex))
         return from_star(cls, obj, vertex, coords)
-
-    def marking_xi(*args):
-        solving.append(True)
-        try:
-            return xi(*args)
-        finally:
-            solving.pop()
 
     def counting_phylo(model, series_list):
         calls.append(("series", model.vertex))
         return phylo(model, series_list)
 
+    def no_xi(*args):
+        raise AssertionError("compare solved an xi system")
+
     monkeypatch.setattr(LocalModel, "from_star", classmethod(counting_from_star))
-    monkeypatch.setattr(residues, "xi_map", marking_xi)
+    monkeypatch.setattr(residues, "xi_map", no_xi)
     monkeypatch.setattr(residues, "vertex_phylo", counting_phylo)
     rep = degeneration_compare(c, series)
     assert rep["d"] == 1
-    assert sorted(calls) == [("model", "V"), ("series", "V")]
+    assert len(rep["dims_seen"]) == 2
+    others = [v for v in contract_image(c).graph.vertex_ids if v != "V"]
+    assert others
+    expected = [("model", v) for v in others] + [("model", "V")] * 3 + [("series", "V")]
+    assert sorted(calls) == sorted(expected)
 
 
 def test_local_model_valence_cap():
@@ -357,7 +357,7 @@ def test_degeneration_compare_ex536():
             LaurentSeries([(-5, 1)]),
         ]
     }
-    rep = degeneration_compare(c, series)
+    rep = assert_compare_matches_the_basis_paths(c, series)
     assert rep["semicontinuous"]
     assert rep["stabilized"]
     assert rep["d"] == 1  # one admissible configuration family: dim stays 1
@@ -366,18 +366,45 @@ def test_degeneration_compare_ex536():
     assert 0 < rep["t_used"] < 1
 
 
+def assert_compare_matches_the_basis_paths(c, series, t0=None):
+    """degeneration_compare's ranks against the kernels they stand for: d is
+    xi_map's dimension at the coordinates evaluated at tUsed, and d0 the
+    resolved type's dual_obstruction_chain dimension."""
+    rep = degeneration_compare(c, series, t0)
+    coords = {v: [s.evaluate(rep["t_used"]) for s in series[v]] for v in rep["trees"]}
+    assert rep["d"] == xi_map(contract_image(c), coords)["dim"]
+    assert rep["d0"] == dual_obstruction_chain(rep["resolved_type"])["dim"]
+    return rep
+
+
 def test_degeneration_compare_random_cases():
     rng = random.Random(424242)
     done = 0
-    while done < 8:
+    while done < 16:
         c, v, series = fixtures.random_higher_valent_case(rng)
+        t0 = (None, Fraction(1, 100), Fraction(2, 7))[done % 3]
         try:
-            rep = degeneration_compare(c, series)
+            rep = assert_compare_matches_the_basis_paths(c, series, t0)
         except PreconditionError:
             continue  # a split direction vanished; draw another case
         assert rep["d"] <= rep["d0"]
         assert rep["stabilized"]
         done += 1
+
+
+def test_compare_resolves_before_it_checks_the_evaluation_point():
+    # a resolution error wins over a bad t, as it did when d0 came from a basis
+    rng = random.Random(1)
+    while True:
+        c, _v, series = fixtures.random_higher_valent_case(rng)
+        try:
+            residues.resolve_by_phylo(contract_image(c), series)
+        except PreconditionError as exc:
+            first = exc.payload()
+            break
+    with pytest.raises(PreconditionError) as err:
+        degeneration_compare(c, series, Fraction(2))
+    assert err.value.payload() == first
 
 
 def test_selfloop_star_local_model_labels():
