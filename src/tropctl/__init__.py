@@ -32,7 +32,6 @@ from .laurent import (
     phylo_tree,
     rebase,
 )
-from .linalg import Subspace
 from .obstruction import (
     abundancy_map,
     classify_report,
@@ -69,7 +68,6 @@ __all__ = [
     "PhyloLeaf",
     "PhyloNode",
     "PreconditionError",
-    "Subspace",
     "TropctlError",
     "TropicalCurve",
     "ValidationError",

@@ -1,25 +1,25 @@
 """Exact sparse linear algebra over the rationals.
 
 Values are ints or `fractions.Fraction`s, always exact; no floating point.
-The one linear-algebra type is `Subspace`, held in reduced echelon form.
-A linear system is the subspace its rows span: its rank is
-`rank(n, rows)`, which builds no basis, and its solution space is
-`kernel(n, rows)`.  A row is a {column: value} dict that lists only its
-nonzero entries, from the row builders through elimination to the
-canonical basis of a `Subspace`; `Subspace`, `kernel`, `rank` and
-`echelon` also take dense vectors, which they turn into such dicts.
-`row_blocks` reads a row as the dense n-covectors of the blocks where it is
-nonzero, for the per-flag bases.
+A linear system in Q^n is its rows, and four functions answer what is
+asked of it: `echelon(n, rows)` is its reduced echelon form, `residual`
+reduces one more row modulo that form, `rank(n, rows)` is its rank, with
+no basis built, and `kernel(n, rows)` is the canonical basis of its
+solution space.  A row is a {column: value} dict that lists only its
+nonzero entries, from the row builders through elimination to the kernel
+basis; `echelon`, `rank` and `kernel` also take dense vectors, which they
+turn into such dicts.  `row_blocks` reads a row as the dense n-covectors
+of the blocks where it is nonzero, for the per-flag bases.
 
 Elimination is sparse, incremental and fraction-free in `_rref`, the one
-eliminator: rows are cleared of denominators on the way in, every step is
-integer arithmetic with the row content divided out, and each output entry
-is one `Fraction` made by dividing by the row's pivot.  `Subspace` reads
-its basis off the reduced rows; `kernel` reduces the rows once, with the
-column order reversed, and reads the canonical basis of the solution space
-off the same reduced rows, so a kernel costs one elimination and not two.
-`rank` is the number of reduced rows.  The reduced echelon form is unique,
-so no basis depends on how it was computed.
+eliminator, reached from `echelon` and `kernel`: rows are cleared of
+denominators on the way in, and every step is integer arithmetic with the
+row content divided out.  `echelon` returns those integer rows and `rank`
+counts them.  `kernel` reduces the rows once, with the column order
+reversed, and reads the canonical basis of the solution space off the same
+reduced rows, each entry one `Fraction` made by dividing by a row's pivot,
+so a kernel costs one elimination and not two.  The reduced echelon form
+is unique, so no basis depends on how it was computed.
 
 `_rref` reduces each incoming row modulo the rows kept so far with
 `residual`, and a caller whose rows split into a fixed part and a part that
@@ -56,8 +56,11 @@ def content_and_primitive(v: Sequence) -> tuple[int | Fraction, tuple[int, ...]]
     return (g if d == 1 else Fraction(g, d)), tuple(x // g for x in ints)
 
 
-def is_primitive(v: Sequence[int]) -> bool:
-    return gcd(*(int(x) for x in v)) == 1
+def is_primitive(v: Sequence[int | Fraction]) -> bool:
+    """Whether v is an integer vector whose entries have gcd 1.  An entry
+    that is not an integer, such as Fraction(3, 2), makes it not primitive;
+    an integral Fraction counts as its integer."""
+    return all(x.denominator == 1 for x in v) and gcd(*(x.numerator for x in v)) == 1
 
 
 def _rref(rows: Iterable[dict]) -> dict:
@@ -69,7 +72,7 @@ def _rref(rows: Iterable[dict]) -> dict:
     that column is cleared from the kept rows, so they stay fully reduced.
     A row that reduces to zero is dropped.  Each kept row is then a positive
     multiple of a row of the reduced echelon form, which is unique; dividing
-    it by its pivot entry, which the callers do, gives that row whatever the
+    it by its pivot entry, as `kernel` does, gives that row whatever the
     order of the rows.
     """
     kept = {}  # pivot column -> primitive integer row, pivot > 0, zero in every other pivot column
@@ -146,52 +149,10 @@ def row_blocks(row: dict, n: int) -> dict[int, tuple]:
     return {i: tuple(block) for i, block in blocks.items()}
 
 
-class Subspace:
-    """A linear subspace of Q^n held as its canonical basis: the nonzero rows
-    of the reduced echelon form of any spanning set, as sparse
-    {column: value} rows in pivot order.  A row's pivot is its lowest key,
-    where its value is 1.  Equal subspaces therefore have equal bases, so
-    `==` decides both containments at once.
-
-    A linear system is the span of its rows: its rank is `dim`, or
-    `rank(ambient, rows)` where no basis is wanted, and its solution space
-    is `kernel(ambient, rows)`, from one elimination.
-    Vectors are sparse {column: value} rows or dense sequences of length
-    `ambient`.
-    """
-
-    __slots__ = ("ambient", "basis")
-
-    def __init__(self, ambient: int, vectors: Iterable[dict | Sequence[Fraction]] = ()):
-        kept = echelon(ambient, vectors)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(
-            self,
-            "basis",
-            tuple({j: Fraction(x, row[p]) for j, x in row.items()} for p, row in sorted(kept.items())),
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of Q^{self.ambient})"
-
-
-def kernel(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> Subspace:
-    """The solution space {x : v . x = 0 for every v in vectors} in Q^ambient,
-    from one elimination.
+def kernel(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> tuple[dict, ...]:
+    """The canonical basis of the solution space {x : v . x = 0 for every v
+    in vectors} in Q^ambient, from one elimination: a tuple of sparse
+    {column: Fraction} rows, whose length is the nullity.
 
     The rows are reduced with column j keyed as ambient - 1 - j, so each
     reduced row has its pivot at its highest column q, where it is 1, and is
@@ -201,9 +162,9 @@ def kernel(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> Subspa
     lowest column is f, where it is 1, because row_q[f] != 0 only for
     f < q, and it is zero in every other free column.  So these vectors are
     the rows of a reduced echelon form of the solution space, with pivots at
-    the free columns, and that form is unique: they are the canonical basis
-    that `Subspace` would compute from any spanning set.  Each is written in
-    increasing column order.
+    the free columns, and that form is unique: equal solution spaces give
+    equal tuples.  The rows are in pivot order, each written in increasing
+    column order.
     """
     last = ambient - 1
     kept = _rref({last - j: x for j, x in row.items()} for row in _sparse_rows(ambient, vectors))
@@ -215,10 +176,7 @@ def kernel(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> Subspa
         for k, x in row.items():
             if k != key:
                 null[last - k][q] = Fraction(-x, pivot)
-    space = object.__new__(Subspace)
-    object.__setattr__(space, "ambient", ambient)
-    object.__setattr__(space, "basis", tuple(null.values()))
-    return space
+    return tuple(null.values())
 
 
 def echelon(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> dict:

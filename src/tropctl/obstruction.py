@@ -98,14 +98,14 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, directions=None, ver
     space = kernel(len(flag_pairs) * n, rows)
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     basis = []
-    for w in space.basis:
+    for w in space:
         assignment = {}
         for i, cov in row_blocks(w, n).items():
             f0, f1 = flag_pairs[i]
             assignment[f0] = cov
             assignment[f1] = tuple(-x for x in cov)
         basis.append(assignment)
-    return {"dim": space.dim, "flag_order": flag_order, "basis": basis}
+    return {"dim": len(space), "flag_order": flag_order, "basis": basis}
 
 
 # -- compatible numberings -----------------------------------------------------
@@ -157,7 +157,7 @@ def dual_obstruction_chain(ct) -> dict:
             {
                 "edges": list(chain.edges),
                 "closed": chain.closed,
-                "perp": [content_and_primitive(row_blocks(bv, n)[0])[1] for bv in perp.basis],
+                "perp": [content_and_primitive(row_blocks(bv, n)[0])[1] for bv in perp],
             }
         )
     out["loop_edges"] = loop
@@ -246,7 +246,7 @@ def reduced_abundancy_map(c: TropicalCurve):
             )
         ann = kernel(n, [d])
         cycle_rows = _cycle_rows(c, forest, eid, col)
-        for a in ann.basis:
+        for a in ann:
             row = {}
             for k, ak in a.items():
                 for j, x in cycle_rows[k].items():

@@ -278,10 +278,10 @@ def a_system(model: LocalModel) -> dict:
     rows, bounded = _local_rows(model)
     space = kernel(len(bounded) * model.n, rows)
     basis = [
-        {bounded[i].label: cov for i, cov in row_blocks(bv, model.n).items()} for bv in space.basis
+        {bounded[i].label: cov for i, cov in row_blocks(bv, model.n).items()} for bv in space
     ]
     return {
-        "dim": space.dim,
+        "dim": len(space),
         "variables": [rec.label for rec in bounded],
         "basis": basis,
     }
@@ -422,11 +422,11 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
     ]
     ann = kernel(curve.n, dirs)
     return {
-        "span_dim": curve.n - ann.dim,
-        "dim_h": ann.dim,
-        "smoothable": ann.dim == 0,
+        "span_dim": curve.n - len(ann),
+        "dim_h": len(ann),
+        "smoothable": not ann,
         "loop_vertices": loop_vertices,
-        "h_basis": [content_and_primitive(row_blocks(bv, curve.n)[0])[1] for bv in ann.basis],
+        "h_basis": [content_and_primitive(row_blocks(bv, curve.n)[0])[1] for bv in ann],
     }
 
 

@@ -12,7 +12,11 @@ references assemble rows vertex by vertex, each vertex restating the
 perpendicularity and sum conditions it shares with the others, where
 `tropctl.obstruction.flag_system` writes those once per edge and vertex.
 The abundancy references measure each edge from its end positions and take
-the cycles from root paths.  `rational_str` is the rational format that
+the cycles from root paths.  Spans computed by the package (chain `perp`
+spaces, obstruction bases, residue rows, `h_basis`) are compared through
+`canonical_span`, the reduced echelon form that `row_reduce` gives, so such
+a check rests on the package's elimination and this one, not on the
+package's eliminator run twice.  `rational_str` is the rational format that
 reports print, written out where the package uses `str`.
 """
 
@@ -54,6 +58,16 @@ def row_reduce(rows):
         if r == len(mat):
             break
     return mat, pivots
+
+
+def canonical_span(ncols, rows) -> tuple:
+    """The canonical basis of the span of rows in Q^ncols: the nonzero rows
+    of their reduced echelon form from `row_reduce`, as sparse
+    {column: Fraction} rows in pivot order.  Equal spans give equal tuples.
+    Rows are dense sequences or sparse {column: value} dicts."""
+    dense = [[row.get(j, 0) for j in range(ncols)] if isinstance(row, dict) else row for row in rows]
+    reduced, pivots = row_reduce(dense)
+    return tuple({j: x for j, x in enumerate(row) if x} for row in reduced[: len(pivots)])
 
 
 def matrix_rank(rows) -> int:

@@ -56,6 +56,26 @@ def test_parse_rejects_unbalanced():
     assert err.value.kind == "unbalanced"
 
 
+def test_curve_rejects_non_integral_leg_directions():
+    # balanced, and gcd(-1/2, 3/2) truncated to integers is 1, but a
+    # direction with a non-integral entry is not primitive
+    g = AbstractGraph(
+        ["v", "w"],
+        [("b", ("v", "w"), 1), ("l1", ("v", None), 1), ("l2", ("v", None), 1), ("l3", ("w", None), 1), ("l4", ("w", None), 1)],
+    )
+    half = Fraction(1, 2)
+    directions = {"l1": (-half, 3 * half), "l2": (-half, -3 * half), "l3": (1, 1), "l4": (0, -1)}
+    with pytest.raises(ValidationError) as err:
+        TropicalCurve(g, 2, {"v": (0, 0), "w": (1, 0)}, directions)
+    assert err.value.kind == "non-primitive"
+    assert err.value.context["edge"] == "l1"
+    # the same curve with integral Fractions is accepted
+    directions["l1"], directions["l2"] = (Fraction(-1), Fraction(1)), (Fraction(0), Fraction(-1))
+    directions["l3"] = (Fraction(1), Fraction(1))
+    c = TropicalCurve(g, 2, {"v": (0, 0), "w": (1, 0)}, directions)
+    assert all(x.denominator == 1 for u, _count in degree(c) for x in u)
+
+
 def test_parse_rejects_missing_leg_direction():
     doc = fixtures.square_loop_doc()
     del doc["edges"][-1]["direction"]

@@ -18,7 +18,6 @@ import pytest
 
 from tropctl import obstruction, residues
 from tropctl.cli import main
-from tropctl.linalg import Subspace
 
 import fixtures
 
@@ -214,7 +213,6 @@ def test_dimension_reports_build_no_basis(key, fixture_dir, monkeypatch):
 
     for module in (obstruction, residues):
         monkeypatch.setattr(module, "flag_system", no_basis)
-    monkeypatch.setattr(Subspace, "__init__", no_basis)
     monkeypatch.chdir(fixture_dir)
     assert run_digest(CASES[key]) == GOLDEN[key]
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra: subspaces as ranks and kernels."""
+"""Exact linear algebra: reduced echelon forms, ranks and canonical kernel bases."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,6 @@ from tropctl.errors import ValidationError
 from tropctl.inputs import parse_rational
 from tropctl.laurent import LaurentSeries
 from tropctl.linalg import (
-    Subspace,
     content_and_primitive,
     echelon,
     is_primitive,
@@ -24,13 +23,16 @@ from tropctl.linalg import (
 import oracles
 
 
-def sparse(rows):
-    """The nonzero rows of a dense matrix as sparse {column: value} rows."""
-    return tuple({j: Fraction(x) for j, x in enumerate(r) if x} for r in rows if any(r))
-
-
 def dot(dense_row, sparse_row):
     return sum(Fraction(dense_row[j]) * x for j, x in sparse_row.items())
+
+
+def echelon_basis(ncols, rows):
+    """The canonical basis of the span of rows read off `echelon`: each
+    reduced integer row divided by its pivot entry, in pivot order."""
+    return tuple(
+        {j: Fraction(x, row[p]) for j, x in row.items()} for p, row in sorted(echelon(ncols, rows).items())
+    )
 
 
 rationals = st.fractions(
@@ -124,34 +126,35 @@ def test_str_is_the_rational_format(q):
 
 def test_rref_known_matrix():
     rows = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-    span = Subspace(3, rows)
-    # canonical basis: the reduced echelon rows, pivots in columns 0 and 1
-    assert span.basis == ({0: 1, 2: -1}, {1: 1, 2: 2})
-    assert span.dim == 2
+    # the reduced echelon rows, pivots in columns 0 and 1, as integer rows
+    assert echelon(3, rows) == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 2}}
+    assert rank(3, rows) == 2
     null = kernel(3, rows)
-    assert null.dim == 1
-    (k,) = null.basis
+    assert null == ({0: 1, 1: -2, 2: 1},)
+    (k,) = null
     assert [dot(r, k) for r in rows] == [0, 0, 0]
+    # the annihilator of the kernel is the span of the rows, in canonical form
+    assert kernel(3, null) == ({0: 1, 2: -1}, {1: 1, 2: 2}) == oracles.canonical_span(3, rows)
 
 
 def test_kernel_of_zero_and_full_rank():
-    assert kernel(2, [[0, 0]]).dim == 2
-    assert kernel(2, []).dim == 2
-    assert kernel(2, [[1, 0], [0, 1]]).dim == 0
+    assert len(kernel(2, [[0, 0]])) == 2
+    assert len(kernel(2, [])) == 2
+    assert kernel(2, [[1, 0], [0, 1]]) == ()
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_rank_nullity_and_kernel_membership(rows):
     cols = len(rows[0])
-    span = Subspace(cols, rows)
+    r = rank(cols, rows)
     null = kernel(cols, rows)
-    assert span.dim + null.dim == cols
-    for b in null.basis:
-        assert all(dot(r, b) == 0 for r in rows)
+    assert r + len(null) == cols
+    for b in null:
+        assert all(dot(row, b) == 0 for row in rows)
     # the independent oracle agrees on both numbers
-    assert span.dim == oracles.matrix_rank(rows)
-    assert null.dim == oracles.nullity(rows, cols)
+    assert r == oracles.matrix_rank(rows)
+    assert len(null) == oracles.nullity(rows, cols)
 
 
 # about one entry in three nonzero
@@ -170,8 +173,8 @@ def sparse_matrices(draw, max_rows=8, max_cols=8):
 def test_elimination_matches_oracle_on_dense_and_sparse_rows(matrix, data):
     ncols, rows = matrix
     reduced, _pivots = oracles.row_reduce(rows)
-    expected = sparse(reduced)
-    basis = Subspace(ncols, rows).basis
+    expected = oracles.canonical_span(ncols, rows)
+    basis = echelon_basis(ncols, rows)
     assert basis == expected
     assert tuple(row_blocks(b, ncols)[0] for b in basis) == tuple(tuple(r) for r in reduced if any(r))
     # the same rows, shuffled, as {column: value} dicts that keep some zeros
@@ -179,27 +182,38 @@ def test_elimination_matches_oracle_on_dense_and_sparse_rows(matrix, data):
     shuffled = [
         {j: x for j, x in enumerate(rows[i]) if x or data.draw(st.booleans())} for i in order
     ]
-    assert Subspace(ncols, shuffled).basis == expected
+    assert echelon_basis(ncols, shuffled) == expected
     null = kernel(ncols, shuffled)
-    assert null.dim == oracles.nullity(rows, ncols)
-    for k in null.basis:
+    assert null == kernel(ncols, rows)
+    assert len(null) == oracles.nullity(rows, ncols)
+    for k in null:
         for r in rows:
             assert dot(r, k) == 0
 
 
 def assert_canonical_basis(ncols, rows):
-    """Subspace(ncols, rows).basis is the oracle's reduced echelon form, with
-    `Fraction` values and pivots exactly 1, and kernel(ncols, rows) kills
-    every row.  Returns the subspace."""
-    reduced, _pivots = oracles.row_reduce(rows)
-    span = Subspace(ncols, rows)
-    assert span.basis == sparse(reduced)
-    for b in span.basis:
+    """echelon(ncols, rows) holds, for each pivot p, a primitive integer row
+    whose lowest column is p, positive there, and zero in every other
+    pivot column; divided by its pivot entries it is the oracle's reduced
+    echelon form.  kernel(ncols, rows) kills every row, and its own kernel
+    is that form again, with `Fraction` values and pivots exactly 1.
+    Returns the canonical basis."""
+    expected = oracles.canonical_span(ncols, rows)
+    kept = echelon(ncols, rows)
+    for p, row in kept.items():
+        assert min(row) == p and row[p] > 0
+        assert all(type(x) is int for x in row.values()) and math.gcd(*row.values()) == 1
+        assert not set(row) & set(kept) - {p}
+    assert echelon_basis(ncols, rows) == expected
+    null = kernel(ncols, rows)
+    for k in null:
+        assert all(dot(r, k) == 0 for r in rows)
+    span = kernel(ncols, null)
+    assert span == expected
+    for b in span:
         assert all(type(x) is Fraction for x in b.values())
         assert b[min(b)] == 1
-    for k in kernel(ncols, rows).basis:
-        assert all(dot(r, k) == 0 for r in rows)
-    return span
+    return expected
 
 
 # numerators and denominators up to about 2**70, as ints or Fractions
@@ -227,14 +241,15 @@ def test_fraction_free_elimination_gives_the_canonical_basis(matrix, rng):
     span = assert_canonical_basis(ncols, rows)
     shuffled = [{j: x for j, x in enumerate(r) if x} for r in rows]
     rng.shuffle(shuffled)
-    assert Subspace(ncols, shuffled).basis == span.basis
+    assert echelon_basis(ncols, shuffled) == span
+    assert kernel(ncols, kernel(ncols, shuffled)) == span
 
 
 @settings(max_examples=150, deadline=None)
 @given(wide_sparse_matrices(), st.integers(0, 8), st.randoms(use_true_random=False))
 def test_rank_and_residuals_modulo_a_reduced_set(matrix, split, rng):
     ncols, rows = matrix
-    assert rank(ncols, rows) == oracles.matrix_rank(rows) == Subspace(ncols, rows).dim
+    assert rank(ncols, rows) == oracles.matrix_rank(rows) == ncols - len(kernel(ncols, rows))
     rows = list(rows)
     rng.shuffle(rows)
     assert len(echelon(ncols, rows[:split])) == oracles.matrix_rank(rows[:split])
@@ -253,8 +268,7 @@ def test_rank_and_residuals_modulo_a_reduced_set(matrix, split, rng):
 def oracle_kernel_basis(ncols, rows):
     """The canonical basis of the solution space from the oracle: the
     reduced echelon form of its one-vector-per-free-column null basis."""
-    reduced, _pivots = oracles.row_reduce(oracles.nullspace(rows, ncols))
-    return sparse(reduced)
+    return oracles.canonical_span(ncols, oracles.nullspace(rows, ncols))
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,27 +277,27 @@ def test_kernel_is_the_canonical_basis_of_the_oracle_null_space(matrix, rng):
     ncols, rows = matrix
     expected = oracle_kernel_basis(ncols, rows)
     null = kernel(ncols, rows)
-    assert null.ambient == ncols
-    assert null.basis == expected
-    assert null == Subspace(ncols, expected)
-    for b in null.basis:
+    assert type(null) is tuple and all(type(b) is dict for b in null)
+    assert null == expected
+    assert null == oracles.canonical_span(ncols, null)
+    for b in null:
         assert all(type(x) is Fraction for x in b.values())
         assert b[min(b)] == 1
         assert list(b) == sorted(b)
     shuffled = [{j: x for j, x in enumerate(r) if x} for r in rows]
     rng.shuffle(shuffled)
-    assert kernel(ncols, shuffled).basis == expected
+    assert kernel(ncols, shuffled) == expected
 
 
 @pytest.mark.parametrize("ncols", [1, 2, 5])
 def test_kernel_of_no_rows_zero_rows_and_full_rank(ncols):
     identity = tuple({j: Fraction(1)} for j in range(ncols))
-    assert kernel(ncols, []).basis == identity == oracle_kernel_basis(ncols, [])
-    assert kernel(ncols, [{}, [0] * ncols]).basis == identity
-    assert kernel(ncols, [[Fraction(j + 1, 3) ** i for j in range(ncols)] for i in range(ncols)]).basis == ()
+    assert kernel(ncols, []) == identity == oracle_kernel_basis(ncols, [])
+    assert kernel(ncols, [{}, [0] * ncols]) == identity
+    assert kernel(ncols, [[Fraction(j + 1, 3) ** i for j in range(ncols)] for i in range(ncols)]) == ()
     if ncols == 1:
-        assert kernel(1, [[2**70]]).basis == ()
-        assert kernel(1, [[Fraction(2**70 + 1, 2**69)], [0]]).dim == 0
+        assert kernel(1, [[2**70]]) == ()
+        assert kernel(1, [[Fraction(2**70 + 1, 2**69)], [0]]) == ()
 
 
 def test_canonical_basis_of_a_six_valent_star_at_a_small_t():
@@ -304,36 +318,37 @@ def test_canonical_basis_of_a_six_valent_star_at_a_small_t():
     rows, bounded = residues._local_rows(model)
     ncols = len(bounded) * 3
     span = assert_canonical_basis(ncols, [[r.get(j, 0) for j in range(ncols)] for r in rows])
-    assert Subspace(ncols, rows[::-1]).basis == span.basis
-    assert max(abs(x.numerator).bit_length() for b in span.basis for x in b.values()) > 100
+    assert echelon_basis(ncols, rows[::-1]) == span
+    assert max(abs(x.numerator).bit_length() for b in span for x in b.values()) > 100
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=0, max_size=3))
 def test_annihilator_involution(vectors):
-    s = Subspace(4, vectors)
     ann = kernel(4, vectors)
-    assert s.dim + ann.dim == 4
-    assert kernel(4, ann.basis).basis == s.basis
-    for a in ann.basis:
+    assert rank(4, vectors) + len(ann) == 4
+    assert kernel(4, ann) == oracles.canonical_span(4, vectors)
+    assert kernel(4, kernel(4, ann)) == ann
+    for a in ann:
         for v in vectors:
             assert dot(v, a) == 0
 
 
 def test_subspace_equality_ignores_basis_choice():
-    a = Subspace(3, [(1, 0, 0), (0, 1, 0)])
-    b = Subspace(3, [(1, 1, 0), (1, -1, 0)])
-    assert a == b
-    assert a != Subspace(3, [(1, 0, 0), (0, 0, 1)])
+    # equal spans have equal canonical rows, from echelon and from kernel
+    a, b, c = [(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (1, -1, 0)], [(1, 0, 0), (0, 0, 1)]
+    assert echelon_basis(3, a) == echelon_basis(3, b) == oracles.canonical_span(3, a)
+    assert echelon_basis(3, a) != echelon_basis(3, c)
+    assert kernel(3, a) == kernel(3, b) == ({2: 1},)
+    assert kernel(3, a) != kernel(3, c)
 
 
 def test_equal_subspaces_have_equal_bases():
-    a = Subspace(2, [(1, 1)])
-    b = Subspace(2, [(2, 2)])
-    assert a == b
-    assert a.basis == b.basis == ({0: 1, 1: 1},)
-    assert Subspace(2, [(1, 1), (0, 0), (3, 3)]) == a
-    assert Subspace(2, [(1, 2), (2, 4)]).dim == 1
+    a = echelon_basis(2, [(1, 1)])
+    assert a == echelon_basis(2, [(2, 2)]) == ({0: 1, 1: 1},)
+    assert echelon_basis(2, [(1, 1), (0, 0), (3, 3)]) == a == kernel(2, kernel(2, [(2, 2)]))
+    assert rank(2, [(1, 2), (2, 4)]) == 1
+    assert kernel(2, [(1, 2), (2, 4)]) == kernel(2, [(-3, -6)]) == ({0: 1, 1: Fraction(-1, 2)},)
 
 
 def test_content_and_primitive():
@@ -342,6 +357,15 @@ def test_content_and_primitive():
     assert content_and_primitive((Fraction(6), 0)) == (6, (1, 0))
     assert is_primitive((2, -3, 1))
     assert not is_primitive((2, 4))
+    # a non-integral entry makes a vector not primitive
+    assert not is_primitive((Fraction(3, 2), 1))
+    assert not is_primitive((Fraction(-1, 2), Fraction(3, 2)))
+    assert not is_primitive((Fraction(1, 2), 0))
+    assert not is_primitive((0, 0))
+    # an integral Fraction counts as its integer
+    assert is_primitive((Fraction(3), Fraction(-2)))
+    assert not is_primitive((Fraction(4), 6))
+    assert is_primitive((Fraction(6, 2), 1))
 
 
 def fraction_primitive(v):

@@ -1,11 +1,12 @@
 """No dead helpers: every module-level function and class of the package is
 named somewhere in the package besides its own definition, or is public
-API listed in `tropctl.__all__`; every method of a package class is reached
-by attribute access somewhere in the package besides its own definition;
-every module-level constant is read somewhere in the package, or is in
-`tropctl.__all__`; every name a module imports is read in that module, or
-is re-exported through `tropctl.__all__`; every parameter with a default is
-passed by some call in the package or the tests."""
+API listed in `tropctl.__all__`, or, in `randgen`, is named in the tests;
+every method of a package class is reached by attribute access somewhere
+in the package besides its own definition; every module-level constant
+is read somewhere in the package, or is in `tropctl.__all__`; every name a
+module imports is read in that module, or is re-exported through
+`tropctl.__all__`; every parameter with a default is passed by some call
+in the package or the tests."""
 
 import ast
 import importlib
@@ -15,9 +16,7 @@ from pathlib import Path
 import tropctl
 
 SRC = Path(tropctl.__file__).parent
-# randgen builds random inputs for the tests and `selftest`; the tests call
-# helpers of it (random_ascending_series) that nothing in the package does
-EXEMPT = {"randgen"}
+TESTS = Path(__file__).parent
 
 
 def _names(node) -> Counter:
@@ -41,20 +40,43 @@ def _package():
     return trees, sum((_names(tree) for tree in trees.values()), Counter())
 
 
-def test_every_definition_is_used_or_exported():
-    trees, named = _package()
+def _tests():
+    return [ast.parse(p.read_text()) for p in sorted(TESTS.glob("*.py"))]
+
+
+def _unused_definitions(trees, named, test_named) -> list[str]:
+    """The module-level functions and classes of trees that no other code
+    names: named counts the names in the package, test_named those in the
+    tests.  randgen builds random inputs for the tests and `selftest`, so
+    for it alone a name the tests use (random_ascending_series) counts."""
     unused = []
     for module, tree in trees.items():
-        if module in EXEMPT:
-            continue
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name in tropctl.__all__:
                 continue
-            if named[node.name] - _names(node)[node.name] <= 0:
+            uses = named[node.name] - _names(node)[node.name]
+            if module == "randgen":
+                uses += test_named[node.name]
+            if uses <= 0:
                 unused.append(f"{module}.{node.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_definition_is_used_or_exported():
+    trees, named = _package()
+    test_named = sum((_names(tree) for tree in _tests()), Counter())
+    assert _unused_definitions(trees, named, test_named) == []
+
+
+def test_an_unused_randgen_function_is_reported():
+    trees, _named = _package()
+    planted = ast.parse("def random_unused_thing(rng):\n    return rng.random()\n").body[0]
+    trees["randgen"].body.append(planted)
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    test_named = sum((_names(tree) for tree in _tests()), Counter())
+    assert _unused_definitions(trees, named, test_named) == ["randgen.random_unused_thing"]
 
 
 def test_every_method_is_used():
@@ -66,8 +88,6 @@ def test_every_method_is_used():
     reached = sum((_attributes(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
-        if module in EXEMPT:
-            continue
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -159,7 +179,7 @@ def test_every_defaulted_parameter_is_passed():
     by the called name; a class name, or `cls` inside the class, calls its
     `__init__`."""
     trees, _named = _package()
-    tests = [ast.parse(p.read_text()) for p in sorted(Path(__file__).parent.glob("*.py"))]
+    tests = _tests()
     calls = {}
     for tree in [*trees.values(), *tests]:
         for call in ast.walk(tree):

@@ -7,7 +7,6 @@ import pytest
 from tropctl.curves import parse_curve
 from tropctl.errors import PreconditionError
 from tropctl.graphs import AbstractGraph, Flag
-from tropctl.linalg import Subspace
 from tropctl.obstruction import (
     abundancy_map,
     classify_report,
@@ -108,10 +107,10 @@ def test_chain_gamma_pair():
     g1 = fixtures.curve(fixtures.gamma1_doc())
     out1 = dual_obstruction_chain(g1)
     assert out1["dim"] == 1
-    perps = [Subspace(3, ch["perp"]) for ch in out1["chains"]]
-    assert perps[0] == Subspace(3, [(1, 0, 0)])
-    assert perps[1] == Subspace(3, [(0, 1, 0)])
-    assert perps[2] == Subspace(3, [(1, -1, 0)])
+    perps = [oracles.canonical_span(3, ch["perp"]) for ch in out1["chains"]]
+    assert perps[0] == oracles.canonical_span(3, [(1, 0, 0)])
+    assert perps[1] == oracles.canonical_span(3, [(0, 1, 0)])
+    assert perps[2] == oracles.canonical_span(3, [(1, -1, 0)])
     assert parameter_dimension(g1) == 7
 
     g2 = fixtures.curve(fixtures.gamma2_doc())
@@ -260,9 +259,9 @@ def test_sparse_basis_spans_the_dense_kernel():
                         assert Flag(c.graph.edges[f.edge].ends[1], f.edge, 1) in assignment
             width = len(flags) * n
             densified = [[x for f in flags for x in assignment.get(f, zero)] for assignment in out["basis"]]
-            expected = Subspace(width, dense_chain_kernel(c, flags))
-            assert len(densified) == out["dim"] == expected.dim
-            assert Subspace(width, densified) == expected
+            expected = oracles.canonical_span(width, dense_chain_kernel(c, flags))
+            assert len(densified) == out["dim"] == len(expected)
+            assert oracles.canonical_span(width, densified) == expected
 
 
 def _same_flag_system(out, reference):
