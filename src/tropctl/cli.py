@@ -1,5 +1,13 @@
 """Command line front end: parse inputs, dispatch computations, emit reports.
 
+Every command takes one path, `_run`: it loads each curve file (the files of
+`validate` and `info`, the one file of the other commands, none for
+`local-model` and `selftest`), reads the command's --config, --laurent or
+--model file, and calls the command's fields function.  There is one report
+per curve file; a file that fails gives an error report, and the batch goes
+on.  The exit code is the first error's.  A report stamps each input with
+its path and sha256, an error report with the input paths as given.
+
 Reports are deterministic: machine mode serializes one JSON object (or a JSON
 array for batch runs) with sorted keys, so identical inputs produce
 byte-identical output.  Exit codes: 0 success, 1 selftest found a failing
@@ -141,22 +149,22 @@ def _load_curve(path: str):
     return parse_curve(doc), stamp
 
 
-def _expand_files(args) -> list:
-    if not getattr(args, "glob", False):
+def _curve_paths(args) -> list:
+    """The curve file of each report: the expanded `files`, the one `file`,
+    or None for a command that reads no curve."""
+    if "files" not in args:
+        return [getattr(args, "file", None)]
+    if not args.glob:
         return list(args.files)
-    out = []
-    for pattern in args.files:
-        matches = sorted(globmod.glob(pattern, recursive=True))
-        out.extend(matches)
+    out = [path for pattern in args.files for path in sorted(globmod.glob(pattern, recursive=True))]
     if not out:
         raise ValidationError("no-input", "glob patterns matched no files")
     return out
 
 
-def _parse_config(path: str):
-    doc, stamp = read_doc(path)
+def _parse_config(doc, path: str) -> dict:
     entries = vertex_lists(doc, "coords", "bad-config", "config file", path=path)
-    return {vid: rationals(items, "coords", vid) for vid, items in entries}, stamp
+    return {vid: rationals(items, "coords", vid) for vid, items in entries}
 
 
 def _check_image_vertices(entries: dict, image, what: str):
@@ -195,27 +203,21 @@ def _basis_payload(keys, basis, n) -> list:
     return out
 
 
-def _report(command, stamps, fields, warnings=None) -> dict:
-    rep = {
-        "schema": SCHEMA,
-        "command": command,
-        "inputs": stamps,
-        "warnings": sorted(warnings or []),
-    }
-    rep.update(fields)
+def _report(command, stamps, fields) -> dict:
+    """A report of a command's fields, whose warnings it sorts, or an error
+    report of {"error": payload}, which has no warnings."""
+    rep = {"schema": SCHEMA, "command": command, "inputs": stamps, **fields}
+    if "error" not in fields:
+        rep["warnings"] = sorted(fields.get("warnings", ()))
     return rep
 
 
-def _error_report(command, stamps, err: TropctlError) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "inputs": stamps,
-        "error": err.payload(),
-    }
-
-
-# -- command handlers --------------------------------------------------------
+# -- fields of each command --------------------------------------------------
+#
+# A fields function takes the curve (None for local-model and selftest), the
+# document of the command's --config, --laurent or --model file (None without
+# one) and the parsed arguments, and returns the fields of the report, with
+# any "warnings" among them.
 
 
 def _curve_summary(curve) -> dict:
@@ -232,41 +234,18 @@ def _curve_summary(curve) -> dict:
     }
 
 
-def _each_curve(args, command, fields_of):
-    """One report per curve file: fields_of(curve), or the error that
-    loading the file raised.  The exit code is the first error's."""
-    reports = []
-    code = 0
-    for path in _expand_files(args):
-        try:
-            curve, stamp = _load_curve(path)
-        except TropctlError as err:
-            reports.append(_error_report(command, [{"path": path}], err))
-            code = code or err.exit_code
-            continue
-        reports.append(_report(command, [stamp], fields_of(curve)))
-    return reports, code
+def _validate_fields(curve, doc, args) -> dict:
+    return {"valid": True, **_curve_summary(curve)}
 
 
-def _cmd_validate(args):
-    return _each_curve(args, "validate", lambda curve: {"valid": True, **_curve_summary(curve)})
-
-
-def _info_fields(curve) -> dict:
+def _info_fields(curve, doc, args) -> dict:
     fields = _curve_summary(curve)
     fields["expectedDim"] = expected_dim(curve)
     fields["degree"] = [{"vector": list(v), "multiplicity": m} for v, m in degree(curve)]
     return fields
 
 
-def _cmd_info(args):
-    return _each_curve(args, "info", _info_fields)
-
-
-def _cmd_obstruction(args):
-    curve, stamp = _load_curve(args.file)
-    stamps = [stamp]
-    warnings = []
+def _obstruction_fields(curve, doc, args) -> dict:
     if args.method == "chain":
         res = dual_obstruction_chain(curve)
         fields = {
@@ -275,10 +254,7 @@ def _cmd_obstruction(args):
             "paramDim": expected_dim(curve) + res["dim"],
         }
     else:
-        coords = {}
-        if args.config:
-            coords, cfg_stamp = _parse_config(args.config)
-            stamps.append(cfg_stamp)
+        coords = _parse_config(doc, args.config) if doc is not None else {}
         image = contract_image(curve)
         _check_image_vertices(coords, image, "config")
         res = xi_map(image, coords)
@@ -286,19 +262,15 @@ def _cmd_obstruction(args):
         if image.graph.is_trivalent():
             fields["paramDim"] = expected_dim(image) + res["dim"]
         else:
-            warnings.append(
-                "paramDim omitted: the dimension formula is stated for 3-valent types"
-            )
+            fields["warnings"] = ["paramDim omitted: the dimension formula is stated for 3-valent types"]
     fields["flags"] = [_flag_key(f) for f in res["flag_order"]]
     fields["basis"] = _basis_payload(res["flag_order"], res["basis"], curve.n)
     fields["superabundant"] = res["dim"] > 0
-    return [_report("obstruction", stamps, fields, warnings)], 0
+    return fields
 
 
-def _cmd_classify(args):
-    curve, stamp = _load_curve(args.file)
+def _classify_fields(curve, doc, args) -> dict:
     rep = classify_report(curve)
-    warnings = []
     fields = {
         "dimH": rep["dim_obstruction_dual"],
         "expectedDim": rep["expected_dim"],
@@ -310,22 +282,21 @@ def _cmd_classify(args):
     }
     if rep["superabundant_def2"] is None:
         fields["agree"] = None
-        warnings.append(f"abundancy map unavailable: {rep['abundancy_note']}")
+        fields["warnings"] = [f"abundancy map unavailable: {rep['abundancy_note']}"]
     else:
         fields["agree"] = rep["superabundant_def1"] == rep["superabundant_def2"]
     fields["verdict"] = "superabundant" if rep["superabundant_def1"] else "non-superabundant"
-    return [_report("classify", [stamp], fields, warnings)], 0
+    return fields
 
 
-def _cmd_abundancy(args):
-    curve, stamp = _load_curve(args.file)
+def _abundancy_fields(curve, doc, args) -> dict:
     c = contract_image(curve)
     n = c.n
     g = c.graph.genus()
     rank, surjective = abundancy_map(c)
     red_rank, cut_edges = reduced_abundancy_map(c)
     red_target = (n - 1) * g
-    fields = {
+    return {
         "genus": g,
         "rank": rank,
         "targetDim": n * g,
@@ -337,7 +308,6 @@ def _cmd_abundancy(args):
         "agree": surjective == (red_rank == red_target),
         "verdict": "abundant" if surjective else "superabundant",
     }
-    return [_report("abundancy", [stamp], fields)], 0
 
 
 def _serialize_phylo(tree):
@@ -353,17 +323,16 @@ def _cluster_payload(tree) -> list:
     return sorted(sorted(c) for c in clusters(tree))
 
 
-def _cmd_phylo(args):
-    curve, stamp = _load_curve(args.file)
-    doc, laurent_stamp = read_doc(args.laurent)
+def _phylo_fields(curve, doc, args) -> dict:
     series_map = parse_laurent_doc(doc)
     image = contract_image(curve)
     _check_image_vertices(series_map, image, "Laurent data")
     g = image.graph
-    warnings = []
-    for vid in sorted(v for v in g.vertex_ids if g.valence(v) > 3):
-        if vid not in series_map:
-            warnings.append(f"higher-valent vertex {vid} has no Laurent data")
+    warnings = [
+        f"higher-valent vertex {vid} has no Laurent data"
+        for vid in g.vertex_ids
+        if g.valence(vid) > 3 and vid not in series_map
+    ]
     vertices = {}
     for vid in sorted(series_map):
         model = LocalModel.from_star(image, vid)
@@ -373,15 +342,13 @@ def _cmd_phylo(args):
             "tree": _serialize_phylo(tree),
             "clusters": _cluster_payload(tree),
         }
-    fields = {"vertices": vertices}
-    return [_report("phylo", [stamp, laurent_stamp], fields, warnings)], 0
+    return {"vertices": vertices, "warnings": warnings}
 
 
-def _cmd_local_model(args):
-    doc, stamp = read_doc(args.model)
+def _local_model_fields(curve, doc, args) -> dict:
     model = model_from_doc(doc)
     res = a_system(model)
-    fields = {
+    return {
         "dimH": res["dim"],
         "r": model.r,
         "ambientDim": model.n,
@@ -391,13 +358,11 @@ def _cmd_local_model(args):
         "variables": list(res["variables"]),
         "basis": _basis_payload(res["variables"], res["basis"], model.n),
     }
-    return [_report("local-model", [stamp], fields)], 0
 
 
-def _cmd_genus1_check(args):
-    curve, stamp = _load_curve(args.file)
+def _genus1_fields(curve, doc, args) -> dict:
     res = genus1_loop_criterion(curve)
-    fields = {
+    return {
         "spans": res["smoothable"],
         "guaranteedDimH": res["dim_h"],
         "spanDim": res["span_dim"],
@@ -406,12 +371,9 @@ def _cmd_genus1_check(args):
         "annihilatorBasis": [list(v) for v in res["h_basis"]],
         "verdict": "smoothable" if res["smoothable"] else "undetermined",
     }
-    return [_report("genus1-check", [stamp], fields)], 0
 
 
-def _cmd_compare(args):
-    curve, stamp = _load_curve(args.file)
-    doc, laurent_stamp = read_doc(args.laurent)
+def _compare_fields(curve, doc, args) -> dict:
     series_map = parse_laurent_doc(doc)
     t0 = None
     if args.t0 is not None:
@@ -422,7 +384,7 @@ def _cmd_compare(args):
     image = contract_image(curve)
     _check_image_vertices(series_map, image, "Laurent data")
     res = degeneration_compare(image, series_map, t0=t0)
-    fields = {
+    return {
         "d": res["d"],
         "d0": res["d0"],
         "semicontinuous": res["semicontinuous"],
@@ -432,10 +394,9 @@ def _cmd_compare(args):
         "clusters": {vid: _cluster_payload(tree) for vid, tree in res["trees"].items()},
         "verdict": "semicontinuous" if res["semicontinuous"] else "violation",
     }
-    return [_report("compare", [stamp, laurent_stamp], fields)], 0
 
 
-def _cmd_selftest(args):
+def _selftest_fields(curve, doc, args) -> dict:
     from . import randgen  # only selftest needs it; importing it costs every command's start-up
 
     rng = random.Random(args.seed)
@@ -476,7 +437,7 @@ def _cmd_selftest(args):
         if a_system(model)["dim"] != expected:
             failures.append(f"local model case {i}: dimension != {expected}")
 
-    fields = {
+    return {
         "seed": args.seed,
         "cases": args.cases,
         "checks": checks,
@@ -484,20 +445,19 @@ def _cmd_selftest(args):
         "passed": not failures,
         "verdict": "pass" if not failures else "fail",
     }
-    return [_report("selftest", [], fields)], 0 if not failures else 1
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "info": _cmd_info,
-    "obstruction": _cmd_obstruction,
-    "classify": _cmd_classify,
-    "abundancy": _cmd_abundancy,
-    "phylo": _cmd_phylo,
-    "local-model": _cmd_local_model,
-    "genus1-check": _cmd_genus1_check,
-    "compare": _cmd_compare,
-    "selftest": _cmd_selftest,
+_FIELDS = {
+    "validate": _validate_fields,
+    "info": _info_fields,
+    "obstruction": _obstruction_fields,
+    "classify": _classify_fields,
+    "abundancy": _abundancy_fields,
+    "phylo": _phylo_fields,
+    "local-model": _local_model_fields,
+    "genus1-check": _genus1_fields,
+    "compare": _compare_fields,
+    "selftest": _selftest_fields,
 }
 
 
@@ -631,25 +591,33 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    if getattr(args, "config", None) and args.method != "xi":
+        parser.error("argument --config: only with --method xi")
+    data_path = getattr(args, "config", None) or getattr(args, "laurent", None) or getattr(args, "model", None)
+    fields_of = _FIELDS[args.command]
+    reports, code = [], 0
     try:
-        reports, code = handler(args)
-    except TropctlError as err:
-        stamps = []
-        for attr in ("file", "config", "model", "laurent"):
-            path = getattr(args, attr, None)
-            if path:
-                stamps.append({"path": path})
-        rep = _error_report(args.command, stamps, err)
-        if args.format == "json":
-            _print_json([rep])
-        else:
-            _print_text([rep])
-        return err.exit_code
-    if args.format == "json":
-        _print_json(reports)
-    else:
-        _print_text(reports)
+        curve_paths = _curve_paths(args)
+    except TropctlError as err:  # --glob matched no file
+        curve_paths, code = [], err.exit_code
+        reports.append(_report(args.command, [], {"error": err.payload()}))
+    for curve_path in curve_paths:
+        try:
+            curve, doc, stamps = None, None, []
+            if curve_path:
+                curve, stamp = _load_curve(curve_path)
+                stamps.append(stamp)
+            if data_path:
+                doc, stamp = read_doc(data_path)
+                stamps.append(stamp)
+            fields = fields_of(curve, doc, args)
+        except TropctlError as err:
+            stamps = [{"path": path} for path in (curve_path, data_path) if path]
+            fields, code = {"error": err.payload()}, code or err.exit_code
+        if fields.get("passed") is False:  # selftest found a failing invariant
+            code = code or 1
+        reports.append(_report(args.command, stamps, fields))
+    (_print_json if args.format == "json" else _print_text)(reports)
     return code
 
 

@@ -465,23 +465,28 @@ def vertex_phylo(model: LocalModel, series_list: list[LaurentSeries]):
 def resolve_by_phylo(ct, series_by_vertex: dict) -> tuple:
     """Replace every higher-valent star by its phylogenetic tree.
 
-    Returns (resolved combinatorial type, {vertex: tree}).  The infinity
-    edge joins the two top branches at the original vertex.
+    Returns (resolved combinatorial type, {higher-valent vertex: tree}).
+    The infinity edge joins the two top branches at the original vertex.
+    The series of a vertex of valence at most 3 are checked as `phylo`
+    checks them, and its star stays.
     """
     g = ct.graph
     trees = {}
     out = ct
     for v in g.vertex_ids:
-        if g.valence(v) <= 3:
-            continue
+        higher = g.valence(v) > 3
         if v not in series_by_vertex:
-            raise PreconditionError(
-                "missing-laurent",
-                f"vertex {v} has valence {g.valence(v)} and needs series data",
-                vertex=v,
-            )
+            if higher:
+                raise PreconditionError(
+                    "missing-laurent",
+                    f"vertex {v} has valence {g.valence(v)} and needs series data",
+                    vertex=v,
+                )
+            continue
         model = LocalModel.from_star(ct, v)
         tree = vertex_phylo(model, series_by_vertex[v])
+        if not higher:
+            continue
         trees[v] = tree
         triple = (
             model.infinity.label,
@@ -507,12 +512,12 @@ def degeneration_compare(
 
     The dimension at t is that of `xi_map` with the evaluated coordinates,
     computed as a rank and without a basis.  Only the residue sums of the
-    vertices with series depend on t: the perpendicularity rows, the vertex
-    sums and the residue sums of the other vertices, whose models are built
-    once, are reduced once (`linalg.echelon`), and at each t only the
-    residue sums of the vertices with series are reduced modulo them
-    (`linalg.residual`), at most sum over those vertices of (m_v - 1) rows
-    for m_v finite slots.
+    higher-valent vertices, whose series are evaluated, depend on t: the
+    perpendicularity rows, the vertex sums and the residue sums of the other
+    vertices, whose models are built once, are reduced once
+    (`linalg.echelon`), and at each t only the residue sums of the
+    higher-valent vertices are reduced modulo them (`linalg.residual`), at
+    most sum over those vertices of (m_v - 1) rows for m_v finite slots.
     """
     ct = contract_image(curve)
     resolved, trees = resolve_by_phylo(ct, series_by_vertex)

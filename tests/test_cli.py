@@ -72,6 +72,7 @@ def test_validate_batch_exit_code_and_array(capsys, tmp_path, square):
     assert isinstance(reps, list) and len(reps) == 2
     assert reps[0]["valid"] is True
     assert reps[1]["error"]["error_type"] == "unbalanced"
+    assert reps[1]["inputs"] == [{"path": bad_path}]
 
 
 def test_validate_glob(capsys, tmp_path):
@@ -90,6 +91,7 @@ def test_validate_glob_no_match(capsys, tmp_path):
     )
     assert code == 2
     assert rep["error"]["error_type"] == "no-input"
+    assert rep["inputs"] == []
 
 
 def test_validate_bad_json_and_missing_file(capsys, tmp_path):
@@ -207,7 +209,7 @@ def test_obstruction_xi_bad_config_rational(capsys, tmp_path, hv536):
     assert code == 2
     assert rep["error"]["error_type"] == "bad-rational"
     assert rep["error"]["context"] == {"vertex": "V"}
-    assert [stamp["path"] for stamp in rep["inputs"]] == [hv536, cfg]
+    assert rep["inputs"] == [{"path": hv536}, {"path": cfg}]
 
 
 def test_obstruction_xi_missing_config(capsys, hv536):
@@ -323,6 +325,7 @@ def test_per_vertex_data_for_an_unknown_vertex(capsys, tmp_path, command, doc, n
     assert rep["error"]["error_type"] == "unknown-vertex"
     assert rep["error"]["message"].endswith(f"names unknown vertex {unknown}")
     assert rep["error"]["context"] == {"vertex": unknown}
+    assert rep["inputs"] == [{"path": curve}, {"path": data}]
 
 
 @pytest.mark.parametrize("command", ["phylo", "compare"])
@@ -347,6 +350,50 @@ def test_phylo_warns_on_missing_data(capsys, tmp_path, hv536):
     code, rep = run_json(capsys, "phylo", hv536, "--laurent", lau, "--format", "json")
     assert code == 0
     assert any("V" in w for w in rep["warnings"])
+
+
+@pytest.mark.parametrize(
+    "series, error_type",
+    [
+        ([[], [[-1, "1"]], [[-2, "1"]], [[-3, "1"]]], "bad-laurent"),
+        ([[[-1, "1"]], [[-3, "1"]]], "bad-laurent"),
+        ([[], []], "not-ascending"),
+    ],
+    ids=["count", "nonzero-first", "repeated"],
+)
+def test_series_at_a_3_valent_vertex_are_checked_alike(capsys, tmp_path, hv536, series, error_type):
+    """`compare` checks the series of the 3-valent vertex A of ex536 as
+    `phylo` does, though only the 4-valent V is resolved."""
+    doc = laurent_doc_536()
+    doc["vertices"]["A"] = {"series": series}
+    lau = write_json(tmp_path / "lau.json", doc)
+    errors = []
+    for command in ("phylo", "compare"):
+        code, rep = run_json(capsys, command, hv536, "--laurent", lau, "--format", "json")
+        assert code == 2
+        errors.append(rep["error"])
+    assert errors[0]["error_type"] == error_type
+    assert errors[1] == errors[0]
+
+
+def test_valid_series_at_a_3_valent_vertex_leave_compare_unchanged(capsys, tmp_path, hv536):
+    plain = write_json(tmp_path / "plain.json", laurent_doc_536())
+    doc = laurent_doc_536()
+    doc["vertices"]["A"] = {"series": [[], [[-2, "1"]]]}
+    with_a = write_json(tmp_path / "with_a.json", doc)
+    _code, rep = run_json(capsys, "compare", hv536, "--laurent", plain, "--format", "json")
+    code, rep_a = run_json(capsys, "compare", hv536, "--laurent", with_a, "--format", "json")
+    assert code == 0
+    del rep["inputs"], rep_a["inputs"]
+    assert rep_a == rep
+    assert list(rep["clusters"]) == ["V"]
+
+
+def test_an_error_report_stamps_the_curve_path_alone(capsys, tmp_path):
+    curve = write_json(tmp_path / "ex534.json", fixtures.ex534_doc())
+    code, rep = run_json(capsys, "classify", curve, "--format", "json")
+    assert code == 3
+    assert rep["inputs"] == [{"path": curve}]
 
 
 def test_local_model_command(capsys, tmp_path):
@@ -395,6 +442,7 @@ def test_local_model_unbalanced(capsys, tmp_path):
     code, rep = run_json(capsys, "local-model", "--model", path, "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "unbalanced"
+    assert rep["inputs"] == [{"path": path}]
 
 
 def test_genus1_check(capsys, tmp_path, square):
@@ -934,6 +982,14 @@ def test_selftest_passes(capsys):
     assert rep["failures"] == []
 
 
+def test_a_failing_selftest_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("tropctl.cli.compatible_numbering_space", lambda graph: {"dim": -1})
+    code, rep = run_json(capsys, "selftest", "--cases", "2", "--format", "json")
+    assert code == 1
+    assert rep["verdict"] == "fail"
+    assert rep["failures"][0].startswith("numbering case 0")
+
+
 def test_usage_errors_exit_64(capsys, square):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -945,6 +1001,16 @@ def test_usage_errors_exit_64(capsys, square):
         main(["obstruction", square, "--method", "bogus"])
     assert exc3.value.code == 64
     capsys.readouterr()  # drain argparse noise
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "chain"]], ids=["default", "chain"])
+def test_config_goes_only_with_the_xi_method(capsys, tmp_path, square, method):
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruction", square, *method, "--config", str(tmp_path / "missing.json"), "--format", "json"])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("tropctl: error: argument --config: only with --method xi\n")
 
 
 @pytest.mark.parametrize("cases", ["0", "-3", "x"])
