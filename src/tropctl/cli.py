@@ -102,7 +102,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def command(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        # every command's namespace has the three names _run reads: the curve
+        # files (one None for a command that reads no curve), --glob, and the
+        # one --config, --laurent or --model file
+        p.set_defaults(files=[None], glob=False, data=None)
+        return p
 
     def curve_cmd(name, help_text, many=False):
         p = command(name, help_text)
@@ -110,7 +115,7 @@ def build_parser() -> _Parser:
             p.add_argument("files", nargs="+", help="curve files (or glob patterns with --glob)")
             p.add_argument("--glob", action="store_true", help="expand the arguments as glob patterns")
         else:
-            p.add_argument("file", help="curve file")
+            p.add_argument("files", nargs=1, metavar="file", help="curve file")
         return p
 
     curve_cmd("validate", "check a curve file against the data model", many=True)
@@ -118,21 +123,21 @@ def build_parser() -> _Parser:
 
     p = curve_cmd("obstruction", "dual obstruction space dimension and basis")
     p.add_argument("--method", choices=("chain", "xi"), default="chain")
-    p.add_argument("--config", help="marked-coordinate file for higher-valent vertices")
+    p.add_argument("--config", dest="data", metavar="CONFIG", help="marked-coordinate file for higher-valent vertices")
 
     curve_cmd("classify", "superabundancy verdict under both definitions")
     curve_cmd("abundancy", "abundancy map rank and surjectivity, full and reduced")
 
     p = curve_cmd("phylo", "per-vertex resolution trees from Laurent order data")
-    p.add_argument("--laurent", required=True, help="Laurent series file")
+    p.add_argument("--laurent", dest="data", metavar="LAURENT", required=True, help="Laurent series file")
 
     p = command("local-model", "residue system of a standalone local vertex model")
-    p.add_argument("--model", required=True, help="local model file")
+    p.add_argument("--model", dest="data", metavar="MODEL", required=True, help="local model file")
 
     curve_cmd("genus1-check", "loop-direction span criterion for genus-1 curves")
 
     p = curve_cmd("compare", "degenerate vs resolved obstruction dimensions")
-    p.add_argument("--laurent", required=True, help="Laurent series file")
+    p.add_argument("--laurent", dest="data", metavar="LAURENT", required=True, help="Laurent series file")
     p.add_argument("--t0", default=None, help="evaluation point, a rational in (0,1)")
 
     p = command("selftest", "seeded randomized invariant battery")
@@ -150,10 +155,8 @@ def _load_curve(path: str):
 
 
 def _curve_paths(args) -> list:
-    """The curve file of each report: the expanded `files`, the one `file`,
-    or None for a command that reads no curve."""
-    if "files" not in args:
-        return [getattr(args, "file", None)]
+    """The curve file of each report: the `files` as given or, with --glob,
+    the files their patterns match; [None] for a command that reads no curve."""
     if not args.glob:
         return list(args.files)
     out = [path for pattern in args.files for path in sorted(globmod.glob(pattern, recursive=True))]
@@ -254,7 +257,7 @@ def _obstruction_fields(curve, doc, args) -> dict:
             "paramDim": expected_dim(curve) + res["dim"],
         }
     else:
-        coords = _parse_config(doc, args.config) if doc is not None else {}
+        coords = _parse_config(doc, args.data) if doc is not None else {}
         image = contract_image(curve)
         _check_image_vertices(coords, image, "config")
         res = xi_map(image, coords)
@@ -591,9 +594,8 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None) and args.method != "xi":
+    if args.command == "obstruction" and args.data is not None and args.method != "xi":
         parser.error("argument --config: only with --method xi")
-    data_path = getattr(args, "config", None) or getattr(args, "laurent", None) or getattr(args, "model", None)
     fields_of = _FIELDS[args.command]
     reports, code = [], 0
     try:
@@ -604,18 +606,18 @@ def _run(argv) -> int:
     for curve_path in curve_paths:
         try:
             curve, doc, stamps = None, None, []
-            if curve_path:
+            if curve_path is not None:
                 curve, stamp = _load_curve(curve_path)
                 stamps.append(stamp)
-            if data_path:
-                doc, stamp = read_doc(data_path)
+            if args.data is not None:
+                doc, stamp = read_doc(args.data)
                 stamps.append(stamp)
             fields = fields_of(curve, doc, args)
+            if args.command == "selftest" and not fields["passed"]:
+                code = code or 1  # selftest found a failing invariant
         except TropctlError as err:
-            stamps = [{"path": path} for path in (curve_path, data_path) if path]
+            stamps = [{"path": path} for path in (curve_path, args.data) if path is not None]
             fields, code = {"error": err.payload()}, code or err.exit_code
-        if fields.get("passed") is False:  # selftest found a failing invariant
-            code = code or 1
         reports.append(_report(args.command, stamps, fields))
     (_print_json if args.format == "json" else _print_text)(reports)
     return code

@@ -107,6 +107,36 @@ def test_validate_bad_json_and_missing_file(capsys, tmp_path):
     assert rep2["error"]["error_type"] == "unreadable-input"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", ""],
+        ["classify", ""],
+        ["obstruction", "CURVE", "--method", "xi", "--config", ""],
+        ["phylo", "CURVE", "--laurent", ""],
+        ["compare", "CURVE", "--laurent", ""],
+        ["local-model", "--model", ""],
+    ],
+    ids=["validate", "classify", "config", "phylo", "compare", "model"],
+)
+def test_an_empty_path_is_an_unreadable_input(capsys, square, argv):
+    """An empty path argument names a file that cannot be read; it is not
+    taken for an absent one."""
+    argv = [square if arg == "CURVE" else arg for arg in argv]
+    code, rep = run_json(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "unreadable-input"
+    assert rep["inputs"] == [{"path": arg} for arg in argv if arg in (square, "")]
+
+
+def test_an_empty_path_in_a_batch_keeps_the_other_reports(capsys, square):
+    code, reps = run_json(capsys, "validate", square, "", square, "--format", "json")
+    assert code == 2
+    assert [rep.get("valid") for rep in reps] == [True, None, True]
+    assert reps[1]["error"]["error_type"] == "unreadable-input"
+    assert reps[1]["inputs"] == [{"path": ""}]
+
+
 @pytest.mark.parametrize("command", [["validate"], ["local-model", "--model"]], ids=["curve", "model"])
 def test_deeply_nested_json_is_bad_json(capsys, tmp_path, command):
     deep = tmp_path / "deep.json"
@@ -1003,10 +1033,11 @@ def test_usage_errors_exit_64(capsys, square):
     capsys.readouterr()  # drain argparse noise
 
 
+@pytest.mark.parametrize("config", ["missing.json", ""], ids=["missing", "empty"])
 @pytest.mark.parametrize("method", [[], ["--method", "chain"]], ids=["default", "chain"])
-def test_config_goes_only_with_the_xi_method(capsys, tmp_path, square, method):
+def test_config_goes_only_with_the_xi_method(capsys, tmp_path, square, method, config):
     with pytest.raises(SystemExit) as exc:
-        main(["obstruction", square, *method, "--config", str(tmp_path / "missing.json"), "--format", "json"])
+        main(["obstruction", square, *method, "--config", config and str(tmp_path / config), "--format", "json"])
     assert exc.value.code == 64
     out, err = capsys.readouterr()
     assert out == ""
