@@ -156,10 +156,11 @@ def _load_curve(path: str):
 
 def _curve_paths(args) -> list:
     """The curve file of each report: the `files` as given or, with --glob,
-    the files their patterns match; [None] for a command that reads no curve."""
+    the files (not directories) their patterns match; [None] for a command
+    that reads no curve."""
     if not args.glob:
         return list(args.files)
-    out = [path for pattern in args.files for path in sorted(globmod.glob(pattern, recursive=True))]
+    out = [p for pattern in args.files for p in sorted(globmod.glob(pattern, recursive=True)) if not os.path.isdir(p)]
     if not out:
         raise ValidationError("no-input", "glob patterns matched no files")
     return out
@@ -187,23 +188,14 @@ def _flag_key(flag) -> list:
     return [flag.vertex, flag.edge, flag.slot]
 
 
-def _basis_payload(keys, basis, n) -> list:
-    """Each basis vector as its covectors over `keys`, as lists of strings.
-
-    Each covector a vector holds is converted once.  A key that a vector
-    does not hold is the zero covector, and all of those are one list.
-    Equal covectors are not looked up to share a list: hashing a tuple of
-    Fractions costs more than converting it.
-    """
+def _basis_payload(keys, basis, n) -> tuple:
+    """A basis over `keys` as (width, zero, vectors), its covectors lists of
+    strings: width is len(keys), zero the zero covector, and each vector a
+    {position in keys: covector} dict of the covectors it holds.  A position
+    that a vector does not hold carries zero."""
     index = {key: i for i, key in enumerate(keys)}
-    zero = ["0"] * n
-    out = []
-    for assignment in basis:
-        row = [zero] * len(index)
-        for key, cov in assignment.items():
-            row[index[key]] = list(map(str, cov))
-        out.append(row)
-    return out
+    vectors = [{index[key]: list(map(str, cov)) for key, cov in assignment.items()} for assignment in basis]
+    return len(index), ["0"] * n, vectors
 
 
 def _report(command, stamps, fields) -> dict:
@@ -468,59 +460,59 @@ _FIELDS = {
 
 
 def _print_json(reports):
-    """Print the reports as json.dumps(payload, indent=2, sort_keys=True).
+    """Print the reports as json.dumps(payload, indent=2, sort_keys=True),
+    where a report's basis, a `_basis_payload` triple, stands for its dense
+    form: a list of vectors, each a list of `width` covectors.
 
     The indenting encoder is pure Python, and a basis holds most of the
     strings of a report.  So each report's basis is dumped as NaN, which no
     report holds otherwise (there are no floats) and which cannot form the
-    token '"basis": NaN' inside an escaped string, and that basis's text is
-    written in place of the token.
+    token '"basis": NaN' inside an escaped string, and `_write_basis`
+    writes that basis's text in place of the token.
     """
     bases = [rep["basis"] for rep in reports if "basis" in rep]
     reports = [{**rep, "basis": math.nan} if "basis" in rep else rep for rep in reports]
     single = len(reports) == 1
     parts = json.dumps(reports[0] if single else reports, indent=2, sort_keys=True).split('"basis": NaN')
     pad = "  " if single else "    "  # indent of the "basis" key
-    covectors = {}
     write = sys.stdout.write
     write(parts[0])
     for basis, part in zip(bases, parts[1:], strict=True):
         write('"basis": ')
-        _write_basis(write, basis, pad, covectors)
+        _write_basis(write, basis, pad)
         write(part)
     write("\n")
 
 
-def _write_basis(write, basis, pad, covectors):
-    """Write json.dumps(basis, indent=2) for a basis whose key is indented by
-    pad, one vector at a time.
+def _write_basis(write, basis, pad):
+    """Write json.dumps of the dense form of a (width, zero, vectors) basis,
+    indent=2, for a basis whose key is indented by pad, one vector at a time.
 
-    A basis is a list of vectors, each a list of covectors of strings,
-    which are escaped as json.dumps escapes them.  The text of each
-    covector list is made once and kept in `covectors` under the list's id,
-    which stays unique while the reports hold the list; the zero covector
-    list of `_basis_payload` fills most slots.
+    The strings are escaped as json.dumps escapes them.  The zero
+    covector's text is made once; each vector's row starts as `width`
+    copies of it, and the text of each covector the vector holds is written
+    into its position.
     """
-    if not basis:
-        write("[]")
-        return
+    width, zero, vectors = basis
     vec_pad, cov_pad = pad + "  ", pad + "    "
-    cov_sep = ",\n" + cov_pad
-    str_pad = cov_pad + "  "
-    str_sep = ",\n" + str_pad
+
+    def block(items, indent):  # the list of these item texts, its "]" at indent
+        sep = ",\n" + indent + "  "
+        return "[" + sep[1:] + sep.join(items) + "\n" + indent + "]" if items else "[]"
+
+    def text(cov):
+        return block(list(map(encode_basestring_ascii, cov)), cov_pad)
+
+    zero_text = text(zero)
     opening = "[\n" + vec_pad
-    for vector in basis:
+    for vector in vectors:
         write(opening)
         opening = ",\n" + vec_pad
-        if not vector:
-            write("[]")
-            continue
-        for cov in vector:
-            if id(cov) not in covectors:
-                strings = str_sep.join(map(encode_basestring_ascii, cov))
-                covectors[id(cov)] = "[\n" + str_pad + strings + "\n" + cov_pad + "]" if cov else "[]"
-        write("[\n" + cov_pad + cov_sep.join([covectors[id(cov)] for cov in vector]) + "\n" + vec_pad + "]")
-    write("\n" + pad + "]")
+        row = [zero_text] * width
+        for i, cov in vector.items():
+            row[i] = text(cov)
+        write(block(row, vec_pad))
+    write("\n" + pad + "]" if vectors else "[]")
 
 
 def _format_scalar(value):
@@ -532,6 +524,7 @@ def _format_scalar(value):
 
 
 def _print_text_report(rep):
+    print(f"== {rep['command']}", " ".join(s["path"] for s in rep["inputs"]))
     if "error" in rep:
         payload = rep["error"]
         ctx = payload.get("context") or {}
@@ -542,31 +535,23 @@ def _print_text_report(rep):
     keys = [k for k in rep if k not in ("schema", "command", "inputs", "warnings")]
     ordered = [k for k in DIM_KEYS if k in keys]
     ordered += sorted(k for k in keys if k not in ordered)
-    print(f"== {rep['command']}", " ".join(s.get("path", "") for s in rep["inputs"]))
-    deferred = []
     for key in ordered:
         value = rep[key]
         if key in ("basis", "flags", "variables", "annihilatorBasis"):
-            deferred.append(key)
             continue
         if isinstance(value, (dict, list)):
             print(f"{key}: {json.dumps(value, sort_keys=True)}")
         else:
             print(f"{key}: {_format_scalar(value)}")
-    if "basis" in deferred and rep.get("basis"):
-        labels = None
-        if "flags" in rep:
-            labels = ["/".join(str(p) for p in f) for f in rep["flags"]]
-        elif "variables" in rep:
-            labels = [str(v) for v in rep["variables"]]
-        print("basis:")
-        for bi, vecs in enumerate(rep["basis"], start=1):
+    if "basis" in rep:
+        _width, zero, vectors = rep["basis"]
+        labels = ["/".join(map(str, f)) for f in rep["flags"]] if "flags" in rep else list(map(str, rep["variables"]))
+        print("basis:" if vectors else "basis: (empty)")
+        for bi, vec in enumerate(vectors, start=1):
             print(f"  vector {bi}:")
-            for label, cov in zip(labels, vecs):
-                print(f"    {label}: ({', '.join(cov)})")
-    elif "basis" in deferred:
-        print("basis: (empty)")
-    if "annihilatorBasis" in deferred:
+            for i, label in enumerate(labels):
+                print(f"    {label}: ({', '.join(vec.get(i, zero))})")
+    if "annihilatorBasis" in rep:
         print(f"annihilatorBasis: {json.dumps(rep['annihilatorBasis'])}")
     for w in rep.get("warnings", ()):
         print(f"warning: {w}")

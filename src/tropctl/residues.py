@@ -14,8 +14,9 @@ here.  In `xi_map`, `obstruction.flag_system` adds the other two conditions
 to them; its kernel is the curve-level obstruction space, and on a
 3-valent curve it agrees with the chain method.  `degeneration_compare`
 needs only that space's dimension at each evaluation point, so it
-assembles the same rows (`obstruction.flag_assembly`) and takes a rank:
-the rows that do not depend on the point are reduced once.
+assembles the same rows (`obstruction.flag_assembly`), less the residue
+sums at vertices of valence at most 3, which the other rows imply, and
+takes a rank: the rows that do not depend on the point are reduced once.
 """
 
 from __future__ import annotations
@@ -513,11 +514,18 @@ def degeneration_compare(
     The dimension at t is that of `xi_map` with the evaluated coordinates,
     computed as a rank and without a basis.  Only the residue sums of the
     higher-valent vertices, whose series are evaluated, depend on t: the
-    perpendicularity rows, the vertex sums and the residue sums of the other
-    vertices, whose models are built once, are reduced once
+    perpendicularity rows and the vertex sums are reduced once
     (`linalg.echelon`), and at each t only the residue sums of the
     higher-valent vertices are reduced modulo them (`linalg.residual`), at
     most sum over those vertices of (m_v - 1) rows for m_v finite slots.
+
+    The other vertices have valence at most 3, and their residue sums
+    follow from those rows, so they are not written.  At such a vertex take
+    a[i,j] = weight_i * w_j(u_i) over its slots, w zero on non-variable
+    flags: the vertex sum and perpendicularity make each row sum
+    -weight_i * w_i(u_i) zero, balancing and perpendicularity each column
+    sum -weight_j * w_j(u_j) zero, and with three slots that forces
+    a[0,1] + a[1,0] = 0, the one residue sum; fewer slots give none.
     """
     ct = contract_image(curve)
     resolved, trees = resolve_by_phylo(ct, series_by_vertex)
@@ -526,8 +534,7 @@ def degeneration_compare(
     if not 0 < t < 1:
         raise ValidationError("bad-evaluation-point", "t must lie strictly between 0 and 1")
     g, n = ct.graph, ct.n
-    fixed = [LocalModel.from_star(ct, v) for v in g.vertex_ids if v not in trees]
-    flag_pairs, rows = flag_assembly(g, n, g.bounded_edge_ids(), g.loop_part(), ct.directions, _star_residues(fixed))
+    flag_pairs, rows = flag_assembly(g, n, g.bounded_edge_ids(), g.loop_part(), ct.directions)
     columns = len(flag_pairs) * n
     kept = echelon(columns, rows)
     dims = []

@@ -85,6 +85,20 @@ def test_validate_glob(capsys, tmp_path):
     assert paths == sorted(paths)
 
 
+def test_a_glob_passes_over_the_directories_it_matches(capsys, tmp_path):
+    (tmp_path / "d" / "sub").mkdir(parents=True)
+    curve = write_json(tmp_path / "d" / "sub" / "sq.json", fixtures.square_loop_doc())
+    code, reps = run_json(capsys, "validate", str(tmp_path / "d" / "**"), "--glob", "--format", "json")
+    assert code == 0
+    assert reps["inputs"][0]["path"] == curve and reps["valid"] is True
+    # a pattern that matches directories alone matches no file
+    code, rep = run_json(capsys, "validate", str(tmp_path / "d" / "*"), "--glob", "--format", "json")
+    assert code == 2 and rep["error"]["error_type"] == "no-input"
+    # a directory named without --glob is still read, and cannot be
+    code, rep = run_json(capsys, "validate", str(tmp_path / "d"), "--format", "json")
+    assert code == 2 and rep["error"]["error_type"] == "unreadable-input"
+
+
 def test_validate_glob_no_match(capsys, tmp_path):
     code, rep = run_json(
         capsys, "validate", str(tmp_path / "nope*.json"), "--glob", "--format", "json"
@@ -1090,13 +1104,21 @@ def test_text_mode_orders_dimensions_first(capsys, square):
     assert any(l.strip().startswith("a/s01/0:") for l in lines)
 
 
-def test_text_mode_error(capsys, tmp_path):
+def test_text_mode_error(capsys, tmp_path, square):
     bad = fixtures.square_loop_doc()
     bad["edges"][-1]["direction"] = [3, 1, 5]
     path = write_json(tmp_path / "bad.json", bad)
     code, out = run(capsys, "validate", path)
     assert code == 2
-    assert out.startswith("error[unbalanced]")
+    header, error = out.splitlines()
+    assert header == f"== validate {path}"
+    assert error.startswith("error[unbalanced]: ")
+    # in a batch, the error report is told from the others by its path
+    code, out = run(capsys, "validate", square, path, square)
+    assert code == 2
+    blocks = [block.splitlines() for block in out.split("\n\n")]
+    assert [block[0] for block in blocks] == [f"== validate {p}" for p in (square, path, square)]
+    assert blocks[1][1:] == [error]
 
 
 def test_obstruction_chain_solves_once(capsys, monkeypatch, square):
@@ -1338,14 +1360,17 @@ _JSON = st.recursive(
 
 @st.composite
 def _bases(draw):
-    """Bases whose vectors draw their covectors from a small pool, so that
-    equal and identical lists recur, with one zero covector shared by all."""
+    """Bases in the sparse (width, zero, vectors) form of `_basis_payload`:
+    each vector a {position: covector} dict, the zero covector drawn like
+    the others (so it can be adversarial or empty), and the held covectors
+    drawn from a small pool that holds the zero covector too."""
     n = draw(st.integers(0, 3))
-    zero = ["0"] * n
-    pool = [zero] + draw(st.lists(st.lists(_ADVERSARIAL, min_size=n, max_size=n), max_size=4))
-    flags = draw(st.integers(0, 4))
-    indices = st.lists(st.integers(0, len(pool) - 1), min_size=flags, max_size=flags)
-    return [[pool[i] for i in vector] for vector in draw(st.lists(indices, max_size=4))]
+    covector = st.lists(_ADVERSARIAL, min_size=n, max_size=n)
+    zero = draw(st.just(["0"] * n) | covector)
+    pool = [zero] + draw(st.lists(covector, max_size=4))
+    width = draw(st.integers(0, 4))
+    held = st.dictionaries(st.integers(0, width - 1), st.sampled_from(pool)) if width else st.just({})
+    return width, zero, draw(st.lists(held, max_size=4))
 
 
 @st.composite
@@ -1366,21 +1391,51 @@ def _reports(draw):
     return rep
 
 
+def _dense(rep) -> dict:
+    """The report with its basis as written: each vector a list of its
+    `width` covectors, the zero covector at each position it does not hold."""
+    if "basis" not in rep:
+        return rep
+    width, zero, vectors = rep["basis"]
+    return {**rep, "basis": [[vector.get(i, zero) for i in range(width)] for vector in vectors]}
+
+
+def _json_module_text(reports) -> str:
+    payload = [_dense(rep) for rep in reports]
+    return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True) + "\n"
+
+
 _ZERO = ["0", "0"]
 _HEAD = {"schema": "tropctl-report/1", "command": _TOKEN, "inputs": [{"path": '"\\é\x01'}], "warnings": []}
 
 
 @settings(max_examples=150, deadline=None)
 @given(reports=st.lists(_reports(), min_size=1, max_size=3))
-@example(reports=[{**_HEAD, "basis": []}, {**_HEAD, "basis": [[_ZERO, ["1", "-1/2"], _ZERO], [_ZERO] * 3]}])
+@example(reports=[{**_HEAD, "basis": (3, _ZERO, [])}, {**_HEAD, "basis": (3, _ZERO, [{1: ["1", "-1/2"]}, {}])}])
+@example(reports=[{**_HEAD, "basis": (0, [], [{}, {}])}, {**_HEAD, "basis": (2, [], [{0: []}])}])
 def test_print_json_matches_the_json_module(reports):
     from tropctl.cli import _print_json
 
     out = io.StringIO()
     with redirect_stdout(out):
         _print_json(reports)
-    payload = reports[0] if len(reports) == 1 else reports
-    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert out.getvalue() == _json_module_text(reports)
+
+
+def test_a_genus_40_xi_report_matches_the_json_module(tmp_path, monkeypatch):
+    import tropctl.cli
+
+    curve = write_json(tmp_path / "chain.json", serialize_curve(random_loopchain_curve(random.Random(1), 3, 40)))
+    seen = []
+    print_json = tropctl.cli._print_json
+    monkeypatch.setattr(tropctl.cli, "_print_json", lambda reports: (seen.extend(reports), print_json(reports)))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["obstruction", curve, "--method", "xi", "--format", "json"]) == 0
+    (rep,) = seen
+    width, _zero, vectors = rep["basis"]
+    assert len(vectors) == rep["dimH"] == 40 and width == len(rep["flags"])
+    assert out.getvalue() == _json_module_text(seen)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

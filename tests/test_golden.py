@@ -142,37 +142,37 @@ GOLDEN = {
 GOLDEN_TEXT = {
     ('all', 'validate-batch'): (0, '1a95ee5ff75b11caf779628b3680df156f1c93e30f09c557e4687acfc32a607c'),
     ('ex534', 'abundancy'): (0, '60d2428a6ea76712eeddccd3521b0d40651b66e4749b9cfbd3b0a85a4bbd9473'),
-    ('ex534', 'classify'): (3, '5239922824d1d2d94c47aefa370926a6c3b5f1ed7e534da469eb795bc49734d4'),
+    ('ex534', 'classify'): (3, '0dff004e39693e7d39b82e480c9236c2f349eaaad870bc7356eb978ed884fe6c'),
     ('ex534', 'compare'): (0, '66aac5b01737c37f4de2aa398ea64e301a109de709029635e17a830ef139b631'),
     ('ex534', 'compare-t0'): (0, '166d76e5ff3493b1b622cee78c71e77bdddecc5f5030fdb3e7dfc40fe07b1138'),
     ('ex534', 'genus1-check'): (0, 'c731d46e1e1344acb95a45e37f2823c7c29a6f3e21dfc4a7b8bff0b4ee9dcdb3'),
     ('ex534', 'info'): (0, '2a6aaa3135b57db1b039038c520d2e9a66a67f7253117ce45794e7c1ed87d741'),
-    ('ex534', 'obstruction-chain'): (3, '5239922824d1d2d94c47aefa370926a6c3b5f1ed7e534da469eb795bc49734d4'),
-    ('ex534', 'obstruction-xi'): (3, 'a9359cfea77ac408ce0971fe114c0b5dced0ed5c9b93b448d4b7dcc9f560a4fd'),
+    ('ex534', 'obstruction-chain'): (3, '16c302f733fcf1a11f2751f2c796d6f88b89c7d95a19b0f8773f863db51a4849'),
+    ('ex534', 'obstruction-xi'): (3, 'b42017cdfd5d02819a4b80c79e8b96c640d93f347921d576705a4684ef7e4408'),
     ('ex534', 'obstruction-xi-config'): (0, '4da0169b55ebead04f81f625b419ee44ee0a673e3986a9b58909da838b661bea'),
     ('ex534', 'phylo'): (0, 'f4f4b9c6201bda1c914e13d8cbb4d0bad1612d59110421afa9beece948499b7c'),
     ('ex534', 'validate'): (0, '34c5bcafce4d1adfaaf51be3a600fde9d3bc70202308fcb571de35d6c3cd4379'),
     ('ex536', 'abundancy'): (0, 'cbde996878f76c7c425ca1d0a3012cf0127b74669b70c66d4f7fbc5f1259dae6'),
-    ('ex536', 'classify'): (3, '5239922824d1d2d94c47aefa370926a6c3b5f1ed7e534da469eb795bc49734d4'),
+    ('ex536', 'classify'): (3, 'a3cd811998a9a3b29b0ccf97064cba3d09b03770c5c849d8bbdc2aad312729b6'),
     ('ex536', 'compare'): (0, 'ebbee072879ff8eb4d16bbaaf4497d4de0489a740229bf866260acbab228f84e'),
     ('ex536', 'compare-t0'): (0, 'b038448d097c60d9659b3e6e47acd7033ede7fd81f822041e89ac2c859480cbc'),
-    ('ex536', 'genus1-check'): (3, 'ca27a18c4d3d1576f7f88ffa361d2f5d951f30b0cc13f23206c441831bffe7df'),
+    ('ex536', 'genus1-check'): (3, '43ca2992050d5520f2b5dad4f83cf4059bf19cb1d6b882bba9a59c8d737f178f'),
     ('ex536', 'info'): (0, '1cae289e994e25a0ed703d6e07a6948c97d4124c99409e50da91d2b650d75021'),
-    ('ex536', 'obstruction-chain'): (3, '5239922824d1d2d94c47aefa370926a6c3b5f1ed7e534da469eb795bc49734d4'),
-    ('ex536', 'obstruction-xi'): (3, 'a9359cfea77ac408ce0971fe114c0b5dced0ed5c9b93b448d4b7dcc9f560a4fd'),
+    ('ex536', 'obstruction-chain'): (3, '6015c7b6181a1e4ad332252cdf8b1751d05a51b07583bdcca98ea8b01739d1f2'),
+    ('ex536', 'obstruction-xi'): (3, 'e10ee377a1a1767caa6a546536556cc47600fb9f994cf0b4d5841d71e16f49b8'),
     ('ex536', 'obstruction-xi-config'): (0, 'c51ccb4abfcac0c5dc8a193fd68aa5061b450f0ced9e5e2e2435c22f59fc2b65'),
     ('ex536', 'phylo'): (0, '35cf619605fe2e0d71c98ddd53f0d1daa5f3ccc9e6d73af56ae4c05e78367efc'),
     ('ex536', 'validate'): (0, '5c439d73f5f683252e20b4066ea16d0fc90548e944dd6b17cb3f80ebaf659096'),
     ('gamma1', 'abundancy'): (0, '07034dd838da59671f0a8c7d5c75f73dffd80a1a496b9a1ef81e93092859423d'),
     ('gamma1', 'classify'): (0, '9a19afa6a5746719658117945d69dc8adda6a5f250cff7849dd88a8f7ce0b8f3'),
-    ('gamma1', 'genus1-check'): (3, 'ca27a18c4d3d1576f7f88ffa361d2f5d951f30b0cc13f23206c441831bffe7df'),
+    ('gamma1', 'genus1-check'): (3, '90c8124d52aa0eff522f0533272adc20b7b62e103c95dd2bc960f0b739210cf7'),
     ('gamma1', 'info'): (0, 'f0d031214f9e29355cc136e67ba65f7ffdddf0402009f4cad07c302afd8d9c17'),
     ('gamma1', 'obstruction-chain'): (0, 'bb939ed57c17cb807dbb8c606b9e8cd53c33efb3312cb6507328fe86119690bb'),
     ('gamma1', 'obstruction-xi'): (0, '8865124e708d606a85723825fb4cc61972748dada44891318ba57af82923d2a4'),
     ('gamma1', 'validate'): (0, 'c1b6332500e727495a1503306243d4a8865e5eda3c321f8c0a66b3619ac58c55'),
     ('gamma2', 'abundancy'): (0, '1c75a25af4f0e3e9e74373722d742fa925ebabe70c44973f88df84e35d5abb25'),
     ('gamma2', 'classify'): (0, 'b6daf87695117d41e0bea8d4ea2345f074b39858bf8dd3c331b956087429f5ec'),
-    ('gamma2', 'genus1-check'): (3, 'ca27a18c4d3d1576f7f88ffa361d2f5d951f30b0cc13f23206c441831bffe7df'),
+    ('gamma2', 'genus1-check'): (3, '68c8695f631d71afb9043fd646d7be5cfca490f3726257749b679f6a8f3a7b68'),
     ('gamma2', 'info'): (0, '57ddcc27155e822b2da1b2f85dfb6b7caefdcc30f0abd5e1b72657871cda49a3'),
     ('gamma2', 'obstruction-chain'): (0, '6a2853a88df5eb6b77af6664e7f320b45e7405560c1cc172167646cbbc16f3c1'),
     ('gamma2', 'obstruction-xi'): (0, '7150a83750e1b724fa2a5450ff501053a7358252b3cb55477c42e05db3eecafb'),

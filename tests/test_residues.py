@@ -16,9 +16,12 @@ from hypothesis import assume, given, settings, strategies as st
 from tropctl.curves import contract_image, parse_curve
 from tropctl.errors import PreconditionError, ValidationError
 from tropctl.graphs import AbstractGraph, Flag
-from tropctl.obstruction import dual_obstruction_chain
+from tropctl.linalg import echelon, residual
+from tropctl.obstruction import dual_obstruction_chain, flag_assembly, place_rows
 from tropctl.randgen import (
+    random_genus1_curve,
     random_immersive_curve,
+    random_loopchain_curve,
     random_marked_coords,
 )
 from tropctl import residues
@@ -303,9 +306,9 @@ def test_vertex_phylo_checks_the_series():
 
 
 def test_compare_models_and_checks_each_star_once(monkeypatch):
-    # compare solves no xi_map: each vertex without series gets one
-    # LocalModel, V gets one when it is resolved and one more at each
-    # evaluation point, and V's series are checked once
+    # compare solves no xi_map and writes no residue sums at the 3-valent
+    # vertices, so they get no LocalModel: V gets one when it is resolved
+    # and one more at each evaluation point, and V's series are checked once
     c = fixtures.curve(fixtures.ex536_doc())
     from tropctl.laurent import LaurentSeries
 
@@ -331,10 +334,31 @@ def test_compare_models_and_checks_each_star_once(monkeypatch):
     rep = degeneration_compare(c, series)
     assert rep["d"] == 1
     assert len(rep["dims_seen"]) == 2
-    others = [v for v in contract_image(c).graph.vertex_ids if v != "V"]
-    assert others
-    expected = [("model", v) for v in others] + [("model", "V")] * 3 + [("series", "V")]
-    assert sorted(calls) == sorted(expected)
+    assert sorted(calls) == [("model", "V")] * 3 + [("series", "V")]
+
+
+def _implied_low_valence_residues(ct) -> int:
+    """How many residue rows the vertices of valence at most 3 of ct have,
+    after checking that each reduces to nothing modulo the flag_assembly
+    rows (perpendicularity and vertex sums), as degeneration_compare
+    assumes when it leaves them out."""
+    g, n = ct.graph, ct.n
+    flag_pairs, rows = flag_assembly(g, n, g.bounded_edge_ids(), g.loop_part(), ct.directions)
+    kept = echelon(len(flag_pairs) * n, rows)
+    models = [LocalModel.from_star(ct, v) for v in g.vertex_ids if g.valence(v) <= 3]
+    low = place_rows(n, flag_pairs, residues._star_residues(models))
+    assert all(not residual(row, kept) for row in low)
+    return len(low)
+
+
+def test_residue_rows_at_low_valence_vertices_follow_from_the_flag_rows():
+    docs = (fixtures.square_loop_doc, fixtures.gamma1_doc, fixtures.gamma2_doc, fixtures.ex534_doc, fixtures.ex536_doc)
+    curves = [contract_image(fixtures.curve(doc())) for doc in docs]
+    rng = random.Random(2718)
+    curves += [contract_image(random_immersive_curve(rng, rng.choice([2, 3, 4]))) for _ in range(30)]
+    curves += [contract_image(random_genus1_curve(rng, 3, extra_legs=2)) for _ in range(10)]
+    curves += [contract_image(random_loopchain_curve(rng, 3, 6)) for _ in range(3)]
+    assert sum(_implied_low_valence_residues(ct) for ct in curves) > 100
 
 
 def test_local_model_valence_cap():
