@@ -12,7 +12,8 @@ flags).  The assembly writes the conditions of every method: the covectors
 at a vertex sum to zero and each is perpendicular to its edge direction.
 The chain method (here) adds nothing to them, so a maximal chain carries
 one covector and junction vertices impose the signed sums; the residue
-method (`residues.xi_map`) adds the residue sums at each vertex.
+method (`residues.xi_map`) adds the residue sums at each vertex of valence
+above 3, since at the others they follow from the shared conditions.
 
 Where only a dimension is reported, no basis is built: dim H is the number
 of columns minus the rank of the assembled rows (`linalg.rank`), as in

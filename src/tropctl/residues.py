@@ -10,13 +10,29 @@ identically.  That polynomial has degree m - 2 for m finite marked points
 p_k, so it vanishes iff it vanishes at p_1..p_{m-1}; its value at p_k is,
 up to a nonzero factor, the residue sum over j != k of
 (a[k,j] + a[j,k]) / (p_k - p_j), and those m - 1 sums are the rows written
-here.  In `xi_map`, `obstruction.flag_system` adds the other two conditions
-to them; its kernel is the curve-level obstruction space, and on a
-3-valent curve it agrees with the chain method.  `degeneration_compare`
-needs only that space's dimension at each evaluation point, so it
-assembles the same rows (`obstruction.flag_assembly`), less the residue
-sums at vertices of valence at most 3, which the other rows imply, and
-takes a rank: the rows that do not depend on the point are reduced once.
+here.
+
+On a curve, `obstruction.flag_assembly` writes the other two conditions,
+perpendicularity once per loop edge and the sums once per vertex, and the
+residue sums are needed only at the vertices of valence above 3.  At a
+vertex of valence at most 3 of a balanced type they follow from the other
+rows.  Take a[i,j] = weight_i * w_j(u_i) over the vertex's slots, with u_i
+the direction at slot i and w zero on the flags of edges that are not
+variables.  The vertex sum and perpendicularity make each row sum,
+-weight_i * w_i(u_i), zero; balancing and perpendicularity make each column
+sum, -weight_j * w_j(u_j), zero.  With three slots that forces
+a[0,1] + a[1,0] = 0, the one residue sum; fewer slots give none.
+`test_residue_rows_at_low_valence_vertices_follow_from_the_flag_rows`
+checks it on random curves.
+
+So `xi_map` solves the flag system with the residue sums of the vertices
+of valence above 3 only, and of any vertex whose coordinates it is given,
+so that they are checked; its kernel is the curve-level obstruction space,
+and on a 3-valent curve, given no coordinates, its rows are the chain
+method's.  `degeneration_compare` needs only that space's dimension at each
+evaluation point, so it takes a rank: the rows that do not depend on the
+point are reduced once, and only the residue sums of the vertices whose
+series are evaluated are reduced at each point.
 """
 
 from __future__ import annotations
@@ -104,20 +120,27 @@ class LocalModel:
         records = []
         for eid, slot in inc:
             e = g.edges[eid]
+            _require_direction(ct, vertex, eid)
             d = ct.flag_direction(Flag(vertex, eid, slot))
-            if all(x == 0 for x in d):
-                raise PreconditionError(
-                    "zero-direction-local",
-                    f"edge {eid} at {vertex} has no direction; the local model needs one",
-                    vertex=vertex,
-                    edge=eid,
-                )
             # a loop edge meets the vertex twice; its two slots get distinct labels
             label = f"{eid}#{slot}" if selfloop and eids.count(eid) == 2 else eid
             records.append(
                 SlotRecord(label, Flag(vertex, eid, slot), e.weight, d, not e.is_unbounded)
             )
         return cls(_infinity_last(records), coords, ct.n, vertex=vertex)
+
+
+def _require_direction(ct, vertex: str, eid: str):
+    """Raise zero-direction-local unless edge eid, at vertex, has a nonzero
+    direction, as the local model of the vertex needs."""
+    d = ct.directions.get(eid)
+    if d is None or not any(d):
+        raise PreconditionError(
+            "zero-direction-local",
+            f"edge {eid} at {vertex} has no direction; the local model needs one",
+            vertex=vertex,
+            edge=eid,
+        )
 
 
 def _check_valence(valence: int, vertex=None):
@@ -363,13 +386,21 @@ def xi_map(ct, coords_by_vertex=None) -> dict:
     """Curve-level obstruction space from the local residue systems.
 
     The flag system of `obstruction.flag_system`, with the residue sums of
-    each vertex's model as the method's own vertex conditions.  Its
-    variables are one covector per loop edge: covectors on bounded edges
+    the vertices of valence above 3 as the method's own vertex conditions.
+    Its variables are one covector per loop edge: covectors on bounded edges
     outside the loop subgraph are zero (on tree parts this is forced anyway;
     dropping them keeps bridges exact as well).  The kernel is reported over
     all bounded flags.  Vertices of valence 4 or more need marked
-    coordinates (coords_by_vertex); 3-valent and lower vertices get
-    defaults, which cannot change the kernel there.
+    coordinates (coords_by_vertex).  At a vertex of valence at most 3 the
+    residue sums follow from the other rows of a balanced type, as every
+    curve and its image are (see the module docstring), so such a vertex
+    gets no model and no rows unless coords_by_vertex gives it coordinates,
+    which its model then checks.  "models" holds the LocalModel of each
+    vertex that has one.
+
+    The vertices are checked in vertex order, each as its model would check
+    it: `missing-config`, then `zero-direction-local` on every edge there,
+    then the model's own errors.
     """
     g = ct.graph
     coords_by_vertex = coords_by_vertex or {}
@@ -382,7 +413,11 @@ def xi_map(ct, coords_by_vertex=None) -> dict:
                 f"vertex {v} has valence {g.valence(v)} and needs marked coordinates",
                 vertex=v,
             )
-        models[v] = LocalModel.from_star(ct, v, coords)
+        if coords is None:
+            for eid, _slot in g.incident(v):
+                _require_direction(ct, v, eid)
+        else:
+            models[v] = LocalModel.from_star(ct, v, coords)
     residue_rows = _star_residues(models.values())
     out = flag_system(g, ct.n, g.bounded_edge_ids(), g.loop_part(), ct.directions, residue_rows)
     out["models"] = models
@@ -518,14 +553,9 @@ def degeneration_compare(
     (`linalg.echelon`), and at each t only the residue sums of the
     higher-valent vertices are reduced modulo them (`linalg.residual`), at
     most sum over those vertices of (m_v - 1) rows for m_v finite slots.
-
     The other vertices have valence at most 3, and their residue sums
-    follow from those rows, so they are not written.  At such a vertex take
-    a[i,j] = weight_i * w_j(u_i) over its slots, w zero on non-variable
-    flags: the vertex sum and perpendicularity make each row sum
-    -weight_i * w_i(u_i) zero, balancing and perpendicularity each column
-    sum -weight_j * w_j(u_j) zero, and with three slots that forces
-    a[0,1] + a[1,0] = 0, the one residue sum; fewer slots give none.
+    follow from those rows (see the module docstring), so they are not
+    written.
     """
     ct = contract_image(curve)
     resolved, trees = resolve_by_phylo(ct, series_by_vertex)

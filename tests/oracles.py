@@ -10,7 +10,10 @@ build the phylogenetic tree from runs of equal order, not from where
 neighbours first differ as `tropctl.laurent` does.  The flag-system
 references assemble rows vertex by vertex, each vertex restating the
 perpendicularity and sum conditions it shares with the others, where
-`tropctl.obstruction.flag_system` writes those once per edge and vertex.
+`tropctl.obstruction.flag_system` writes those once per edge and vertex;
+the residue reference writes the residue polynomial of every vertex
+coefficient by coefficient, where `tropctl.residues` writes residue sums
+and only at the vertices of valence above 3.
 The abundancy references measure each edge from its end positions and take
 the cycles from root paths.  Spans computed by the package (chain `perp`
 spaces, obstruction bases, residue rows, `h_basis`) are compared through
@@ -27,7 +30,7 @@ from fractions import Fraction
 from tropctl.errors import ValidationError
 from tropctl.graphs import Flag
 from tropctl.laurent import LaurentSeries, PhyloLeaf, PhyloNode
-from tropctl.residues import LocalModel, _local_rows
+from tropctl.residues import LocalModel
 
 
 def row_reduce(rows):
@@ -418,16 +421,20 @@ def per_vertex_chain(ct) -> dict:
 
 
 def per_vertex_xi(ct, coords_by_vertex=None) -> dict:
-    """Residue method: each vertex's full local rows (perpendicularity at
-    both ends of an edge, the sums and the residue sums) over its bounded
-    flags, with the loop edges as variables."""
+    """Residue method: at every vertex, whatever its valence, the full local
+    rows of `residue_coefficient_rows` (perpendicularity at both ends of an
+    edge, the sums and every coefficient of the residue polynomial) over its
+    bounded flags, with the loop edges as variables.  A vertex that
+    coords_by_vertex leaves out gets the coordinates 0, 1, 2, ..."""
     g = ct.graph
     coords_by_vertex = coords_by_vertex or {}
 
     def rows():
         for v in g.vertex_ids:
-            local, bounded = _local_rows(LocalModel.from_star(ct, v, coords_by_vertex.get(v)))
-            yield [rec.flag for rec in bounded], local
+            model = LocalModel.from_star(ct, v, coords_by_vertex.get(v))
+            dense, _nvars = residue_coefficient_rows(model)
+            flags = [rec.flag for rec in model.slots if rec.bounded]
+            yield flags, [{j: x for j, x in enumerate(row) if x} for row in dense]
 
     return per_vertex_flag_kernel(g, ct.n, g.bounded_edge_ids(), g.loop_part(), rows())
 

@@ -172,7 +172,9 @@ def test_criterion_07_methods_give_equal_subspaces():
         c = draw(rng, random_immersive_curve, n)
         chain = dual_obstruction_chain(c)
         xi = xi_map(c)
-        assert chain["dim"] == xi["dim"]
+        # every vertex's residue polynomial, coefficient by coefficient
+        residues = oracles.per_vertex_xi(c)
+        assert chain["dim"] == xi["dim"] == residues["dim"]
         flags = xi["flag_order"]
         width = len(flags) * n
         zero = tuple(Fraction(0) for _ in range(n))
@@ -182,7 +184,8 @@ def test_criterion_07_methods_give_equal_subspaces():
 
         s_chain = oracles.canonical_span(width, [flatten(a) for a in chain["basis"]])
         s_xi = oracles.canonical_span(width, [flatten(a) for a in xi["basis"]])
-        assert s_chain == s_xi  # canonical bases: equal iff each contains the other
+        s_residues = oracles.canonical_span(width, [flatten(a) for a in residues["basis"]])
+        assert s_chain == s_xi == s_residues  # canonical bases: equal iff each contains the other
     print("ACCEPTANCE 07: PASS")
 
 

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, JSON stability, reports."""
 
+import hashlib
 import io
 import json
 import math
@@ -260,6 +261,32 @@ def test_obstruction_xi_missing_config(capsys, hv536):
     code, rep = run_json(capsys, "obstruction", hv536, "--method", "xi", "--format", "json")
     assert code == 3
     assert rep["error"]["error_type"] == "missing-config"
+
+
+def _coords_at_a(tmp_path, hv536, coords):
+    """obstruction --method xi on ex536 with coordinates at the 4-valent V
+    and at the 3-valent A."""
+    doc = {"vertices": {"A": {"coords": coords}, "V": {"coords": ["0", "1", "2"]}}}
+    return _config_of(tmp_path, hv536, doc)
+
+
+@pytest.mark.parametrize("coords", [["0"], ["1", "2"], ["0", "0"]], ids=["count", "first", "repeated"])
+def test_config_coords_at_a_3_valent_vertex_are_checked(capsys, tmp_path, hv536, coords):
+    # the residue sums at A add nothing, but the coordinates given for it
+    # are checked as at any other vertex
+    code, rep = run_json(capsys, *_coords_at_a(tmp_path, hv536, coords), "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "bad-coords"
+    assert rep["error"]["context"] == {"vertex": "A"}
+
+
+def test_valid_config_coords_at_a_3_valent_vertex_leave_the_report(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "ex536.json", fixtures.ex536_doc())
+    code, out = run(capsys, *_coords_at_a(Path("."), "ex536.json", ["0", "-1/2"]), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dimH"] == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == "9f93c2c7c431ac2c0e0ddda83fa967cbcc575d233f2fd2eb6044cebc77a477aa"
 
 
 def test_obstruction_xi_matches_chain_on_trivalent(capsys, square):

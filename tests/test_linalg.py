@@ -198,12 +198,12 @@ def assert_canonical_basis(ncols, rows):
     echelon form.  kernel(ncols, rows) kills every row, and its own kernel
     is that form again, with `Fraction` values and pivots exactly 1.
     Returns the canonical basis."""
-    expected = oracles.canonical_span(ncols, rows)
     kept = echelon(ncols, rows)
     for p, row in kept.items():
         assert min(row) == p and row[p] > 0
         assert all(type(x) is int for x in row.values()) and math.gcd(*row.values()) == 1
         assert not set(row) & set(kept) - {p}
+    expected = oracles.canonical_span(ncols, rows)
     assert echelon_basis(ncols, rows) == expected
     null = kernel(ncols, rows)
     for k in null:
@@ -263,6 +263,67 @@ def test_rank_and_residuals_modulo_a_reduced_set(matrix, split, rng):
     # a residual is empty exactly when its row lies in the span of the fixed rows
     for row, res in zip(new, residuals):
         assert (not res) == (rank(ncols, fixed + [row]) == len(kept))
+
+
+sparse_nonzero = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+
+
+@st.composite
+def block_diagonal_systems(draw):
+    """(ncols, rows, block of each column): 20 to 60 sparse rows in 5 to 15
+    blocks of 3 to 6 columns each, the shape of a flag system, whose blocks
+    are its bouquets.  The blocks' columns interleave and their rows are
+    shuffled together.  A block may carry a chain of rows
+    {c0, c1, c2}, {c1, c2}, {c2, c3}, ... over its sorted columns, kept in
+    that order: each chain row fills its last column into the kept rows of
+    its block, and the second cancels c2 from the first, which leaves the
+    first row with column c2 no longer nonzero for the third."""
+    blocks = draw(st.integers(5, 15))
+    widths = [draw(st.integers(3, 6)) for _ in range(blocks)]
+    columns = draw(st.permutations(range(sum(widths))))
+    owned, start = [], 0
+    for w in widths:
+        owned.append(sorted(columns[start : start + w]))
+        start += w
+    total = draw(st.integers(20, 60))
+    chains = []
+    for c in owned:
+        chain = [{c[0]: 1, c[1]: 1, c[2]: 1}, {c[1]: 1, c[2]: 1}]
+        chain += [{c[i]: draw(sparse_nonzero), c[i + 1]: draw(sparse_nonzero)} for i in range(2, len(c) - 1)]
+        if len(chain) + sum(map(len, chains)) <= total and draw(st.booleans()):
+            chains.append(chain)
+    rows = [row for chain in chains for row in chain]
+    while len(rows) < total:
+        c = owned[draw(st.integers(0, blocks - 1))]
+        picked = draw(st.lists(st.sampled_from(c), min_size=1, max_size=len(c), unique=True))
+        rows.append({j: draw(sparse_nonzero) for j in picked})
+    # shuffle, then put each chain's rows back in chain order on the places they took
+    order = draw(st.permutations(range(len(rows))))
+    shuffled = [rows[i] for i in order]
+    offset = 0
+    for chain in chains:
+        places = sorted(order.index(offset + k) for k in range(len(chain)))
+        for place, row in zip(places, chain):
+            shuffled[place] = row
+        offset += len(chain)
+    block_of = {j: b for b, c in enumerate(owned) for j in c}
+    return len(columns), shuffled, block_of
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_diagonal_systems(), st.integers(0, 60))
+def test_elimination_of_block_diagonal_systems_with_fill_in(system, split):
+    ncols, rows, block_of = system
+    assert_canonical_basis(ncols, [[r.get(j, 0) for j in range(ncols)] for r in rows])
+    kept = echelon(ncols, rows)
+    # each reduced row lies in one block
+    assert all(len({block_of[j] for j in row}) == 1 for row in kept.values())
+    fixed = echelon(ncols, rows[:split])
+    residuals = [residual(row, fixed) for row in rows[split:]]
+    for res in residuals:
+        assert not set(res) & set(fixed)
+        assert all(type(x) is int and x for x in res.values())
+    assert len(fixed) + rank(ncols, residuals) == len(kept)
 
 
 def oracle_kernel_basis(ncols, rows):

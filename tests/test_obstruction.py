@@ -295,7 +295,9 @@ def _random_coords(rng, ct) -> dict:
 
 def test_flag_system_matches_per_vertex_assembly():
     """The shared conditions, written once per edge and vertex, give the
-    kernel that restating them at every vertex gives."""
+    kernel that restating them at every vertex gives; and the residue sums,
+    written only at the vertices of valence above 3, give the kernel that
+    every vertex's residue coefficients give."""
     rng = random.Random(1717)
     for _ in range(12):
         g = random_trivalent_graph(rng, rng.randint(0, 4))
@@ -303,8 +305,17 @@ def test_flag_system_matches_per_vertex_assembly():
     curves = [random_immersive_curve(rng, rng.choice([2, 3, 4])) for _ in range(12)]
     curves += [random_loopchain_curve(rng, rng.choice([2, 3, 4]), genus) for genus in (1, 3, 5)]
     for c in curves:
-        assert _same_flag_system(dual_obstruction_chain(c), oracles.per_vertex_chain(c))
-        assert _same_flag_system(xi_map(c), oracles.per_vertex_xi(c))
+        chain = dual_obstruction_chain(c)
+        assert _same_flag_system(chain, oracles.per_vertex_chain(c))
+        residues = oracles.per_vertex_xi(c)
+        assert _same_flag_system(xi_map(c), residues)
+        # the chain method's columns are the loop edges, the same variables
+        assert (chain["dim"], chain["basis"]) == (residues["dim"], residues["basis"])
+    # the 4-valent vertex V of ex536 at random coordinates
+    c = fixtures.curve(fixtures.ex536_doc())
+    for _ in range(6):
+        coords = _random_coords(rng, c)
+        assert _same_flag_system(xi_map(c, coords), oracles.per_vertex_xi(c, coords))
     # curves in Q^k padded with zeros into Q^n: for n > k the covectors
     # vanishing on Q^k give the kernel a nonzero basis to compare
     for _ in range(12):

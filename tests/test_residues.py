@@ -252,6 +252,68 @@ def test_xi_ex536_dimension_and_pair_values():
     assert vals[(1, 3)] == vals[(3, 2)] == -vals[(3, 1)] == -vals[(2, 3)]
 
 
+def _without_direction(doc, eid, rename):
+    """The type of a fixture curve with edge eid's direction removed, and
+    its vertices renamed by the mapping rename."""
+    from tropctl.curves import CombinatorialType
+
+    for v in doc["vertices"]:
+        v["id"] = rename.get(v["id"], v["id"])
+    for e in doc["edges"]:
+        e["ends"] = [rename.get(x, x) for x in e["ends"]]
+    c = fixtures.curve(doc)
+    return CombinatorialType(c.graph, c.n, {**c.directions, eid: None})
+
+
+@pytest.mark.parametrize(
+    "eid, rename, coords, kind, context",
+    [
+        # a 3-valent vertex with no model still rejects a directionless edge
+        ("s01", {}, {}, "zero-direction-local", {"edge": "s01", "vertex": "a"}),
+        # vertex order: B and C come before V, whose coordinates are missing
+        ("f2_bc", {}, {}, "zero-direction-local", {"edge": "f2_bc", "vertex": "B"}),
+        ("f2_bc", {}, {"V": [0, 1, 2]}, "zero-direction-local", {"edge": "f2_bc", "vertex": "B"}),
+        ("e1_va", {}, {"V": [0, 1, 2]}, "zero-direction-local", {"edge": "e1_va", "vertex": "A"}),
+        # with V renamed O, O comes before P and Q
+        ("f3_pq", {"V": "O"}, {}, "missing-config", {"vertex": "O"}),
+        ("f3_pq", {"V": "O"}, {"O": [0, 1, 2]}, "zero-direction-local", {"edge": "f3_pq", "vertex": "P"}),
+        ("f3_pq", {"V": "O"}, {"O": [0, 1, 1]}, "bad-coords", {"vertex": "O"}),
+        # a 3-valent vertex given coordinates is modelled, and they are checked
+        ("f2_bc", {}, {"A": [0, 0], "V": [0, 1, 2]}, "bad-coords", {"vertex": "A"}),
+        ("f2_bc", {}, {"A": [0, 1], "V": [0, 1, 2]}, "zero-direction-local", {"edge": "f2_bc", "vertex": "B"}),
+    ],
+)
+def test_xi_reports_the_first_fault_in_vertex_order(eid, rename, coords, kind, context):
+    doc = fixtures.square_loop_doc() if eid == "s01" else fixtures.ex536_doc()
+    ct = _without_direction(doc, eid, rename)
+    with pytest.raises((PreconditionError, ValidationError)) as err:
+        xi_map(ct, coords)
+    assert err.value.kind == kind
+    assert err.value.context == context
+
+
+def test_xi_models_only_the_vertices_of_valence_above_3(monkeypatch):
+    # the residue sums of a vertex of valence at most 3 follow from the
+    # other rows, so xi_map builds it no model, unless it is given
+    # coordinates to check
+    calls = []
+    from_star = LocalModel.from_star.__func__
+
+    def counting_from_star(cls, obj, vertex, coords=None):
+        calls.append(vertex)
+        return from_star(cls, obj, vertex, coords)
+
+    monkeypatch.setattr(LocalModel, "from_star", classmethod(counting_from_star))
+    out = xi_map(random_loopchain_curve(random.Random(5), 3, 6))
+    assert calls == [] and out["models"] == {}
+    c = fixtures.curve(fixtures.ex536_doc())
+    out = xi_map(c, {"V": [0, 1, 2]})
+    assert calls == ["V"] and list(out["models"]) == ["V"]
+    calls.clear()
+    assert xi_map(c, {"A": [0, 5], "V": [0, 1, 2]})["basis"] == out["basis"]
+    assert calls == ["A", "V"]
+
+
 def test_genus1_criterion_square_loop():
     c = fixtures.curve(fixtures.square_loop_doc())
     out = genus1_loop_criterion(c)
