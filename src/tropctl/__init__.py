@@ -19,7 +19,7 @@ from .curves import (
     serialize_curve,
 )
 from .errors import PreconditionError, TropctlError, ValidationError
-from .graphs import AbstractGraph, Chain, Edge, Flag, LoopDecomposition
+from .graphs import AbstractGraph, Chain, Edge, Flag
 from .laurent import (
     LaurentSeries,
     PhyloLeaf,
@@ -64,7 +64,6 @@ __all__ = [
     "Flag",
     "LaurentSeries",
     "LocalModel",
-    "LoopDecomposition",
     "PhyloLeaf",
     "PhyloNode",
     "PreconditionError",

@@ -408,7 +408,8 @@ def _selftest_fields(curve, doc, args) -> dict:
     for i in range(args.cases):
         curve = randgen.random_immersive_curve(rng, 3)
         chain = dual_obstruction_chain(curve)
-        xi = xi_map(curve)
+        # coordinates at every vertex: xi_map writes the residue sums there too
+        xi = xi_map(curve, {v: range(curve.graph.valence(v) - 1) for v in curve.graph.vertex_ids})
         checks["methods"] += 1
         if chain["dim"] != xi["dim"]:
             failures.append(f"methods case {i}: chain dim {chain['dim']} != xi dim {xi['dim']}")

@@ -139,6 +139,11 @@ def _validate_curve(c: TropicalCurve):
                 f"edge {eid} direction does not match endpoint positions",
                 edge=eid,
             )
+    require_balanced(c)
+
+
+def require_balanced(c: CombinatorialType):
+    """Raise `unbalanced` at the vertices where the directions do not balance."""
     bad = [v for v, r in balancing_residuals(c) if any(r)]
     if bad:
         raise ValidationError(
@@ -146,7 +151,7 @@ def _validate_curve(c: TropicalCurve):
         )
 
 
-def balancing_residuals(c: TropicalCurve) -> list[tuple[str, tuple]]:
+def balancing_residuals(c: CombinatorialType) -> list[tuple[str, tuple]]:
     """Per-vertex weighted direction sums; zero everywhere iff balanced.
 
     Contracted edges contribute their virtual direction when they have one

@@ -9,15 +9,17 @@ Each graph builds one greedy spanning forest over its sorted bounded edges
 when it is made.  That forest answers the cycle questions: the graph is
 connected when the forest has one root, the genus is the number of edges
 left out of it, the loop part is the union of its fundamental cycles, and
-the abundancy map has one row block per fundamental cycle.  Only the walk
-that cuts the loop part into chains steps over the graph itself.
+the abundancy map has one row block per fundamental cycle.  The loop part
+is the variable set of every flag system (`obstruction.flag_assembly`
+reads it), and only the walk that cuts it into chains steps over the
+graph itself.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 
 
 class Edge(NamedTuple):
@@ -51,11 +53,6 @@ class Chain(NamedTuple):
     edges: tuple[str, ...]
     vertices: tuple[str, ...]
     closed: bool
-
-
-class LoopDecomposition(NamedTuple):
-    loop_edges: frozenset[str]
-    chains: tuple[Chain, ...]
 
 
 class AbstractGraph:
@@ -136,9 +133,10 @@ class AbstractGraph:
             loop.update(fundamental_cycle(self, self.forest, eid))
         return frozenset(loop)
 
-    def loop_decomposition(self) -> LoopDecomposition:
-        loop = self.loop_part()
-        return LoopDecomposition(loop, _cut_chains(self, loop))
+    def loop_decomposition(self) -> tuple[Chain, ...]:
+        """The maximal chains of the loop part, in the order of their
+        smallest edge id; together they hold each loop edge once."""
+        return _cut_chains(self, self.loop_part())
 
 
 def _loop_valence(g: AbstractGraph, loop: frozenset[str]) -> dict[str, int]:
@@ -268,12 +266,3 @@ def fundamental_cycle(g: AbstractGraph, forest: Forest, eid: str) -> dict[str, i
             cycle[e] = -sign
     return cycle
 
-
-def require_trivalent(g: AbstractGraph, what: str = "operation"):
-    bad = [v for v in g.vertex_ids if g.valence(v) > 3]
-    if bad:
-        raise PreconditionError(
-            "not-trivalent",
-            f"{what} requires a 3-valent graph; offending vertices: {', '.join(bad)}",
-            vertices=bad,
-        )

@@ -2,9 +2,10 @@
 
 The obstruction dual H is the kernel of a flag system: every bounded flag
 carries a covector, opposite on the two flags of an edge and zero on edges
-outside the loop subgraph, subject to linear conditions at each vertex.
-`flag_assembly` writes the rows of a flag system over one n-covector per
-loop edge, and `flag_system` solves them and gives a basis of H in
+outside the loop part, subject to linear conditions at each vertex.
+`flag_assembly` reads the loop part from the graph and writes the rows
+over one n-covector per loop edge, in the one column order of sorted edge
+ids, and `flag_system` solves them and gives a basis of H in
 per-flag form: each basis vector is a {Flag: covector} dict that holds only
 its nonzero covectors, so it costs its nonzeros and not the number of flags
 (a basis vector of a genus-40 loop chain is nonzero on about 6 of its 240
@@ -26,34 +27,30 @@ import itertools
 
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
-from .graphs import AbstractGraph, Flag, Forest, fundamental_cycle, require_trivalent, spanning_forest
+from .graphs import AbstractGraph, Flag, Forest, fundamental_cycle, spanning_forest
 from .linalg import Q0, content_and_primitive, kernel, rank, row_blocks
 
 
-def flag_assembly(g: AbstractGraph, n: int, edges, variables, directions=None, vertex_rows=()) -> tuple:
-    """The rows of a flag system over one n-covector w_e per variable edge.
+def flag_assembly(g: AbstractGraph, n: int, directions, vertex_rows=()) -> tuple:
+    """The rows of a flag system over one n-covector w_e per edge e of
+    `g.loop_part()`.
 
-    The flag at slot 0 of edge e carries +w_e and the flag at slot 1 carries
-    -w_e, for e in `variables`; flags of other edges carry zero.  Returns
-    (flag_pairs, rows): flag_pairs holds the (slot 0, slot 1) flags of each
-    variable edge, in the order of `edges`, and columns i * n .. i * n + n - 1
-    hold the covector of the i-th pair.  The shared conditions are written
-    here: n rows per vertex with a variable flag say that the covectors on
-    its variable flags sum to zero, and when `directions` ({edge id:
-    direction}) is given, one row per variable edge says that w_e is
-    perpendicular to its direction.  `vertex_rows` yields a method's own
-    conditions, placed by `place_rows`.
+    The flag at slot 0 of e carries +w_e and the flag at slot 1 carries
+    -w_e; flags of other edges carry zero.  Returns (flag_pairs, rows):
+    flag_pairs holds the (slot 0, slot 1) flags of each loop edge, in sorted
+    edge order, and columns i * n .. i * n + n - 1 hold the covector of the
+    i-th pair.  The shared conditions are written here: n rows per vertex
+    with a loop flag say that the covectors on its loop flags sum to zero,
+    and unless `directions` ({edge id: direction}) is None, one row per loop
+    edge says that w_e is perpendicular to its direction.  `vertex_rows`
+    yields a method's own conditions, placed by `place_rows`.
     """
-    flag_pairs = [
-        (Flag(g.edges[eid].ends[0], eid, 0), Flag(g.edges[eid].ends[1], eid, 1))
-        for eid in edges
-        if eid in variables
-    ]
-    variable = {f0.edge for f0, _f1 in flag_pairs}
+    loop = g.loop_part()
+    flag_pairs = [(Flag(g.edges[eid].ends[0], eid, 0), Flag(g.edges[eid].ends[1], eid, 1)) for eid in sorted(loop)]
     perpendicular = () if directions is None else (
         ([f0], [{k: x for k, x in enumerate(directions[f0.edge]) if x}]) for f0, _f1 in flag_pairs
     )
-    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in variable] for v in g.vertex_ids)
+    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in loop] for v in g.vertex_ids)
     sums = ((f, [dict.fromkeys(range(k, len(f) * n, n), 1) for k in range(n)]) for f in stars if f)
     return flag_pairs, place_rows(n, flag_pairs, itertools.chain(perpendicular, sums, vertex_rows))
 
@@ -65,8 +62,8 @@ def place_rows(n: int, flag_pairs, vertex_rows) -> list[dict]:
     vertex, a sparse {i * n + k: coefficient} dict over the concatenated
     n-covectors of those flags, so key i * n + k is entry k of the covector
     at flags[i].  A term on a slot-1 flag changes sign, since that flag
-    carries -w_e.  Terms on flags of non-variable edges are dropped, and so
-    is a row they leave empty.
+    carries -w_e.  Terms on flags of edges outside the loop part are
+    dropped, and so is a row they leave empty.
     """
     base = {f0.edge: i * n for i, (f0, _f1) in enumerate(flag_pairs)}
     rows = []
@@ -83,19 +80,19 @@ def place_rows(n: int, flag_pairs, vertex_rows) -> list[dict]:
     return rows
 
 
-def flag_system(g: AbstractGraph, n: int, edges, variables, directions=None, vertex_rows=()) -> dict:
-    """Kernel of the flag system that `flag_assembly` writes from the same
-    arguments, from one elimination of its rows (`linalg.kernel`).
+def flag_system(g: AbstractGraph, n: int, edges, directions=None, vertex_rows=()) -> dict:
+    """Kernel of the flag system that `flag_assembly` writes, from one
+    elimination of its rows (`linalg.kernel`).
 
     Returns its dimension, `flag_order` (the flags of `edges`, sorted
-    bounded edge ids that include the variables, edge by edge with slot 0
+    bounded edge ids that include the loop part, edge by edge with slot 0
     first) and the basis: one {Flag: covector} dict per row of the
     canonical kernel basis, written in one pass over that row's nonzeros.
     It holds both flags of each edge on which the row is nonzero, +w_e and
     -w_e as tuples, and no other flag: a flag of `flag_order` that it does
     not hold carries the zero covector.
     """
-    flag_pairs, rows = flag_assembly(g, n, edges, variables, directions, vertex_rows)
+    flag_pairs, rows = flag_assembly(g, n, directions, vertex_rows)
     space = kernel(len(flag_pairs) * n, rows)
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     basis = []
@@ -112,22 +109,29 @@ def flag_system(g: AbstractGraph, n: int, edges, variables, directions=None, ver
 # -- compatible numberings -----------------------------------------------------
 
 
-def compatible_numbering_space(obj) -> dict:
+def compatible_numbering_space(g: AbstractGraph) -> dict:
     """Scalar flag numberings: zero on unbounded flags, summing to zero at
     each vertex and across each bounded edge.  The dimension equals the genus.
+    Solved over the loop part, as the vertex sums force zero on a bridge.
     """
-    g = obj if isinstance(obj, AbstractGraph) else obj.graph
-    bounded = g.bounded_edge_ids()
-    return flag_system(g, 1, bounded, set(bounded))
+    return flag_system(g, 1, g.bounded_edge_ids())
 
 
 # -- chain-method obstruction dual ----------------------------------------------
 
 
-def _directed_loop(ct, loop_edges) -> list:
-    """The loop edges in sorted order, once each is checked to have a
-    direction, as the chain method needs."""
-    loop = sorted(loop_edges)
+def _chain_loop(ct) -> list:
+    """The sorted loop part of ct, once ct is checked to have valences at
+    most 3 and then a direction on every loop edge, as the chain method needs."""
+    g = ct.graph
+    bad = [v for v in g.vertex_ids if g.valence(v) > 3]
+    if bad:
+        raise PreconditionError(
+            "not-trivalent",
+            f"the chain obstruction requires a 3-valent graph; offending vertices: {', '.join(bad)}",
+            vertices=bad,
+        )
+    loop = sorted(g.loop_part())
     for eid in loop:
         if ct.directions.get(eid) is None:
             raise PreconditionError(
@@ -145,14 +149,11 @@ def dual_obstruction_chain(ct) -> dict:
     the kernel's dimension, a basis in per-flag form, and the maximal chains
     with their perpendicular spaces.
     """
-    g = ct.graph
-    n = ct.n
-    require_trivalent(g, "the chain obstruction")
-    decomp = g.loop_decomposition()
-    loop = _directed_loop(ct, decomp.loop_edges)
-    out = flag_system(g, n, loop, decomp.loop_edges, ct.directions)
+    g, n = ct.graph, ct.n
+    loop = _chain_loop(ct)
+    out = flag_system(g, n, loop, ct.directions)
     chains = []
-    for chain in decomp.chains:
+    for chain in g.loop_decomposition():
         perp = kernel(n, [ct.directions[eid] for eid in chain.edges])
         chains.append(
             {
@@ -170,10 +171,8 @@ def dual_obstruction_dim(ct) -> int:
     """dim H of `dual_obstruction_chain`, with its preconditions and errors,
     as the number of columns minus the rank of the chain rows; no basis is
     built."""
-    g = ct.graph
-    require_trivalent(g, "the chain obstruction")
-    variables = g.loop_part()
-    flag_pairs, rows = flag_assembly(g, ct.n, _directed_loop(ct, variables), variables, ct.directions)
+    _chain_loop(ct)
+    flag_pairs, rows = flag_assembly(ct.graph, ct.n, ct.directions)
     columns = len(flag_pairs) * ct.n
     return columns - rank(columns, rows)
 

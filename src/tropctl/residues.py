@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .curves import TropicalCurve, contract_image, replace_star
+from .curves import TropicalCurve, contract_image, replace_star, require_balanced
 from .errors import PreconditionError, ValidationError
 from .graphs import Flag
 from .inputs import ambient_dim, integer_direction, positive_weight, rationals
@@ -400,7 +400,8 @@ def xi_map(ct, coords_by_vertex=None) -> dict:
 
     The vertices are checked in vertex order, each as its model would check
     it: `missing-config`, then `zero-direction-local` on every edge there,
-    then the model's own errors.
+    then the model's own errors; last, a hand-built type that does not
+    balance is rejected (`unbalanced`, from `curves.require_balanced`).
     """
     g = ct.graph
     coords_by_vertex = coords_by_vertex or {}
@@ -418,8 +419,8 @@ def xi_map(ct, coords_by_vertex=None) -> dict:
                 _require_direction(ct, v, eid)
         else:
             models[v] = LocalModel.from_star(ct, v, coords)
-    residue_rows = _star_residues(models.values())
-    out = flag_system(g, ct.n, g.bounded_edge_ids(), g.loop_part(), ct.directions, residue_rows)
+    require_balanced(ct)
+    out = flag_system(g, ct.n, g.bounded_edge_ids(), ct.directions, _star_residues(models.values()))
     out["models"] = models
     return out
 
@@ -564,7 +565,7 @@ def degeneration_compare(
     if not 0 < t < 1:
         raise ValidationError("bad-evaluation-point", "t must lie strictly between 0 and 1")
     g, n = ct.graph, ct.n
-    flag_pairs, rows = flag_assembly(g, n, g.bounded_edge_ids(), g.loop_part(), ct.directions)
+    flag_pairs, rows = flag_assembly(g, n, ct.directions)
     columns = len(flag_pairs) * n
     kept = echelon(columns, rows)
     dims = []

@@ -10,7 +10,9 @@ build the phylogenetic tree from runs of equal order, not from where
 neighbours first differ as `tropctl.laurent` does.  The flag-system
 references assemble rows vertex by vertex, each vertex restating the
 perpendicularity and sum conditions it shares with the others, where
-`tropctl.obstruction.flag_system` writes those once per edge and vertex;
+`tropctl.obstruction.flag_system` writes those once per edge and vertex,
+and they solve with every bounded edge as a variable, where the package
+solves over the loop part and leaves bridges and twigs zero;
 the residue reference writes the residue polynomial of every vertex
 coefficient by coefficient, where `tropctl.residues` writes residue sums
 and only at the vertices of valence above 3.
@@ -354,17 +356,18 @@ def residue_coefficient_rows(model):
 # -- flag systems assembled vertex by vertex -----------------------------------
 
 
-def per_vertex_flag_kernel(g, n, edges, variables, vertex_rows) -> dict:
-    """The flag-system kernel in the form `obstruction.flag_system` reports.
+def per_vertex_flag_kernel(g, n, edges, vertex_rows) -> dict:
+    """The flag-system kernel in the form `obstruction.flag_system` reports,
+    with `flag_order` over the flags of edges.
 
     Each (flags, rows) pair of vertex_rows holds conditions at one vertex,
     {i * n + k: coefficient} over the concatenated n-covectors of those
-    flags.  The flag at slot 0 of a variable edge e carries +w_e, the flag
-    at slot 1 carries -w_e, and every other flag zero.  The kernel is solved
-    densely, and its basis is the reduced echelon form of the kernel, one
-    {Flag: covector} dict of the nonzero covectors per row.
+    flags.  Every bounded edge e is a variable: the flag at slot 0 carries
+    +w_e, the flag at slot 1 carries -w_e, and unbounded flags zero.  The
+    kernel is solved densely, and its basis is the reduced echelon form of
+    the kernel, one {Flag: covector} dict of the nonzero covectors per row.
     """
-    var = [eid for eid in edges if eid in variables]
+    var = g.bounded_edge_ids()
     base = {eid: i * n for i, eid in enumerate(var)}
     width = len(var) * n
     rows = []
@@ -395,21 +398,20 @@ def per_vertex_flag_kernel(g, n, edges, variables, vertex_rows) -> dict:
 def per_vertex_numbering(g) -> dict:
     """Compatible numberings: the flags at each vertex, unbounded ones
     included, sum to zero."""
-    bounded = g.bounded_edge_ids()
     stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v)] for v in g.vertex_ids)
     rows = ((flags, [dict.fromkeys(range(len(flags)), 1)]) for flags in stars)
-    return per_vertex_flag_kernel(g, 1, bounded, set(bounded), rows)
+    return per_vertex_flag_kernel(g, 1, g.bounded_edge_ids(), rows)
 
 
 def per_vertex_chain(ct) -> dict:
-    """Chain method: at each vertex, over its loop flags, every slot-0
-    covector is perpendicular to its edge direction and the n sums vanish."""
+    """Chain method: at each vertex, over its bounded flags, every slot-0
+    covector is perpendicular to its edge direction and the n sums vanish.
+    The flags reported are those of the loop edges."""
     g, n = ct.graph, ct.n
-    loop = g.loop_part()
 
     def rows():
         for v in g.vertex_ids:
-            flags = [Flag(v, e, slot) for e, slot in g.incident(v) if e in loop]
+            flags = [Flag(v, e, slot) for e, slot in g.incident(v) if not g.edges[e].is_unbounded]
             perp = [
                 {i * n + k: x for k, x in enumerate(ct.directions[f.edge])}
                 for i, f in enumerate(flags)
@@ -417,15 +419,15 @@ def per_vertex_chain(ct) -> dict:
             ]
             yield flags, perp + [dict.fromkeys(range(k, len(flags) * n, n), 1) for k in range(n)]
 
-    return per_vertex_flag_kernel(g, n, sorted(loop), loop, rows())
+    return per_vertex_flag_kernel(g, n, sorted(g.loop_part()), rows())
 
 
 def per_vertex_xi(ct, coords_by_vertex=None) -> dict:
     """Residue method: at every vertex, whatever its valence, the full local
     rows of `residue_coefficient_rows` (perpendicularity at both ends of an
     edge, the sums and every coefficient of the residue polynomial) over its
-    bounded flags, with the loop edges as variables.  A vertex that
-    coords_by_vertex leaves out gets the coordinates 0, 1, 2, ..."""
+    bounded flags.  A vertex that coords_by_vertex leaves out gets the
+    coordinates 0, 1, 2, ..."""
     g = ct.graph
     coords_by_vertex = coords_by_vertex or {}
 
@@ -436,7 +438,7 @@ def per_vertex_xi(ct, coords_by_vertex=None) -> dict:
             flags = [rec.flag for rec in model.slots if rec.bounded]
             yield flags, [{j: x for j, x in enumerate(row) if x} for row in dense]
 
-    return per_vertex_flag_kernel(g, ct.n, g.bounded_edge_ids(), g.loop_part(), rows())
+    return per_vertex_flag_kernel(g, ct.n, g.bounded_edge_ids(), rows())
 
 
 # -- Laurent order and phylogenetic tree ----------------------------------------

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tropctl import residues
 from tropctl.cli import main
 from tropctl.curves import serialize_curve
 from tropctl.inputs import MAX_BITS, MAX_DIM
@@ -1059,6 +1060,21 @@ def test_a_failing_selftest_exits_1(capsys, monkeypatch):
     assert code == 1
     assert rep["verdict"] == "fail"
     assert rep["failures"][0].startswith("numbering case 0")
+
+
+def test_selftest_catches_a_wrong_residue_row(capsys, monkeypatch):
+    """The methods check writes residue sums at every vertex, so a fault in
+    them shows on 3-valent curves as well."""
+    residue_rows = residues._residue_rows
+
+    def wrong(model, bounded):  # the first entry of each covector doubled
+        rows = residue_rows(model, bounded)
+        return [{key: 2 * c if key % model.n == 0 else c for key, c in row.items()} for row in rows]
+
+    monkeypatch.setattr(residues, "_residue_rows", wrong)
+    code, rep = run_json(capsys, "selftest", "--format", "json")
+    assert code == 1
+    assert any(failure.startswith("methods case") for failure in rep["failures"])
 
 
 def test_usage_errors_exit_64(capsys, square):

@@ -294,16 +294,21 @@ def _random_coords(rng, ct) -> dict:
 
 
 def test_flag_system_matches_per_vertex_assembly():
-    """The shared conditions, written once per edge and vertex, give the
-    kernel that restating them at every vertex gives; and the residue sums,
-    written only at the vertices of valence above 3, give the kernel that
-    every vertex's residue coefficients give."""
+    """The shared conditions, written once per edge and vertex over the loop
+    part, give the kernel that restating them at every vertex over every
+    bounded edge gives; and the residue sums, written only at the vertices
+    of valence above 3, give the kernel that every vertex's residue
+    coefficients give."""
     rng = random.Random(1717)
-    for _ in range(12):
-        g = random_trivalent_graph(rng, rng.randint(0, 4))
-        assert _same_flag_system(compatible_numbering_space(g), oracles.per_vertex_numbering(g))
-    curves = [random_immersive_curve(rng, rng.choice([2, 3, 4])) for _ in range(12)]
+    graphs = [random_trivalent_graph(rng, rng.randint(0, 4)) for _ in range(12)]
+    curves = [random_immersive_curve(rng, rng.choice([2, 3, 4]), genus) for genus in (0, 1, 2, 3) for _ in range(3)]
     curves += [random_loopchain_curve(rng, rng.choice([2, 3, 4]), genus) for genus in (1, 3, 5)]
+    # the references solve over every bounded edge, the package over the
+    # loop part: these test that bridges and twigs are forced to zero
+    assert any(set(g.bounded_edge_ids()) - g.loop_part() for g in graphs)
+    assert any(set(c.graph.bounded_edge_ids()) - c.graph.loop_part() for c in curves)
+    for g in graphs:
+        assert _same_flag_system(compatible_numbering_space(g), oracles.per_vertex_numbering(g))
     for c in curves:
         chain = dual_obstruction_chain(c)
         assert _same_flag_system(chain, oracles.per_vertex_chain(c))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tropctl.curves import contract_image, parse_curve
+from tropctl.curves import CombinatorialType, contract_image, parse_curve
 from tropctl.errors import PreconditionError, ValidationError
 from tropctl.graphs import AbstractGraph, Flag
 from tropctl.linalg import echelon, residual
@@ -255,8 +255,6 @@ def test_xi_ex536_dimension_and_pair_values():
 def _without_direction(doc, eid, rename):
     """The type of a fixture curve with edge eid's direction removed, and
     its vertices renamed by the mapping rename."""
-    from tropctl.curves import CombinatorialType
-
     for v in doc["vertices"]:
         v["id"] = rename.get(v["id"], v["id"])
     for e in doc["edges"]:
@@ -290,6 +288,17 @@ def test_xi_reports_the_first_fault_in_vertex_order(eid, rename, coords, kind, c
         xi_map(ct, coords)
     assert err.value.kind == kind
     assert err.value.context == context
+
+
+def test_xi_rejects_an_unbalanced_type():
+    # with no residue sums at 3-valent vertices, the answer would rest on a
+    # balancing that this hand-built type does not have
+    c = fixtures.curve(fixtures.square_loop_doc())
+    ct = CombinatorialType(c.graph, c.n, {**c.directions, "u0": (0, 0, 1)})
+    with pytest.raises(ValidationError) as err:
+        xi_map(ct)
+    assert (err.value.kind, err.value.message) == ("unbalanced", "balancing fails at: a")
+    assert err.value.context == {"vertices": ["a"]}
 
 
 def test_xi_models_only_the_vertices_of_valence_above_3(monkeypatch):
@@ -405,7 +414,7 @@ def _implied_low_valence_residues(ct) -> int:
     rows (perpendicularity and vertex sums), as degeneration_compare
     assumes when it leaves them out."""
     g, n = ct.graph, ct.n
-    flag_pairs, rows = flag_assembly(g, n, g.bounded_edge_ids(), g.loop_part(), ct.directions)
+    flag_pairs, rows = flag_assembly(g, n, ct.directions)
     kept = echelon(len(flag_pairs) * n, rows)
     models = [LocalModel.from_star(ct, v) for v in g.vertex_ids if g.valence(v) <= 3]
     low = place_rows(n, flag_pairs, residues._star_residues(models))
@@ -501,8 +510,6 @@ def test_selfloop_star_local_model_labels():
             ("u2", ("v", None), 1),
         ],
     )
-    from tropctl.curves import CombinatorialType
-
     # the self-loop meets v twice, so its two flags get distinct slot labels
     ct = CombinatorialType(g, 2, {"loop": (1, 2), "u1": (0, -1), "u2": (0, 1)})
     model = LocalModel.from_star(ct, "v")
@@ -513,8 +520,6 @@ def test_selfloop_star_local_model_labels():
 
 
 def test_local_model_zero_direction_rejected():
-    from tropctl.curves import CombinatorialType
-
     c = fixtures.curve(fixtures.square_loop_doc())
     dirs = dict(c.directions)
     dirs["s01"] = None  # a directionless contracted edge in the star
