@@ -30,12 +30,12 @@ from .linalg import content_and_primitive, is_primitive
 
 # Largest curve file parse_curve accepts.  The worst case measured is a
 # 256-edge loop chain (genus 51, 153 vertices) in Q^16 (inputs.MAX_DIM):
-# `obstruction --method xi` takes 0.20 s and peaks at 28 MB, and prints a
-# 65 MB report, whose dense basis format grows like edges^2 * n^2; the
+# `obstruction --method xi` takes 0.22 s and peaks at 27 MB, and prints a
+# 62 MB report, whose dense basis format grows like edges^2 * n^2; the
 # bound holds that output down.  With positions at inputs.MAX_BITS,
-# `classify` and `abundancy` on such a chain take 0.14 s and 0.10 s.  In
-# Q^3 a 511-edge chain takes 0.10 s (`--method xi`) with the bound lifted.
-# Medians of 5 whole-process runs, standard output to a file, without
+# `classify` and `abundancy` on such a chain take 0.10 s and 0.12 s.  In
+# Q^3 a 511-edge chain takes 0.15 s (`--method xi`) with the bound lifted.
+# Medians of 7 whole-process runs, standard output to a file, without
 # cached bytecode, on a shared 2-vCPU Xeon, Python 3.11; the largest
 # benchmark curve has 201 edges.
 MAX_VERTICES = 256

@@ -9,10 +9,11 @@ Each graph builds one greedy spanning forest over its sorted bounded edges
 when it is made.  That forest answers the cycle questions: the graph is
 connected when the forest has one root, the genus is the number of edges
 left out of it, the loop part is the union of its fundamental cycles, and
-the abundancy map has one row block per fundamental cycle.  The loop part
-is the variable set of every flag system (`obstruction.flag_assembly`
-reads it), and only the walk that cuts it into chains steps over the
-graph itself.
+the abundancy map has one row block per fundamental cycle.  Only the walk
+that cuts the loop part into maximal chains steps over the graph itself,
+and the chains are the variables of every flag system: one covector per
+chain, with junction conditions where chains meet
+(`obstruction.flag_assembly` reads them).
 """
 
 from __future__ import annotations
@@ -45,9 +46,12 @@ class Flag(NamedTuple):
 class Chain(NamedTuple):
     """Maximal run of loop-part edges between junction vertices.
 
-    vertices has one more entry than edges for open chains; for a closed
-    chain (a cycle none of whose vertices is a junction) the first and last
-    vertex coincide and the walk starts at the smallest edge id.
+    vertices has one more entry than edges, and the walk leaves edges[j]
+    from vertices[j].  An open chain runs from one junction to another (or
+    back to the same one); for a closed chain (a cycle none of whose
+    vertices is a junction) the first and last vertex coincide and the
+    walk starts at the smallest edge id.  A self-loop at a junction is a
+    chain of its own.
     """
 
     edges: tuple[str, ...]

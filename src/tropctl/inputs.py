@@ -31,8 +31,9 @@ from .errors import ValidationError
 # entries, and a weight multiplies every entry of its edge's direction.  The
 # worst case measured at the bound, a 16-valent star in Q^15
 # (residues.MAX_VALENCE) with every number at 40 bits, takes 2.6 s for
-# `local-model`, and a 256-edge loop chain in Q^16 0.23 s for `classify`
-# (whole processes, medians of 3 on a shared 2-vCPU Xeon, Python 3.11).
+# `local-model` (whole processes, median of 3), and a 256-edge loop chain in
+# Q^16 0.10 s for `classify` (median of 7), on a shared 2-vCPU Xeon, Python
+# 3.11.
 # Benchmark inputs use at most 8 bits.
 MAX_BITS = 40
 

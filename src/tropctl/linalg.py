@@ -29,9 +29,9 @@ follows its fill-in, not the number of kept rows times the number of rows.
 varies does the same: with the fixed rows reduced once by `echelon`,
 rank(fixed + new) = len(echelon(fixed)) + rank(residuals of the new rows).
 The systems built elsewhere in this package are large and
-sparse: a genus-40 loop chain in R^3 gives a 480x360 flag system with
-under 1% of its entries nonzero, because every row is a condition on one
-edge or at one vertex and touches only the flags there, and it is
+sparse: a genus-40 loop chain in R^3 gives a 120x120 flag system with
+about 2% of its entries nonzero, because every row is a condition on one
+edge or at one junction and touches only the chains there, and it is
 block-diagonal, one block per bouquet of loops.
 """
 

@@ -2,17 +2,20 @@
 
 The obstruction dual H is the kernel of a flag system: every bounded flag
 carries a covector, opposite on the two flags of an edge and zero on edges
-outside the loop part, subject to linear conditions at each vertex.
-`flag_assembly` reads the loop part from the graph and writes the rows
-over one n-covector per loop edge, in the one column order of sorted edge
-ids, and `flag_system` solves them and gives a basis of H in
-per-flag form: each basis vector is a {Flag: covector} dict that holds only
-its nonzero covectors, so it costs its nonzeros and not the number of flags
-(a basis vector of a genus-40 loop chain is nonzero on about 6 of its 240
-flags).  The assembly writes the conditions of every method: the covectors
-at a vertex sum to zero and each is perpendicular to its edge direction.
-The chain method (here) adds nothing to them, so a maximal chain carries
-one covector and junction vertices impose the signed sums; the residue
+outside the loop part, subject to linear conditions at each vertex.  The
+conditions of every method include that the covectors at a vertex sum to
+zero and that each is perpendicular to its edge direction.  At a vertex
+inside a maximal chain of the loop part the sum says only that the
+covector goes on along the chain, up to sign, so `flag_assembly` writes
+one n-covector per chain of `graphs.AbstractGraph.loop_decomposition`,
+with a fixed sign on each of its edges, and the sums only at the
+junctions, where chains meet: a genus-40 loop chain in R^3 gives a
+120x120 system, not the 480x360 of one covector per loop edge.
+`flag_system` solves it and gives a basis of H in per-flag form: each
+basis vector is a {Flag: covector} dict that holds only its nonzero
+covectors, so it costs its nonzeros and not the number of flags (a basis
+vector of a genus-40 loop chain is nonzero on about 6 of its 240 flags).
+The chain method (here) adds nothing to the shared conditions; the residue
 method (`residues.xi_map`) adds the residue sums at each vertex of valence
 above 3, since at the others they follow from the shared conditions.
 
@@ -32,49 +35,78 @@ from .linalg import Q0, content_and_primitive, kernel, rank, row_blocks
 
 
 def flag_assembly(g: AbstractGraph, n: int, directions, vertex_rows=()) -> tuple:
-    """The rows of a flag system over one n-covector w_e per edge e of
-    `g.loop_part()`.
+    """The rows of a flag system over one n-covector W_c per maximal chain c
+    of `g.loop_decomposition()`.
 
-    The flag at slot 0 of e carries +w_e and the flag at slot 1 carries
-    -w_e; flags of other edges carry zero.  Returns (flag_pairs, rows):
-    flag_pairs holds the (slot 0, slot 1) flags of each loop edge, in sorted
-    edge order, and columns i * n .. i * n + n - 1 hold the covector of the
-    i-th pair.  The shared conditions are written here: n rows per vertex
-    with a loop flag say that the covectors on its loop flags sum to zero,
-    and unless `directions` ({edge id: direction}) is None, one row per loop
-    edge says that w_e is perpendicular to its direction.  `vertex_rows`
-    yields a method's own conditions, placed by `place_rows`.
+    A loop edge e of chain c carries w_e = sigma_e * W_c: the flag at slot 0
+    of e carries +w_e, the flag at slot 1 carries -w_e, and flags of other
+    edges carry zero.  sigma_e is +1 when the walk along the chain leaves e
+    and the chain's smallest edge from the same end, both from ends[0] or
+    both from ends[1] (`Chain.vertices`), and -1 otherwise; so sigma is +1
+    on the smallest edge.  A self-loop is a chain of its own, and either
+    sign of it is consistent.  Then the covectors at each vertex inside a
+    chain sum to zero, so the vertex sums are written only at the
+    junctions, the end vertices of the open chains: n rows per junction say
+    that the covectors on its loop flags sum to zero.  Unless `directions`
+    ({edge id: direction}) is None, one row per loop edge says that W_c,
+    so w_e, is perpendicular to its direction.  `vertex_rows` yields a
+    method's own conditions, placed by `place_rows`.
+
+    Returns (chains, place, rows): columns i * n .. i * n + n - 1 hold the
+    covector of chains[i], and place maps each loop edge to
+    (column base, sigma_e).  The chains are in the order of their smallest
+    edge id, and so are those edges' columns in the per-edge form, one
+    covector per loop edge in sorted edge order.  On every solution in that
+    form, each other edge's columns are +-copies of its chain's smallest
+    edge's, which sort earlier, so its reduced echelon form has its pivots
+    in smallest-edge columns.  So the canonical kernel basis over the chain
+    columns, each row expanded to the edges of its chains, is the canonical
+    basis in the per-edge form.
     """
-    loop = g.loop_part()
-    flag_pairs = [(Flag(g.edges[eid].ends[0], eid, 0), Flag(g.edges[eid].ends[1], eid, 1)) for eid in sorted(loop)]
-    perpendicular = () if directions is None else (
-        ([f0], [{k: x for k, x in enumerate(directions[f0.edge]) if x}]) for f0, _f1 in flag_pairs
-    )
-    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in loop] for v in g.vertex_ids)
-    sums = ((f, [dict.fromkeys(range(k, len(f) * n, n), 1) for k in range(n)]) for f in stars if f)
-    return flag_pairs, place_rows(n, flag_pairs, itertools.chain(perpendicular, sums, vertex_rows))
+    chains = g.loop_decomposition()
+    place = {}
+    for i, chain in enumerate(chains):
+        walked = {eid: g.edges[eid].ends[0] == v for eid, v in zip(chain.edges, chain.vertices)}
+        first = walked[min(chain.edges)]
+        for eid, forward in walked.items():
+            place[eid] = (i * n, 1 if forward == first else -1)
+    rows = [] if directions is None else [
+        {place[eid][0] + k: x for k, x in enumerate(directions[eid]) if x} for eid in place
+    ]
+    junctions = {v for chain in chains if not chain.closed for v in (chain.vertices[0], chain.vertices[-1])}
+    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in place] for v in sorted(junctions))
+    sums = ((f, [dict.fromkeys(range(k, len(f) * n, n), 1) for k in range(n)]) for f in stars)
+    rows += place_rows(n, place, itertools.chain(sums, vertex_rows))
+    return chains, place, rows
 
 
-def place_rows(n: int, flag_pairs, vertex_rows) -> list[dict]:
-    """Vertex conditions as rows over the columns of `flag_pairs`.
+def place_rows(n: int, place: dict, vertex_rows) -> list[dict]:
+    """Vertex conditions as rows over the chain columns of `place`
+    ({loop edge: (column base, sigma_e)}, from `flag_assembly`).
 
     `vertex_rows` yields (flags, rows) pairs: each row is a condition at one
     vertex, a sparse {i * n + k: coefficient} dict over the concatenated
     n-covectors of those flags, so key i * n + k is entry k of the covector
-    at flags[i].  A term on a slot-1 flag changes sign, since that flag
-    carries -w_e.  Terms on flags of edges outside the loop part are
-    dropped, and so is a row they leave empty.
+    at flags[i].  That covector is sigma_e * W_c on a slot-0 flag and
+    -sigma_e * W_c on a slot-1 flag, so the term goes to column base + k
+    with that sign.  Terms on flags of edges outside the loop part are
+    dropped, and so are terms that cancel and a row they leave empty.
     """
-    base = {f0.edge: i * n for i, (f0, _f1) in enumerate(flag_pairs)}
     rows = []
     for flags, local_rows in vertex_rows:
         for local in local_rows:
             row = {}
             for key, c in local.items():
                 i, k = divmod(key, n)
-                b = base.get(flags[i].edge)
-                if b is not None:
-                    row[b + k] = row.get(b + k, 0) + (c if flags[i].slot == 0 else -c)
+                f = flags[i]
+                at = place.get(f.edge)
+                if at is not None:
+                    j = at[0] + k
+                    x = row.get(j, 0) + (c if (f.slot == 0) == (at[1] > 0) else -c)
+                    if x:
+                        row[j] = x
+                    else:
+                        row.pop(j, None)
             if row:
                 rows.append(row)
     return rows
@@ -82,26 +114,31 @@ def place_rows(n: int, flag_pairs, vertex_rows) -> list[dict]:
 
 def flag_system(g: AbstractGraph, n: int, edges, directions=None, vertex_rows=()) -> dict:
     """Kernel of the flag system that `flag_assembly` writes, from one
-    elimination of its rows (`linalg.kernel`).
+    elimination of its rows (`linalg.kernel`) over the chain columns.
 
     Returns its dimension, `flag_order` (the flags of `edges`, sorted
     bounded edge ids that include the loop part, edge by edge with slot 0
     first) and the basis: one {Flag: covector} dict per row of the
-    canonical kernel basis, written in one pass over that row's nonzeros.
-    It holds both flags of each edge on which the row is nonzero, +w_e and
-    -w_e as tuples, and no other flag: a flag of `flag_order` that it does
-    not hold carries the zero covector.
+    canonical kernel basis, each chain block of the row expanded to the
+    edges of its chain with their signs.  As `flag_assembly` says, that is
+    the canonical basis over one covector per loop edge, so no second
+    elimination is needed.  A vector holds both flags of each edge on which
+    it is nonzero, +w_e and -w_e as tuples, and no other flag: a flag of
+    `flag_order` that it does not hold carries the zero covector.
     """
-    flag_pairs, rows = flag_assembly(g, n, directions, vertex_rows)
-    space = kernel(len(flag_pairs) * n, rows)
+    chains, place, rows = flag_assembly(g, n, directions, vertex_rows)
+    space = kernel(len(chains) * n, rows)
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     basis = []
     for w in space:
         assignment = {}
         for i, cov in row_blocks(w, n).items():
-            f0, f1 = flag_pairs[i]
-            assignment[f0] = cov
-            assignment[f1] = tuple(-x for x in cov)
+            neg = tuple(-x for x in cov)
+            for eid in chains[i].edges:
+                ends = g.edges[eid].ends
+                plus, minus = (cov, neg) if place[eid][1] > 0 else (neg, cov)
+                assignment[Flag(ends[0], eid, 0)] = plus
+                assignment[Flag(ends[1], eid, 1)] = minus
         basis.append(assignment)
     return {"dim": len(space), "flag_order": flag_order, "basis": basis}
 
@@ -172,8 +209,8 @@ def dual_obstruction_dim(ct) -> int:
     as the number of columns minus the rank of the chain rows; no basis is
     built."""
     _chain_loop(ct)
-    flag_pairs, rows = flag_assembly(ct.graph, ct.n, ct.directions)
-    columns = len(flag_pairs) * ct.n
+    chains, _place, rows = flag_assembly(ct.graph, ct.n, ct.directions)
+    columns = len(chains) * ct.n
     return columns - rank(columns, rows)
 
 

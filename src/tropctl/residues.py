@@ -13,11 +13,12 @@ up to a nonzero factor, the residue sum over j != k of
 here.
 
 On a curve, `obstruction.flag_assembly` writes the other two conditions,
-perpendicularity once per loop edge and the sums once per vertex, and the
-residue sums are needed only at the vertices of valence above 3.  At a
-vertex of valence at most 3 of a balanced type they follow from the other
-rows.  Take a[i,j] = weight_i * w_j(u_i) over the vertex's slots, with u_i
-the direction at slot i and w zero on the flags of edges that are not
+perpendicularity once per loop edge and the sums at junctions (inside a
+chain they hold by its one covector per chain), and the residue sums are
+needed only at the vertices of valence above 3.  At a vertex of valence at
+most 3 of a balanced type they follow from the other rows.  Take
+a[i,j] = weight_i * w_j(u_i) over the vertex's slots, with u_i the
+direction at slot i and w zero on the flags of edges that are not
 variables.  The vertex sum and perpendicularity make each row sum,
 -weight_i * w_i(u_i), zero; balancing and perpendicularity make each column
 sum, -weight_j * w_j(u_j), zero.  With three slots that forces
@@ -387,10 +388,11 @@ def xi_map(ct, coords_by_vertex=None) -> dict:
 
     The flag system of `obstruction.flag_system`, with the residue sums of
     the vertices of valence above 3 as the method's own vertex conditions.
-    Its variables are one covector per loop edge: covectors on bounded edges
-    outside the loop subgraph are zero (on tree parts this is forced anyway;
-    dropping them keeps bridges exact as well).  The kernel is reported over
-    all bounded flags.  Vertices of valence 4 or more need marked
+    Its variables are one covector per maximal chain of the loop part,
+    which each edge of the chain carries up to sign: covectors on bounded
+    edges outside the loop subgraph are zero (on tree parts this is forced
+    anyway; dropping them keeps bridges exact as well).  The kernel is
+    reported over all bounded flags.  Vertices of valence 4 or more need marked
     coordinates (coords_by_vertex).  At a vertex of valence at most 3 the
     residue sums follow from the other rows of a balanced type, as every
     curve and its image are (see the module docstring), so such a vertex
@@ -550,7 +552,7 @@ def degeneration_compare(
     The dimension at t is that of `xi_map` with the evaluated coordinates,
     computed as a rank and without a basis.  Only the residue sums of the
     higher-valent vertices, whose series are evaluated, depend on t: the
-    perpendicularity rows and the vertex sums are reduced once
+    perpendicularity rows and the junction sums are reduced once
     (`linalg.echelon`), and at each t only the residue sums of the
     higher-valent vertices are reduced modulo them (`linalg.residual`), at
     most sum over those vertices of (m_v - 1) rows for m_v finite slots.
@@ -565,8 +567,8 @@ def degeneration_compare(
     if not 0 < t < 1:
         raise ValidationError("bad-evaluation-point", "t must lie strictly between 0 and 1")
     g, n = ct.graph, ct.n
-    flag_pairs, rows = flag_assembly(g, n, ct.directions)
-    columns = len(flag_pairs) * n
+    chains, place, rows = flag_assembly(g, n, ct.directions)
+    columns = len(chains) * n
     kept = echelon(columns, rows)
     dims = []
     t_used = None
@@ -574,7 +576,7 @@ def degeneration_compare(
         coords_by_vertex = {v: [s.evaluate(t) for s in series_by_vertex[v]] for v in trees}
         if all(len(set(vals)) == len(vals) for vals in coords_by_vertex.values()):
             moving = [LocalModel.from_star(ct, v, coords) for v, coords in coords_by_vertex.items()]
-            extra = [residual(row, kept) for row in place_rows(n, flag_pairs, _star_residues(moving))]
+            extra = [residual(row, kept) for row in place_rows(n, place, _star_residues(moving))]
             dims.append(columns - len(kept) - rank(columns, extra))
             t_used = t
             if len(dims) >= 2 and dims[-1] == dims[-2]:

@@ -205,8 +205,88 @@ def ex536_doc() -> dict:
 EX536_SPLIT = ("e1_va", "e2_cv", ("e3_vp", "e4_sv"))
 
 
+# -- three chains between two junctions, and a triangle off a bridge (genus 3) ----
+#
+# Junctions J=(0,0,1) and K=(0,0,0) are joined by three open chains that climb
+# the arms (1,0,0), (0,1,0) and (-1,-1,0); the bridge r leaves the a-chain at
+# A1 for a triangle D-E-F in the plane y = 0, a closed chain with no junction.
+# The chains are walked from J, the smaller junction, so a1, the smallest edge
+# of its chain, is walked from its ends[1]; a3, b2, b3 and t2 point against
+# the walk too.  Each open chain's directions span a plane, and so do the
+# triangle's: the perp lines (0,1,0), (1,0,0) and (1,-1,0) meet one
+# condition at the junctions, so dim H = 1 + 1 = 2.
+
+def junction_chains_doc() -> dict:
+    return {
+        "ambient_dim": 3,
+        "vertices": [
+            {"id": "J", "position": ["0", "0", "1"]},
+            {"id": "K", "position": ["0", "0", "0"]},
+            {"id": "A1", "position": ["1", "0", "0"]},
+            {"id": "A2", "position": ["1", "0", "1"]},
+            {"id": "B1", "position": ["0", "1", "0"]},
+            {"id": "B2", "position": ["0", "1", "1"]},
+            {"id": "C1", "position": ["-1", "-1", "0"]},
+            {"id": "C2", "position": ["-1", "-1", "1"]},
+            {"id": "D", "position": ["2", "0", "-1"]},
+            {"id": "E", "position": ["3", "0", "-1"]},
+            {"id": "F", "position": ["2", "0", "-2"]},
+        ],
+        "edges": [
+            {"id": "a1", "ends": ["A2", "J"], "weight": 1},
+            {"id": "a2", "ends": ["A1", "A2"], "weight": 1},
+            {"id": "a3", "ends": ["A1", "K"], "weight": 1},
+            {"id": "b1", "ends": ["J", "B2"], "weight": 1},
+            {"id": "b2", "ends": ["B1", "B2"], "weight": 1},
+            {"id": "b3", "ends": ["K", "B1"], "weight": 1},
+            {"id": "c1", "ends": ["J", "C2"], "weight": 1},
+            {"id": "c2", "ends": ["C2", "C1"], "weight": 1},
+            {"id": "c3", "ends": ["C1", "K"], "weight": 1},
+            {"id": "r", "ends": ["A1", "D"], "weight": 1},
+            {"id": "t1", "ends": ["D", "E"], "weight": 1},
+            {"id": "t2", "ends": ["F", "E"], "weight": 1},
+            {"id": "t3", "ends": ["F", "D"], "weight": 1},
+            {"id": "u_a2", "ends": ["A2", None], "weight": 1, "direction": [1, 0, 1]},
+            {"id": "u_b1", "ends": ["B1", None], "weight": 1, "direction": [0, 1, -1]},
+            {"id": "u_b2", "ends": ["B2", None], "weight": 1, "direction": [0, 1, 1]},
+            {"id": "u_c1", "ends": ["C1", None], "weight": 1, "direction": [-1, -1, -1]},
+            {"id": "u_c2", "ends": ["C2", None], "weight": 1, "direction": [-1, -1, 1]},
+            {"id": "u_e", "ends": ["E", None], "weight": 1, "direction": [2, 0, 1]},
+            {"id": "u_f", "ends": ["F", None], "weight": 1, "direction": [-1, 0, -2]},
+        ],
+    }
+
+
 def curve(doc: dict) -> TropicalCurve:
     return parse_curve(doc)
+
+
+# -- random multigraphs ------------------------------------------------------------
+
+def random_multigraph(rng, connected=True):
+    """(vertices, edges) of a random multigraph: a random tree (its edges
+    are bridges and twigs) plus chords, parallel edges and self-loops, and
+    one unbounded leg per vertex so that none is isolated.  Ids are drawn
+    at random so that sorted order has nothing to do with the structure.
+    Unless connected, each tree edge is dropped with probability 1/3."""
+    k = rng.randint(1, 8)
+    vertices = [f"v{i:02d}" for i in rng.sample(range(100), k)]
+    ends = [(vertices[rng.randrange(i)], vertices[i]) for i in range(1, k)]
+    if not connected:
+        ends = [pair for pair in ends if rng.random() > 1 / 3]
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.choice(["chord", "parallel", "selfloop"])
+        if kind == "parallel" and ends:
+            ends.append(rng.choice(ends))
+        elif kind == "selfloop":
+            v = rng.choice(vertices)
+            ends.append((v, v))
+        else:
+            ends.append((rng.choice(vertices), rng.choice(vertices)))
+    ends = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in ends]
+    ends += [(v, None) for v in vertices]
+    ids = [f"e{i:03d}" for i in rng.sample(range(1000), len(ends))]
+    return vertices, [(eid, pair, 1) for eid, pair in zip(ids, ends)]
 
 
 # -- Laurent series families -----------------------------------------------------

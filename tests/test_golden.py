@@ -30,6 +30,7 @@ FILES = {
     "gamma2.json": fixtures.gamma2_doc(),
     "ex534.json": fixtures.ex534_doc(),
     "ex536.json": fixtures.ex536_doc(),
+    "chains.json": fixtures.junction_chains_doc(),
     "ex534.config.json": {"vertices": {"V": {"coords": ["0", "1", "-2"]}}},
     "ex536.config.json": {"vertices": {"V": {"coords": ["0", "1", "2"]}}},
     "ex534.laurent.json": LAURENT_534,
@@ -68,6 +69,11 @@ def _cases():
         yield (name, "compare"), ["compare", f, "--laurent", f"{name}.laurent.json"]
         yield (name, "compare-t0"), [
             "compare", f, "--laurent", f"{name}.laurent.json", "--t0", "1/100"]
+    # two junctions, a closed chain and a chain walked against its smallest edge
+    yield ("chains", "obstruction-chain"), ["obstruction", "chains.json", "--method", "chain"]
+    yield ("chains", "obstruction-xi"), ["obstruction", "chains.json", "--method", "xi"]
+    yield ("chains", "classify"), ["classify", "chains.json"]
+    yield ("chains", "abundancy"), ["abundancy", "chains.json"]
     yield ("all", "validate-batch"), ["validate"] + [f"{c}.json" for c in CURVES]
     yield ("star", "local-model"), ["local-model", "--model", "star.model.json"]
     yield ("seed3", "selftest"), ["selftest", "--seed", "3", "--cases", "4"]
@@ -91,6 +97,10 @@ def run_digest(argv, fmt="json") -> tuple[int, str]:
 # (exit code, sha256 of stdout) per case
 GOLDEN = {
     ('all', 'validate-batch'): (0, '227537d3039add195ac61d5b80046470d073740b4e7e9d3add44bbf305603fcd'),
+    ('chains', 'abundancy'): (0, 'd924b47e81132bfe72e7ca642e836b6e73782d6335e6dedadf1dfad9d45a59d8'),
+    ('chains', 'classify'): (0, 'ff1daed881603b331d35f9bfff4c25d37f501361a84c5d35b807089f0f562e6a'),
+    ('chains', 'obstruction-chain'): (0, 'b165b76e7c3c61ad74e95d32dc85f0c58109625e4b13c7863b3bc679df0e3d99'),
+    ('chains', 'obstruction-xi'): (0, '38c30dfbc6640e22ace348de7497ff5f4d777544ebd08f42e76b8a2dcac16250'),
     ('ex534', 'abundancy'): (0, '890c98bb83bdfd3319594c0081e66a477bf7c4517c75f8d6b2c4c473d51823ba'),
     ('ex534', 'classify'): (3, '67d04134f0281f41797c1ae05aff70602a3d80d4cc5a5522f91992bdaa6b4403'),
     ('ex534', 'compare'): (0, 'dcfb78ac707d41788ca68dac618bb5b500c33ea2b193c173d4c2437181b50c53'),
@@ -141,6 +151,10 @@ GOLDEN = {
 # (exit code, sha256 of stdout) per case, with --format text
 GOLDEN_TEXT = {
     ('all', 'validate-batch'): (0, '1a95ee5ff75b11caf779628b3680df156f1c93e30f09c557e4687acfc32a607c'),
+    ('chains', 'abundancy'): (0, 'f843a4cbf4745f1a5a9855e8a0086121b0dfc551a51dc119727d3d97197b611a'),
+    ('chains', 'classify'): (0, 'edc92e628d1cab80c4ef8d823d39f6253797dc0aaec2d360ed97a70ddac8f4be'),
+    ('chains', 'obstruction-chain'): (0, '5fae21a982cd99e83fcf079b7ee73960d3482e23bf24959d0d018ca65880a69c'),
+    ('chains', 'obstruction-xi'): (0, '71005b5c7c98b2940752e4f5556594b10b4f536ec6a8e8e3bb678dddabb33949'),
     ('ex534', 'abundancy'): (0, '60d2428a6ea76712eeddccd3521b0d40651b66e4749b9cfbd3b0a85a4bbd9473'),
     ('ex534', 'classify'): (3, '0dff004e39693e7d39b82e480c9236c2f349eaaad870bc7356eb978ed884fe6c'),
     ('ex534', 'compare'): (0, '66aac5b01737c37f4de2aa398ea64e301a109de709029635e17a830ef139b631'),

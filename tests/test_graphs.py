@@ -135,32 +135,6 @@ def test_random_trivalent_graphs_have_requested_genus():
         }
 
 
-def random_multigraph(rng, connected=True):
-    """(vertices, edges) of a random multigraph: a random tree (its edges
-    are bridges and twigs) plus chords, parallel edges and self-loops, and
-    one unbounded leg per vertex so that none is isolated.  Ids are drawn
-    at random so that sorted order has nothing to do with the structure.
-    Unless connected, each tree edge is dropped with probability 1/3."""
-    k = rng.randint(1, 8)
-    vertices = [f"v{i:02d}" for i in rng.sample(range(100), k)]
-    ends = [(vertices[rng.randrange(i)], vertices[i]) for i in range(1, k)]
-    if not connected:
-        ends = [pair for pair in ends if rng.random() > 1 / 3]
-    for _ in range(rng.randint(0, 6)):
-        kind = rng.choice(["chord", "parallel", "selfloop"])
-        if kind == "parallel" and ends:
-            ends.append(rng.choice(ends))
-        elif kind == "selfloop":
-            v = rng.choice(vertices)
-            ends.append((v, v))
-        else:
-            ends.append((rng.choice(vertices), rng.choice(vertices)))
-    ends = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in ends]
-    ends += [(v, None) for v in vertices]
-    ids = [f"e{i:03d}" for i in rng.sample(range(1000), len(ends))]
-    return vertices, [(eid, pair, 1) for eid, pair in zip(ids, ends)]
-
-
 def reaches_every_vertex(vertices, edges):
     seen, todo = {vertices[0]}, [vertices[0]]
     while todo:
@@ -176,7 +150,7 @@ def reaches_every_vertex(vertices, edges):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.booleans())
 def test_random_multigraphs_loop_part_and_connectivity(seed, connected):
-    vertices, edges = random_multigraph(random.Random(seed), connected)
+    vertices, edges = fixtures.random_multigraph(random.Random(seed), connected)
     if not reaches_every_vertex(vertices, edges):
         with pytest.raises(ValidationError) as err:
             AbstractGraph(vertices, edges)
@@ -197,7 +171,7 @@ def test_random_multigraphs_loop_part_and_connectivity(seed, connected):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.booleans())
 def test_fundamental_cycles_match_the_root_path_reference(seed, connected):
-    vertices, edges = random_multigraph(random.Random(seed), connected)
+    vertices, edges = fixtures.random_multigraph(random.Random(seed), connected)
     # the fields that spanning_forest reads, also of a disconnected graph
     g = SimpleNamespace(
         vertex_ids=tuple(sorted(vertices)),

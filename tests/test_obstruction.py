@@ -13,6 +13,7 @@ from tropctl.obstruction import (
     compatible_numbering_space,
     dual_obstruction_chain,
     dual_obstruction_dim,
+    flag_assembly,
     parameter_dimension,
     reduced_abundancy_map,
 )
@@ -336,3 +337,67 @@ def test_flag_system_matches_per_vertex_assembly():
         ct = _wedge(c1, c2)
         coords = _random_coords(rng, ct)
         assert _same_flag_system(xi_map(ct, coords), oracles.per_vertex_xi(ct, coords))
+
+
+def test_numbering_space_matches_per_vertex_assembly_on_random_multigraphs():
+    """Self-loops, parallel edges, random orientations and random ids: the
+    chain signs and the junction sums give the per-vertex numberings."""
+    rng = random.Random(3141)
+    graphs = []
+    while len(graphs) < 300:
+        vertices, edges = fixtures.random_multigraph(rng)
+        graphs.append(AbstractGraph(vertices, edges))
+    assert sum(any(g.edges[eid].is_selfloop for eid in g.loop_part()) for g in graphs) > 100
+    assert sum(any(not chain.closed for chain in g.loop_decomposition()) for g in graphs) > 100
+    for g in graphs:
+        assert _same_flag_system(compatible_numbering_space(g), oracles.per_vertex_numbering(g))
+
+
+def _reversed_loop_edges(rng, ct) -> CombinatorialType:
+    """The type of ct with a random set of its loop edges turned around:
+    ends swapped and direction negated, so every flag keeps its direction."""
+    g = ct.graph
+    turn = {eid for eid in g.loop_part() if rng.random() < 0.5}
+    edges = [(e.id, e.ends[::-1] if e.id in turn else e.ends, e.weight) for e in g.edges.values()]
+    directions = {eid: tuple(-x for x in d) if eid in turn else d for eid, d in ct.directions.items()}
+    return CombinatorialType(AbstractGraph(g.vertex_ids, edges), ct.n, directions)
+
+
+def test_chain_and_xi_match_per_vertex_assembly_on_reversed_loop_edges():
+    """Loop edges that point either way along their chains, so the chain
+    signs, the smallest edge's among them, take both values."""
+    rng = random.Random(2024)
+    types = [random_immersive_curve(rng, rng.choice([2, 3, 4]), genus) for genus in (1, 2, 3) for _ in range(4)]
+    types += [random_loopchain_curve(rng, rng.choice([2, 3]), genus) for genus in (2, 4)]
+    types += [fixtures.curve(doc()) for doc in (fixtures.gamma1_doc, fixtures.junction_chains_doc)]
+    types = [_reversed_loop_edges(rng, c) for c in types for _ in range(2)]
+    against_walk = 0
+    for ct in types:
+        g = ct.graph
+        for chain in g.loop_decomposition():
+            j = chain.edges.index(min(chain.edges))
+            against_walk += g.edges[chain.edges[j]].ends[0] != chain.vertices[j]
+        assert _same_flag_system(dual_obstruction_chain(ct), oracles.per_vertex_chain(ct))
+        assert _same_flag_system(xi_map(ct), oracles.per_vertex_xi(ct))
+    assert against_walk >= 5
+    # a 4-valent vertex on a loop, at random coordinates
+    for _ in range(6):
+        ct = _reversed_loop_edges(rng, random_genus1_curve(rng, 3, extra_legs=rng.randint(1, 3)))
+        coords = _random_coords(rng, ct)
+        assert _same_flag_system(xi_map(ct, coords), oracles.per_vertex_xi(ct, coords))
+
+
+def test_flag_assembly_has_one_covector_per_chain_and_sums_only_at_junctions():
+    for (n, genus), shape in {(3, 40): (120, 120), (16, 50): (150, 800)}.items():
+        c = random_loopchain_curve(random.Random(1), n, genus)
+        chains, _place, rows = flag_assembly(c.graph, n, c.directions)
+        assert (len(rows), len(chains) * n) == shape
+        # a loop chain's triangles are closed chains: no junction, no vertex sum
+        assert flag_assembly(c.graph, n, None)[2] == []
+    square = fixtures.curve(fixtures.square_loop_doc())
+    assert flag_assembly(square.graph, 3, None)[2] == []
+    # the n sums at each of the two junctions J and K
+    c = fixtures.curve(fixtures.junction_chains_doc())
+    chains, place, rows = flag_assembly(c.graph, 3, None)
+    assert len(chains) == 4 and len(rows) == 2 * 3
+    assert place["a1"] == (0, 1) and place["a3"] == (0, -1) and place["t2"] == (9, -1)

@@ -414,10 +414,10 @@ def _implied_low_valence_residues(ct) -> int:
     rows (perpendicularity and vertex sums), as degeneration_compare
     assumes when it leaves them out."""
     g, n = ct.graph, ct.n
-    flag_pairs, rows = flag_assembly(g, n, ct.directions)
-    kept = echelon(len(flag_pairs) * n, rows)
+    chains, place, rows = flag_assembly(g, n, ct.directions)
+    kept = echelon(len(chains) * n, rows)
     models = [LocalModel.from_star(ct, v) for v in g.vertex_ids if g.valence(v) <= 3]
-    low = place_rows(n, flag_pairs, residues._star_residues(models))
+    low = place_rows(n, place, residues._star_residues(models))
     assert all(not residual(row, kept) for row in low)
     return len(low)
 
