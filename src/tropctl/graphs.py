@@ -13,11 +13,15 @@ the abundancy map has one row block per fundamental cycle.  Only the walk
 that cuts the loop part into maximal chains steps over the graph itself,
 and the chains are the variables of every flag system: one covector per
 chain, with junction conditions where chains meet
-(`obstruction.flag_assembly` reads them).
+(`obstruction.flag_assembly` reads them).  A graph is never changed once
+it is made, so `loop_part` and `loop_decomposition` are cached attributes:
+each graph finds its loop part and walks its chains at most once, and only
+when something reads them.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
@@ -122,6 +126,7 @@ class AbstractGraph:
 
     # -- loop decomposition --------------------------------------------------
 
+    @functools.cached_property
     def loop_part(self) -> frozenset[str]:
         """Bounded edges whose interior removal lowers the first Betti number.
 
@@ -137,10 +142,11 @@ class AbstractGraph:
             loop.update(fundamental_cycle(self, self.forest, eid))
         return frozenset(loop)
 
+    @functools.cached_property
     def loop_decomposition(self) -> tuple[Chain, ...]:
         """The maximal chains of the loop part, in the order of their
         smallest edge id; together they hold each loop edge once."""
-        return _cut_chains(self, self.loop_part())
+        return _cut_chains(self, self.loop_part)
 
 
 def _loop_valence(g: AbstractGraph, loop: frozenset[str]) -> dict[str, int]:

@@ -15,9 +15,11 @@ junctions, where chains meet: a genus-40 loop chain in R^3 gives a
 basis vector is a {Flag: covector} dict that holds only its nonzero
 covectors, so it costs its nonzeros and not the number of flags (a basis
 vector of a genus-40 loop chain is nonzero on about 6 of its 240 flags).
-The chain method (here) adds nothing to the shared conditions; the residue
-method (`residues.xi_map`) adds the residue sums at each vertex of valence
-above 3, since at the others they follow from the shared conditions.
+The chain method (`dual_obstruction_chain`) is that system with nothing
+added, solved by one elimination; the residue method (`residues.xi_map`)
+adds the residue sums at each vertex of valence above 3, since at the
+others they follow from the shared conditions.  The graph walks its chains
+once and keeps them, however many systems read them.
 
 Where only a dimension is reported, no basis is built: dim H is the number
 of columns minus the rank of the assembled rows (`linalg.rank`), as in
@@ -31,12 +33,12 @@ import itertools
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, Forest, fundamental_cycle, spanning_forest
-from .linalg import Q0, content_and_primitive, kernel, rank, row_blocks
+from .linalg import Q0, kernel, rank, row_blocks
 
 
 def flag_assembly(g: AbstractGraph, n: int, directions, vertex_rows=()) -> tuple:
     """The rows of a flag system over one n-covector W_c per maximal chain c
-    of `g.loop_decomposition()`.
+    of `g.loop_decomposition`, which the graph computes once and keeps.
 
     A loop edge e of chain c carries w_e = sigma_e * W_c: the flag at slot 0
     of e carries +w_e, the flag at slot 1 carries -w_e, and flags of other
@@ -63,7 +65,7 @@ def flag_assembly(g: AbstractGraph, n: int, directions, vertex_rows=()) -> tuple
     columns, each row expanded to the edges of its chains, is the canonical
     basis in the per-edge form.
     """
-    chains = g.loop_decomposition()
+    chains = g.loop_decomposition
     place = {}
     for i, chain in enumerate(chains):
         walked = {eid: g.edges[eid].ends[0] == v for eid, v in zip(chain.edges, chain.vertices)}
@@ -168,7 +170,7 @@ def _chain_loop(ct) -> list:
             f"the chain obstruction requires a 3-valent graph; offending vertices: {', '.join(bad)}",
             vertices=bad,
         )
-    loop = sorted(g.loop_part())
+    loop = sorted(g.loop_part)
     for eid in loop:
         if ct.directions.get(eid) is None:
             raise PreconditionError(
@@ -183,25 +185,10 @@ def dual_obstruction_chain(ct) -> dict:
     """Obstruction dual H of a combinatorial type, from directions only.
 
     Requires valences at most 3 and a direction on every loop edge.  Returns
-    the kernel's dimension, a basis in per-flag form, and the maximal chains
-    with their perpendicular spaces.
+    the `flag_system` of the chain method over the sorted loop edges: the
+    kernel's dimension, `flag_order` and a basis in per-flag form.
     """
-    g, n = ct.graph, ct.n
-    loop = _chain_loop(ct)
-    out = flag_system(g, n, loop, ct.directions)
-    chains = []
-    for chain in g.loop_decomposition():
-        perp = kernel(n, [ct.directions[eid] for eid in chain.edges])
-        chains.append(
-            {
-                "edges": list(chain.edges),
-                "closed": chain.closed,
-                "perp": [content_and_primitive(row_blocks(bv, n)[0])[1] for bv in perp],
-            }
-        )
-    out["loop_edges"] = loop
-    out["chains"] = chains
-    return out
+    return flag_system(ct.graph, ct.n, _chain_loop(ct), ct.directions)
 
 
 def dual_obstruction_dim(ct) -> int:
@@ -248,7 +235,7 @@ def abundancy_map(c: TropicalCurve):
     columns are indexed by the loop edges in sorted order.
     """
     g = c.graph
-    col = {eid: j for j, eid in enumerate(sorted(g.loop_part()))}
+    col = {eid: j for j, eid in enumerate(sorted(g.loop_part))}
     rows = []
     for eid in g.forest.rest:
         rows.extend(_cycle_rows(c, g.forest, eid, col))
@@ -271,7 +258,7 @@ def reduced_abundancy_map(c: TropicalCurve):
     n = c.n
     forest = spanning_forest(g, reversed(g.bounded_edge_ids()))
     cut = sorted(forest.rest)
-    col = {eid: j for j, eid in enumerate(sorted(g.loop_part()))}
+    col = {eid: j for j, eid in enumerate(sorted(g.loop_part))}
     rows = []
     for eid in cut:
         d = c.directions[eid]

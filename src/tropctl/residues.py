@@ -452,10 +452,7 @@ def genus1_loop_criterion(curve: TropicalCurve) -> dict:
         )
     image = contract_image(curve)
     ig = image.graph
-    loop = ig.loop_part()
-    loop_vertices = sorted(
-        {v for eid in loop for v in ig.edges[eid].ends if v is not None}
-    )
+    loop_vertices = sorted({v for eid in ig.loop_part for v in ig.edges[eid].ends})
     dirs = [
         image.flag_direction(Flag(v, eid, slot)) for v in loop_vertices for eid, slot in ig.incident(v)
     ]

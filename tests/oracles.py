@@ -95,6 +95,16 @@ def nullspace(rows, ncols):
     return basis
 
 
+def chain_perps(ct) -> list[tuple]:
+    """For each maximal chain of ct's loop part, in chain order, the
+    canonical span of the covectors perpendicular to all its directions,
+    from `nullspace` (no `linalg.kernel`)."""
+    return [
+        canonical_span(ct.n, nullspace([ct.directions[eid] for eid in chain.edges], ct.n))
+        for chain in ct.graph.loop_decomposition
+    ]
+
+
 def nullity(rows, ncols) -> int:
     if not rows:
         return ncols
@@ -419,7 +429,7 @@ def per_vertex_chain(ct) -> dict:
             ]
             yield flags, perp + [dict.fromkeys(range(k, len(flags) * n, n), 1) for k in range(n)]
 
-    return per_vertex_flag_kernel(g, n, sorted(g.loop_part()), rows())
+    return per_vertex_flag_kernel(g, n, sorted(g.loop_part), rows())
 
 
 def per_vertex_xi(ct, coords_by_vertex=None) -> dict:

@@ -366,7 +366,7 @@ def test_stored_lengths_measure_each_edge(seed, scale, shift):
     n = rng.randint(2, 4)
     base = random_immersive_curve(rng, n, genus=rng.randint(0, 3))
     positions = {v: tuple(scale * x + t for x, t in zip(p, shift)) for v, p in base.positions.items()}
-    bridges = [eid for eid in base.graph.bounded_edge_ids() if eid not in base.graph.loop_part()]
+    bridges = [eid for eid in base.graph.bounded_edge_ids() if eid not in base.graph.loop_part]
     contracted = [eid for eid in bridges if rng.random() < 0.5]
     for eid in contracted:
         positions = _contract_bridge(base, positions, eid)

@@ -78,13 +78,13 @@ def test_selfloop_counts_twice():
     )
     assert g.valence("v") == 3
     assert g.genus() == 1
-    assert g.loop_part() == frozenset({"loop"})
+    assert g.loop_part == frozenset({"loop"})
 
 
 def test_loop_part_of_square():
     g = fixtures.curve(fixtures.square_loop_doc()).graph
-    assert g.loop_part() == frozenset({"s01", "s12", "s23", "s30"})
-    chains = g.loop_decomposition()
+    assert g.loop_part == frozenset({"s01", "s12", "s23", "s30"})
+    chains = g.loop_decomposition
     assert len(chains) == 1
     assert chains[0].closed
     assert set(chains[0].edges) == {"s01", "s12", "s23", "s30"}
@@ -108,13 +108,13 @@ def test_loop_part_excludes_bridges_and_trees():
     ]
     g = AbstractGraph(["p", "q", "r", "s", "t", "w", "z"], edges)
     assert g.genus() == 2
-    assert g.loop_part() == {"a1", "a2", "a3", "b1", "b2", "b3"}
+    assert g.loop_part == {"a1", "a2", "a3", "b1", "b2", "b3"}
 
 
 def test_theta_chains_run_junction_to_junction():
     g = theta_graph()
-    chains = g.loop_decomposition()
-    assert g.loop_part() == {"a", "b", "c"}
+    chains = g.loop_decomposition
+    assert g.loop_part == {"a", "b", "c"}
     assert len(chains) == 3
     for ch in chains:
         assert not ch.closed
@@ -130,7 +130,7 @@ def test_random_trivalent_graphs_have_requested_genus():
         assert g.genus() == genus
         assert all(g.valence(v) == 3 for v in g.vertex_ids)
         # exactly the bounded edges whose removal keeps their endpoints connected
-        assert g.loop_part() == {
+        assert g.loop_part == {
             eid for eid in g.bounded_edge_ids() if endpoints_connected_without(g, eid)
         }
 
@@ -157,14 +157,14 @@ def test_random_multigraphs_loop_part_and_connectivity(seed, connected):
         assert err.value.kind == "disconnected"
         return
     g = AbstractGraph(vertices, edges)
-    assert g.loop_part() == {
+    assert g.loop_part == {
         eid for eid in g.bounded_edge_ids() if endpoints_connected_without(g, eid)
     }
     assert g.genus() == len(g.bounded_edge_ids()) - len(g.vertex_ids) + 1
     assert all(list(g.incident(v)) == sorted(g.incident(v)) for v in g.vertex_ids)
     # the chains partition the loop part, in the order of their smallest edge
-    chains = g.loop_decomposition()
-    assert sorted(e for ch in chains for e in ch.edges) == sorted(g.loop_part())
+    chains = g.loop_decomposition
+    assert sorted(e for ch in chains for e in ch.edges) == sorted(g.loop_part)
     assert [min(ch.edges) for ch in chains] == sorted(min(ch.edges) for ch in chains)
 
 

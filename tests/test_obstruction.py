@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tropctl import obstruction
 from tropctl.curves import parse_curve
 from tropctl.errors import PreconditionError
 from tropctl.graphs import AbstractGraph, Flag
@@ -85,7 +86,9 @@ def test_chain_square_loop():
     c = fixtures.curve(fixtures.square_loop_doc())
     out = dual_obstruction_chain(c)
     assert out["dim"] == 1
-    assert out["loop_edges"] == ["s01", "s12", "s23", "s30"]
+    assert sorted(out) == ["basis", "dim", "flag_order"]
+    loop = ["s01", "s12", "s23", "s30"]
+    assert [(f.edge, f.slot) for f in out["flag_order"]] == [(eid, s) for eid in loop for s in (0, 1)]
     # the lone basis covector is perpendicular to the loop plane and
     # alternates sign around the cycle
     (assignment,) = out["basis"]
@@ -108,7 +111,8 @@ def test_chain_gamma_pair():
     g1 = fixtures.curve(fixtures.gamma1_doc())
     out1 = dual_obstruction_chain(g1)
     assert out1["dim"] == 1
-    perps = [oracles.canonical_span(3, ch["perp"]) for ch in out1["chains"]]
+    assert len(g1.graph.loop_decomposition) == 3
+    perps = oracles.chain_perps(g1)
     assert perps[0] == oracles.canonical_span(3, [(1, 0, 0)])
     assert perps[1] == oracles.canonical_span(3, [(0, 1, 0)])
     assert perps[2] == oracles.canonical_span(3, [(1, -1, 0)])
@@ -118,6 +122,24 @@ def test_chain_gamma_pair():
     out2 = dual_obstruction_chain(g2)
     assert out2["dim"] == 0
     assert parameter_dimension(g2) == 8
+
+
+def test_chain_method_eliminates_once(monkeypatch):
+    """One `kernel` per call, the flag system's, on every 3-valent fixture
+    and on a loop chain of six closed chains."""
+    calls = []
+    kernel = obstruction.kernel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(obstruction, "kernel", counted)
+    docs = (fixtures.square_loop_doc, fixtures.gamma1_doc, fixtures.gamma2_doc, fixtures.junction_chains_doc)
+    for c in [fixtures.curve(doc()) for doc in docs] + [random_loopchain_curve(random.Random(5), 3, 6)]:
+        calls.clear()
+        dual_obstruction_chain(c)
+        assert len(calls) == 1
 
 
 def test_abundancy_square_loop():
@@ -212,7 +234,7 @@ def dense_chain_kernel(ct, flag_order):
     every flag of flag_order: +w_e on slot 0 and -w_e on slot 1 of each loop
     edge e, and zero on every other flag."""
     g, n = ct.graph, ct.n
-    loop = sorted(g.loop_part())
+    loop = sorted(g.loop_part)
     base = {eid: i * n for i, eid in enumerate(loop)}
     width = len(loop) * n
     rows = []
@@ -306,8 +328,8 @@ def test_flag_system_matches_per_vertex_assembly():
     curves += [random_loopchain_curve(rng, rng.choice([2, 3, 4]), genus) for genus in (1, 3, 5)]
     # the references solve over every bounded edge, the package over the
     # loop part: these test that bridges and twigs are forced to zero
-    assert any(set(g.bounded_edge_ids()) - g.loop_part() for g in graphs)
-    assert any(set(c.graph.bounded_edge_ids()) - c.graph.loop_part() for c in curves)
+    assert any(set(g.bounded_edge_ids()) - g.loop_part for g in graphs)
+    assert any(set(c.graph.bounded_edge_ids()) - c.graph.loop_part for c in curves)
     for g in graphs:
         assert _same_flag_system(compatible_numbering_space(g), oracles.per_vertex_numbering(g))
     for c in curves:
@@ -347,8 +369,8 @@ def test_numbering_space_matches_per_vertex_assembly_on_random_multigraphs():
     while len(graphs) < 300:
         vertices, edges = fixtures.random_multigraph(rng)
         graphs.append(AbstractGraph(vertices, edges))
-    assert sum(any(g.edges[eid].is_selfloop for eid in g.loop_part()) for g in graphs) > 100
-    assert sum(any(not chain.closed for chain in g.loop_decomposition()) for g in graphs) > 100
+    assert sum(any(g.edges[eid].is_selfloop for eid in g.loop_part) for g in graphs) > 100
+    assert sum(any(not chain.closed for chain in g.loop_decomposition) for g in graphs) > 100
     for g in graphs:
         assert _same_flag_system(compatible_numbering_space(g), oracles.per_vertex_numbering(g))
 
@@ -357,7 +379,7 @@ def _reversed_loop_edges(rng, ct) -> CombinatorialType:
     """The type of ct with a random set of its loop edges turned around:
     ends swapped and direction negated, so every flag keeps its direction."""
     g = ct.graph
-    turn = {eid for eid in g.loop_part() if rng.random() < 0.5}
+    turn = {eid for eid in sorted(g.loop_part) if rng.random() < 0.5}
     edges = [(e.id, e.ends[::-1] if e.id in turn else e.ends, e.weight) for e in g.edges.values()]
     directions = {eid: tuple(-x for x in d) if eid in turn else d for eid, d in ct.directions.items()}
     return CombinatorialType(AbstractGraph(g.vertex_ids, edges), ct.n, directions)
@@ -374,7 +396,7 @@ def test_chain_and_xi_match_per_vertex_assembly_on_reversed_loop_edges():
     against_walk = 0
     for ct in types:
         g = ct.graph
-        for chain in g.loop_decomposition():
+        for chain in g.loop_decomposition:
             j = chain.edges.index(min(chain.edges))
             against_walk += g.edges[chain.edges[j]].ends[0] != chain.vertices[j]
         assert _same_flag_system(dual_obstruction_chain(ct), oracles.per_vertex_chain(ct))
