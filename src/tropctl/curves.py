@@ -10,6 +10,14 @@ Validation takes the difference once per edge and splits it into content
 and primitive part (`linalg.content_and_primitive`); the content is the
 length and the primitive part the direction.
 
+Loading a curve file takes three passes.  `parse_curve` reads each vertex
+and then each edge in file order and checks its fields.
+`graphs.AbstractGraph` checks the graph, and splits the edges into bounded
+and unbounded and builds its spanning forest once.  Validation walks the
+edges once, in sorted id order, measuring each bounded edge, and then sums
+the balancing residuals in place in one more pass over them.  The first
+fault met in that order is the one reported.
+
 A bounded edge whose endpoints share a position is contracted, of length
 0.  Contracted edges must carry a direction entry in input files; the zero
 vector means "no virtual direction" (stored as None), a nonzero vector is
@@ -20,7 +28,6 @@ per-vertex balancing.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
@@ -106,11 +113,11 @@ class TropicalCurve(CombinatorialType):
 def _validate_curve(c: TropicalCurve):
     """Check the curve and store the length of each bounded edge, and the
     direction of each one whose direction is omitted."""
-    g = c.graph
-    for eid in g.edge_ids:
-        e = g.edges[eid]
-        d = c.directions[eid]
-        if e.is_unbounded:
+    positions, directions = c.positions, c.directions
+    for eid, e in c.graph.edges.items():
+        a, b = e.ends
+        d = directions[eid]
+        if b is None:
             if d is None:
                 raise ValidationError(
                     "missing-direction", f"unbounded edge {eid} needs a direction", edge=eid
@@ -120,7 +127,7 @@ def _validate_curve(c: TropicalCurve):
                     "non-primitive", f"edge {eid} direction is not primitive", edge=eid
                 )
             continue
-        start, end = c.positions[e.ends[0]], c.positions[e.ends[1]]
+        start, end = positions[a], positions[b]
         if start == end:
             c.lengths[eid] = 0
             if d is not None and not is_primitive(d):
@@ -130,9 +137,9 @@ def _validate_curve(c: TropicalCurve):
                     edge=eid,
                 )
             continue
-        c.lengths[eid], prim = content_and_primitive([b - a for a, b in zip(start, end)])
+        c.lengths[eid], prim = content_and_primitive([y - x for x, y in zip(start, end)])
         if d is None:
-            c.directions[eid] = prim
+            directions[eid] = prim
         elif d != prim:
             raise ValidationError(
                 "direction-mismatch",
@@ -157,18 +164,23 @@ def balancing_residuals(c: CombinatorialType) -> list[tuple[str, tuple]]:
     Contracted edges contribute their virtual direction when they have one
     (the curve is then a limit of honest curves) and nothing otherwise.
     One pass over the edges: w * d is added at ends[0] and subtracted at
-    ends[1], the flag directions there.  Sums are in vertex_ids order.
+    ends[1], the flag directions there, entry by entry into each vertex's
+    running sum.  Sums are in vertex_ids order.
     """
     totals = {v: [0] * c.n for v in c.graph.vertex_ids}
+    directions = c.directions
     for eid, e in c.graph.edges.items():
-        d = c.directions[eid]
+        d = directions[eid]
         if d is None:
             continue
         a, b = e.ends
-        wd = [e.weight * x for x in d]
-        totals[a] = list(map(add, totals[a], wd))
-        if b is not None:
-            totals[b] = list(map(sub, totals[b], wd))
+        w = e.weight
+        at, bt = totals[a], None if b is None else totals[b]
+        for k, x in enumerate(d):
+            if x:
+                at[k] += w * x
+                if bt is not None:
+                    bt[k] -= w * x
     return [(v, tuple(t)) for v, t in totals.items()]
 
 

@@ -5,8 +5,10 @@ Unbounded edges have exactly one vertex endpoint; the missing endpoint is
 represented by None.  All iteration orders are fixed by sorted ids so that
 every downstream matrix and report is reproducible.
 
-Each graph builds one greedy spanning forest over its sorted bounded edges
-when it is made.  That forest answers the cycle questions: the graph is
+Each graph splits its edges into bounded and unbounded ones once, when it
+is made, and `bounded_edge_ids` and `unbounded_edge_ids` return the stored
+tuples.  It builds one greedy spanning forest over its sorted bounded edges
+at the same time.  That forest answers the cycle questions: the graph is
 connected when the forest has one root, the genus is the number of edges
 left out of it, the loop part is the union of its fundamental cycles, and
 the abundancy map has one row block per fundamental cycle.  Only the walk
@@ -87,17 +89,22 @@ class AbstractGraph:
         self.edge_ids: tuple[str, ...] = tuple(sorted(emap))
         self.edges: dict[str, Edge] = {eid: emap[eid] for eid in self.edge_ids}
         adj: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertex_ids}
-        for eid in self.edge_ids:
-            e = self.edges[eid]
-            adj[e.ends[0]].append((eid, 0))
-            if e.ends[1] is not None:
-                adj[e.ends[1]].append((eid, 1))
+        bounded, unbounded = [], []
+        for eid, e in self.edges.items():
+            a, b = e.ends
+            adj[a].append((eid, 0))
+            if b is None:
+                unbounded.append(eid)
+            else:
+                adj[b].append((eid, 1))
+                bounded.append(eid)
+        self._bounded, self._unbounded = tuple(bounded), tuple(unbounded)
         # edges in sorted id order, slot 0 before slot 1: already sorted
         self._adj: dict[str, tuple[tuple[str, int], ...]] = {v: tuple(a) for v, a in adj.items()}
         for v in self.vertex_ids:
             if not self._adj[v]:
                 raise ValidationError("isolated-vertex", f"vertex {v} has no incident edge", vertex=v)
-        self.forest = spanning_forest(self, self.bounded_edge_ids())
+        self.forest = spanning_forest(self, self._bounded)
         if len(set(self.forest.root.values())) > 1:
             raise ValidationError("disconnected", "graph is not connected")
 
@@ -110,11 +117,14 @@ class AbstractGraph:
     def valence(self, v: str) -> int:
         return len(self._adj[v])
 
-    def bounded_edge_ids(self) -> list[str]:
-        return [eid for eid in self.edge_ids if not self.edges[eid].is_unbounded]
+    def bounded_edge_ids(self) -> tuple[str, ...]:
+        """The bounded edge ids in sorted order, split from the unbounded
+        ones once, when the graph is made."""
+        return self._bounded
 
-    def unbounded_edge_ids(self) -> list[str]:
-        return [eid for eid in self.edge_ids if self.edges[eid].is_unbounded]
+    def unbounded_edge_ids(self) -> tuple[str, ...]:
+        """The unbounded edge ids in sorted order."""
+        return self._unbounded
 
     def is_trivalent(self) -> bool:
         return all(self.valence(v) <= 3 for v in self.vertex_ids)
@@ -218,19 +228,16 @@ class Forest(NamedTuple):
 
 def spanning_forest(g: AbstractGraph, edges: Iterable[str]) -> Forest:
     """Greedy spanning forest of the bounded edges given, taken in order."""
-    parent = {v: v for v in g.vertex_ids}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    parent = dict(zip(g.vertex_ids, g.vertex_ids))
     tree: dict[str, list[tuple[str, str, int]]] = {v: [] for v in g.vertex_ids}
     rest = []
     for eid in edges:
         a, b = g.edges[eid].ends
-        ra, rb = find(a), find(b)
+        ra, rb = a, b
+        while parent[ra] != ra:  # find the roots, halving the paths walked
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
         if ra == rb:
             rest.append(eid)
         else:

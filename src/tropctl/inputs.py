@@ -115,7 +115,7 @@ def integer_direction(value, n: int, kind: str, edge: str) -> tuple:
     """An edge's direction as a tuple: a list of n JSON integers (else
     kind), each of at most MAX_BITS bits (else limit).  Whether it must be
     primitive or nonzero is the caller's rule."""
-    if not isinstance(value, list) or len(value) != n or not all(type(x) is int for x in value):
+    if not isinstance(value, list) or len(value) != n or not all([type(x) is int for x in value]):
         raise ValidationError(kind, f"edge {edge} direction must list {n} integers", edge=edge)
     for x in value:
         if x.bit_length() > MAX_BITS:
@@ -145,7 +145,7 @@ def rationals(items: list, field: str, vertex: str | None = None) -> tuple:
         except (ValueError, ZeroDivisionError) as exc:
             what = field if vertex is None else f"vertex {vertex} {field}"
             raise ValidationError("bad-rational", f"{what}: {exc}", vertex=vertex) from exc
-        if _bits(q) > MAX_BITS:
+        if (q.bit_length() if type(q) is int else _bits(q)) > MAX_BITS:
             raise _limit(q, field if vertex is None else f"vertex {vertex} {field}", vertex=vertex)
         out.append(q)
     return tuple(out)

@@ -50,22 +50,25 @@ def content_and_primitive(v: Sequence) -> tuple[int | Fraction, tuple[int, ...]]
     (c, p) with v = c * p, p a primitive integer vector and c > 0.  c is an
     int when every entry of v is an integer, else a Fraction.
 
-    One lcm of the denominators and one gcd.  Raises ValueError on the zero
-    vector.
+    One lcm of the denominators and one gcd; an integer vector, whose lcm
+    is 1, is read as it is.  Raises ValueError on the zero vector.
     """
-    d = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (d // x.denominator) for x in v]
+    d = lcm(*[x.denominator for x in v])
+    if d == 1:
+        ints = [x.numerator for x in v]
+    else:
+        ints = [x.numerator * (d // x.denominator) for x in v]
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return (g if d == 1 else Fraction(g, d)), tuple(x // g for x in ints)
+    return (g if d == 1 else Fraction(g, d)), tuple([x // g for x in ints])
 
 
 def is_primitive(v: Sequence[int | Fraction]) -> bool:
     """Whether v is an integer vector whose entries have gcd 1.  An entry
     that is not an integer, such as Fraction(3, 2), makes it not primitive;
     an integral Fraction counts as its integer."""
-    return all(x.denominator == 1 for x in v) and gcd(*(x.numerator for x in v)) == 1
+    return lcm(*[x.denominator for x in v]) == 1 and gcd(*[x.numerator for x in v]) == 1
 
 
 def _rref(rows: Iterable[dict]) -> dict:

@@ -33,7 +33,7 @@ import itertools
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, Forest, fundamental_cycle, spanning_forest
-from .linalg import Q0, kernel, rank, row_blocks
+from .linalg import kernel, rank, row_blocks
 
 
 def flag_assembly(g: AbstractGraph, n: int, directions, vertex_rows=()) -> tuple:
@@ -249,10 +249,16 @@ def reduced_abundancy_map(c: TropicalCurve):
     The cut edges are the lexicographically first bounded edge set whose
     removal leaves a tree: the edges outside the greedy spanning tree built
     over the bounded edges in reverse order.  For each cut edge the n cycle
-    rows are replaced by n-1 rows, one per vector of the canonical basis of
-    the covectors vanishing on its direction, killing the cut edge's own
-    column.  Returns (rank, cut_edges); the map is onto iff rank equals
-    (n-1) * genus, and the obstruction dual dimension is the difference.
+    rows are replaced by n-1 rows, one per covector of a basis of those
+    vanishing on its direction d, killing the cut edge's own column.  With
+    q the last coordinate where d is nonzero, that basis is
+    d[q] * e_f - d[f] * e_q for each f != q: integer covectors, written down
+    without an elimination, which are `linalg.kernel`'s canonical basis of
+    the annihilator of d scaled by d[q], so the rows span the same space and
+    the rank is the same.  Row f is d[q] times cycle row f, minus d[f] times
+    cycle row q where d[f] is nonzero.  Returns (rank, cut_edges); the map is
+    onto iff rank equals (n-1) * genus, and the obstruction dual dimension
+    is the difference.
     """
     g = c.graph
     n = c.n
@@ -268,13 +274,15 @@ def reduced_abundancy_map(c: TropicalCurve):
                 f"cut edge {eid} has no direction; the reduced map needs one",
                 edge=eid,
             )
-        ann = kernel(n, [d])
+        q = max(k for k in range(n) if d[k])
         cycle_rows = _cycle_rows(c, forest, eid, col)
-        for a in ann:
-            row = {}
-            for k, ak in a.items():
-                for j, x in cycle_rows[k].items():
-                    row[j] = row.get(j, Q0) + ak * x
+        for f in range(n):
+            if f == q:
+                continue
+            row = {j: d[q] * x for j, x in cycle_rows[f].items()}
+            if d[f]:
+                for j, x in cycle_rows[q].items():
+                    row[j] = row.get(j, 0) - d[f] * x
             rows.append(row)
     return rank(len(col), rows), cut
 

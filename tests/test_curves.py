@@ -143,6 +143,74 @@ def test_parse_rejects_bool_integers(edit, kind):
     assert err.value.kind == kind
 
 
+def _edge(doc, eid):
+    return next(item for item in doc["edges"] if item["id"] == eid)
+
+
+def _two_faults(*edits):
+    """The square loop with each edit applied in turn."""
+    doc = fixtures.square_loop_doc()
+    for edit in edits:
+        edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, kind, message, context",
+    [
+        (
+            _two_faults(lambda d: _edge(d, "s01").update(weight=0), lambda d: _edge(d, "u3").update(ends="d")),
+            "bad-weight", "edge s01 weight must be a positive integer", {"edge": "s01"},
+        ),
+        (
+            # the unknown endpoint comes first in the file, but the graph is
+            # checked only after every edge is read
+            _two_faults(
+                lambda d: d["vertices"][1].update(position=["0", "0", "0"]),
+                lambda d: d["edges"].insert(0, {"id": "x", "ends": ["zz", None], "direction": [1, 0, 0]}),
+            ),
+            "missing-direction", "contracted edge s01 needs a direction entry (zero vector for none)", {"edge": "s01"},
+        ),
+        (
+            _two_faults(
+                lambda d: _edge(d, "s01").update(direction=[0, 1, 0]),
+                lambda d: _edge(d, "u3").update(direction=[-1, 1, 1]),
+            ),
+            "direction-mismatch", "edge s01 direction does not match endpoint positions", {"edge": "s01"},
+        ),
+        (
+            _two_faults(lambda d: _edge(d, "s12").update(weight="2"), lambda d: d["edges"][3].update(id="s01")),
+            "bad-weight", "edge s12 weight must be a positive integer", {"edge": "s12"},
+        ),
+        (
+            _two_faults(lambda d: d["edges"][3].update(id="s01"), lambda d: _edge(d, "u3").update(weight=-1)),
+            "bad-weight", "edge u3 weight must be a positive integer", {"edge": "u3"},
+        ),
+        (
+            # validation runs in sorted id order, not in file order
+            _two_faults(
+                lambda d: _edge(d, "u0").update(direction=[-2, -2, 0]),
+                lambda d: _edge(d, "s12").update(direction=[1, 0, 0]),
+                lambda d: d["edges"].reverse(),
+            ),
+            "direction-mismatch", "edge s12 direction does not match endpoint positions", {"edge": "s12"},
+        ),
+    ],
+    ids=[
+        "weight-then-schema",
+        "contracted-then-unknown-endpoint",
+        "mismatch-then-unbalanced",
+        "weight-then-duplicate",
+        "duplicate-then-weight",
+        "sorted-not-file-order",
+    ],
+)
+def test_parse_reports_the_first_fault_of_two(doc, kind, message, context):
+    with pytest.raises(ValidationError) as err:
+        parse_curve(doc)
+    assert (err.value.kind, err.value.message, err.value.context) == (kind, message, context)
+
+
 def test_serialize_round_trip():
     for doc in (
         fixtures.square_loop_doc(),

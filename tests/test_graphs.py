@@ -192,3 +192,15 @@ def test_fundamental_cycles_match_the_root_path_reference(seed, connected):
                 boundary[b] = boundary.get(b, 0) + sign
                 boundary[a] = boundary.get(a, 0) - sign
             assert set(boundary.values()) <= {0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_the_stored_edge_split_is_the_unbounded_filter(seed):
+    vertices, edges = fixtures.random_multigraph(random.Random(seed))
+    g = AbstractGraph(vertices, edges)
+    assert g.bounded_edge_ids() == tuple(sorted(eid for eid, e in g.edges.items() if not e.is_unbounded))
+    assert g.unbounded_edge_ids() == tuple(sorted(eid for eid, e in g.edges.items() if e.is_unbounded))
+    # each call hands out the one stored tuple, which no caller can change
+    assert g.bounded_edge_ids() is g.bounded_edge_ids() and type(g.bounded_edge_ids()) is tuple
+    assert g.unbounded_edge_ids() is g.unbounded_edge_ids() and type(g.unbounded_edge_ids()) is tuple

@@ -216,11 +216,26 @@ def test_chain_rank_is_the_chain_kernel_dimension():
 
 
 def test_abundancy_ranks_match_the_oracle():
-    for c in _rank_path_curves():
+    # in R^5 some cut edges have a zero last coordinate, so the reduced
+    # map's annihilator rows pivot below the last column, and some have a
+    # negative entry at the last nonzero one
+    rng = random.Random(2727)
+    curves = _rank_path_curves()
+    curves += [random_immersive_curve(rng, 5) for _ in range(12)]
+    curves += [random_loopchain_curve(rng, 5, genus) for genus in (3, 6, 9)]
+    zero_last = negative = 0
+    for c in curves:
         image = contract_image(c)
         full, reduced = oracles.abundancy_ranks(image)
         assert abundancy_map(image)[0] == full
-        assert reduced_abundancy_map(image)[0] == reduced
+        rank, cut = reduced_abundancy_map(image)
+        assert rank == reduced
+        for eid in cut:
+            d = image.directions[eid]
+            q = max(k for k in range(image.n) if d[k])
+            zero_last += q < image.n - 1
+            negative += d[q] < 0
+    assert zero_last >= 5 and negative >= 10
 
 
 def test_parameter_dimension_formula():
