@@ -1,18 +1,25 @@
 """Command line front end: parse inputs, dispatch computations, emit reports.
 
 Every command takes one path, `_run`: it loads each curve file (the files of
-`validate` and `info`, the one file of the other commands, none for
-`local-model` and `selftest`), reads the command's --config, --laurent or
---model file, and calls the command's fields function.  There is one report
-per curve file; a file that fails gives an error report, and the batch goes
-on.  The exit code is the first error's.  A report stamps each input with
-its path and sha256, an error report with the input paths as given.
+every curve command, none for `local-model` and `selftest`), reads the
+command's --config, --laurent or --model file, and calls the command's
+fields function.  There is one report per curve file; a file that fails
+gives an error report, and the batch goes on.  The exit code is the first
+error's.  A report stamps each input with its path and sha256, an error
+report with the input paths as given.  An argv that starts with a command is
+read by that command's own parser, with the same result and the same usage
+errors as the top-level parser, which would hand it all of that argv anyway.
 
-Reports are deterministic: machine mode serializes one JSON object (or a JSON
-array for batch runs) with sorted keys, so identical inputs produce
-byte-identical output.  Exit codes: 0 success, 1 selftest found a failing
-invariant, 2 input validation error, 3 computation precondition failure,
-64 usage error, 74 standard output closed early.
+Reports are deterministic: machine mode writes one JSON object (or a JSON
+array for a batch of several files), byte for byte what
+json.dumps(payload, indent=2, sort_keys=True) would give, so identical
+inputs produce byte-identical output.  The writer streams the report to
+standard output as it goes and takes only what a report holds: dicts, lists,
+strings, integers, booleans, None and the basis of `_basis_payload`.  A
+float, a Fraction or any other tuple raises TypeError.  Exit codes: 0
+success, 1 selftest found a failing invariant, 2 input validation error, 3
+computation precondition failure, 64 usage error, 74 standard output closed
+early.
 """
 
 from __future__ import annotations
@@ -21,11 +28,11 @@ import argparse
 import functools
 import glob as globmod
 import json
-import math
 import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .curves import contract_image, degree, expected_dim, is_immersive, parse_curve
 from .errors import TropctlError, ValidationError
@@ -52,6 +59,10 @@ from .residues import (
 SCHEMA = "tropctl-report/1"
 EX_USAGE = 64
 EX_IOERR = 74
+# selftest runs about 1 ms a case, so the largest run ends within seconds
+# (2,500 cases took 2.4 s) and no --cases value can keep the process busy
+# for days
+MAX_SELFTEST_CASES = 10_000
 DIM_KEYS = (
     "dimH",
     "d",
@@ -79,13 +90,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _case_count(text: str) -> int:
-    """--cases as a positive int; anything else is a usage error."""
+    """--cases as an int from 1 to MAX_SELFTEST_CASES; anything else is a
+    usage error."""
     try:
         count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    if count > MAX_SELFTEST_CASES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SELFTEST_CASES}, got {count}")
     return count
 
 
@@ -100,6 +114,7 @@ def build_parser() -> _Parser:
         help="report format (json is byte-stable across runs)",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices  # each command's own parser, by name, for _parse_args
 
     def command(name, help_text):
         p = sub.add_parser(name, help=help_text, parents=[common])
@@ -109,17 +124,14 @@ def build_parser() -> _Parser:
         p.set_defaults(files=[None], glob=False, data=None)
         return p
 
-    def curve_cmd(name, help_text, many=False):
+    def curve_cmd(name, help_text):
         p = command(name, help_text)
-        if many:
-            p.add_argument("files", nargs="+", help="curve files (or glob patterns with --glob)")
-            p.add_argument("--glob", action="store_true", help="expand the arguments as glob patterns")
-        else:
-            p.add_argument("files", nargs=1, metavar="file", help="curve file")
+        p.add_argument("files", nargs="+", help="curve files (or glob patterns with --glob)")
+        p.add_argument("--glob", action="store_true", help="expand the arguments as glob patterns")
         return p
 
-    curve_cmd("validate", "check a curve file against the data model", many=True)
-    curve_cmd("info", "genus, degree, ends, and expected dimension", many=True)
+    curve_cmd("validate", "check a curve file against the data model")
+    curve_cmd("info", "genus, degree, ends, and expected dimension")
 
     p = curve_cmd("obstruction", "dual obstruction space dimension and basis")
     p.add_argument("--method", choices=("chain", "xi"), default="chain")
@@ -188,14 +200,23 @@ def _flag_key(flag) -> list:
     return [flag.vertex, flag.edge, flag.slot]
 
 
-def _basis_payload(keys, basis, n) -> tuple:
-    """A basis over `keys` as (width, zero, vectors), its covectors lists of
-    strings: width is len(keys), zero the zero covector, and each vector a
-    {position in keys: covector} dict of the covectors it holds.  A position
-    that a vector does not hold carries zero."""
+class _Basis(NamedTuple):
+    """A report's basis, sparse: `width` positions, the `zero` covector, and
+    each vector a {position: covector} dict of the covectors it holds, its
+    covectors lists of strings.  A position that a vector does not hold
+    carries zero.  The writers print the dense form, each vector a list of
+    `width` covectors; the JSON writer knows a basis by this type."""
+
+    width: int
+    zero: list
+    vectors: list
+
+
+def _basis_payload(keys, basis, n) -> _Basis:
+    """A basis over `keys`, positions counted in `keys`, in `_Basis` form."""
     index = {key: i for i, key in enumerate(keys)}
     vectors = [{index[key]: list(map(str, cov)) for key, cov in assignment.items()} for assignment in basis]
-    return len(index), ["0"] * n, vectors
+    return _Basis(len(index), ["0"] * n, vectors)
 
 
 def _report(command, stamps, fields) -> dict:
@@ -461,33 +482,60 @@ _FIELDS = {
 
 
 def _print_json(reports):
-    """Print the reports as json.dumps(payload, indent=2, sort_keys=True),
-    where a report's basis, a `_basis_payload` triple, stands for its dense
-    form: a list of vectors, each a list of `width` covectors.
+    """Print the reports, byte for byte as json.dumps(payload, indent=2,
+    sort_keys=True) would, payload the one report or the list of several,
+    each basis in its dense form.
 
-    The indenting encoder is pure Python, and a basis holds most of the
-    strings of a report.  So each report's basis is dumped as NaN, which no
-    report holds otherwise (there are no floats) and which cannot form the
-    token '"basis": NaN' inside an escaped string, and `_write_basis`
-    writes that basis's text in place of the token.
+    With indent, json.dumps runs json's pure-Python encoder; `_write_json`
+    does that work with fewer steps.  It writes each item as it reaches it,
+    so a reader that closes standard output early is met by a write inside
+    `main`, which exits 74; with one write of the whole text, that write
+    raised no error and the command exited 0.  A value no report may hold,
+    such as a float (which json.dumps would print) or a Fraction, raises
+    TypeError.
     """
-    bases = [rep["basis"] for rep in reports if "basis" in rep]
-    reports = [{**rep, "basis": math.nan} if "basis" in rep else rep for rep in reports]
-    single = len(reports) == 1
-    parts = json.dumps(reports[0] if single else reports, indent=2, sort_keys=True).split('"basis": NaN')
-    pad = "  " if single else "    "  # indent of the "basis" key
     write = sys.stdout.write
-    write(parts[0])
-    for basis, part in zip(bases, parts[1:], strict=True):
-        write('"basis": ')
-        _write_basis(write, basis, pad)
-        write(part)
+    _write_json(write, reports[0] if len(reports) == 1 else reports, "")
     write("\n")
 
 
+def _write_json(write, value, indent):
+    """Write json.dumps(value, indent=2, sort_keys=True) for a value whose
+    line is indented by `indent`: dicts (str keys, sorted), lists, str, int,
+    bool, None and a `_Basis`, written dense by `_write_basis`."""
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        opening = "{\n" + inner
+        for key in sorted(value):
+            write(opening + encode_basestring_ascii(key) + ": ")
+            _write_json(write, value[key], inner)
+            opening = ",\n" + inner
+        write("\n" + indent + "}" if value else "{}")
+    elif isinstance(value, list):
+        inner = indent + "  "
+        opening = "[\n" + inner
+        for item in value:
+            write(opening)
+            _write_json(write, item, inner)
+            opening = ",\n" + inner
+        write("\n" + indent + "]" if value else "[]")
+    elif value is None:
+        write("null")
+    elif value is True or value is False:
+        write("true" if value else "false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, _Basis):
+        _write_basis(write, value, indent)
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}: {value!r}")
+
+
 def _write_basis(write, basis, pad):
-    """Write json.dumps of the dense form of a (width, zero, vectors) basis,
-    indent=2, for a basis whose key is indented by pad, one vector at a time.
+    """Write json.dumps of the dense form of a `_Basis`, indent=2, for a
+    basis whose line is indented by pad, one vector at a time.
 
     The strings are escaped as json.dumps escapes them.  The zero
     covector's text is made once; each vector's row starts as `width`
@@ -577,9 +625,26 @@ def main(argv=None) -> int:
         return EX_IOERR
 
 
+def _parse_args(parser, argv) -> argparse.Namespace:
+    """parser.parse_args(argv): the same namespace, or the same usage error.
+
+    The top-level parser hands everything after a command name to that
+    command's own parser, so an argv that starts with one is read by the
+    command's parser alone, and what it leaves is the top-level parser's
+    "unrecognized arguments" error.  Any other argv, such as none, -h or an
+    unknown command, goes through parse_args itself."""
+    own = parser.commands.get(argv[0]) if argv else None
+    if own is None:
+        return parser.parse_args(argv)
+    args, extras = own.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def _run(argv) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
     if args.command == "obstruction" and args.data is not None and args.method != "xi":
         parser.error("argument --config: only with --method xi")
     fields_of = _FIELDS[args.command]

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, JSON stability, reports."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -10,13 +11,14 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tropctl import residues
-from tropctl.cli import main
+from tropctl.cli import MAX_SELFTEST_CASES, _Basis, _case_count, _parse_args, _print_json, build_parser, main
 from tropctl.curves import serialize_curve
 from tropctl.inputs import MAX_BITS, MAX_DIM
 from tropctl.laurent import MAX_EXPONENT
@@ -1112,6 +1114,96 @@ def test_selftest_needs_a_positive_case_count(capsys, cases):
     assert err.endswith(f"tropctl selftest: error: argument --cases: {expected}\n")
 
 
+def test_selftest_case_count_has_a_maximum(capsys):
+    """--cases past MAX_SELFTEST_CASES is a usage error, so no value keeps
+    the process busy for days; checked without running a large selftest."""
+    assert _case_count(str(MAX_SELFTEST_CASES)) == MAX_SELFTEST_CASES
+    too_many = str(MAX_SELFTEST_CASES + 1)
+    message = f"must be at most {MAX_SELFTEST_CASES}, got {too_many}"
+    with pytest.raises(argparse.ArgumentTypeError, match=f"^{message}$"):
+        _case_count(too_many)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["selftest", "--cases", too_many])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"tropctl selftest: error: argument --cases: {message}\n")
+
+
+# argvs whose usage behaviour must not depend on the parser that reads them
+USAGE_ARGVS = {
+    "none": [],
+    "unknown-command": ["frob"],
+    "help": ["-h"],
+    "command-help": ["validate", "--help"],
+    "unknown-option": ["validate", "a.json", "--bogus"],
+    "extra-positional": ["selftest", "extra"],
+    "abbreviated-option": ["obstruction", "a.json", "--meth", "xi"],
+    "option-equals": ["validate", "a.json", "--format=json"],
+    "double-dash": ["validate", "--", "-a.json"],
+    "option-first": ["--format", "json", "validate", "x"],
+    "bad-choice": ["obstruction", "a.json", "--method", "bogus"],
+    "missing-required": ["compare", "a.json"],
+    "config-without-xi": ["obstruction", "a.json", "--config", "c.json"],
+    "zero-cases": ["selftest", "--cases", "0"],
+    "no-files": ["classify", "--format", "json"],
+    "batch-glob": ["phylo", "a.json", "b*.json", "--glob", "--laurent", "l.json"],
+}
+
+
+def _outcome(capsys, parse):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    try:
+        result = parse()
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS.values(), ids=USAGE_ARGVS)
+def test_a_command_parser_reads_argv_as_the_top_level_parser_does(capsys, monkeypatch, argv):
+    parser = build_parser()
+    with monkeypatch.context() as m:
+        if argv and argv[0] in parser.commands:  # read by the command's parser alone
+            m.setattr(parser, "parse_args", None)
+        own = _outcome(capsys, lambda: _parse_args(parser, argv))
+    assert own == _outcome(capsys, lambda: parser.parse_args(argv))
+
+
+_BATCHED = {
+    "obstruction": (["obstruction", "--method", "chain"], "square", "gamma1"),
+    "obstruction-xi": (["obstruction", "--method", "xi", "--config", "ex536.config.json"], "ex536", "square"),
+    "classify": (["classify"], "square", "gamma1"),
+    "abundancy": (["abundancy"], "square", "ex536"),
+    "phylo": (["phylo", "--laurent", "ex536.laurent.json"], "ex536", "square"),
+    "genus1-check": (["genus1-check"], "square", "gamma1"),
+    "compare": (["compare", "--laurent", "ex536.laurent.json"], "ex536", "square"),
+}
+
+
+@pytest.mark.parametrize("command", _BATCHED)
+def test_each_report_of_a_batch_is_its_file_s_own_report(capsys, monkeypatch, tmp_path, command):
+    """A batch with an unreadable file in the middle: each report equals the
+    report of its file alone, in both formats, and the exit code is the
+    first failing file's."""
+    argv, first, last = _BATCHED[command]
+    docs = {"square": fixtures.square_loop_doc(), "gamma1": fixtures.gamma1_doc(), "ex536": fixtures.ex536_doc()}
+    for name, doc in docs.items():
+        write_json(tmp_path / f"{name}.json", doc)
+    write_json(tmp_path / "ex536.config.json", {"vertices": {"V": {"coords": ["0", "1", "2"]}}})
+    write_json(tmp_path / "ex536.laurent.json", {"vertices": {"V": {"series": [[], [[-3, "1"]], [[-5, "1"]]]}}})
+    monkeypatch.chdir(tmp_path)
+    files = [f"{first}.json", "missing.json", f"{last}.json"]
+    for fmt in ("json", "text"):
+        alone = [run(capsys, argv[0], f, *argv[1:], "--format", fmt) for f in files]
+        code, out = run(capsys, argv[0], *files, *argv[1:], "--format", fmt)
+        assert code == next(c for c, _text in alone if c) == 2
+        if fmt == "json":
+            assert json.loads(out) == [json.loads(text) for _c, text in alone]
+        else:
+            assert out == "\n".join(text for _c, text in alone)
+
+
 def _square_in(n):
     """The quick-start square padded with zeros from Q^3 into Q^n."""
     doc = fixtures.square_loop_doc()
@@ -1387,8 +1479,9 @@ def test_generated_config_documents_give_reports(tmp_path_factory, curve, doc):
 # -- the JSON writer -----------------------------------------------------------
 
 _TOKEN = '"basis": NaN'
-# quotes, backslashes, non-ASCII and control characters, and the token that
-# _print_json replaces
+# quotes, backslashes, non-ASCII and control characters, and text shaped like
+# a basis key and a value no report holds, which a writer that edited its
+# output as text could mistake for its own
 _ADVERSARIAL = st.one_of(
     st.text(max_size=8),
     st.sampled_from(['"', "\\", "é中", "\x00\x1f\n\t", _TOKEN, "basis", "NaN"]),
@@ -1403,17 +1496,17 @@ _JSON = st.recursive(
 
 @st.composite
 def _bases(draw):
-    """Bases in the sparse (width, zero, vectors) form of `_basis_payload`:
-    each vector a {position: covector} dict, the zero covector drawn like
-    the others (so it can be adversarial or empty), and the held covectors
-    drawn from a small pool that holds the zero covector too."""
+    """Bases in the sparse `_Basis` form of `_basis_payload`: each vector a
+    {position: covector} dict, the zero covector drawn like the others (so
+    it can be adversarial or empty), and the held covectors drawn from a
+    small pool that holds the zero covector too."""
     n = draw(st.integers(0, 3))
     covector = st.lists(_ADVERSARIAL, min_size=n, max_size=n)
     zero = draw(st.just(["0"] * n) | covector)
     pool = [zero] + draw(st.lists(covector, max_size=4))
     width = draw(st.integers(0, 4))
     held = st.dictionaries(st.integers(0, width - 1), st.sampled_from(pool)) if width else st.just({})
-    return width, zero, draw(st.lists(held, max_size=4))
+    return _Basis(width, zero, draw(st.lists(held, max_size=4)))
 
 
 @st.composite
@@ -1454,15 +1547,28 @@ _HEAD = {"schema": "tropctl-report/1", "command": _TOKEN, "inputs": [{"path": '"
 
 @settings(max_examples=150, deadline=None)
 @given(reports=st.lists(_reports(), min_size=1, max_size=3))
-@example(reports=[{**_HEAD, "basis": (3, _ZERO, [])}, {**_HEAD, "basis": (3, _ZERO, [{1: ["1", "-1/2"]}, {}])}])
-@example(reports=[{**_HEAD, "basis": (0, [], [{}, {}])}, {**_HEAD, "basis": (2, [], [{0: []}])}])
+@example(
+    reports=[{**_HEAD, "basis": _Basis(3, _ZERO, [])}, {**_HEAD, "basis": _Basis(3, _ZERO, [{1: ["1", "-1/2"]}, {}])}]
+)
+@example(reports=[{**_HEAD, "basis": _Basis(0, [], [{}, {}])}, {**_HEAD, "basis": _Basis(2, [], [{0: []}])}])
 def test_print_json_matches_the_json_module(reports):
-    from tropctl.cli import _print_json
-
     out = io.StringIO()
     with redirect_stdout(out):
         _print_json(reports)
     assert out.getvalue() == _json_module_text(reports)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, float("nan"), Fraction(1, 2), ("a", "b"), (3, ["0"], []), {"nested": [Fraction(2)]}],
+    ids=["float", "nan", "fraction", "tuple", "basis-shaped-tuple", "nested"],
+)
+def test_the_writer_rejects_what_no_report_holds(value):
+    """No report may hold a float, a Fraction or a tuple other than a
+    `_Basis`; json.dumps would print the float as a number and the tuples
+    as lists."""
+    with redirect_stdout(io.StringIO()), pytest.raises(TypeError):
+        _print_json([{**_HEAD, "value": value}])
 
 
 def test_a_genus_40_xi_report_matches_the_json_module(tmp_path, monkeypatch):

@@ -81,6 +81,13 @@ def _cases():
     yield ("chains", "classify"), ["classify", "chains.json"]
     yield ("chains", "abundancy"), ["abundancy", "chains.json"]
     yield ("all", "validate-batch"), ["validate"] + [f"{c}.json" for c in CURVES]
+    # every curve command takes many files; a --laurent file is read for each
+    yield ("all", "obstruction-chain-batch"), ["obstruction"] + [f"{c}.json" for c in CURVES] + ["--method", "chain"]
+    yield ("all", "classify-batch"), ["classify"] + [f"{c}.json" for c in CURVES]
+    yield ("all", "abundancy-batch"), ["abundancy"] + [f"{c}.json" for c in CURVES]
+    yield ("all", "genus1-check-batch"), ["genus1-check"] + [f"{c}.json" for c in CURVES]
+    yield ("all", "phylo-batch"), ["phylo"] + [f"{c}.json" for c in CURVES] + ["--laurent", "ex536.laurent.json"]
+    yield ("all", "compare-batch"), ["compare"] + [f"{c}.json" for c in CURVES] + ["--laurent", "ex536.laurent.json"]
     yield ("star", "local-model"), ["local-model", "--model", "star.model.json"]
     yield ("seed3", "selftest"), ["selftest", "--seed", "3", "--cases", "4"]
 
