@@ -315,26 +315,17 @@ def contract_image(c: TropicalCurve) -> TropicalCurve:
     forest = spanning_forest(c.graph, contracted)
     if forest.rest:
         eid = forest.rest[0]
-        raise PreconditionError(
-            "contracted-loop",
-            f"contracting edge {eid} collapses a loop",
-            edge=eid,
-        )
-    source_map = forest.root
-    image_vertices = sorted(set(source_map.values()))
-    edges = []
-    directions = {}
-    for eid in c.graph.edge_ids:
-        if eid in contracted:
-            continue
-        e = c.graph.edges[eid]
-        a = source_map[e.ends[0]]
-        b = None if e.ends[1] is None else source_map[e.ends[1]]
-        edges.append((eid, (a, b), e.weight))
-        directions[eid] = c.directions[eid]
+        raise PreconditionError("contracted-loop", f"contracting edge {eid} collapses a loop", edge=eid)
+    root = forest.root
+    image_vertices = sorted(set(root.values()))
+    edges = [
+        (eid, (root[a], None if b is None else root[b]), weight)
+        for eid, (a, b), weight in c.graph.edges.values()
+        if not c.is_contracted(eid)
+    ]
     graph = AbstractGraph(image_vertices, edges)
     positions = {v: c.positions[v] for v in image_vertices}
-    return TropicalCurve(graph, c.n, positions, directions)
+    return TropicalCurve(graph, c.n, positions, c.directions)
 
 
 # -- star replacement ----------------------------------------------------------
@@ -346,17 +337,11 @@ def contract_image(c: TropicalCurve) -> TropicalCurve:
 
 
 def _tree_leaves(t):
-    if isinstance(t, str):
-        return [t]
-    out = []
-    for part in t:
-        out.extend(_tree_leaves(part))
-    return out
+    """The leaves of a replacement tree: every item that is not a tuple or a list."""
+    return [leaf for part in t for leaf in _tree_leaves(part)] if isinstance(t, (tuple, list)) else [t]
 
 
-def replace_star(
-    ct: CombinatorialType, vertex: str, tree, new_prefix: str
-) -> CombinatorialType:
+def replace_star(ct: CombinatorialType, vertex: str, tree, new_prefix: str) -> CombinatorialType:
     """Replace the star of a higher-valent vertex by a 3-valent tree.
 
     The tree's leaves must be exactly the edges at the vertex.  Each internal
@@ -364,83 +349,55 @@ def replace_star(
     direction sum of the leaves behind the node (primitive part as direction,
     content as weight); the flag sums then vanish at every new vertex.  A
     zero sum is rejected: the replacement would contract an edge.
+
+    Once the leaves are checked, one walk down the tree builds the new type:
+    a leaf moves its edge's end from the vertex to the node above it, and a
+    node adds its vertex, new_prefix1, new_prefix2, ... in pre-order, and
+    then, below its children, its edge, new_prefixedge1, ... in post-order.
     """
     g = ct.graph
     star = [eid for eid, _slot in g.incident(vertex)]
     if len(set(star)) != len(star):
         raise PreconditionError(
-            "selfloop-star",
-            f"cannot replace the star at {vertex}: a loop edge is attached twice",
-            vertex=vertex,
+            "selfloop-star", f"cannot replace the star at {vertex}: a loop edge is attached twice", vertex=vertex
         )
+
+    def bad(rule):
+        return PreconditionError("bad-replacement", f"replacement tree for {vertex} must {rule}", vertex=vertex)
+
     if not isinstance(tree, (tuple, list)) or len(tree) != 3:
-        raise PreconditionError(
-            "bad-replacement",
-            f"replacement tree for {vertex} must have three parts at the top",
-            vertex=vertex,
-        )
-    leaves = _tree_leaves(tuple(tree))
-    if sorted(leaves) != sorted(star):
-        raise PreconditionError(
-            "bad-replacement",
-            f"replacement tree for {vertex} must use exactly its incident edges",
-            vertex=vertex,
-        )
+        raise bad("have three parts at the top")
+    leaves = _tree_leaves(tree)
+    if not all(isinstance(eid, str) for eid in leaves) or sorted(leaves) != sorted(star):
+        raise bad("use exactly its incident edges")
 
-    reattach = {}
-    internal = []
-    new_vertices = []
-    counter = [0]
+    edges = dict(g.edges)
+    nodes, added = [], []  # the new vertices in pre-order, their edges in post-order
+    directions = dict(ct.directions)
 
-    def weighted_dir(eid):
-        e = g.edges[eid]
-        slot = 0 if e.ends[0] == vertex else 1
-        u = ct.flag_direction(Flag(vertex, eid, slot))
-        return tuple(e.weight * x for x in u)
-
-    def build(t, parent_vertex):
-        """Attach subtree t below parent_vertex; return its weighted sum."""
-        if isinstance(t, str):
-            reattach[t] = parent_vertex
-            return weighted_dir(t)
+    def build(t, above):
+        """Attach subtree t below the vertex above; return the weighted
+        direction sum of its leaves, at above."""
+        if not isinstance(t, (tuple, list)):
+            eid, (a, b), weight = g.edges[t]
+            slot = 0 if a == vertex else 1
+            edges[eid] = (eid, (above, b) if slot == 0 else (a, above), weight)
+            return tuple(weight * x for x in ct.flag_direction(Flag(vertex, eid, slot)))
         if len(t) != 2:
+            raise bad("branch in pairs below the top")
+        node = f"{new_prefix}{len(nodes) + 1}"
+        nodes.append(node)
+        total = tuple(x + y for x, y in zip(build(t[0], node), build(t[1], node)))
+        if not any(total):
             raise PreconditionError(
-                "bad-replacement",
-                f"replacement tree for {vertex} must branch in pairs below the top",
-                vertex=vertex,
+                "zero-direction-split", f"replacement at {vertex} creates a contracted internal edge", vertex=vertex
             )
-        counter[0] += 1
-        node = f"{new_prefix}{counter[0]}"
-        new_vertices.append(node)
-        total = tuple(
-            sum(parts) for parts in zip(build(t[0], node), build(t[1], node))
-        )
-        if all(x == 0 for x in total):
-            raise PreconditionError(
-                "zero-direction-split",
-                f"replacement at {vertex} creates a contracted internal edge",
-                vertex=vertex,
-            )
-        internal.append((parent_vertex, node, total))
+        eid = f"{new_prefix}edge{len(added) + 1}"
+        weight, directions[eid] = content_and_primitive(total)
+        added.append((eid, (above, node), weight))
         return total
 
     for part in tree:
         build(part, vertex)
-
-    vertices = list(g.vertex_ids) + new_vertices
-    edges = []
-    directions = dict(ct.directions)
-    for eid in g.edge_ids:
-        e = g.edges[eid]
-        if vertex in e.ends:
-            ends = list(e.ends)
-            ends[0 if e.ends[0] == vertex else 1] = reattach[eid]
-            edges.append((eid, tuple(ends), e.weight))
-        else:
-            edges.append((eid, e.ends, e.weight))
-    for i, (parent_vertex, node, total) in enumerate(internal, 1):
-        eid = f"{new_prefix}edge{i}"
-        weight, directions[eid] = content_and_primitive(total)
-        edges.append((eid, (parent_vertex, node), weight))
-    graph = AbstractGraph(vertices, edges)
+    graph = AbstractGraph([*g.vertex_ids, *nodes], [*edges.values(), *added])
     return CombinatorialType(graph, ct.n, directions)

@@ -13,16 +13,19 @@ connected when the forest has one root, the genus is the number of edges
 left out of it, the loop part is the union of its fundamental cycles, and
 the abundancy map has one row block per fundamental cycle.  Only the walk
 that cuts the loop part into maximal chains steps over the graph itself,
-and the chains are the variables of every flag system: one covector per
-chain, with junction conditions where chains meet
-(`obstruction.flag_assembly` reads them).  A graph is never changed once
-it is made, so `loop_part` and `loop_decomposition` are cached attributes:
-each graph finds its loop part and walks its chains at most once, and only
-when something reads them.
+from junction to junction (vertices with three or more loop-edge ends),
+and it records each edge's sign on the way (`Chain.signs`).  The chains
+are the variables of every flag system: one covector per chain, with
+junction conditions where chains meet (`obstruction.flag_assembly` reads
+them).  A graph is never changed once it is made, so `loop_part` and
+`loop_decomposition` are cached attributes: each graph finds its loop
+part and walks its chains at most once, and only when something reads
+them.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 from typing import Iterable, NamedTuple
 
@@ -37,10 +40,6 @@ class Edge(NamedTuple):
     @property
     def is_unbounded(self) -> bool:
         return self.ends[1] is None
-
-    @property
-    def is_selfloop(self) -> bool:
-        return not self.is_unbounded and self.ends[0] == self.ends[1]
 
 
 class Flag(NamedTuple):
@@ -58,10 +57,16 @@ class Chain(NamedTuple):
     vertices is a junction) the first and last vertex coincide and the
     walk starts at the smallest edge id.  A self-loop at a junction is a
     chain of its own.
+
+    signs holds, for each of edges, its sign sigma_e against the chain's
+    covector, decided as the walk goes: +1 on the chain's smallest edge and
+    on each edge that the walk leaves from the same end (ends[0] or ends[1])
+    as that one, -1 on the others (`obstruction.flag_assembly`).
     """
 
     edges: tuple[str, ...]
     vertices: tuple[str, ...]
+    signs: tuple[int, ...]
     closed: bool
 
 
@@ -159,45 +164,32 @@ class AbstractGraph:
         return _cut_chains(self, self.loop_part)
 
 
-def _loop_valence(g: AbstractGraph, loop: frozenset[str]) -> dict[str, int]:
-    val = {v: 0 for v in g.vertex_ids}
-    for eid in loop:
-        for v in g.edges[eid].ends:
-            val[v] += 1  # a self-loop contributes twice via its two ends
-    return val
-
-
 def _cut_chains(g: AbstractGraph, loop: frozenset[str]) -> tuple[Chain, ...]:
-    lval = _loop_valence(g, loop)
-    junctions = {v for v, k in lval.items() if k >= 3}
+    ends = collections.Counter(v for eid in loop for v in g.edges[eid].ends)  # a self-loop counts twice
+    junctions = {v for v, k in ends.items() if k > 2}
     used: set[str] = set()
-    chains: list[Chain] = []
 
-    def walk(start_v: str, eid: str, closed: bool) -> Chain:
-        edges = [eid]
-        verts = [start_v]
-        used.add(eid)
-        e = g.edges[eid]
-        cur = e.ends[1] if e.ends[0] == start_v else e.ends[0]
-        if e.is_selfloop:
-            cur = start_v
-        verts.append(cur)
-        while cur not in junctions:
-            nxt = None
-            for fid, slot in g.incident(cur):
-                if fid in loop and fid not in used:
-                    nxt = (fid, slot)
-                    break
-            if nxt is None:
+    def walk(v: str, eid: str, closed: bool) -> Chain:
+        edges, verts, signs = [], [v], []
+        while True:
+            used.add(eid)
+            edges.append(eid)
+            a, b = g.edges[eid].ends
+            signs.append(1 if a == v else -1)
+            v = b if a == v else a  # a self-loop's other end is v again
+            verts.append(v)
+            if v in junctions:
                 break
-            fid, slot = nxt
-            used.add(fid)
-            edges.append(fid)
-            f = g.edges[fid]
-            cur = f.ends[1 - slot]
-            verts.append(cur)
-        return Chain(tuple(edges), tuple(verts), closed)
+            for eid, _slot in g.incident(v):  # go on along v's other loop edge, if not yet walked
+                if eid in loop and eid not in used:
+                    break
+            else:
+                break
+        if signs[edges.index(min(edges))] < 0:  # the smallest edge was left from ends[1]
+            signs = [-s for s in signs]
+        return Chain(tuple(edges), tuple(verts), tuple(signs), closed)
 
+    chains = []
     for j in sorted(junctions):
         for eid, _slot in g.incident(j):
             if eid in loop and eid not in used:

@@ -23,15 +23,20 @@ from .inputs import parse_rational, vertex_lists
 
 
 class LaurentSeries:
-    """Finite sum of c * t^e with rational c (an int or a Fraction); terms
-    sorted by exponent.  The terms are taken as given: `parse_series` is
-    where a term read from a file is checked."""
+    """Finite sum of c * t^e with an int exponent e and a rational c (an int
+    or a Fraction); terms sorted by exponent.  A term of another type, a
+    float above all, is rejected (`bad-series`); `parse_series` is where a
+    term read from a file is checked in full."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         acc = {}
         for e, c in terms:
+            if type(e) is not int or (type(c) is not int and not isinstance(c, Fraction)):
+                raise ValidationError(
+                    "bad-series", f"term ({e!r}, {c!r}) needs an int exponent and an int or Fraction coefficient"
+                )
             acc[e] = acc.get(e, 0) + c
         object.__setattr__(
             self, "terms", tuple(sorted((e, c) for e, c in acc.items() if c != 0))

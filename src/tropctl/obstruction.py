@@ -28,6 +28,7 @@ of columns minus the rank of the assembled rows (`linalg.rank`), as in
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 from .curves import TropicalCurve, contract_image, expected_dim
@@ -42,17 +43,17 @@ def flag_assembly(g: AbstractGraph, n: int, directions, vertex_rows=()) -> tuple
 
     A loop edge e of chain c carries w_e = sigma_e * W_c: the flag at slot 0
     of e carries +w_e, the flag at slot 1 carries -w_e, and flags of other
-    edges carry zero.  sigma_e is +1 when the walk along the chain leaves e
-    and the chain's smallest edge from the same end, both from ends[0] or
-    both from ends[1] (`Chain.vertices`), and -1 otherwise; so sigma is +1
-    on the smallest edge.  A self-loop is a chain of its own, and either
-    sign of it is consistent.  Then the covectors at each vertex inside a
-    chain sum to zero, so the vertex sums are written only at the
-    junctions, the end vertices of the open chains: n rows per junction say
-    that the covectors on its loop flags sum to zero.  Unless `directions`
-    ({edge id: direction}) is None, one row per loop edge says that W_c,
-    so w_e, is perpendicular to its direction.  `vertex_rows` yields a
-    method's own conditions, placed by `place_rows`.
+    edges carry zero.  sigma_e is read from `Chain.signs`, as the walk that
+    cut the chain recorded it: +1 on the chain's smallest edge, and on each
+    edge that the walk leaves from the same end as that one.  A self-loop
+    is a chain of its own, and either sign of it is consistent.  Then the
+    covectors at each vertex inside a chain sum to zero, so the vertex sums
+    are written only at the junctions, the vertices with three or more
+    loop flags: n rows per junction say that the covectors on its loop
+    flags sum to zero.  Unless `directions` ({edge id: direction}) is None,
+    one row per loop edge says that W_c, so w_e, is perpendicular to its
+    direction.  `vertex_rows` yields a method's own conditions, placed by
+    `place_rows`.
 
     Returns (chains, place, rows): columns i * n .. i * n + n - 1 hold the
     covector of chains[i], and place maps each loop edge to
@@ -68,15 +69,13 @@ def flag_assembly(g: AbstractGraph, n: int, directions, vertex_rows=()) -> tuple
     chains = g.loop_decomposition
     place = {}
     for i, chain in enumerate(chains):
-        walked = {eid: g.edges[eid].ends[0] == v for eid, v in zip(chain.edges, chain.vertices)}
-        first = walked[min(chain.edges)]
-        for eid, forward in walked.items():
-            place[eid] = (i * n, 1 if forward == first else -1)
+        for eid, sign in zip(chain.edges, chain.signs):
+            place[eid] = (i * n, sign)
     rows = [] if directions is None else [
         {place[eid][0] + k: x for k, x in enumerate(directions[eid]) if x} for eid in place
     ]
-    junctions = {v for chain in chains if not chain.closed for v in (chain.vertices[0], chain.vertices[-1])}
-    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in place] for v in sorted(junctions))
+    ends = collections.Counter(v for eid in place for v in g.edges[eid].ends)  # loop-edge ends; 3+ at a junction
+    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in place] for v in sorted(ends) if ends[v] > 2)
     sums = ((f, [dict.fromkeys(range(k, len(f) * n, n), 1) for k in range(n)]) for f in stars)
     rows += place_rows(n, place, itertools.chain(sums, vertex_rows))
     return chains, place, rows

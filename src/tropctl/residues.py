@@ -82,9 +82,9 @@ class LocalModel:
     """Star of one vertex with marked-point coordinates.
 
     slots lists the edges in marked-point order: the finite slots first
-    (coordinate coords[i] for slot i, by default i), then the infinity
-    slot.  The infinity slot is the last bounded edge in sorted order,
-    falling back to the last edge when nothing is bounded.
+    (coordinate coords[i], an int or a Fraction, for slot i, by default
+    i), then the infinity slot.  The infinity slot is the last bounded edge
+    in sorted order, falling back to the last edge when nothing is bounded.
     """
 
     def __init__(self, slots: list[SlotRecord], coords, n: int, vertex=None):
@@ -95,7 +95,11 @@ class LocalModel:
         self.finite = self.slots[:-1]
         self.infinity = self.slots[-1] if self.slots else None
         self.r = len(self.slots) - 2
-        coords = tuple(Fraction(c) for c in (range(len(self.finite)) if coords is None else coords))
+        coords = tuple(range(len(self.finite)) if coords is None else coords)
+        for c in coords:
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise ValidationError("bad-coords", f"coordinate {c!r} is not an int or a Fraction", vertex=vertex)
+        coords = tuple(map(Fraction, coords))
         if len(coords) != len(self.finite):
             raise ValidationError(
                 "bad-coords",

@@ -23,7 +23,7 @@ from tropctl.curves import (
 from tropctl.errors import PreconditionError, ValidationError
 from tropctl.graphs import AbstractGraph, Flag
 from tropctl.inputs import MAX_DIM
-from tropctl.randgen import random_immersive_curve, random_loopchain_curve
+from tropctl.randgen import random_genus1_curve, random_immersive_curve, random_loopchain_curve
 
 import fixtures
 
@@ -323,6 +323,84 @@ def test_replace_star_errors():
         replace_star(
             ct, "V", ("e1_va", "e2_cv", ("e3_vp", ("e4_sv", "f1_ab"))), new_prefix="nv_"
         )
+    # a leaf that is not an edge id is not one of the vertex's edges
+    for leaf in (1, None):
+        with pytest.raises(PreconditionError) as err:
+            replace_star(ct, "V", (leaf, "e2_cv", ("e3_vp", "e4_sv")), "p")
+        assert (err.value.kind, err.value.message) == (
+            "bad-replacement",
+            "replacement tree for V must use exactly its incident edges",
+        )
+
+
+def _random_split(rng, leaves):
+    """A random binary tree over leaves, which holds at least one item."""
+    if len(leaves) == 1:
+        return leaves[0]
+    k = rng.randint(1, len(leaves) - 1)
+    return (_random_split(rng, leaves[:k]), _random_split(rng, leaves[k:]))
+
+
+def _expected_nodes(tree, above, prefix, weighted, found):
+    """Walk tree below the vertex above as replace_star's docstring says:
+    found["leaves"] maps each leaf to the vertex above it, found["nodes"]
+    lists (node, vertex above) in pre-order and found["edges"] (node,
+    weighted direction sum of its leaves) in post-order.  Returns the
+    subtree's weighted direction sum."""
+    if isinstance(tree, str):
+        found["leaves"][tree] = above
+        return weighted[tree]
+    node = f"{prefix}{len(found['nodes']) + 1}"
+    found["nodes"].append((node, above))
+    left, right = (_expected_nodes(t, node, prefix, weighted, found) for t in tree)
+    total = tuple(x + y for x, y in zip(left, right))
+    found["edges"].append((node, total))
+    return total
+
+
+def test_replace_star_on_random_stars():
+    """Random 3-valent trees over stars of valence 4 to 8: the result
+    balances, the vertex and every new vertex are 3-valent, the genus stays,
+    each new edge carries the weighted direction sum of the leaves below it,
+    each leaf hangs from the node above it, and the new vertices and edges
+    are named in pre-order and post-order."""
+    rng = random.Random(29)
+    resolved = 0
+    while resolved < 200:
+        ct = random_genus1_curve(rng, rng.choice([2, 3]), extra_legs=rng.randint(1, 5))
+        g = ct.graph
+        (v,) = [u for u in g.vertex_ids if g.valence(u) > 3]
+        weighted = {}
+        for eid, slot in g.incident(v):
+            u = ct.flag_direction(Flag(v, eid, slot))
+            weighted[eid] = tuple(g.edges[eid].weight * x for x in u)
+        star = list(weighted)
+        rng.shuffle(star)
+        cuts = [0, *sorted(rng.sample(range(1, len(star)), 2)), len(star)]
+        tree = tuple(_random_split(rng, star[i:j]) for i, j in zip(cuts, cuts[1:]))
+        found = {"leaves": {}, "nodes": [], "edges": []}
+        for part in tree:
+            _expected_nodes(part, v, "n", weighted, found)
+        if any(not any(total) for _node, total in found["edges"]):
+            with pytest.raises(PreconditionError) as err:
+                replace_star(ct, v, tree, "n")
+            assert err.value.kind == "zero-direction-split"
+            continue
+        out = replace_star(ct, v, tree, "n")
+        og = out.graph
+        assert all(not any(r) for _u, r in balancing_residuals(out))
+        assert og.genus() == g.genus()
+        nodes = dict(found["nodes"])
+        assert list(nodes) == [f"n{i}" for i in range(1, g.valence(v) - 2)]
+        assert og.vertex_ids == tuple(sorted([*g.vertex_ids, *nodes]))
+        assert all(og.valence(u) == 3 for u in [v, *nodes])
+        for eid, above in found["leaves"].items():
+            assert og.edges[eid].ends == tuple(above if x == v else x for x in g.edges[eid].ends)
+        for i, (node, total) in enumerate(found["edges"], 1):
+            e = og.edges[f"nedge{i}"]
+            assert e.ends == (nodes[node], node)
+            assert tuple(e.weight * x for x in out.directions[e.id]) == total
+        resolved += 1
 
 
 def test_replace_star_rejects_cancelling_pair():

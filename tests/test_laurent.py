@@ -72,6 +72,18 @@ def test_ascending_chain():
     assert is_strictly_ascending(fam2)
 
 
+def test_series_take_int_exponents_and_int_or_fraction_coefficients():
+    # a float would make evaluate() return a float: 0.5 * (1/2) == 0.25
+    bad = [(1, 0.5), (1, True), (1, "1/2"), (1, None), (0.0, 1), (True, 1), (Fraction(1), 1)]
+    for term in bad:
+        with pytest.raises(ValidationError) as err:
+            LaurentSeries([term])
+        assert err.value.kind == "bad-series"
+    s = LaurentSeries([(1, Fraction(1, 2)), (-2, 3)])
+    assert s.evaluate(Fraction(1, 2)) == Fraction(49, 4)
+    assert type(s.evaluate(Fraction(1, 2))) is Fraction
+
+
 def test_parse_serialize_round_trip():
     s = _s((-5, Fraction(3, 2)), (-1, -2))
     assert parse_series([[-5, "3/2"], [-1, -2]]) == s

@@ -384,7 +384,7 @@ def test_numbering_space_matches_per_vertex_assembly_on_random_multigraphs():
     while len(graphs) < 300:
         vertices, edges = fixtures.random_multigraph(rng)
         graphs.append(AbstractGraph(vertices, edges))
-    assert sum(any(g.edges[eid].is_selfloop for eid in g.loop_part) for g in graphs) > 100
+    assert sum(any(g.edges[eid].ends[0] == g.edges[eid].ends[1] for eid in g.loop_part) for g in graphs) > 100
     assert sum(any(not chain.closed for chain in g.loop_decomposition) for g in graphs) > 100
     for g in graphs:
         assert _same_flag_system(compatible_numbering_space(g), oracles.per_vertex_numbering(g))
@@ -414,6 +414,8 @@ def test_chain_and_xi_match_per_vertex_assembly_on_reversed_loop_edges():
         for chain in g.loop_decomposition:
             j = chain.edges.index(min(chain.edges))
             against_walk += g.edges[chain.edges[j]].ends[0] != chain.vertices[j]
+            forward = [g.edges[eid].ends[0] == v for eid, v in zip(chain.edges, chain.vertices)]
+            assert chain.signs == tuple(1 if f == forward[j] else -1 for f in forward)
         assert _same_flag_system(dual_obstruction_chain(ct), oracles.per_vertex_chain(ct))
         assert _same_flag_system(xi_map(ct), oracles.per_vertex_xi(ct))
     assert against_walk >= 5

@@ -290,6 +290,16 @@ def test_xi_reports_the_first_fault_in_vertex_order(eid, rename, coords, kind, c
     assert err.value.context == context
 
 
+def test_marked_coordinates_are_ints_or_fractions():
+    # binary floats would pass as coordinates such as 3602879701896397/36028797018963968
+    ct = fixtures.curve(fixtures.ex536_doc())
+    for coords in ([0, 0.1, 0.7], [0, 1, True], [0, 1, "2"], [0.0, 1, 2]):
+        with pytest.raises(ValidationError) as err:
+            xi_map(ct, {"V": coords})
+        assert (err.value.kind, err.value.context) == ("bad-coords", {"vertex": "V"})
+    assert xi_map(ct, {"V": [0, Fraction(1, 10), 7]})["models"]["V"].coords == (0, Fraction(1, 10), 7)
+
+
 def test_xi_rejects_an_unbalanced_type():
     # with no residue sums at 3-valent vertices, the answer would rest on a
     # balancing that this hand-built type does not have
