@@ -14,13 +14,16 @@ left out of it, the loop part is the union of its fundamental cycles, and
 the abundancy map has one row block per fundamental cycle.  Only the walk
 that cuts the loop part into maximal chains steps over the graph itself,
 from junction to junction (vertices with three or more loop-edge ends),
-and it records each edge's sign on the way (`Chain.signs`).  The chains
-are the variables of every flag system: one covector per chain, with
-junction conditions where chains meet (`obstruction.flag_assembly` reads
-them).  A graph is never changed once it is made, so `loop_part` and
-`loop_decomposition` are cached attributes: each graph finds its loop
-part and walks its chains at most once, and only when something reads
-them.
+and it records each edge's sign on the way (`Chain.signs`).  That walk is
+the one place where loop-edge ends are counted.  The chains are the
+variables of every flag system: one covector per chain, and `chain_of`
+maps each loop edge to its chain's index and its sign, the one column map
+that every row writer of `obstruction` and `residues` reads.  The
+junction conditions, where chains meet, are written from the chains' end
+vertices (`obstruction.flag_assembly`).  A graph is never changed once it
+is made, so `loop_part`, `loop_decomposition` and `chain_of` are cached
+attributes: each graph finds its loop part and walks its chains at most
+once, and only when something reads them.
 """
 
 from __future__ import annotations
@@ -61,7 +64,12 @@ class Chain(NamedTuple):
     signs holds, for each of edges, its sign sigma_e against the chain's
     covector, decided as the walk goes: +1 on the chain's smallest edge and
     on each edge that the walk leaves from the same end (ends[0] or ends[1])
-    as that one, -1 on the others (`obstruction.flag_assembly`).
+    as that one, -1 on the others.  So every flag the walk leaves by carries
+    the same multiple of the covector, and every flag it arrives by the
+    opposite one: the sums at the chain's inner vertices hold, and its two
+    end vertices are the only ones where it enters a vertex sum
+    (`obstruction.flag_assembly`).  `AbstractGraph.chain_of` reads the
+    signs by edge.
     """
 
     edges: tuple[str, ...]
@@ -162,6 +170,16 @@ class AbstractGraph:
         """The maximal chains of the loop part, in the order of their
         smallest edge id; together they hold each loop edge once."""
         return _cut_chains(self, self.loop_part)
+
+    @functools.cached_property
+    def chain_of(self) -> dict[str, tuple[int, int]]:
+        """{loop edge e: (index of e's chain in `loop_decomposition`,
+        sigma_e)}, in chain order and, within a chain, in walk order.
+
+        This is the column map of every flag system: whatever n, the
+        covector of chain i takes columns i * n .. i * n + n - 1, and e
+        carries sigma_e times it."""
+        return {eid: (i, s) for i, c in enumerate(self.loop_decomposition) for eid, s in zip(c.edges, c.signs)}
 
 
 def _cut_chains(g: AbstractGraph, loop: frozenset[str]) -> tuple[Chain, ...]:

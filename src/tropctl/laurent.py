@@ -79,7 +79,13 @@ class LaurentSeries:
         body = " + ".join(f"({c})t^{e}" for e, c in self.terms)
         return f"LaurentSeries({body})"
 
-    def evaluate(self, t0: Fraction) -> Fraction:
+    def evaluate(self, t0: int | Fraction) -> Fraction:
+        """The series at t = t0, an int or a Fraction above 0; any other
+        value, a float or a bool among them, is rejected
+        (`bad-evaluation-point`), as a float would be evaluated at its
+        binary fraction and not at the number it was written as."""
+        if type(t0) is not int and not isinstance(t0, Fraction):
+            raise ValidationError("bad-evaluation-point", f"t = {t0!r} is not an int or a Fraction")
         t0 = Fraction(t0)
         if t0 <= 0:
             raise ValidationError("bad-evaluation-point", "series are evaluated at t > 0")

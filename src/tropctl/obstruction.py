@@ -6,12 +6,16 @@ outside the loop part, subject to linear conditions at each vertex.  The
 conditions of every method include that the covectors at a vertex sum to
 zero and that each is perpendicular to its edge direction.  At a vertex
 inside a maximal chain of the loop part the sum says only that the
-covector goes on along the chain, up to sign, so `flag_assembly` writes
-one n-covector per chain of `graphs.AbstractGraph.loop_decomposition`,
-with a fixed sign on each of its edges, and the sums only at the
-junctions, where chains meet: a genus-40 loop chain in R^3 gives a
-120x120 system, not the 480x360 of one covector per loop edge.
-`flag_system` solves it and gives a basis of H in per-flag form: each
+covector goes on along the chain, up to sign, so every flag system has one
+n-covector per chain of `graphs.AbstractGraph.loop_decomposition`, with a
+fixed sign on each of its edges: the graph's one column map
+(`AbstractGraph.chain_of`) gives each loop edge its chain's columns and
+its sign, and every row, of this module or of `residues`, is written
+straight into those columns.  `flag_assembly` writes the perpendicularity
+rows and the sums at the junctions, where chains meet, from the ends of
+the chains: a genus-40 loop chain in R^3 gives a 120x120 system, not the
+480x360 of one covector per loop edge.  `flag_system` solves it, with a
+method's own rows added, and gives a basis of H in per-flag form: each
 basis vector is a {Flag: covector} dict that holds only its nonzero
 covectors, so it costs its nonzeros and not the number of flags (a basis
 vector of a genus-40 loop chain is nonzero on about 6 of its 240 flags).
@@ -28,94 +32,62 @@ of columns minus the rank of the assembled rows (`linalg.rank`), as in
 
 from __future__ import annotations
 
-import collections
-import itertools
-
 from .curves import TropicalCurve, contract_image, expected_dim
 from .errors import PreconditionError
 from .graphs import AbstractGraph, Flag, Forest, fundamental_cycle, spanning_forest
 from .linalg import kernel, rank, row_blocks
 
 
-def flag_assembly(g: AbstractGraph, n: int, directions, vertex_rows=()) -> tuple:
-    """The rows of a flag system over one n-covector W_c per maximal chain c
-    of `g.loop_decomposition`, which the graph computes once and keeps.
+def flag_assembly(g: AbstractGraph, n: int, directions) -> list[dict]:
+    """The shared rows of a flag system over one n-covector W_c per maximal
+    chain c of `g.loop_decomposition`, in the columns of `g.chain_of`:
+    W_c of chains[i] takes columns i * n .. i * n + n - 1.
 
     A loop edge e of chain c carries w_e = sigma_e * W_c: the flag at slot 0
     of e carries +w_e, the flag at slot 1 carries -w_e, and flags of other
     edges carry zero.  sigma_e is read from `Chain.signs`, as the walk that
     cut the chain recorded it: +1 on the chain's smallest edge, and on each
-    edge that the walk leaves from the same end as that one.  A self-loop
-    is a chain of its own, and either sign of it is consistent.  Then the
-    covectors at each vertex inside a chain sum to zero, so the vertex sums
-    are written only at the junctions, the vertices with three or more
-    loop flags: n rows per junction say that the covectors on its loop
-    flags sum to zero.  Unless `directions` ({edge id: direction}) is None,
-    one row per loop edge says that W_c, so w_e, is perpendicular to its
-    direction.  `vertex_rows` yields a method's own conditions, placed by
-    `place_rows`.
+    edge that the walk leaves from the same end as that one.  Unless
+    `directions` ({edge id: direction}) is None, one row per loop edge, in
+    chain order, says that W_c, so w_e, is perpendicular to its direction.
 
-    Returns (chains, place, rows): columns i * n .. i * n + n - 1 hold the
-    covector of chains[i], and place maps each loop edge to
-    (column base, sigma_e).  The chains are in the order of their smallest
-    edge id, and so are those edges' columns in the per-edge form, one
-    covector per loop edge in sorted edge order.  On every solution in that
-    form, each other edge's columns are +-copies of its chain's smallest
-    edge's, which sort earlier, so its reduced echelon form has its pivots
-    in smallest-edge columns.  So the canonical kernel basis over the chain
-    columns, each row expanded to the edges of its chains, is the canonical
-    basis in the per-edge form.
+    Then come the vertex sums, n rows at each junction in sorted order,
+    written from the ends of the chains.  The walk leaves each edge of c
+    by a flag that carries eps_c * W_c and arrives by one that carries
+    -eps_c * W_c, with eps_c = sigma of edges[0], negated unless the walk
+    left edges[0] from its ends[0].  So at a vertex inside the chain the
+    two flags cancel, and an open chain adds +eps_c * W_c to the sum at
+    vertices[0] and -eps_c * W_c to the sum at vertices[-1].  The two
+    terms cancel for a self-loop and for any chain whose two ends are one
+    junction (and a closed chain has no junction), so such a chain adds
+    nothing, and a junction that only such chains meet gets no rows.
+
+    The chains are in the order of their smallest edge id, and so are those
+    edges' columns in the per-edge form, one covector per loop edge in
+    sorted edge order.  On every solution in that form, each other edge's
+    columns are +-copies of its chain's smallest edge's, which sort earlier,
+    so its reduced echelon form has its pivots in smallest-edge columns.
+    So the canonical kernel basis over the chain columns, each row expanded
+    to the edges of its chains, is the canonical basis in the per-edge form.
     """
-    chains = g.loop_decomposition
-    place = {}
-    for i, chain in enumerate(chains):
-        for eid, sign in zip(chain.edges, chain.signs):
-            place[eid] = (i * n, sign)
     rows = [] if directions is None else [
-        {place[eid][0] + k: x for k, x in enumerate(directions[eid]) if x} for eid in place
+        {i * n + k: x for k, x in enumerate(directions[eid]) if x} for eid, (i, _sign) in g.chain_of.items()
     ]
-    ends = collections.Counter(v for eid in place for v in g.edges[eid].ends)  # loop-edge ends; 3+ at a junction
-    stars = ([Flag(v, eid, slot) for eid, slot in g.incident(v) if eid in place] for v in sorted(ends) if ends[v] > 2)
-    sums = ((f, [dict.fromkeys(range(k, len(f) * n, n), 1) for k in range(n)]) for f in stars)
-    rows += place_rows(n, place, itertools.chain(sums, vertex_rows))
-    return chains, place, rows
-
-
-def place_rows(n: int, place: dict, vertex_rows) -> list[dict]:
-    """Vertex conditions as rows over the chain columns of `place`
-    ({loop edge: (column base, sigma_e)}, from `flag_assembly`).
-
-    `vertex_rows` yields (flags, rows) pairs: each row is a condition at one
-    vertex, a sparse {i * n + k: coefficient} dict over the concatenated
-    n-covectors of those flags, so key i * n + k is entry k of the covector
-    at flags[i].  That covector is sigma_e * W_c on a slot-0 flag and
-    -sigma_e * W_c on a slot-1 flag, so the term goes to column base + k
-    with that sign.  Terms on flags of edges outside the loop part are
-    dropped, and so are terms that cancel and a row they leave empty.
-    """
-    rows = []
-    for flags, local_rows in vertex_rows:
-        for local in local_rows:
-            row = {}
-            for key, c in local.items():
-                i, k = divmod(key, n)
-                f = flags[i]
-                at = place.get(f.edge)
-                if at is not None:
-                    j = at[0] + k
-                    x = row.get(j, 0) + (c if (f.slot == 0) == (at[1] > 0) else -c)
-                    if x:
-                        row[j] = x
-                    else:
-                        row.pop(j, None)
-            if row:
-                rows.append(row)
+    sums = {}  # junction -> {chain index: coefficient of W_c in the junction's sum}
+    for i, c in enumerate(g.loop_decomposition):
+        if c.vertices[0] != c.vertices[-1]:
+            eps = c.signs[0] if g.edges[c.edges[0]].ends[0] == c.vertices[0] else -c.signs[0]
+            sums.setdefault(c.vertices[0], {})[i] = eps
+            sums.setdefault(c.vertices[-1], {})[i] = -eps
+    for v in sorted(sums):
+        rows += [{i * n + k: x for i, x in sums[v].items()} for k in range(n)]
     return rows
 
 
-def flag_system(g: AbstractGraph, n: int, edges, directions=None, vertex_rows=()) -> dict:
-    """Kernel of the flag system that `flag_assembly` writes, from one
-    elimination of its rows (`linalg.kernel`) over the chain columns.
+def flag_system(g: AbstractGraph, n: int, edges, directions=None, method_rows=()) -> dict:
+    """Kernel of the rows that `flag_assembly` writes followed by
+    `method_rows`, a method's own conditions in the same chain columns,
+    from one elimination (`linalg.kernel`).
 
     Returns its dimension, `flag_order` (the flags of `edges`, sorted
     bounded edge ids that include the loop part, edge by edge with slot 0
@@ -127,17 +99,17 @@ def flag_system(g: AbstractGraph, n: int, edges, directions=None, vertex_rows=()
     it is nonzero, +w_e and -w_e as tuples, and no other flag: a flag of
     `flag_order` that it does not hold carries the zero covector.
     """
-    chains, place, rows = flag_assembly(g, n, directions, vertex_rows)
-    space = kernel(len(chains) * n, rows)
+    chains = g.loop_decomposition
+    space = kernel(len(chains) * n, flag_assembly(g, n, directions) + list(method_rows))
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     basis = []
     for w in space:
         assignment = {}
         for i, cov in row_blocks(w, n).items():
             neg = tuple(-x for x in cov)
-            for eid in chains[i].edges:
+            for eid, sign in zip(chains[i].edges, chains[i].signs):
                 ends = g.edges[eid].ends
-                plus, minus = (cov, neg) if place[eid][1] > 0 else (neg, cov)
+                plus, minus = (cov, neg) if sign > 0 else (neg, cov)
                 assignment[Flag(ends[0], eid, 0)] = plus
                 assignment[Flag(ends[1], eid, 1)] = minus
         basis.append(assignment)
@@ -195,9 +167,8 @@ def dual_obstruction_dim(ct) -> int:
     as the number of columns minus the rank of the chain rows; no basis is
     built."""
     _chain_loop(ct)
-    chains, _place, rows = flag_assembly(ct.graph, ct.n, ct.directions)
-    columns = len(chains) * ct.n
-    return columns - rank(columns, rows)
+    columns = len(ct.graph.loop_decomposition) * ct.n
+    return columns - rank(columns, flag_assembly(ct.graph, ct.n, ct.directions))
 
 
 def parameter_dimension(obj) -> int:

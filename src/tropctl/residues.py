@@ -34,6 +34,12 @@ method's.  `degeneration_compare` needs only that space's dimension at each
 evaluation point, so it takes a rank: the rows that do not depend on the
 point are reduced once, and only the residue sums of the vertices whose
 series are evaluated are reduced at each point.
+
+Every residue row is written once, straight into the columns of the
+system it joins (`_residue_rows`): a standalone model (`a_system`) has one
+covector per bounded slot, and the star of a vertex of a curve reads the
+chain columns and signs of `graphs.AbstractGraph.chain_of`
+(`_chain_columns`), the one column map of every flag system.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from .graphs import Flag
 from .inputs import ambient_dim, integer_direction, positive_weight, rationals
 from .laurent import LaurentSeries, PhyloLeaf, laurent_cmp, phylo_tree
 from .linalg import Q0, content_and_primitive, echelon, is_primitive, kernel, rank, residual, row_blocks
-from .obstruction import dual_obstruction_dim, flag_assembly, flag_system, place_rows
+from .obstruction import dual_obstruction_dim, flag_assembly, flag_system
 
 
 # Largest star a LocalModel accepts.  Building the residue rows is O(m^2 n);
@@ -254,14 +260,20 @@ def _local_rows(model: LocalModel):
     bounded = [rec for rec in model.slots if rec.bounded]
     rows = [{i * n + k: x for k, x in enumerate(rec.direction)} for i, rec in enumerate(bounded)]
     rows += [dict.fromkeys(range(k, len(bounded) * n, n), 1) for k in range(n)]
-    return rows + _residue_rows(model, bounded), bounded
+    return rows + _residue_rows(model, {rec.label: (i * n, 1) for i, rec in enumerate(bounded)}), bounded
 
 
-def _residue_rows(model: LocalModel, bounded: list[SlotRecord]) -> list[dict]:
-    """The residue sums of a local model over the covectors of `bounded`,
-    its bounded slot records in slot order: each row is a sparse
-    {i * n + k: coefficient} dict, key i * n + k standing for entry k of the
-    i-th bounded covector.  The sums are
+def _residue_rows(model: LocalModel, at: dict) -> list[dict]:
+    """The residue sums of a local model, written in the columns of the
+    system they join.  `at` maps the label of each slot whose covector is
+    a variable to (column base, sign): that covector is sign times the n
+    columns from base on, and a slot that `at` leaves out carries zero.  A
+    standalone model (`_local_rows`) gives bounded slot i (i * n, +1); a
+    star of a curve (`_chain_columns`) gives the flag of loop edge e at
+    slot 0 (c * n, sigma_e) and at slot 1 (c * n, -sigma_e), for e's chain
+    c in `AbstractGraph.chain_of`.  Each row is a sparse {column:
+    coefficient} dict, which may hold zeros where two slots of one chain
+    cancel.  The sums are
 
         sum over finite j != k of (a[k,j] + a[j,k]) / (p_k - p_j) = 0
 
@@ -277,7 +289,6 @@ def _residue_rows(model: LocalModel, bounded: list[SlotRecord]) -> list[dict]:
     every coefficient an integer and the row space the same.
     """
     n = model.n
-    index = {rec.label: i for i, rec in enumerate(bounded)}
     finite, p = model.finite, model.coords
     rows = []
     for k in range(len(finite) - 1):
@@ -288,12 +299,26 @@ def _residue_rows(model: LocalModel, bounded: list[SlotRecord]) -> list[dict]:
             c = scale // d.numerator * d.denominator  # scale / (p_k - p_j)
             # a[k,j] lands on w_j, a[j,k] on w_k
             for src, dst in ((finite[k], finite[j]), (finite[j], finite[k])):
-                if dst.bounded:
-                    base = index[dst.label] * n
+                if dst.label in at:
+                    base, sign = at[dst.label]
+                    f = sign * c * src.weight
                     for t in range(n):
-                        row[base + t] = row.get(base + t, 0) + c * src.weight * src.direction[t]
+                        row[base + t] = row.get(base + t, 0) + f * src.direction[t]
         rows.append(row)
     return rows
+
+
+def _chain_columns(model: LocalModel, g) -> dict:
+    """The `_residue_rows` columns of the star of a vertex of a curve with
+    graph g: each slot on a loop edge e, at slot s of e, maps to the columns
+    of e's chain with sign sigma_e for s = 0 and -sigma_e for s = 1
+    (`AbstractGraph.chain_of`); the other slots carry zero."""
+    chain_of, at = g.chain_of, {}
+    for rec in model.slots:
+        if rec.flag.edge in chain_of:
+            i, sign = chain_of[rec.flag.edge]
+            at[rec.label] = (i * model.n, sign if rec.flag.slot == 0 else -sign)
+    return at
 
 
 def a_system(model: LocalModel) -> dict:
@@ -426,17 +451,10 @@ def xi_map(ct, coords_by_vertex=None) -> dict:
         else:
             models[v] = LocalModel.from_star(ct, v, coords)
     require_balanced(ct)
-    out = flag_system(g, ct.n, g.bounded_edge_ids(), ct.directions, _star_residues(models.values()))
+    rows = [row for model in models.values() for row in _residue_rows(model, _chain_columns(model, g))]
+    out = flag_system(g, ct.n, g.bounded_edge_ids(), ct.directions, rows)
     out["models"] = models
     return out
-
-
-def _star_residues(models):
-    """The residue sums of each model of a vertex of a curve, as the
-    (flags, rows) pairs that `obstruction.place_rows` places."""
-    for model in models:
-        bounded = [rec for rec in model.slots if rec.bounded]
-        yield [rec.flag for rec in bounded], _residue_rows(model, bounded)
 
 
 # -- genus-one smoothing criterion ---------------------------------------------------
@@ -540,13 +558,15 @@ def resolve_by_phylo(ct, series_by_vertex: dict) -> tuple:
 def degeneration_compare(
     curve: TropicalCurve,
     series_by_vertex: dict,
-    t0: Fraction | None = None,
+    t0: int | Fraction | None = None,
 ) -> dict:
     """Evaluated-coordinate obstruction dimension against the resolved type.
 
-    The series are evaluated at a small t to produce marked coordinates; t
-    shrinks by 1000 until the dimension repeats (and skips any t where
-    evaluated points collide), at most _MAX_SHRINKS times.  The resolved
+    The series are evaluated at a small t to produce marked coordinates,
+    from t0 (an int or a Fraction strictly between 0 and 1, else
+    `bad-evaluation-point`; default 10^-6) on; t shrinks by 1000 until the
+    dimension repeats (and skips any t where evaluated points collide), at
+    most _MAX_SHRINKS times.  The resolved
     type's chain dimension d0 (`dual_obstruction_dim`) bounds the evaluated
     dimension from above.
 
@@ -564,20 +584,21 @@ def degeneration_compare(
     ct = contract_image(curve)
     resolved, trees = resolve_by_phylo(ct, series_by_vertex)
     d0 = dual_obstruction_dim(resolved)
-    t = Fraction(t0) if t0 is not None else Fraction(1, 10**6)
+    t = Fraction(1, 10**6) if t0 is None else t0
+    if type(t) is not int and not isinstance(t, Fraction):
+        raise ValidationError("bad-evaluation-point", f"t = {t!r} is not an int or a Fraction")
     if not 0 < t < 1:
         raise ValidationError("bad-evaluation-point", "t must lie strictly between 0 and 1")
-    g, n = ct.graph, ct.n
-    chains, place, rows = flag_assembly(g, n, ct.directions)
-    columns = len(chains) * n
-    kept = echelon(columns, rows)
+    g = ct.graph
+    columns = len(g.loop_decomposition) * ct.n
+    kept = echelon(columns, flag_assembly(g, ct.n, ct.directions))
     dims = []
     t_used = None
     for _ in range(_MAX_SHRINKS + 1):
         coords_by_vertex = {v: [s.evaluate(t) for s in series_by_vertex[v]] for v in trees}
         if all(len(set(vals)) == len(vals) for vals in coords_by_vertex.values()):
             moving = [LocalModel.from_star(ct, v, coords) for v, coords in coords_by_vertex.items()]
-            extra = [residual(row, kept) for row in place_rows(n, place, _star_residues(moving))]
+            extra = [residual(row, kept) for m in moving for row in _residue_rows(m, _chain_columns(m, g))]
             dims.append(columns - len(kept) - rank(columns, extra))
             t_used = t
             if len(dims) >= 2 and dims[-1] == dims[-2]:

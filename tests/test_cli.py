@@ -1069,8 +1069,8 @@ def test_selftest_catches_a_wrong_residue_row(capsys, monkeypatch):
     them shows on 3-valent curves as well."""
     residue_rows = residues._residue_rows
 
-    def wrong(model, bounded):  # the first entry of each covector doubled
-        rows = residue_rows(model, bounded)
+    def wrong(model, at):  # the first entry of each covector doubled
+        rows = residue_rows(model, at)
         return [{key: 2 * c if key % model.n == 0 else c for key, c in row.items()} for row in rows]
 
     monkeypatch.setattr(residues, "_residue_rows", wrong)

@@ -1,6 +1,7 @@
 """Laurent series order, rebasing, and phylogenetic trees."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,20 @@ def test_series_take_int_exponents_and_int_or_fraction_coefficients():
     s = LaurentSeries([(1, Fraction(1, 2)), (-2, 3)])
     assert s.evaluate(Fraction(1, 2)) == Fraction(49, 4)
     assert type(s.evaluate(Fraction(1, 2))) is Fraction
+
+
+def test_series_are_evaluated_at_an_int_or_a_fraction_only():
+    # 0.1 is the binary fraction 3602879701896397/36028797018963968, and True is 1
+    s = LaurentSeries([(-1, 1), (2, Fraction(3, 2))])
+    for t in (0.1, True, 1.0, "1/10", None, Decimal("0.1")):
+        with pytest.raises(ValidationError) as err:
+            s.evaluate(t)
+        assert err.value.kind == "bad-evaluation-point"
+    assert s.evaluate(Fraction(1, 10)) == 10 + Fraction(3, 200)
+    assert s.evaluate(2) == Fraction(13, 2) and type(s.evaluate(2)) is Fraction
+    with pytest.raises(ValidationError) as err:
+        s.evaluate(0)
+    assert err.value.kind == "bad-evaluation-point"
 
 
 def test_parse_serialize_round_trip():

@@ -386,6 +386,13 @@ def test_numbering_space_matches_per_vertex_assembly_on_random_multigraphs():
         graphs.append(AbstractGraph(vertices, edges))
     assert sum(any(g.edges[eid].ends[0] == g.edges[eid].ends[1] for eid in g.loop_part) for g in graphs) > 100
     assert sum(any(not chain.closed for chain in g.loop_decomposition) for g in graphs) > 100
+    # chains whose two ends are one junction add nothing to its sums
+    selfloop_at_junction = long_chain_back_to_its_start = 0
+    for g in graphs:
+        back = [c for c in g.loop_decomposition if not c.closed and c.vertices[0] == c.vertices[-1]]
+        selfloop_at_junction += any(len(c.edges) == 1 for c in back)
+        long_chain_back_to_its_start += any(len(c.edges) > 1 for c in back)
+    assert selfloop_at_junction > 100 and long_chain_back_to_its_start > 30
     for g in graphs:
         assert _same_flag_system(compatible_numbering_space(g), oracles.per_vertex_numbering(g))
 
@@ -429,14 +436,15 @@ def test_chain_and_xi_match_per_vertex_assembly_on_reversed_loop_edges():
 def test_flag_assembly_has_one_covector_per_chain_and_sums_only_at_junctions():
     for (n, genus), shape in {(3, 40): (120, 120), (16, 50): (150, 800)}.items():
         c = random_loopchain_curve(random.Random(1), n, genus)
-        chains, _place, rows = flag_assembly(c.graph, n, c.directions)
-        assert (len(rows), len(chains) * n) == shape
+        rows = flag_assembly(c.graph, n, c.directions)
+        assert (len(rows), len(c.graph.loop_decomposition) * n) == shape
         # a loop chain's triangles are closed chains: no junction, no vertex sum
-        assert flag_assembly(c.graph, n, None)[2] == []
+        assert flag_assembly(c.graph, n, None) == []
     square = fixtures.curve(fixtures.square_loop_doc())
-    assert flag_assembly(square.graph, 3, None)[2] == []
+    assert flag_assembly(square.graph, 3, None) == []
     # the n sums at each of the two junctions J and K
     c = fixtures.curve(fixtures.junction_chains_doc())
-    chains, place, rows = flag_assembly(c.graph, 3, None)
-    assert len(chains) == 4 and len(rows) == 2 * 3
-    assert place["a1"] == (0, 1) and place["a3"] == (0, -1) and place["t2"] == (9, -1)
+    rows = flag_assembly(c.graph, 3, None)
+    assert len(c.graph.loop_decomposition) == 4 and len(rows) == 2 * 3
+    chain_of = c.graph.chain_of
+    assert chain_of["a1"] == (0, 1) and chain_of["a3"] == (0, -1) and chain_of["t2"] == (3, -1)

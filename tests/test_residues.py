@@ -17,7 +17,7 @@ from tropctl.curves import CombinatorialType, contract_image, parse_curve
 from tropctl.errors import PreconditionError, ValidationError
 from tropctl.graphs import AbstractGraph, Flag
 from tropctl.linalg import echelon, residual
-from tropctl.obstruction import dual_obstruction_chain, flag_assembly, place_rows
+from tropctl.obstruction import dual_obstruction_chain, flag_assembly
 from tropctl.randgen import (
     random_genus1_curve,
     random_immersive_curve,
@@ -419,17 +419,16 @@ def test_compare_models_and_checks_each_star_once(monkeypatch):
 
 
 def _implied_low_valence_residues(ct) -> int:
-    """How many residue rows the vertices of valence at most 3 of ct have,
-    after checking that each reduces to nothing modulo the flag_assembly
-    rows (perpendicularity and vertex sums), as degeneration_compare
-    assumes when it leaves them out."""
+    """How many residue rows with a nonzero entry the vertices of valence at
+    most 3 of ct have, after checking that each reduces to nothing modulo
+    the flag_assembly rows (perpendicularity and vertex sums), as
+    degeneration_compare assumes when it leaves them out."""
     g, n = ct.graph, ct.n
-    chains, place, rows = flag_assembly(g, n, ct.directions)
-    kept = echelon(len(chains) * n, rows)
+    kept = echelon(len(g.loop_decomposition) * n, flag_assembly(g, n, ct.directions))
     models = [LocalModel.from_star(ct, v) for v in g.vertex_ids if g.valence(v) <= 3]
-    low = place_rows(n, place, residues._star_residues(models))
+    low = [row for m in models for row in residues._residue_rows(m, residues._chain_columns(m, g))]
     assert all(not residual(row, kept) for row in low)
-    return len(low)
+    return sum(any(row.values()) for row in low)
 
 
 def test_residue_rows_at_low_valence_vertices_follow_from_the_flag_rows():
@@ -509,6 +508,19 @@ def test_compare_resolves_before_it_checks_the_evaluation_point():
     with pytest.raises(PreconditionError) as err:
         degeneration_compare(c, series, Fraction(2))
     assert err.value.payload() == first
+
+
+def test_compare_evaluates_at_an_int_or_a_fraction_only():
+    from tropctl.laurent import LaurentSeries
+
+    c = fixtures.curve(fixtures.ex536_doc())
+    series = {"V": [LaurentSeries.zero(), LaurentSeries([(-3, 1)]), LaurentSeries([(-5, 1)])]}
+    for t0 in (0.1, True, 0.5, "1/10"):
+        with pytest.raises(ValidationError) as err:
+            degeneration_compare(c, series, t0)
+        assert err.value.kind == "bad-evaluation-point"
+    rep = degeneration_compare(c, series, Fraction(1, 10))
+    assert rep["t_used"] == Fraction(1, 10_000) and type(rep["t_used"]) is Fraction
 
 
 def test_selfloop_star_local_model_labels():
