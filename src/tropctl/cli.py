@@ -4,8 +4,11 @@ Every command takes one path, `_run`: it loads each curve file (the files of
 every curve command, none for `local-model` and `selftest`), reads the
 command's --config, --laurent or --model file, and calls the command's
 fields function.  There is one report per curve file; a file that fails
-gives an error report, and the batch goes on.  The exit code is the first
-error's.  A report stamps each input with its path and sha256, an error
+gives an error report, and the batch goes on.  The data file is read once
+per call, for the first curve file that gets that far, and its document is
+shared by the reports of the batch; a read that fails is tried again for
+the next curve file, which then reports the same error.  The exit code is
+the first error's.  A report stamps each input with its path and sha256, an error
 report with the input paths as given.  An argv that starts with a command is
 read by that command's own parser, with the same result and the same usage
 errors as the top-level parser, which would hand it all of that argv anyway.
@@ -46,13 +49,12 @@ from .obstruction import (
     reduced_abundancy_map,
 )
 from .residues import (
-    LocalModel,
     a_system,
     degeneration_compare,
     genus1_loop_criterion,
     model_from_doc,
+    phylo_stars,
     standard_local_model,
-    vertex_phylo,
     xi_map,
 )
 
@@ -343,21 +345,16 @@ def _phylo_fields(curve, doc, args) -> dict:
     series_map = parse_laurent_doc(doc)
     image = contract_image(curve)
     _check_image_vertices(series_map, image, "Laurent data")
-    g = image.graph
-    warnings = [
-        f"higher-valent vertex {vid} has no Laurent data"
-        for vid in g.vertex_ids
-        if g.valence(vid) > 3 and vid not in series_map
-    ]
-    vertices = {}
-    for vid in sorted(series_map):
-        model = LocalModel.from_star(image, vid)
-        tree = vertex_phylo(model, series_map[vid])
-        vertices[vid] = {
-            "leaves": [rec.label for rec in model.finite],
-            "tree": _serialize_phylo(tree),
-            "clusters": _cluster_payload(tree),
-        }
+    vertices, warnings = {}, []
+    for vid, star, tree in phylo_stars(image, series_map):
+        if star is not None:
+            vertices[vid] = {
+                "leaves": [rec.label for rec in star.finite],
+                "tree": _serialize_phylo(tree),
+                "clusters": _cluster_payload(tree),
+            }
+        elif image.graph.valence(vid) > 3:
+            warnings.append(f"higher-valent vertex {vid} has no Laurent data")
     return {"vertices": vertices, "warnings": warnings}
 
 
@@ -648,6 +645,7 @@ def _run(argv) -> int:
     if args.command == "obstruction" and args.data is not None and args.method != "xi":
         parser.error("argument --config: only with --method xi")
     fields_of = _FIELDS[args.command]
+    read_data = functools.cache(read_doc)  # once per call: main may run again in one process, on changed files
     reports, code = [], 0
     try:
         curve_paths = _curve_paths(args)
@@ -661,7 +659,7 @@ def _run(argv) -> int:
                 curve, stamp = _load_curve(curve_path)
                 stamps.append(stamp)
             if args.data is not None:
-                doc, stamp = read_doc(args.data)
+                doc, stamp = read_data(args.data)
                 stamps.append(stamp)
             fields = fields_of(curve, doc, args)
             if args.command == "selftest" and not fields["passed"]:

@@ -50,12 +50,13 @@ MAX_EDGES = 256
 
 
 class CombinatorialType:
-    """Graph plus direction map; no positions or lengths."""
+    """Graph plus direction map; no positions or lengths.  A zero direction
+    is stored as None, "no direction", as `parse_curve` reads it."""
 
     def __init__(self, graph: AbstractGraph, n: int, directions: Mapping[str, tuple | None]):
         self.graph = graph
         self.n = n
-        self.directions = dict(directions)
+        self.directions = {eid: d if d and any(d) else None for eid, d in directions.items()}
 
     def flag_direction(self, flag: Flag) -> tuple:
         """Primitive integer direction at the flag's vertex (zero if none)."""

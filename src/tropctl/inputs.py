@@ -29,11 +29,10 @@ from .errors import ValidationError
 # edge weight read from a curve, --config or --model file (40 bits hold
 # every 12-digit integer).  Exact elimination slows with the size of its
 # entries, and a weight multiplies every entry of its edge's direction.  The
-# worst case measured at the bound, a 16-valent star in Q^15
-# (residues.MAX_VALENCE) with every number at 40 bits, takes 2.6 s for
-# `local-model` (whole processes, median of 3), and a 256-edge loop chain in
-# Q^16 0.10 s for `classify` (median of 7), on a shared 2-vCPU Xeon, Python
-# 3.11.
+# worst star measured at the bound is the 16-valent 40-bit star of the
+# residues.MAX_VALENCE note, which gives its time.  A 256-edge loop chain in
+# Q^16 with positions at the bound takes 0.10 s for `classify` (whole
+# processes, median of 7, on a shared 2-vCPU Xeon, Python 3.11).
 # Benchmark inputs use at most 8 bits.
 MAX_BITS = 40
 
@@ -71,13 +70,19 @@ def parse_rational(text: str) -> int | Fraction:
     whitespace, signs, "_" digit separators and Unicode digits, except that
     exponent notation raises ValueError: "1e10000000" is ten characters long
     but a 33-million-bit integer.  Junk raises ValueError and "p/0"
-    ZeroDivisionError.
+    ZeroDivisionError.  A run of more digits than Python converts to an int
+    (`sys.get_int_max_str_digits()`) raises ValueError saying so, in the
+    words of `read_doc`, and does not repeat the digits.
     """
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {text!r}")
     if "e" in text or "E" in text:
         raise ValueError(f"exponent notation is not accepted, got {text!r}")
-    text = text.strip()
+    text, limit = text.strip(), sys.get_int_max_str_digits()
+    if len(text) > limit > 0:  # only so long a string can hold a run of digits int() refuses
+        runs = "".join(ch if ch.isdecimal() else " " for ch in text.replace("_", "")).split()
+        if max(map(len, runs), default=0) > limit:
+            raise ValueError(f"a number literal has more than {limit} digits")
     try:
         return int(text)
     except ValueError:

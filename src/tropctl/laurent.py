@@ -253,7 +253,7 @@ def parse_series(data) -> LaurentSeries:
         try:
             terms.append((e, c if type(c) is int else parse_rational(c)))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError("bad-series", f"bad coefficient {c!r}") from exc
+            raise ValidationError("bad-series", f"bad coefficient: {exc}") from exc
     return LaurentSeries(terms)
 
 

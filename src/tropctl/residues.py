@@ -40,6 +40,15 @@ system it joins (`_residue_rows`): a standalone model (`a_system`) has one
 covector per bounded slot, and the star of a vertex of a curve reads the
 chain columns and signs of `graphs.AbstractGraph.chain_of`
 (`_chain_columns`), the one column map of every flag system.
+
+Each star is read once per command.  `LocalModel` puts its own infinity
+slot last, so a model over another model's slots keeps their order.
+`phylo_stars` is the one pass over a curve's series: it yields each
+vertex's star and its phylogenetic tree in vertex order, for
+`resolve_by_phylo` and the `phylo` command alike, and `degeneration_compare`
+keeps the stars `resolve_by_phylo` read, changing only their coordinates at
+each evaluation point.  `xi_map` reads the stars it is given coordinates
+for.
 """
 
 from __future__ import annotations
@@ -63,11 +72,15 @@ from .obstruction import dual_obstruction_dim, flag_assembly, flag_system
 # Medians of 5 in-process `a_system` runs on a shared 2-vCPU Xeon, Python
 # 3.11, at the default coordinates 0, 1, 2, ...: 0.003 s for a 16-valent
 # planar star, 0.004 s for the 16-valent unit-vector star in Q^15 and 0.04 s
-# for a 16-valent star in Q^15 with random directions in [-3, 3]^15.  That
-# star takes 0.4 s with 7-digit coordinates, 0.9 s with coordinates at the
-# 40-bit inputs.MAX_BITS and 2.2 s with its direction entries at the bound
-# too.  With the cap lifted, a 32-valent planar star takes 0.03 s and a
-# 60-valent one 1.1 s.  The coordinates `compare` evaluates from Laurent
+# for a 16-valent star in Q^15 with random directions in [-3, 3]^15, which
+# takes 0.4 s with 7-digit coordinates.  With the cap lifted, a 32-valent
+# planar star takes 0.03 s and a 60-valent one 1.1 s.  The worst star
+# measured at the bounds, the one README and inputs.MAX_BITS point to, is
+# the 16-valent 40-bit star: random directions in [-3, 3]^15 and every
+# coordinate's numerator and denominator at 40 bits (`_random_star`, seed
+# 11, in tests/test_cli.py).  It takes 0.9 s as a whole `local-model`
+# process (medians of 5 and of 7 runs, 0.87 s and 0.99 s, on the same
+# machine).  The coordinates `compare` evaluates from Laurent
 # series are not bounded: on a genus-8 curve in Q^15 with a 16-valent vertex
 # whose series reach |e| = 10,000 (laurent.MAX_EXPONENT), numbers of some
 # 60,000 digits at t = 10^-6, `compare` ran 570 s and grew past 1 GB before
@@ -87,15 +100,20 @@ class SlotRecord(NamedTuple):
 class LocalModel:
     """Star of one vertex with marked-point coordinates.
 
-    slots lists the edges in marked-point order: the finite slots first
-    (coordinate coords[i], an int or a Fraction, for slot i, by default
-    i), then the infinity slot.  The infinity slot is the last bounded edge
-    in sorted order, falling back to the last edge when nothing is bounded.
+    The slots are kept in marked-point order: the finite slots in listed
+    order (coordinate coords[i], an int or a Fraction, for finite slot i, by
+    default i), then the infinity slot, which is the last bounded slot
+    listed, or the last slot when none is bounded.  The constructor moves
+    it to the end, so slots already in that order, such as another model's
+    `slots`, stay as they are.
     """
 
     def __init__(self, slots: list[SlotRecord], coords, n: int, vertex=None):
         _check_valence(len(slots), vertex)
         self.slots = list(slots)
+        if self.slots:
+            last = max((i for i, rec in enumerate(self.slots) if rec.bounded), default=-1)
+            self.slots.append(self.slots.pop(last))
         self.n = n
         self.vertex = vertex
         self.finite = self.slots[:-1]
@@ -138,14 +156,13 @@ class LocalModel:
             records.append(
                 SlotRecord(label, Flag(vertex, eid, slot), e.weight, d, not e.is_unbounded)
             )
-        return cls(_infinity_last(records), coords, ct.n, vertex=vertex)
+        return cls(records, coords, ct.n, vertex=vertex)
 
 
 def _require_direction(ct, vertex: str, eid: str):
     """Raise zero-direction-local unless edge eid, at vertex, has a nonzero
     direction, as the local model of the vertex needs."""
-    d = ct.directions.get(eid)
-    if d is None or not any(d):
+    if ct.directions.get(eid) is None:
         raise PreconditionError(
             "zero-direction-local",
             f"edge {eid} at {vertex} has no direction; the local model needs one",
@@ -161,17 +178,6 @@ def _check_valence(valence: int, vertex=None):
             f"valence {valence} exceeds the maximum {MAX_VALENCE} of a local model",
             vertex=vertex,
         )
-
-
-def _infinity_last(records: list[SlotRecord]) -> list[SlotRecord]:
-    """The records in marked-point order: the last bounded record (the last
-    record when none is bounded) moves to the end, as the infinity slot."""
-    inf_idx = len(records) - 1
-    for i in range(len(records) - 1, -1, -1):
-        if records[i].bounded:
-            inf_idx = i
-            break
-    return [rec for i, rec in enumerate(records) if i != inf_idx] + [records[inf_idx]]
 
 
 def standard_local_model(r: int, n: int, coords, bounded=None) -> LocalModel:
@@ -192,7 +198,7 @@ def standard_local_model(r: int, n: int, coords, bounded=None) -> LocalModel:
         dirs.append(tuple(d))
     dirs.append(tuple([-1] * (r + 1) + [0] * (n - r - 1)))
     records = [SlotRecord(f"E{i + 1}", None, 1, dirs[i], bool(bounded[i])) for i in range(r + 2)]
-    return LocalModel(_infinity_last(records), coords, n)
+    return LocalModel(records, coords, n)
 
 
 def model_from_doc(doc) -> LocalModel:
@@ -245,7 +251,7 @@ def model_from_doc(doc) -> LocalModel:
         if not isinstance(coords, list):
             raise ValidationError("bad-model", "coords must be a list of rationals")
         coords = rationals(coords, "coords")
-    return LocalModel(_infinity_last(records), coords, n)
+    return LocalModel(records, coords, n)
 
 
 # -- residue rows -------------------------------------------------------------------
@@ -520,39 +526,52 @@ def vertex_phylo(model: LocalModel, series_list: list[LaurentSeries]):
     return phylo_tree(items)
 
 
+def phylo_stars(ct, series_by_vertex: dict):
+    """Yield (vertex, star, tree) for each vertex of ct in vertex order:
+    the vertex's LocalModel, at the default coordinates, and the
+    `vertex_phylo` tree of its series, or (vertex, None, None) for a vertex
+    that series_by_vertex leaves out.  Each star is read, and its series
+    checked, as the vertex is reached, so a caller that stops at a fault
+    meets the faults in vertex order.  `resolve_by_phylo` and the `phylo`
+    command read each star here and nowhere else."""
+    for v in ct.graph.vertex_ids:
+        if v not in series_by_vertex:
+            yield v, None, None
+            continue
+        star = LocalModel.from_star(ct, v)
+        yield v, star, vertex_phylo(star, series_by_vertex[v])
+
+
 def resolve_by_phylo(ct, series_by_vertex: dict) -> tuple:
     """Replace every higher-valent star by its phylogenetic tree.
 
-    Returns (resolved combinatorial type, {higher-valent vertex: tree}).
-    The infinity edge joins the two top branches at the original vertex.
-    The series of a vertex of valence at most 3 are checked as `phylo`
-    checks them, and its star stays.
+    Returns (resolved combinatorial type, {higher-valent vertex: tree},
+    {higher-valent vertex: star}), each star the LocalModel that
+    `phylo_stars` read, at the default coordinates.  The infinity edge
+    joins the two top branches at the original vertex.  A higher-valent
+    vertex without series raises `missing-laurent` when `phylo_stars`
+    reaches it.  The series of a vertex of valence at most 3 are checked as
+    `phylo` checks them, and its star stays.
     """
     g = ct.graph
-    trees = {}
-    out = ct
-    for v in g.vertex_ids:
-        higher = g.valence(v) > 3
-        if v not in series_by_vertex:
-            if higher:
-                raise PreconditionError(
-                    "missing-laurent",
-                    f"vertex {v} has valence {g.valence(v)} and needs series data",
-                    vertex=v,
-                )
+    out, trees, stars = ct, {}, {}
+    for v, star, tree in phylo_stars(ct, series_by_vertex):
+        if g.valence(v) <= 3:
             continue
-        model = LocalModel.from_star(ct, v)
-        tree = vertex_phylo(model, series_by_vertex[v])
-        if not higher:
-            continue
-        trees[v] = tree
+        if star is None:
+            raise PreconditionError(
+                "missing-laurent",
+                f"vertex {v} has valence {g.valence(v)} and needs series data",
+                vertex=v,
+            )
+        trees[v], stars[v] = tree, star
         triple = (
-            model.infinity.label,
+            star.infinity.label,
             _phylo_to_pairs(tree.first),
             _phylo_to_pairs(tree.second),
         )
         out = replace_star(out, v, triple, new_prefix=f"__p{len(trees)}_")
-    return out, trees
+    return out, trees, stars
 
 
 def degeneration_compare(
@@ -577,12 +596,14 @@ def degeneration_compare(
     (`linalg.echelon`), and at each t only the residue sums of the
     higher-valent vertices are reduced modulo them (`linalg.residual`), at
     most sum over those vertices of (m_v - 1) rows for m_v finite slots.
-    The other vertices have valence at most 3, and their residue sums
-    follow from those rows (see the module docstring), so they are not
-    written.
+    Each of those stars is read once, by `resolve_by_phylo`, and its chain
+    columns (`_chain_columns`) found once; at each t only its coordinates
+    change, in a new LocalModel over the star's slots.  The other vertices
+    have valence at most 3, and their residue sums follow from those rows
+    (see the module docstring), so they are not written.
     """
     ct = contract_image(curve)
-    resolved, trees = resolve_by_phylo(ct, series_by_vertex)
+    resolved, trees, stars = resolve_by_phylo(ct, series_by_vertex)
     d0 = dual_obstruction_dim(resolved)
     t = Fraction(1, 10**6) if t0 is None else t0
     if type(t) is not int and not isinstance(t, Fraction):
@@ -592,13 +613,17 @@ def degeneration_compare(
     g = ct.graph
     columns = len(g.loop_decomposition) * ct.n
     kept = echelon(columns, flag_assembly(g, ct.n, ct.directions))
+    at = {v: _chain_columns(star, g) for v, star in stars.items()}
     dims = []
     t_used = None
     for _ in range(_MAX_SHRINKS + 1):
-        coords_by_vertex = {v: [s.evaluate(t) for s in series_by_vertex[v]] for v in trees}
+        coords_by_vertex = {v: [s.evaluate(t) for s in series_by_vertex[v]] for v in stars}
         if all(len(set(vals)) == len(vals) for vals in coords_by_vertex.values()):
-            moving = [LocalModel.from_star(ct, v, coords) for v, coords in coords_by_vertex.items()]
-            extra = [residual(row, kept) for m in moving for row in _residue_rows(m, _chain_columns(m, g))]
+            extra = [
+                residual(row, kept)
+                for v, coords in coords_by_vertex.items()
+                for row in _residue_rows(LocalModel(stars[v].slots, coords, ct.n, v), at[v])
+            ]
             dims.append(columns - len(kept) - rank(columns, extra))
             t_used = t
             if len(dims) >= 2 and dims[-1] == dims[-2]:

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from tropctl import residues
 from tropctl.cli import MAX_SELFTEST_CASES, _Basis, _case_count, _parse_args, _print_json, build_parser, main
 from tropctl.curves import serialize_curve
-from tropctl.inputs import MAX_BITS, MAX_DIM
+from tropctl.inputs import MAX_BITS, MAX_DIM, read_doc
 from tropctl.laurent import MAX_EXPONENT
 from tropctl.randgen import random_loopchain_curve
 from tropctl.residues import MAX_VALENCE
@@ -77,6 +77,24 @@ def test_validate_batch_exit_code_and_array(capsys, tmp_path, square):
     assert reps[0]["valid"] is True
     assert reps[1]["error"]["error_type"] == "unbalanced"
     assert reps[1]["inputs"] == [{"path": bad_path}]
+
+
+def test_a_batch_reads_its_data_file_once(capsys, monkeypatch, tmp_path, hv536):
+    lau = write_json(tmp_path / "lau.json", laurent_doc_536())
+    reads = []
+
+    def counting_read_doc(path):
+        reads.append(path)
+        return read_doc(path)
+
+    monkeypatch.setattr("tropctl.cli.read_doc", counting_read_doc)
+    code, reps = run_json(capsys, "compare", hv536, hv536, hv536, "--laurent", lau, "--format", "json")
+    assert code == 0 and [rep["d"] for rep in reps] == [1, 1, 1]
+    assert all(rep["inputs"][1]["path"] == lau for rep in reps)
+    assert reads.count(lau) == 1 and reads.count(hv536) == 3
+    # each call reads it afresh: nothing is kept from one call to the next
+    run_json(capsys, "compare", hv536, "--laurent", lau, "--format", "json")
+    assert reads.count(lau) == 2
 
 
 def test_validate_glob(capsys, tmp_path):
@@ -402,6 +420,36 @@ def test_per_vertex_data_for_an_unknown_vertex(capsys, tmp_path, command, doc, n
     assert rep["inputs"] == [{"path": curve}, {"path": data}]
 
 
+def _renamed(doc, old, new):
+    """doc with vertex old renamed new, in its vertex list and edge ends."""
+    doc["vertices"] = [{**v, "id": new} if v["id"] == old else v for v in doc["vertices"]]
+    for e in doc["edges"]:
+        e["ends"] = [new if end == old else end for end in e["ends"]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "bad, command, error_type, vertex",
+    [
+        ("A", "phylo", "bad-laurent", "A"),
+        ("A", "compare", "bad-laurent", "A"),
+        ("W", "phylo", "bad-laurent", "W"),
+        ("W", "compare", "missing-laurent", "V"),
+    ],
+    ids=["before-phylo", "before-compare", "after-phylo", "after-compare"],
+)
+def test_the_first_of_two_series_faults_is_reported_in_vertex_order(capsys, tmp_path, bad, command, error_type, vertex):
+    """The 4-valent V has no series, and the 3-valent vertex A, renamed W to
+    come after V, has one series too few: compare stops at whichever comes
+    first, while phylo only warns about V and stops at the bad series."""
+    doc = fixtures.ex536_doc() if bad == "A" else _renamed(fixtures.ex536_doc(), "A", "W")
+    curve = write_json(tmp_path / "curve.json", doc)
+    lau = write_json(tmp_path / "lau.json", {"vertices": {bad: {"series": [[]]}}})
+    code, rep = run_json(capsys, command, curve, "--laurent", lau, "--format", "json")
+    assert code == (3 if error_type == "missing-laurent" else 2)
+    assert (rep["error"]["error_type"], rep["error"]["context"]) == (error_type, {"vertex": vertex})
+
+
 @pytest.mark.parametrize("command", ["phylo", "compare"])
 @pytest.mark.parametrize(
     "series, error_type",
@@ -633,37 +681,38 @@ def test_compare_exponent_bound_returns_at_once(capsys, tmp_path, hv536, exponen
 _HUGE = "1e10000000"  # ten characters for a 33-million-bit integer
 
 
-def _huge_position(tmp_path, hv536):
+def _huge_position(tmp_path, hv536, text=_HUGE):
     doc = fixtures.square_loop_doc()
-    doc["vertices"][1]["position"][0] = _HUGE
+    doc["vertices"][1]["position"][0] = text
     return ["validate", write_json(tmp_path / "huge.json", doc)]
 
 
-def _huge_config(tmp_path, hv536):
-    cfg = write_json(tmp_path / "cfg.json", {"vertices": {"V": {"coords": ["0", _HUGE, "2"]}}})
+def _huge_config(tmp_path, hv536, text=_HUGE):
+    cfg = write_json(tmp_path / "cfg.json", {"vertices": {"V": {"coords": ["0", text, "2"]}}})
     return ["obstruction", hv536, "--method", "xi", "--config", cfg]
 
 
-def _huge_model(tmp_path, hv536):
+def _huge_model(tmp_path, hv536, text=_HUGE):
     model = {
         "ambient_dim": 2,
         "edges": [{"direction": [1, 0]}, {"direction": [0, 1]}, {"direction": [-1, -1]}],
-        "coords": ["0", _HUGE],
+        "coords": ["0", text],
     }
     return ["local-model", "--model", write_json(tmp_path / "model.json", model)]
 
 
-def _huge_t0(tmp_path, hv536):
+def _huge_t0(tmp_path, hv536, text="1e-10000000"):
     lau = write_json(tmp_path / "lau.json", laurent_doc_536())
-    return ["compare", hv536, "--laurent", lau, "--t0", "1e-10000000"]
+    return ["compare", hv536, "--laurent", lau, "--t0", text]
 
 
-def _huge_coefficient(tmp_path, hv536):
-    doc = {"vertices": {"V": {"series": [[], [[-3, _HUGE]], [[-5, "1"]]]}}}
+def _huge_coefficient(tmp_path, hv536, text=_HUGE):
+    doc = {"vertices": {"V": {"series": [[], [[-3, text]], [[-5, "1"]]]}}}
     return ["compare", hv536, "--laurent", write_json(tmp_path / "lau.json", doc)]
 
 
-@pytest.mark.parametrize(
+# every place a rational string is read, and the error kind it gives there
+_EACH_RATIONAL_READER = pytest.mark.parametrize(
     "argv, error_type",
     [
         (_huge_position, "bad-rational"),
@@ -674,12 +723,26 @@ def _huge_coefficient(tmp_path, hv536):
     ],
     ids=["position", "config", "model", "t0", "coefficient"],
 )
+
+
+@_EACH_RATIONAL_READER
 def test_exponent_notation_is_rejected_at_once(capsys, tmp_path, hv536, argv, error_type):
     start = time.perf_counter()
     code, rep = run_json(capsys, *argv(tmp_path, hv536), "--format", "json")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert rep["error"]["error_type"] == error_type
+
+
+@_EACH_RATIONAL_READER
+def test_a_rational_string_too_long_to_convert_is_named_without_its_digits(capsys, tmp_path, hv536, argv, error_type):
+    # a denominator of more digits than int() converts
+    code, rep = run_json(capsys, *argv(tmp_path, hv536, f"1/{_LONG}"), "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == error_type
+    message = rep["error"]["message"]
+    assert message.endswith(f"a number literal has more than {sys.get_int_max_str_digits()} digits")
+    assert len(message) < 100
 
 
 _OVER = str(2**MAX_BITS)  # one bit more than the bound allows

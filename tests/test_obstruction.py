@@ -107,6 +107,19 @@ def test_chain_requires_trivalent():
     assert err.value.kind == "not-trivalent"
 
 
+@pytest.mark.parametrize("zero", [None, (0, 0, 0)], ids=["none", "zero-vector"])
+def test_a_zero_direction_in_a_hand_built_type_is_no_direction(zero):
+    # a zero vector once passed the chain method's "is None" check and gave
+    # dim 1 on the square loop; the type now stores it as None, as
+    # parse_curve does, so both forms are refused alike
+    c = fixtures.curve(fixtures.square_loop_doc())
+    ct = CombinatorialType(c.graph, c.n, {**c.directions, "s01": zero})
+    assert ct.directions["s01"] is None
+    with pytest.raises(PreconditionError) as err:
+        dual_obstruction_chain(ct)
+    assert (err.value.kind, err.value.context) == ("zero-direction-loop", {"edge": "s01"})
+
+
 def test_chain_gamma_pair():
     g1 = fixtures.curve(fixtures.gamma1_doc())
     out1 = dual_obstruction_chain(g1)

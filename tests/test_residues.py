@@ -388,8 +388,9 @@ def test_vertex_phylo_checks_the_series():
 
 def test_compare_models_and_checks_each_star_once(monkeypatch):
     # compare solves no xi_map and writes no residue sums at the 3-valent
-    # vertices, so they get no LocalModel: V gets one when it is resolved
-    # and one more at each evaluation point, and V's series are checked once
+    # vertices, so they get no LocalModel: V's star is read once, when it
+    # is resolved, its chain columns are found once, and V's series are
+    # checked once; each evaluation point changes only the coordinates
     c = fixtures.curve(fixtures.ex536_doc())
     from tropctl.laurent import LaurentSeries
 
@@ -397,6 +398,7 @@ def test_compare_models_and_checks_each_star_once(monkeypatch):
     calls = []
     from_star = LocalModel.from_star.__func__
     phylo = residues.vertex_phylo
+    chain_columns = residues._chain_columns
 
     def counting_from_star(cls, obj, vertex, coords=None):
         calls.append(("model", vertex))
@@ -406,16 +408,21 @@ def test_compare_models_and_checks_each_star_once(monkeypatch):
         calls.append(("series", model.vertex))
         return phylo(model, series_list)
 
+    def counting_columns(model, g):
+        calls.append(("columns", model.vertex))
+        return chain_columns(model, g)
+
     def no_xi(*args):
         raise AssertionError("compare solved an xi system")
 
     monkeypatch.setattr(LocalModel, "from_star", classmethod(counting_from_star))
     monkeypatch.setattr(residues, "xi_map", no_xi)
     monkeypatch.setattr(residues, "vertex_phylo", counting_phylo)
+    monkeypatch.setattr(residues, "_chain_columns", counting_columns)
     rep = degeneration_compare(c, series)
     assert rep["d"] == 1
     assert len(rep["dims_seen"]) == 2
-    assert sorted(calls) == [("model", "V")] * 3 + [("series", "V")]
+    assert sorted(calls) == [("columns", "V"), ("model", "V"), ("series", "V")]
 
 
 def _implied_low_valence_residues(ct) -> int:
