@@ -1,17 +1,18 @@
 """Command line front end: parse inputs, dispatch computations, emit reports.
 
 Every command takes one path, `_run`: it loads each curve file (the files of
-every curve command, none for `local-model` and `selftest`), reads the
-command's --config, --laurent or --model file, and calls the command's
-fields function.  There is one report per curve file; a file that fails
-gives an error report, and the batch goes on.  The data file is read once
-per call, for the first curve file that gets that far, and its document is
-shared by the reports of the batch; a read that fails is tried again for
-the next curve file, which then reports the same error.  The exit code is
-the first error's.  A report stamps each input with its path and sha256, an error
-report with the input paths as given.  An argv that starts with a command is
-read by that command's own parser, with the same result and the same usage
-errors as the top-level parser, which would hand it all of that argv anyway.
+every curve command, none for `local-model` and `selftest`), reads and
+parses the command's --config, --laurent or --model file (`_DATA_PARSERS`),
+and calls the command's fields function.  There is one report per curve
+file; a file that fails gives an error report, and the batch goes on.  The
+data file is read and parsed once per call, for the first curve file that
+gets that far, and what it holds is shared by the reports of the batch; a
+read or a parse that fails is tried again for the next curve file, which
+then reports the same error.  The exit code is the first error's.  A report
+stamps each input with its path and sha256, an error report with the input
+paths as given.  An argv that starts with a command is read by that
+command's own parser, with the same result and the same usage errors as the
+top-level parser, which would hand it all of that argv anyway.
 
 Reports are deterministic: machine mode writes one JSON object (or a JSON
 array for a batch of several files), byte for byte what
@@ -232,10 +233,11 @@ def _report(command, stamps, fields) -> dict:
 
 # -- fields of each command --------------------------------------------------
 #
-# A fields function takes the curve (None for local-model and selftest), the
-# document of the command's --config, --laurent or --model file (None without
-# one) and the parsed arguments, and returns the fields of the report, with
-# any "warnings" among them.
+# A fields function takes the curve (None for local-model and selftest), what
+# the command's --config, --laurent or --model file holds, as its
+# `_DATA_PARSERS` entry parsed it (None without one), and the parsed
+# arguments, and returns the fields of the report, with any "warnings" among
+# them.
 
 
 def _curve_summary(curve) -> dict:
@@ -263,7 +265,7 @@ def _info_fields(curve, doc, args) -> dict:
     return fields
 
 
-def _obstruction_fields(curve, doc, args) -> dict:
+def _obstruction_fields(curve, coords, args) -> dict:
     if args.method == "chain":
         res = dual_obstruction_chain(curve)
         fields = {
@@ -272,7 +274,7 @@ def _obstruction_fields(curve, doc, args) -> dict:
             "paramDim": expected_dim(curve) + res["dim"],
         }
     else:
-        coords = _parse_config(doc, args.data) if doc is not None else {}
+        coords = coords or {}
         image = contract_image(curve)
         _check_image_vertices(coords, image, "config")
         res = xi_map(image, coords)
@@ -341,8 +343,7 @@ def _cluster_payload(tree) -> list:
     return sorted(sorted(c) for c in clusters(tree))
 
 
-def _phylo_fields(curve, doc, args) -> dict:
-    series_map = parse_laurent_doc(doc)
+def _phylo_fields(curve, series_map, args) -> dict:
     image = contract_image(curve)
     _check_image_vertices(series_map, image, "Laurent data")
     vertices, warnings = {}, []
@@ -358,8 +359,7 @@ def _phylo_fields(curve, doc, args) -> dict:
     return {"vertices": vertices, "warnings": warnings}
 
 
-def _local_model_fields(curve, doc, args) -> dict:
-    model = model_from_doc(doc)
+def _local_model_fields(curve, model, args) -> dict:
     res = a_system(model)
     return {
         "dimH": res["dim"],
@@ -386,8 +386,7 @@ def _genus1_fields(curve, doc, args) -> dict:
     }
 
 
-def _compare_fields(curve, doc, args) -> dict:
-    series_map = parse_laurent_doc(doc)
+def _compare_fields(curve, series_map, args) -> dict:
     t0 = None
     if args.t0 is not None:
         try:  # unbounded in size, unlike the rationals of input files
@@ -472,6 +471,15 @@ _FIELDS = {
     "genus1-check": _genus1_fields,
     "compare": _compare_fields,
     "selftest": _selftest_fields,
+}
+
+# The parser of each command's --config, --laurent or --model document, called
+# with the document and its path
+_DATA_PARSERS = {
+    "obstruction": _parse_config,
+    "phylo": lambda doc, path: parse_laurent_doc(doc),
+    "local-model": lambda doc, path: model_from_doc(doc),
+    "compare": lambda doc, path: parse_laurent_doc(doc),
 }
 
 
@@ -644,8 +652,13 @@ def _run(argv) -> int:
     args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
     if args.command == "obstruction" and args.data is not None and args.method != "xi":
         parser.error("argument --config: only with --method xi")
-    fields_of = _FIELDS[args.command]
-    read_data = functools.cache(read_doc)  # once per call: main may run again in one process, on changed files
+    fields_of, parse_data = _FIELDS[args.command], _DATA_PARSERS.get(args.command)
+
+    @functools.cache  # once per call: main may run again in one process, on changed files
+    def read_data(path):
+        doc, stamp = read_doc(path)
+        return parse_data(doc, path), stamp
+
     reports, code = [], 0
     try:
         curve_paths = _curve_paths(args)
@@ -654,14 +667,14 @@ def _run(argv) -> int:
         reports.append(_report(args.command, [], {"error": err.payload()}))
     for curve_path in curve_paths:
         try:
-            curve, doc, stamps = None, None, []
+            curve, data, stamps = None, None, []
             if curve_path is not None:
                 curve, stamp = _load_curve(curve_path)
                 stamps.append(stamp)
             if args.data is not None:
-                doc, stamp = read_data(args.data)
+                data, stamp = read_data(args.data)
                 stamps.append(stamp)
-            fields = fields_of(curve, doc, args)
+            fields = fields_of(curve, data, args)
             if args.command == "selftest" and not fields["passed"]:
                 code = code or 1  # selftest found a failing invariant
         except TropctlError as err:

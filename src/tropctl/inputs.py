@@ -72,21 +72,51 @@ def parse_rational(text: str) -> int | Fraction:
     but a 33-million-bit integer.  Junk raises ValueError and "p/0"
     ZeroDivisionError.  A run of more digits than Python converts to an int
     (`sys.get_int_max_str_digits()`) raises ValueError saying so, in the
-    words of `read_doc`, and does not repeat the digits.
+    words of `read_doc`.  No message holds more than the first characters
+    of the input (`excerpt`).
+
+    An integer string is read by `int` at once, stripped, before the other
+    steps: a string that `int` accepts holds no exponent and no run of too
+    many digits, so those steps could not have rejected it.
     """
     if not isinstance(text, str):
-        raise ValueError(f"rational must be a string, got {text!r}")
+        raise ValueError(f"rational must be a string, got {excerpt(text)}")
+    text = text.strip()  # int() alone would keep some of what str.strip removes, such as "\x1c"
+    try:
+        return int(text)
+    except ValueError:
+        pass
     if "e" in text or "E" in text:
-        raise ValueError(f"exponent notation is not accepted, got {text!r}")
-    text, limit = text.strip(), sys.get_int_max_str_digits()
+        raise ValueError(f"exponent notation is not accepted, got {excerpt(text)}")
+    limit = sys.get_int_max_str_digits()
     if len(text) > limit > 0:  # only so long a string can hold a run of digits int() refuses
         runs = "".join(ch if ch.isdecimal() else " " for ch in text.replace("_", "")).split()
         if max(map(len, runs), default=0) > limit:
             raise ValueError(f"a number literal has more than {limit} digits")
     try:
-        return int(text)
-    except ValueError:
         return Fraction(text)
+    except ValueError:
+        raise ValueError(f"not a rational: {excerpt(text)}") from None
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"zero denominator in {excerpt(text)}") from None
+
+
+# Characters of an input that an error message shows at most
+EXCERPT = 16
+
+
+def excerpt(value) -> str:
+    """repr(value) for an error message, or, for a value whose repr is
+    longer than EXCERPT characters, only its start: a string's first EXCERPT
+    characters and its length, "'xxx'... (5000 characters)", and the first
+    EXCERPT characters of another value's repr, then "...".  So a message
+    stays short however long the input."""
+    text = repr(value)
+    if len(text) <= EXCERPT:
+        return text
+    if isinstance(value, str):
+        return f"{value[:EXCERPT]!r}... ({len(value)} characters)"
+    return f"{text[:EXCERPT]}..."
 
 
 def _bits(x: int | Fraction) -> int:

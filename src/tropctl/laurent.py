@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ValidationError
-from .inputs import parse_rational, vertex_lists
+from .inputs import excerpt, parse_rational, vertex_lists
 
 
 class LaurentSeries:
@@ -239,17 +239,22 @@ MAX_EXPONENT = 10_000
 
 
 def parse_series(data) -> LaurentSeries:
+    """The series of one [[exponent, coefficient], ...] list of a --laurent
+    file: an int exponent of at most MAX_EXPONENT in size (else limit) and
+    an int or rational-string coefficient (`parse_rational`), else
+    bad-series.  A message shows only the start of a long term or exponent
+    (`inputs.excerpt`)."""
     if not isinstance(data, list):
         raise ValidationError("bad-series", "a series must be a list of [exp, coeff] pairs")
     terms = []
     for item in data:
         if not isinstance(item, list) or len(item) != 2:
-            raise ValidationError("bad-series", f"bad series term {item!r}")
+            raise ValidationError("bad-series", f"bad series term {excerpt(item)}")
         e, c = item
         if not isinstance(e, int) or isinstance(e, bool):
-            raise ValidationError("bad-series", f"exponent {e!r} is not an integer")
+            raise ValidationError("bad-series", f"exponent {excerpt(e)} is not an integer")
         if abs(e) > MAX_EXPONENT:
-            raise ValidationError("limit", f"exponent {e} exceeds the bound |e| <= {MAX_EXPONENT}")
+            raise ValidationError("limit", f"exponent {excerpt(e)} exceeds the bound |e| <= {MAX_EXPONENT}")
         try:
             terms.append((e, c if type(c) is int else parse_rational(c)))
         except (ValueError, ZeroDivisionError) as exc:

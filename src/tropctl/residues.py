@@ -55,7 +55,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .curves import TropicalCurve, contract_image, replace_star, require_balanced
@@ -78,14 +79,16 @@ from .obstruction import dual_obstruction_dim, flag_assembly, flag_system
 # measured at the bounds, the one README and inputs.MAX_BITS point to, is
 # the 16-valent 40-bit star: random directions in [-3, 3]^15 and every
 # coordinate's numerator and denominator at 40 bits (`_random_star`, seed
-# 11, in tests/test_cli.py).  It takes 0.9 s as a whole `local-model`
-# process (medians of 5 and of 7 runs, 0.87 s and 0.99 s, on the same
-# machine).  The coordinates `compare` evaluates from Laurent
-# series are not bounded: on a genus-8 curve in Q^15 with a 16-valent vertex
-# whose series reach |e| = 10,000 (laurent.MAX_EXPONENT), numbers of some
-# 60,000 digits at t = 10^-6, `compare` ran 570 s and grew past 1 GB before
-# it was stopped.  Evaluation points that keep them small are left to the
-# certified `compare` that ROADMAP.md plans.
+# 11, in tests/test_cli.py).  Its `a_system` takes 0.79 s in process and a
+# whole `local-model` process 0.88 s (medians of 16 and of 10 runs on the
+# same machine, alternating with the version that built the residue rows
+# in Fractions, which read 0.79 s and 0.89 s).  The coordinates `compare`
+# evaluates from Laurent series are not bounded: on a genus-8 curve in
+# Q^15 with a 16-valent vertex whose series reach |e| = 10,000
+# (laurent.MAX_EXPONENT), numbers of some 60,000 digits at t = 10^-6,
+# `compare` ran 570 s and grew past 1 GB before it was stopped.  Evaluation
+# points that keep them small are left to the certified `compare` that
+# ROADMAP.md plans.
 MAX_VALENCE = 16
 
 
@@ -105,7 +108,9 @@ class LocalModel:
     default i), then the infinity slot, which is the last bounded slot
     listed, or the last slot when none is bounded.  The constructor moves
     it to the end, so slots already in that order, such as another model's
-    `slots`, stay as they are.
+    `slots`, stay as they are.  Each coordinate is checked and kept as it
+    was given, an int as an int and a Fraction as a Fraction, in the tuple
+    `coords`; `_residue_rows` reads both alike.
     """
 
     def __init__(self, slots: list[SlotRecord], coords, n: int, vertex=None):
@@ -123,7 +128,6 @@ class LocalModel:
         for c in coords:
             if type(c) is not int and not isinstance(c, Fraction):
                 raise ValidationError("bad-coords", f"coordinate {c!r} is not an int or a Fraction", vertex=vertex)
-        coords = tuple(map(Fraction, coords))
         if len(coords) != len(self.finite):
             raise ValidationError(
                 "bad-coords",
@@ -277,9 +281,7 @@ def _residue_rows(model: LocalModel, at: dict) -> list[dict]:
     standalone model (`_local_rows`) gives bounded slot i (i * n, +1); a
     star of a curve (`_chain_columns`) gives the flag of loop edge e at
     slot 0 (c * n, sigma_e) and at slot 1 (c * n, -sigma_e), for e's chain
-    c in `AbstractGraph.chain_of`.  Each row is a sparse {column:
-    coefficient} dict, which may hold zeros where two slots of one chain
-    cancel.  The sums are
+    c in `AbstractGraph.chain_of`.  The sums are
 
         sum over finite j != k of (a[k,j] + a[j,k]) / (p_k - p_j) = 0
 
@@ -290,27 +292,51 @@ def _residue_rows(model: LocalModel, at: dict) -> list[dict]:
     it vanishes at m - 1 distinct points, and P(p_k), divided by the nonzero
     prod over l != k of (p_k - p_l), is the k-th residue sum.  The rows are
     an invertible (Vandermonde) change of basis of P's coefficients, so the
-    row space, and the kernel, is that of the coefficient rows.  Each sum is
-    written times the lcm of the numerators of its p_k - p_j, which keeps
-    every coefficient an integer and the row space the same.
+    row space, and the kernel, is that of the coefficient rows.
+
+    The sums are built in integers, with no Fraction made.  The coordinates
+    are read once as P_k = D * p_k over their common denominator D, and sum
+    k is written times L_k / D, for L_k the lcm of the P_k - P_j: the
+    coefficient of pair (k, j) is then the integer c_j = L_k // (P_k - P_j).
+    Slot k's covector takes one summed vector, sum over j of
+    c_j * weight_j * direction_j, and each other slot j's covector takes
+    c_j * weight_k * direction_k.  Each row is then divided by the gcd of its
+    entries, so it is a positive multiple of its sum, primitive, and a
+    sparse {column: int} dict with no zero entry; a row whose entries all
+    cancel, where the slots of one chain meet, is empty.  Scaling a row by a
+    positive number leaves the row space, and so every rank and kernel, as
+    it was.
     """
-    n = model.n
-    finite, p = model.finite, model.coords
+    finite = model.finite
+    den = lcm(*[p.denominator for p in model.coords])
+    pts = [p.numerator * (den // p.denominator) for p in model.coords]
+    vecs = [[rec.weight * x for x in rec.direction] for rec in finite]
+    # entry t of every weighted direction, for one sum over j per t
+    by_entry = list(zip(*vecs))
+    places = [at.get(rec.label) for rec in finite]
     rows = []
     for k in range(len(finite) - 1):
-        diffs = {j: p[k] - p[j] for j in range(len(finite)) if j != k}
-        scale = lcm(*(d.numerator for d in diffs.values()))
+        pk = pts[k]
+        scale = lcm(*[pk - pj for j, pj in enumerate(pts) if j != k])
+        c = [scale // (pk - pj) if j != k else 0 for j, pj in enumerate(pts)]
         row = {}
-        for j, d in diffs.items():
-            c = scale // d.numerator * d.denominator  # scale / (p_k - p_j)
-            # a[k,j] lands on w_j, a[j,k] on w_k
-            for src, dst in ((finite[k], finite[j]), (finite[j], finite[k])):
-                if dst.label in at:
-                    base, sign = at[dst.label]
-                    f = sign * c * src.weight
-                    for t in range(n):
-                        row[base + t] = row.get(base + t, 0) + f * src.direction[t]
-        rows.append(row)
+        # a[j,k] lands on w_k, summed over j.  Elimination clears a row's
+        # pivot columns in the order of its entries; with w_k's first, the
+        # kernel of the 16-valent 40-bit star took some 8% less time than
+        # with them last.
+        if places[k] is not None:
+            base, sign = places[k]
+            for t, entries in enumerate(by_entry):
+                row[base + t] = sign * sum(map(mul, c, entries))
+        for j, place in enumerate(places):
+            if place is None or j == k:
+                continue
+            base, sign = place
+            f = sign * c[j]  # a[k,j] lands on w_j
+            for t, x in enumerate(vecs[k]):
+                row[base + t] = row.get(base + t, 0) + f * x
+        g = gcd(*row.values())
+        rows.append({col: x // g for col, x in row.items() if x} if g else {})
     return rows
 
 

@@ -21,7 +21,7 @@ from tropctl import residues
 from tropctl.cli import MAX_SELFTEST_CASES, _Basis, _case_count, _parse_args, _print_json, build_parser, main
 from tropctl.curves import serialize_curve
 from tropctl.inputs import MAX_BITS, MAX_DIM, read_doc
-from tropctl.laurent import MAX_EXPONENT
+from tropctl.laurent import MAX_EXPONENT, parse_laurent_doc
 from tropctl.randgen import random_loopchain_curve
 from tropctl.residues import MAX_VALENCE
 
@@ -87,14 +87,31 @@ def test_a_batch_reads_its_data_file_once(capsys, monkeypatch, tmp_path, hv536):
         reads.append(path)
         return read_doc(path)
 
+    def counting_parse(doc):
+        parses.append(doc)
+        return parse_laurent_doc(doc)
+
+    parses = []
     monkeypatch.setattr("tropctl.cli.read_doc", counting_read_doc)
+    monkeypatch.setattr("tropctl.cli.parse_laurent_doc", counting_parse)
     code, reps = run_json(capsys, "compare", hv536, hv536, hv536, "--laurent", lau, "--format", "json")
     assert code == 0 and [rep["d"] for rep in reps] == [1, 1, 1]
     assert all(rep["inputs"][1]["path"] == lau for rep in reps)
     assert reads.count(lau) == 1 and reads.count(hv536) == 3
+    # the document is parsed once too, and its series serve every report
+    assert len(parses) == 1
     # each call reads it afresh: nothing is kept from one call to the next
     run_json(capsys, "compare", hv536, "--laurent", lau, "--format", "json")
-    assert reads.count(lau) == 2
+    assert reads.count(lau) == 2 and len(parses) == 2
+
+
+def test_a_data_file_that_fails_to_parse_fails_every_report_of_the_batch(capsys, tmp_path, hv536):
+    # a parse error is raised again for each curve file, as a read error is
+    lau = write_json(tmp_path / "lau.json", {"vertices": {"V": {"series": [[], [["x", "1"]], [[-5, "1"]]]}}})
+    code, reps = run_json(capsys, "compare", hv536, hv536, "--laurent", lau, "--format", "json")
+    assert code == 2
+    assert [rep["error"]["error_type"] for rep in reps] == ["bad-series", "bad-series"]
+    assert all(rep["inputs"] == [{"path": hv536}, {"path": lau}] for rep in reps)
 
 
 def test_validate_glob(capsys, tmp_path):
@@ -743,6 +760,21 @@ def test_a_rational_string_too_long_to_convert_is_named_without_its_digits(capsy
     message = rep["error"]["message"]
     assert message.endswith(f"a number literal has more than {sys.get_int_max_str_digits()} digits")
     assert len(message) < 100
+
+
+@_EACH_RATIONAL_READER
+@pytest.mark.parametrize(
+    "text",
+    ["x" * 5000, "1" * 2500 + "e" + "1" * 2499, "7" * 4000 + "/0"],
+    ids=["junk", "exponent", "zero-denominator"],
+)
+def test_a_rejected_rational_string_is_shown_only_in_part(capsys, tmp_path, hv536, argv, error_type, text):
+    code, rep = run_json(capsys, *argv(tmp_path, hv536, text), "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == error_type
+    message = rep["error"]["message"]
+    assert len(message) < 100
+    assert f"({len(text)} characters)" in message
 
 
 _OVER = str(2**MAX_BITS)  # one bit more than the bound allows

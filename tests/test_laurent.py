@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropctl.errors import ValidationError
+from tropctl.inputs import EXCERPT
 from tropctl.laurent import (
     MAX_EXPONENT,
     LaurentSeries,
@@ -109,6 +110,21 @@ def test_parse_serialize_round_trip():
         with pytest.raises(ValidationError) as err:
             parse_series([[-1, coeff]])
         assert err.value.kind == "bad-series"
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        (["x" * 5000], "bad series term ['" + "x" * (EXCERPT - 2) + "..."),
+        (["1" * 5000, "1"], "exponent '" + "1" * EXCERPT + "'... (5000 characters) is not an integer"),
+    ],
+    ids=["term", "exponent"],
+)
+def test_a_bad_series_term_is_shown_only_in_part(term, message):
+    with pytest.raises(ValidationError) as err:
+        parse_series([term])
+    assert err.value.kind == "bad-series"
+    assert err.value.message == message and len(message) < 100
 
 
 def test_parse_series_bounds_exponents():

@@ -558,6 +558,98 @@ def test_local_model_zero_direction_rejected():
     assert err.value.kind == "zero-direction-local"
 
 
+def _integer_row_stars():
+    """(model, at) pairs for `_residue_rows`: standard local models at mixed
+    int and Fraction coordinates, in the columns `_local_rows` gives them,
+    and the higher-valent stars of random genus-one curves, in their chain
+    columns (`_chain_columns`)."""
+    rng = random.Random(3141)
+    for r, n in [(1, 2), (2, 3), (3, 4), (4, 6)]:
+        bounded = [rng.random() < 0.8 for _ in range(r + 2)]
+        coords = [0] + [q if q.denominator > 1 else int(q) for q in random_marked_coords(rng, r + 1)[1:]]
+        model = standard_local_model(r, n, coords, bounded=bounded)
+        at = {rec.label: (i * n, 1) for i, rec in enumerate(rec for rec in model.slots if rec.bounded)}
+        yield model, at
+    for _ in range(12):
+        c, v, _series = fixtures.random_higher_valent_case(rng)
+        ct = contract_image(c)
+        try:
+            model = LocalModel.from_star(ct, v, random_marked_coords(rng, ct.graph.valence(v) - 1))
+        except PreconditionError:
+            continue  # an edge at v was contracted to a point
+        yield model, residues._chain_columns(model, ct.graph)
+
+
+def _residue_sums(model, at) -> list[dict]:
+    """The residue sums as their definition writes them, in Fractions:
+    sum over finite j != k of (a[k,j] + a[j,k]) / (p_k - p_j), with
+    a[i,j] = weight_i * w_j(direction_i), for the first m - 1 finite k."""
+    finite, p = model.finite, model.coords
+    rows = []
+    for k in range(len(finite) - 1):
+        row = {}
+        for j in range(len(finite)):
+            if j == k:
+                continue
+            for src, dst in ((finite[k], finite[j]), (finite[j], finite[k])):
+                if dst.label in at:
+                    base, sign = at[dst.label]
+                    for t, x in enumerate(src.direction):
+                        f = Fraction(sign * src.weight * x) / (p[k] - p[j])
+                        row[base + t] = row.get(base + t, 0) + f
+        rows.append({col: x for col, x in row.items() if x})
+    return rows
+
+
+def test_residue_rows_are_primitive_integer_multiples_of_the_sums():
+    stars = list(_integer_row_stars())
+    assert len(stars) > 10
+    for model, at in stars:
+        rows = residues._residue_rows(model, at)
+        sums = _residue_sums(model, at)
+        assert len(rows) == len(sums) == len(model.finite) - 1
+        for row, expected in zip(rows, sums):
+            assert all(type(x) is int and x != 0 for x in row.values())
+            assert row.keys() == expected.keys()
+            if not row:
+                continue
+            assert gcd(*row.values()) == 1
+            col = next(iter(row))
+            scale = Fraction(row[col]) / expected[col]
+            assert scale > 0 and all(x == scale * expected[j] for j, x in row.items())
+
+
+def test_residue_rows_depend_on_the_coordinates_up_to_scale():
+    # scaling every coordinate by a scales every sum by 1/a: the primitive
+    # rows stay, and turn over when a < 0
+    for model, at in _integer_row_stars():
+        rows = residues._residue_rows(model, at)
+        for a in (3, Fraction(2, 7), Fraction(5, 2), -1, Fraction(-4, 3)):
+            coords = [a * p for p in model.coords]
+            coords = [q if type(q) is int or q.denominator > 1 else int(q) for q in coords]
+            scaled = LocalModel(model.slots, coords, model.n, model.vertex)
+            assert scaled.coords == tuple(coords)
+            assert [type(q) for q in scaled.coords] == [type(q) for q in coords]
+            sign = 1 if a > 0 else -1
+            assert residues._residue_rows(scaled, at) == [{j: sign * x for j, x in row.items()} for row in rows]
+
+
+def test_residue_rows_make_no_fraction(monkeypatch):
+    stars = list(_integer_row_stars())
+    assert any(type(p) is Fraction for model, _at in stars for p in model.coords)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    rows = [residues._residue_rows(model, at) for model, at in stars]
+    monkeypatch.undo()
+    assert made == [] and any(rows)
+
+
 @st.composite
 def local_model_docs(draw):
     """A balanced star of valence 3 to 8 in Q^1..Q^3 with random weights,

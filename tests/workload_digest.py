@@ -8,10 +8,13 @@ It writes the inputs of seeds 1 and 2 of every workload with the
 benchmark's own generator (`bench/gen.py` `WORKLOADS`) and operation list
 (`bench/run.py` `build_ops`) under .bench_work/digest/, runs each operation
 in process through `tropctl.cli.main` in `--format json` and in
-`--format text`, and prints the number of runs and one sha256 over the
-argv, format, exit code and standard output of each.  Point PYTHONPATH at
-another checkout's `src` to digest that version on the same inputs: equal
-digests mean byte-identical reports and exit codes.
+`--format text`, and hashes the argv, format, exit code and standard
+output of each run.  It prints one line `<workload> <runs> <sha256>` for
+each workload, over that workload's runs, and last one line
+`<runs> <sha256>` over every run.  Point PYTHONPATH at another checkout's
+`src` to digest that version on the same inputs: equal last lines mean
+byte-identical reports and exit codes, and where they differ, the workload
+lines show which workload's reports changed.
 """
 
 import contextlib
@@ -49,6 +52,7 @@ def main():
     digest = hashlib.sha256()
     count = 0
     for workload, cases in sorted(gen.WORKLOADS.items()):
+        own, own_count = hashlib.sha256(), 0
         for seed in SEEDS:
             ops = run.build_ops(run.WORK / "digest" / f"{workload}-seed{seed}", cases(seed))
             for op in ops:
@@ -57,7 +61,10 @@ def main():
                     code, out = _call(argv + ["--format", fmt])
                     for part in (" ".join(argv), fmt, code, out):
                         digest.update(part.encode() + b"\0")
-                    count += 1
+                        own.update(part.encode() + b"\0")
+                    own_count += 1
+        print(workload, own_count, own.hexdigest())
+        count += own_count
     print(count, digest.hexdigest())
 
 
