@@ -41,7 +41,7 @@ from typing import NamedTuple
 from .curves import contract_image, degree, expected_dim, is_immersive, parse_curve
 from .errors import TropctlError, ValidationError
 from .laurent import PhyloLeaf, clusters, parse_laurent_doc
-from .inputs import parse_rational, rationals, read_doc, vertex_lists
+from .inputs import rationals, read_doc, vertex_lists
 from .obstruction import (
     abundancy_map,
     classify_report,
@@ -387,12 +387,7 @@ def _genus1_fields(curve, doc, args) -> dict:
 
 
 def _compare_fields(curve, series_map, args) -> dict:
-    t0 = None
-    if args.t0 is not None:
-        try:  # unbounded in size, unlike the rationals of input files
-            t0 = parse_rational(args.t0)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError("bad-rational", f"--t0: {exc}") from exc
+    t0 = None if args.t0 is None else rationals([args.t0], "--t0")[0]
     image = contract_image(curve)
     _check_image_vertices(series_map, image, "Laurent data")
     res = degeneration_compare(image, series_map, t0=t0)

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
 from .graphs import AbstractGraph, Flag, spanning_forest
-from .inputs import ambient_dim, integer_direction, positive_weight, rationals
+from .inputs import ambient_dim, bounded_id, integer_direction, positive_weight, rationals
 from .linalg import content_and_primitive, is_primitive
 
 # Largest curve file parse_curve accepts.  The worst case measured is a
@@ -207,7 +207,7 @@ def parse_curve(doc: dict) -> TropicalCurve:
     for item in vs:
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):
             raise ValidationError("schema", "each vertex needs a string id")
-        vid = item["id"]
+        vid = bounded_id(item["id"], "vertex id")
         pos = item.get("position")
         if not isinstance(pos, list) or len(pos) != n:
             raise ValidationError(
@@ -220,7 +220,7 @@ def parse_curve(doc: dict) -> TropicalCurve:
     for item in es:
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):
             raise ValidationError("schema", "each edge needs a string id")
-        eid = item["id"]
+        eid = bounded_id(item["id"], "edge id")
         ends = item.get("ends")
         if not isinstance(ends, list) or len(ends) != 2 or not isinstance(ends[0], str):
             raise ValidationError(

@@ -10,10 +10,14 @@ with another kind: `ambient_dim`, `integer_direction` and `positive_weight`
 (curve and model files), `rationals` (curve positions, `--config` and
 `--model` coordinates) and `vertex_lists` (the envelope of `--config` and
 `--laurent` files).  An ambient dimension is at most MAX_DIM, and every
-number a reader returns has at most MAX_BITS bits; `--t0` and Laurent
-coefficients go through `parse_rational` alone and are not bounded.  A
-reader takes the caller's error kind and the id of what it reads, and
-builds a message only when a check fails.
+number a reader returns has at most MAX_BITS bits, `--t0` included (it
+goes through `rationals`); Laurent coefficients go through `parse_rational`
+alone and are not bounded.  Every id a file gives, a curve's vertex and
+edge ids, the vertex keys of `--config` and `--laurent` files and the edge
+labels of a `--model` file, has at most MAX_ID characters (`bounded_id`),
+so a message or report context that names one stays short.  A reader
+takes the caller's error kind and the id of what it reads, and builds a
+message only when a check fails.
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ MAX_BITS = 40
 # Q^15 and Q^16; a larger n is outside what they vouch for.  Benchmark
 # inputs use n <= 12.
 MAX_DIM = 16
+
+# Longest id read from a file: a curve's vertex or edge id, a vertex key of
+# a --config or --laurent file, a --model edge label.  Messages and report
+# contexts name ids whole.  Fixture and benchmark ids have at most 7
+# characters.
+MAX_ID = 64
 
 
 def read_doc(path: str):
@@ -119,6 +129,14 @@ def excerpt(value) -> str:
     return f"{text[:EXCERPT]}..."
 
 
+def bounded_id(value: str, what: str) -> str:
+    """value, a string id, unless it is longer than MAX_ID characters
+    (limit); what names it in the message, such as "vertex id"."""
+    if len(value) > MAX_ID:
+        raise ValidationError("limit", f"{what} {excerpt(value)} is longer than {MAX_ID} characters")
+    return value
+
+
 def _bits(x: int | Fraction) -> int:
     """The bit length of an int, or the longer of a Fraction's numerator
     and denominator; the sign does not count.  A JSON integer is an int and
@@ -189,11 +207,13 @@ def rationals(items: list, field: str, vertex: str | None = None) -> tuple:
 def vertex_lists(doc, key: str, kind: str, name: str, **context):
     """Yield (vertex id, list) for each entry of a document {"vertices":
     {id: {key: [...]}, ...}} in file order, checking each entry as it is
-    yielded.  Another document shape is a kind error for the file, with
+    yielded.  A vertex id longer than MAX_ID characters is a limit
+    error.  Another document shape is a kind error for the file, with
     context; an entry without its key list is a kind error for its vertex."""
     if not isinstance(doc, dict) or not isinstance(doc.get("vertices"), dict):
         raise ValidationError(kind, f"{name} needs a vertices object", **context)
     for vid, entry in doc["vertices"].items():
+        bounded_id(vid, "vertex id")
         if not isinstance(entry, dict) or not isinstance(entry.get(key), list):
             raise ValidationError(kind, f"vertex {vid} needs a {key} list", vertex=vid)
         yield vid, entry[key]

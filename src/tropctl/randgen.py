@@ -1,9 +1,21 @@
 """Seeded generators for graphs, curves, configurations, and series.
 
 Everything draws from a caller-supplied random.Random so runs are exactly
-reproducible from a seed.  Generators retry internally when a draw violates
-a constraint (zero vectors, parallel arms, colliding coordinates) and raise
-after too many attempts rather than loop forever.
+reproducible from a seed.
+
+One redraw rule serves every generator.  A draw is an attempt function
+that raises `_Redraw` when what it drew breaks a constraint (a zero vector,
+parallel arms, a repeated direction, an exponent already taken); `_draw`
+calls it again, up to 200 times in all, and then raises GenerationError
+rather than loop forever.  `_nonzero` is the most common such check.
+
+Every curve is put together by one `_Builder`, which keeps the vertex
+positions, the edges and the directions of the legs.  `step` places a new
+vertex one primitive step from a placed one along a weighted direction and
+gives the edge the direction's content as its weight; `edge` joins two
+placed vertices by a weight-1 edge; `leg` splits a leg's weighted direction
+into weight and primitive direction.  No bounded edge is given a
+direction: `TropicalCurve` reads it off the positions.
 """
 
 from __future__ import annotations
@@ -21,16 +33,29 @@ class GenerationError(RuntimeError):
     pass
 
 
-def _retrying():
-    return range(200)
+class _Redraw(Exception):
+    """Raised by an attempt whose draw breaks a constraint."""
+
+
+def _draw(what: str, attempt):
+    """The value of attempt(), called again while it raises _Redraw, at
+    most 200 times; GenerationError after that."""
+    for _ in range(200):
+        try:
+            return attempt()
+        except _Redraw:
+            pass
+    raise GenerationError(f"{what} draw failed")
+
+
+def _nonzero(v: tuple) -> tuple:
+    if not any(v):
+        raise _Redraw
+    return v
 
 
 def random_int_vec(rng: random.Random, n: int, lo=-3, hi=3) -> tuple:
-    for _ in _retrying():
-        v = tuple(rng.randint(lo, hi) for _ in range(n))
-        if any(x != 0 for x in v):
-            return v
-    raise GenerationError("could not draw a nonzero vector")
+    return _draw("nonzero vector", lambda: _nonzero(tuple(rng.randint(lo, hi) for _ in range(n))))
 
 
 # -- abstract graphs ---------------------------------------------------------------
@@ -51,15 +76,12 @@ def random_trivalent_graph(rng: random.Random, genus: int) -> AbstractGraph:
         if loops_left > 0 and not can_loop and grows == 0:
             grows = 1
         if can_loop and (grows == 0 or rng.random() < 0.5):
-            i = rng.randrange(len(stubs))
-            a = stubs.pop(i)
-            j = rng.randrange(len(stubs))
-            b = stubs.pop(j)
+            a = stubs.pop(rng.randrange(len(stubs)))
+            b = stubs.pop(rng.randrange(len(stubs)))
             edges.append((f"l{k:02d}", (a, b), 1))
             loops_left -= 1
         else:
-            i = rng.randrange(len(stubs))
-            a = stubs.pop(i)
+            a = stubs.pop(rng.randrange(len(stubs)))
             u = f"v{len(vertices):02d}"
             vertices.append(u)
             edges.append((f"b{k:02d}", (a, u), 1))
@@ -75,182 +97,131 @@ def random_trivalent_graph(rng: random.Random, genus: int) -> AbstractGraph:
 # -- curves ------------------------------------------------------------------------
 
 
+class _Builder:
+    """The positions, edges and leg directions of a curve in Q^n being put
+    together, its first vertex at the origin."""
+
+    def __init__(self, n: int, origin: str):
+        self.n = n
+        self.positions = {origin: (0,) * n}
+        self.edges = []
+        self.directions = {}
+
+    def step(self, eid: str, a: str, b: str, weighted: tuple):
+        """Place b one primitive step from a along weighted, joined to a by
+        an edge whose weight is weighted's content."""
+        c, d = content_and_primitive(weighted)
+        self.positions[b] = tuple(p + x for p, x in zip(self.positions[a], d))
+        self.edges.append((eid, (a, b), c))
+
+    def edge(self, eid: str, a: str, b: str):
+        self.edges.append((eid, (a, b), 1))
+
+    def leg(self, eid: str, v: str, weighted: tuple):
+        c, self.directions[eid] = content_and_primitive(weighted)
+        self.edges.append((eid, (v, None), c))
+
+    def curve(self) -> TropicalCurve:
+        return TropicalCurve(AbstractGraph(self.positions, self.edges), self.n, self.positions, self.directions)
+
+
+def _minus(a: tuple, b: tuple) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def random_tree_curve(rng: random.Random, n: int) -> TropicalCurve:
     """Genus-0 immersive 3-valent curve grown from a tripod."""
-    for _ in _retrying():
-        w1 = random_int_vec(rng, n)
-        w2 = random_int_vec(rng, n)
-        w3 = tuple(-a - b for a, b in zip(w1, w2))
-        if any(x != 0 for x in w3):
-            break
-    else:
-        raise GenerationError("tripod draw failed")
-    positions = {"v00": tuple(Fraction(0) for _ in range(n))}
-    vertices = ["v00"]
-    edges = []
-    directions = {}
-    legs = []  # (vertex, weighted direction vector)
-    for w in (w1, w2, w3):
-        legs.append(("v00", w))
-    k = 0
-    for _ in range(rng.randint(0, 3)):
-        i = rng.randrange(len(legs))
-        v, w = legs.pop(i)
-        c, d = content_and_primitive(w)
-        u = f"v{len(vertices):02d}"
-        vertices.append(u)
-        positions[u] = tuple(p + x for p, x in zip(positions[v], d))
-        eid = f"b{k:02d}"
-        edges.append((eid, (v, u), c))
-        directions[eid] = d
-        k += 1
-        for _ in _retrying():
-            a = random_int_vec(rng, n)
-            b = tuple(x - y for x, y in zip(w, a))
-            if any(x != 0 for x in b):
-                break
-        else:
-            raise GenerationError("leg split failed")
-        legs.append((u, a))
-        legs.append((u, b))
+
+    def tripod():
+        w1, w2 = random_int_vec(rng, n), random_int_vec(rng, n)
+        return [w1, w2, _nonzero(tuple(-a - b for a, b in zip(w1, w2)))]
+
+    def split(w):
+        a = random_int_vec(rng, n)
+        return [a, _nonzero(_minus(w, a))]
+
+    legs = [("v00", w) for w in _draw("tripod", tripod)]  # (vertex, weighted direction)
+    b = _Builder(n, "v00")
+    for k in range(rng.randint(0, 3)):
+        v, w = legs.pop(rng.randrange(len(legs)))
+        u = f"v{k + 1:02d}"
+        b.step(f"b{k:02d}", v, u, w)
+        legs += [(u, part) for part in _draw("leg split", lambda: split(w))]
     for j, (v, w) in enumerate(legs):
-        c, d = content_and_primitive(w)
-        eid = f"u{j:02d}"
-        edges.append((eid, (v, None), c))
-        directions[eid] = d
-    graph = AbstractGraph(vertices, edges)
-    return TropicalCurve(graph, n, positions, directions)
+        b.leg(f"u{j:02d}", v, w)
+    return b.curve()
 
 
 def random_genus1_curve(rng: random.Random, n: int, extra_legs: int = 0) -> TropicalCurve:
     """Polygon with balancing legs; extra_legs > 0 splits one vertex's leg to
     create a single higher-valent vertex of valence 3 + extra_legs."""
-    for _ in _retrying():
-        k = rng.randint(3, 5)
-        steps = [random_int_vec(rng, n) for _ in range(k - 1)]
-        closing = tuple(-sum(s[i] for s in steps) for i in range(n))
-        if all(x == 0 for x in closing):
-            continue
-        steps.append(closing)
+
+    def polygon():
+        steps = [random_int_vec(rng, n) for _ in range(rng.randint(3, 5) - 1)]
+        steps.append(_nonzero(tuple(-sum(s[i] for s in steps) for i in range(n))))
         prims = [content_and_primitive(s)[1] for s in steps]
-        if any(prims[i] == prims[(i + 1) % k] for i in range(k)):
-            continue
-        break
-    else:
-        raise GenerationError("polygon draw failed")
-    vertices = [f"v{i:02d}" for i in range(k)]
-    positions = {}
-    pos = tuple(Fraction(0) for _ in range(n))
-    for i in range(k):
-        positions[vertices[i]] = pos
-        pos = tuple(p + x for p, x in zip(pos, steps[i]))
-    edges = []
-    directions = {}
-    for i in range(k):
-        eid = f"c{i:02d}"
-        edges.append((eid, (vertices[i], vertices[(i + 1) % k]), 1))
-        directions[eid] = prims[i]
+        if any(p == q for p, q in zip(prims, prims[1:] + prims[:1])):
+            raise _Redraw
+        return steps, prims
+
+    steps, prims = _draw("polygon", polygon)
+    k = len(steps)
+    b = _Builder(n, "v00")
+    for i, s in enumerate(steps[:-1]):
+        b.positions[f"v{i + 1:02d}"] = tuple(p + x for p, x in zip(b.positions[f"v{i:02d}"], s))
     split_at = rng.randrange(k) if extra_legs > 0 else None
-    leg_counter = 0
+    legs = 0
     for i in range(k):
-        deficit = tuple(
-            Fraction(prims[i][t]) - Fraction(prims[(i - 1) % k][t]) for t in range(n)
-        )
-        w = tuple(-x for x in deficit)  # the leg's weighted direction
-        if i == split_at:
-            parts = _split_vector(rng, w, extra_legs + 1, n)
-        else:
-            parts = [w]
-        for part in parts:
-            c, d = content_and_primitive(part)
-            eid = f"u{leg_counter:02d}"
-            edges.append((eid, (vertices[i], None), c))
-            directions[eid] = d
-            leg_counter += 1
-    graph = AbstractGraph(vertices, edges)
-    return TropicalCurve(graph, n, positions, directions)
+        b.edge(f"c{i:02d}", f"v{i:02d}", f"v{(i + 1) % k:02d}")
+        w = _minus(prims[i - 1], prims[i])  # the leg's weighted direction
+        for part in _split_vector(rng, w, extra_legs + 1, n) if i == split_at else [w]:
+            b.leg(f"u{legs:02d}", f"v{i:02d}", part)
+            legs += 1
+    return b.curve()
 
 
 def _split_vector(rng, w, pieces, n):
     """Split an integer vector into the given number of nonzero summands."""
-    for _ in _retrying():
-        parts = []
-        remaining = tuple(int(x) for x in w)
-        ok = True
+
+    def attempt():
+        parts, rest = [], w
         for _ in range(pieces - 1):
-            a = random_int_vec(rng, n, -2, 2)
-            nxt = tuple(r - x for r, x in zip(remaining, a))
-            if all(x == 0 for x in nxt):
-                ok = False
-                break
-            parts.append(a)
-            remaining = nxt
-        if not ok:
-            continue
-        if all(x == 0 for x in remaining):
-            continue
-        parts.append(remaining)
+            parts.append(random_int_vec(rng, n, -2, 2))
+            rest = _nonzero(_minus(rest, parts[-1]))
+        parts.append(rest)
         # distinct directions keep the star honestly higher-valent
-        prims = [content_and_primitive(p)[1] for p in parts]
-        if len(set(prims)) != len(prims):
-            continue
+        if len({content_and_primitive(p)[1] for p in parts}) != pieces:
+            raise _Redraw
         return parts
-    raise GenerationError("vector split failed")
+
+    return _draw("vector split", attempt)
 
 
 def random_genus2_curve(rng: random.Random, n: int) -> TropicalCurve:
     """Randomized double tripod: two star centers, three rungs between them."""
-    for _ in _retrying():
+
+    def double_tripod():
         d1 = content_and_primitive(random_int_vec(rng, n))[1]
         d2 = content_and_primitive(random_int_vec(rng, n))[1]
-        s = tuple(-a - b for a, b in zip(d1, d2))
-        if all(x == 0 for x in s):
-            continue
-        w3, d3 = content_and_primitive(s)
+        w3, d3 = content_and_primitive(_nonzero(tuple(-a - b for a, b in zip(d1, d2))))
         if len({d1, d2, d3}) != 3:
-            continue
+            raise _Redraw
         nu = content_and_primitive(random_int_vec(rng, n))[1]
-        arms = [(d1, 1), (d2, 1), (d3, w3)]
-        if any(_parallel(d, nu) for d, _w in arms):
-            continue
-        break
-    else:
-        raise GenerationError("double tripod draw failed")
-    zero = tuple(Fraction(0) for _ in range(n))
-    positions = {"t": zero, "b": tuple(Fraction(-x) for x in nu)}
-    vertices = ["t", "b"]
-    edges = []
-    directions = {}
+        if any(d in (nu, tuple(-x for x in nu)) for d in (d1, d2, d3)):  # an arm parallel to the rungs
+            raise _Redraw
+        return [(d1, 1), (d2, 1), (d3, w3)], nu
+
+    arms, nu = _draw("double tripod", double_tripod)
+    b = _Builder(n, "t")
+    b.positions["b"] = tuple(-x for x in nu)
     for i, (d, w) in enumerate(arms):
-        ti = f"t{i}"
-        bi = f"b{i}"
-        vertices.extend([ti, bi])
-        positions[ti] = tuple(p + x for p, x in zip(positions["t"], d))
-        positions[bi] = tuple(p + x for p, x in zip(positions["b"], d))
-        edges.append((f"a{i}t", ("t", ti), w))
-        directions[f"a{i}t"] = d
-        edges.append((f"a{i}b", ("b", bi), w))
-        directions[f"a{i}b"] = d
-        edges.append((f"m{i}", (bi, ti), 1))
-        directions[f"m{i}"] = nu
-        top_leg = tuple(w * x + y for x, y in zip(d, nu))
-        bot_leg = tuple(w * x - y for x, y in zip(d, nu))
-        for suffix, wd in (("t", top_leg), ("b", bot_leg)):
-            c, p = content_and_primitive(wd)
-            eid = f"u{i}{suffix}"
-            edges.append((eid, (ti if suffix == "t" else bi, None), c))
-            directions[eid] = p
-    graph = AbstractGraph(vertices, edges)
-    return TropicalCurve(graph, n, positions, directions)
-
-
-def _parallel(a, b):
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
+        arm = tuple(w * x for x in d)
+        b.step(f"a{i}t", "t", f"t{i}", arm)
+        b.step(f"a{i}b", "b", f"b{i}", arm)
+        b.edge(f"m{i}", f"b{i}", f"t{i}")
+        b.leg(f"u{i}t", f"t{i}", tuple(x + y for x, y in zip(arm, nu)))
+        b.leg(f"u{i}b", f"b{i}", _minus(arm, nu))
+    return b.curve()
 
 
 def random_loopchain_curve(rng: random.Random, n: int, genus: int) -> TropicalCurve:
@@ -263,71 +234,31 @@ def random_loopchain_curve(rng: random.Random, n: int, genus: int) -> TropicalCu
     """
     if genus < 1:
         raise GenerationError("loop chains need genus at least 1")
-    for _ in _retrying():
-        try:
-            return _build_loopchain(rng, n, genus)
-        except _RetryDraw:
-            continue
-    raise GenerationError("loop chain draw failed")
 
+    def chain():
+        b = _Builder(n, "a00")
+        incoming = None  # weighted direction of the bridge arriving at the next A
+        for i in range(genus):
+            a, m, z = f"a{i:02d}", f"m{i:02d}", f"b{i:02d}"  # A, m and B
+            e = random_int_vec(rng, n)
+            if incoming is None:
+                f = random_int_vec(rng, n)
+                b.leg(f"u{i:02d}a", a, _nonzero(tuple(-x - y for x, y in zip(e, f))))
+            else:
+                f = _nonzero(_minus(incoming, e))
+            b.step(f"c{i:02d}d", a, z, e)
+            b.step(f"c{i:02d}p", a, m, f)
+            b.edge(f"c{i:02d}q", m, z)
+            g = content_and_primitive(_nonzero(_minus(b.positions[z], b.positions[m])))[1]
+            b.leg(f"u{i:02d}m", m, _nonzero(_minus(f, g)))
+            incoming = _nonzero(tuple(x + y for x, y in zip(e, g)))
+            if i + 1 < genus:
+                b.step(f"r{i:02d}", z, f"a{i + 1:02d}", incoming)
+            else:
+                b.leg(f"u{i:02d}b", z, incoming)
+        return b.curve()
 
-class _RetryDraw(Exception):
-    pass
-
-
-def _nonzero_or_retry(v):
-    if all(x == 0 for x in v):
-        raise _RetryDraw
-    return v
-
-
-def _build_loopchain(rng, n, genus):
-    zero = tuple(Fraction(0) for _ in range(n))
-    positions = {"a00": zero}
-    vertices = []
-    edges = []
-    directions = {}
-
-    def add_leg(eid, vertex, weighted):
-        c, p = content_and_primitive(_nonzero_or_retry(weighted))
-        edges.append((eid, (vertex, None), c))
-        directions[eid] = p
-
-    incoming = None  # weighted direction of the bridge arriving at the next A
-    for i in range(genus):
-        a, m, b = f"a{i:02d}", f"m{i:02d}", f"b{i:02d}"
-        vertices.extend([a, m, b])
-        e_vec = random_int_vec(rng, n)
-        if incoming is None:
-            f_vec = random_int_vec(rng, n)
-            add_leg(f"u{i:02d}a", a, tuple(-x - y for x, y in zip(e_vec, f_vec)))
-        else:
-            f_vec = _nonzero_or_retry(tuple(x - y for x, y in zip(incoming, e_vec)))
-        we, pe = content_and_primitive(e_vec)
-        wf, pf = content_and_primitive(f_vec)
-        positions[m] = tuple(p + x for p, x in zip(positions[a], pf))
-        positions[b] = tuple(p + x for p, x in zip(positions[a], pe))
-        g_vec = _nonzero_or_retry(tuple(x - y for x, y in zip(positions[b], positions[m])))
-        _, pg = content_and_primitive(g_vec)
-        edges.append((f"c{i:02d}d", (a, b), we))
-        directions[f"c{i:02d}d"] = pe
-        edges.append((f"c{i:02d}p", (a, m), wf))
-        directions[f"c{i:02d}p"] = pf
-        edges.append((f"c{i:02d}q", (m, b), 1))
-        directions[f"c{i:02d}q"] = pg
-        add_leg(f"u{i:02d}m", m, tuple(x - y for x, y in zip(f_vec, pg)))
-        outgoing = _nonzero_or_retry(tuple(x + y for x, y in zip(e_vec, pg)))
-        if i + 1 < genus:
-            nxt = f"a{i + 1:02d}"
-            wd, pd = content_and_primitive(outgoing)
-            edges.append((f"r{i:02d}", (b, nxt), wd))
-            directions[f"r{i:02d}"] = pd
-            positions[nxt] = tuple(p + x for p, x in zip(positions[b], pd))
-            incoming = outgoing
-        else:
-            add_leg(f"u{i:02d}b", b, outgoing)
-    graph = AbstractGraph(vertices, edges)
-    return TropicalCurve(graph, n, positions, directions)
+    return _draw("loop chain", chain)
 
 
 def random_immersive_curve(rng: random.Random, n: int, genus=None) -> TropicalCurve:
@@ -335,10 +266,8 @@ def random_immersive_curve(rng: random.Random, n: int, genus=None) -> TropicalCu
         genus = rng.choice([0, 1, 1, 2])
     if genus == 0:
         return random_tree_curve(rng, n)
-    if genus == 1:
-        return rng.choice([random_genus1_curve, lambda r, k: random_loopchain_curve(r, k, 1)])(rng, n)
-    if genus == 2:
-        return rng.choice([random_genus2_curve, lambda r, k: random_loopchain_curve(r, k, 2)])(rng, n)
+    if genus <= 2 and rng.choice([True, False]):
+        return (random_genus1_curve if genus == 1 else random_genus2_curve)(rng, n)
     return random_loopchain_curve(rng, n, genus)
 
 
@@ -369,26 +298,22 @@ def random_ascending_series(rng: random.Random, count: int) -> list[LaurentSerie
     vanishes; by the order's definition the sum then dominates, and chains of
     such additions realize varied tree shapes.
     """
+
+    def term(prev, nxt):
+        if prev.is_zero():
+            m = rng.randint(-8, -1)
+        else:
+            lo = prev.order() - rng.randint(0, 2)
+            m = rng.randint(lo, prev.terms[-1][0] + 2)
+        # adding terms only where prev vanishes keeps prev < nxt; nxt holds prev's terms
+        if nxt.coeff(m) != 0:
+            raise _Redraw
+        return m, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
     out = [LaurentSeries.zero()]
-    prev = LaurentSeries.zero()
     for _ in range(count - 1):
-        nxt = prev
-        # adding terms only where prev vanishes keeps prev < nxt
+        nxt = out[-1]
         for _ in range(rng.randint(1, 2)):
-            for _ in _retrying():
-                if prev.is_zero():
-                    m = rng.randint(-8, -1)
-                else:
-                    lo = prev.order() - rng.randint(0, 2)
-                    hi = max(x for x, _c in prev.terms) + 2
-                    m = rng.randint(lo, hi)
-                if prev.coeff(m) != 0 or nxt.coeff(m) != prev.coeff(m):
-                    continue
-                c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-                nxt = LaurentSeries(nxt.terms + ((m, c),))
-                break
-            else:
-                raise GenerationError("series draw failed")
+            nxt = LaurentSeries(nxt.terms + (_draw("series", lambda: term(out[-1], nxt)),))
         out.append(nxt)
-        prev = nxt
     return out

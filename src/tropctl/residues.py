@@ -62,7 +62,7 @@ from typing import NamedTuple
 from .curves import TropicalCurve, contract_image, replace_star, require_balanced
 from .errors import PreconditionError, ValidationError
 from .graphs import Flag
-from .inputs import ambient_dim, integer_direction, positive_weight, rationals
+from .inputs import ambient_dim, bounded_id, integer_direction, positive_weight, rationals
 from .laurent import LaurentSeries, PhyloLeaf, laurent_cmp, phylo_tree
 from .linalg import Q0, content_and_primitive, echelon, is_primitive, kernel, rank, residual, row_blocks
 from .obstruction import dual_obstruction_dim, flag_assembly, flag_system
@@ -212,9 +212,10 @@ def model_from_doc(doc) -> LocalModel:
     "bounded"?}, ...], "coords"?: ["p/q", ...]}.  The infinity slot is the
     last bounded edge in listed order (last edge if none is bounded); coords
     apply to the remaining edges in listed order and default to 0, 1, 2, ...
-    Directions must be primitive and balance against the weights,
-    ambient_dim is capped at inputs.MAX_DIM, and a model of more than
-    MAX_VALENCE edges is rejected before any edge is read.
+    Directions must be primitive and balance against the weights, a
+    label has at most inputs.MAX_ID characters, ambient_dim is capped at
+    inputs.MAX_DIM, and a model of more than MAX_VALENCE edges is rejected
+    before any edge is read.
     """
     if not isinstance(doc, dict):
         raise ValidationError("bad-model", "model document must be a JSON object")
@@ -232,7 +233,7 @@ def model_from_doc(doc) -> LocalModel:
         label = entry.get("label", f"E{i + 1}")
         if not isinstance(label, str) or label in labels:
             raise ValidationError("bad-model", f"edge {i} needs a unique string label")
-        labels.add(label)
+        labels.add(bounded_id(label, "edge label"))
         weight = positive_weight(entry.get("weight", 1), "bad-model", label)
         d = integer_direction(entry.get("direction"), n, "bad-model", label)
         if not is_primitive(d):

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from tropctl import residues
 from tropctl.cli import MAX_SELFTEST_CASES, _Basis, _case_count, _parse_args, _print_json, build_parser, main
 from tropctl.curves import serialize_curve
-from tropctl.inputs import MAX_BITS, MAX_DIM, read_doc
+from tropctl.inputs import MAX_BITS, MAX_DIM, MAX_ID, read_doc
 from tropctl.laurent import MAX_EXPONENT, parse_laurent_doc
 from tropctl.randgen import random_loopchain_curve
 from tropctl.residues import MAX_VALENCE
@@ -777,6 +777,72 @@ def test_a_rejected_rational_string_is_shown_only_in_part(capsys, tmp_path, hv53
     assert f"({len(text)} characters)" in message
 
 
+def _curve_vertex_id(tmp_path, hv536, vid):
+    doc = fixtures.square_loop_doc()
+    doc["vertices"][0]["id"] = vid
+    for e in doc["edges"]:
+        e["ends"] = [vid if end == "a" else end for end in e["ends"]]
+    return ["validate", write_json(tmp_path / "curve.json", doc)]
+
+
+def _curve_edge_id(tmp_path, hv536, eid):
+    doc = fixtures.square_loop_doc()
+    doc["edges"][0]["id"] = eid
+    return ["validate", write_json(tmp_path / "curve.json", doc)]
+
+
+def _config_key(tmp_path, hv536, vid):
+    cfg = write_json(tmp_path / "cfg.json", {"vertices": {vid: {"coords": ["0", "1", "2"]}}})
+    return ["obstruction", hv536, "--method", "xi", "--config", cfg]
+
+
+def _laurent_key(tmp_path, hv536, vid):
+    lau = write_json(tmp_path / "lau.json", {"vertices": {vid: laurent_doc_536()["vertices"]["V"]}})
+    return ["phylo", hv536, "--laurent", lau]
+
+
+def _model_label(tmp_path, hv536, label):
+    edges = [{"label": label, "direction": [1, 0]}, {"direction": [0, 1]}, {"direction": [-1, -1]}]
+    return ["local-model", "--model", write_json(tmp_path / "model.json", {"ambient_dim": 2, "edges": edges})]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_curve_vertex_id, _curve_edge_id, _config_key, _laurent_key, _model_label],
+    ids=["curve-vertex", "curve-edge", "config-key", "laurent-key", "model-label"],
+)
+def test_ids_over_the_length_bound_give_a_limit_report(capsys, tmp_path, hv536, argv):
+    _code, rep = run_json(capsys, *argv(tmp_path, hv536, "x" * MAX_ID), "--format", "json")
+    # an id at the bound is read (a config or laurent key of x's then names no vertex of the curve)
+    assert rep.get("error", {}).get("error_type") != "limit"
+    code, rep = run_json(capsys, *argv(tmp_path, hv536, "x" * (MAX_ID + 1)), "--format", "json")
+    assert code == 2
+    assert rep["error"]["error_type"] == "limit"
+    assert rep["error"]["message"].endswith(f"({MAX_ID + 1} characters) is longer than {MAX_ID} characters")
+
+
+def _long_config_key(tmp_path, hv536, vid):
+    # an entry without a coords list, whose message names the vertex
+    return ["obstruction", hv536, "--method", "xi", "--config", write_json(tmp_path / "cfg.json", {"vertices": {vid: {}}})]
+
+
+def _long_vertex_id_junk_position(tmp_path, hv536, vid):
+    # a position that is no rational, whose message names the vertex
+    doc = fixtures.square_loop_doc()
+    doc["vertices"][1].update(id=vid, position=["junk", "0", "0"])
+    return ["validate", write_json(tmp_path / "curve.json", doc)]
+
+
+@pytest.mark.parametrize("argv", [_long_config_key, _long_vertex_id_junk_position], ids=["config-key", "curve-vertex"])
+def test_a_long_id_is_not_echoed(capsys, tmp_path, hv536, argv):
+    code, out = run(capsys, *argv(tmp_path, hv536, "V" * 5000), "--format", "json")
+    assert code == 2
+    assert len(out.encode()) < 1024
+    error = json.loads(out)["error"]
+    assert error["error_type"] == "limit"
+    assert len(error["message"]) < 100
+
+
 _OVER = str(2**MAX_BITS)  # one bit more than the bound allows
 
 
@@ -827,14 +893,31 @@ def _over_model(tmp_path, hv536, coord="1", entry=1, weight=1):
         lambda tmp_path, hv536: _over_model(tmp_path, hv536, coord=f"-{_OVER}/3"),
         lambda tmp_path, hv536: _over_model(tmp_path, hv536, entry=int(_OVER)),
         lambda tmp_path, hv536: _over_model(tmp_path, hv536, weight=int(_OVER)),
+        lambda tmp_path, hv536: _huge_t0(tmp_path, hv536, f"1/{_OVER}"),
     ],
-    ids=["position", "curve-direction", "curve-weight", "config", "model-coord", "model-direction", "model-weight"],
+    ids=["position", "curve-direction", "curve-weight", "config", "model-coord", "model-direction", "model-weight", "t0"],
 )
 def test_numbers_over_the_bit_bound_give_a_limit_report(capsys, tmp_path, hv536, argv):
     code, rep = run_json(capsys, *argv(tmp_path, hv536), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "limit"
     assert rep["error"]["message"].endswith(f"a number of {MAX_BITS + 1} bits exceeds the maximum {MAX_BITS}")
+
+
+def test_a_thousand_digit_t0_gives_a_limit_report_at_once(tmp_path, hv536):
+    # a term at exponent -10,000 evaluated at t0 = 10^-1000 is a number of
+    # ten million digits; read unbounded, the t0 kept `compare` busy for tens of seconds
+    doc = {"vertices": {"V": {"series": [[], [[-10000, "1"]], [[-5, "1"]]]}}}
+    lau = write_json(tmp_path / "lau.json", doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["compare", hv536, "--laurent", lau, "--t0", "1/1" + "0" * 1000, "--format", "json"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tropctl", *argv], capture_output=True, env=env, timeout=10)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["error_type"] == "limit"
+    assert error["message"] == f"--t0: a number of 3322 bits exceeds the maximum {MAX_BITS}"
 
 
 def test_numbers_at_the_bit_bound_are_read(capsys, tmp_path, hv536):
