@@ -216,9 +216,23 @@ class _Basis(NamedTuple):
 
 
 def _basis_payload(keys, basis, n) -> _Basis:
-    """A basis over `keys`, positions counted in `keys`, in `_Basis` form."""
+    """A basis over `keys`, positions counted in `keys`, in `_Basis` form.
+
+    A covector object held at several positions, as `flag_system` hands one
+    tuple to the flags of a chain, has its list of strings made once, keyed
+    by the object's identity within the call, and that one list is held at
+    each of its positions."""
     index = {key: i for i, key in enumerate(keys)}
-    vectors = [{index[key]: list(map(str, cov)) for key, cov in assignment.items()} for assignment in basis]
+    strings = {}  # id of a covector -> its list of strings
+    vectors = []
+    for assignment in basis:
+        vector = {}
+        for key, cov in assignment.items():
+            text = strings.get(id(cov))
+            if text is None:
+                text = strings[id(cov)] = list(map(str, cov))
+            vector[index[key]] = text
+        vectors.append(vector)
     return _Basis(len(index), ["0"] * n, vectors)
 
 
@@ -537,10 +551,12 @@ def _write_basis(write, basis, pad):
     """Write json.dumps of the dense form of a `_Basis`, indent=2, for a
     basis whose line is indented by pad, one vector at a time.
 
-    The strings are escaped as json.dumps escapes them.  The zero
-    covector's text is made once; each vector's row starts as `width`
-    copies of it, and the text of each covector the vector holds is written
-    into its position.
+    The strings are escaped as json.dumps escapes them.  The text of each
+    covector list is made once, keyed by the list's identity within the
+    call, the zero covector's first: `_basis_payload` shares one list among
+    the positions of a covector.  Each vector's row starts as `width`
+    copies of the zero text, and the text of each covector the vector holds
+    is written into its position.
     """
     width, zero, vectors = basis
     vec_pad, cov_pad = pad + "  ", pad + "    "
@@ -553,13 +569,17 @@ def _write_basis(write, basis, pad):
         return block(list(map(encode_basestring_ascii, cov)), cov_pad)
 
     zero_text = text(zero)
+    texts = {id(zero): zero_text}  # id of a covector list -> its text
     opening = "[\n" + vec_pad
     for vector in vectors:
         write(opening)
         opening = ",\n" + vec_pad
         row = [zero_text] * width
         for i, cov in vector.items():
-            row[i] = text(cov)
+            item = texts.get(id(cov))
+            if item is None:
+                item = texts[id(cov)] = text(cov)
+            row[i] = item
         write(block(row, vec_pad))
     write("\n" + pad + "]" if vectors else "[]")
 

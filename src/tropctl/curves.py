@@ -7,16 +7,22 @@ measured from ends[0]; the flag direction flips sign at the other end.
 A curve also holds the lattice length of each bounded edge: the position
 difference ends[1] - ends[0] is that length times the primitive direction.
 Validation takes the difference once per edge and splits it into content
-and primitive part (`linalg.content_and_primitive`); the content is the
-length and the primitive part the direction.
+and primitive part; the content is the length and the primitive part the
+direction.  A difference of ints, the common case, is split by one gcd;
+any other goes through `linalg.content_and_primitive`.
 
 Loading a curve file takes three passes.  `parse_curve` reads each vertex
-and then each edge in file order and checks its fields.
-`graphs.AbstractGraph` checks the graph, and splits the edges into bounded
-and unbounded and builds its spanning forest once.  Validation walks the
-edges once, in sorted id order, measuring each bounded edge, and then sums
-the balancing residuals in place in one more pass over them.  The first
-fault met in that order is the one reported.
+and then each edge in file order and checks its fields.  A field of the
+common shape, an id of at most MAX_ID characters, an int weight in range,
+integer position strings and an int direction in range, passes an exact
+type test (`type(x) is int`); only another field goes through the reader
+of `inputs` that words its error, so every message is the one that reader
+gives.  `graphs.AbstractGraph` checks the graph, makes each edge once, in
+sorted order, splits the edges into bounded and unbounded and builds its
+spanning forest once.  Validation walks the edges once, in sorted id
+order, measuring each bounded edge, and then sums the balancing residuals
+in place in one more pass over them.  The first fault met in that order
+is the one reported.
 
 A bounded edge whose endpoints share a position is contracted, of length
 0.  Contracted edges must carry a direction entry in input files; the zero
@@ -28,23 +34,24 @@ per-vertex balancing.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
 from .graphs import AbstractGraph, Flag, spanning_forest
-from .inputs import ambient_dim, bounded_id, integer_direction, positive_weight, rationals
+from .inputs import INT_BOUND, MAX_ID, ambient_dim, bounded_id, integer_direction, positive_weight, rationals
 from .linalg import content_and_primitive, is_primitive
 
 # Largest curve file parse_curve accepts.  The worst case measured is a
 # 256-edge loop chain (genus 51, 153 vertices) in Q^16 (inputs.MAX_DIM):
-# `obstruction --method xi` takes 0.22 s and peaks at 27 MB, and prints a
+# `obstruction --method xi` takes 0.16 s and peaks at 23 MB, and prints a
 # 62 MB report, whose dense basis format grows like edges^2 * n^2; the
 # bound holds that output down.  With positions at inputs.MAX_BITS,
-# `classify` and `abundancy` on such a chain take 0.10 s and 0.12 s.  In
-# Q^3 a 511-edge chain takes 0.15 s (`--method xi`) with the bound lifted.
-# Medians of 7 whole-process runs, standard output to a file, without
-# cached bytecode, on a shared 2-vCPU Xeon, Python 3.11; the largest
-# benchmark curve has 201 edges.
+# `classify` and `abundancy` on such a chain take 0.10 s each.  In Q^3 a
+# 511-edge chain takes 0.10 s (`--method xi`) with the bound lifted.
+# Medians of 7 whole-process runs (the middle of three such medians),
+# standard output to a file, without cached bytecode, on a shared 2-vCPU
+# Xeon, Python 3.11; the largest benchmark curve has 201 edges.
 MAX_VERTICES = 256
 MAX_EDGES = 256
 
@@ -113,7 +120,12 @@ class TropicalCurve(CombinatorialType):
 
 def _validate_curve(c: TropicalCurve):
     """Check the curve and store the length of each bounded edge, and the
-    direction of each one whose direction is omitted."""
+    direction of each one whose direction is omitted.
+
+    A position difference of ints has the gcd of its entries as its length
+    and the quotient as its direction: what `content_and_primitive` gives,
+    without its lcm of denominators that are all 1.  A difference with a
+    Fraction entry goes through `content_and_primitive`."""
     positions, directions = c.positions, c.directions
     for eid, e in c.graph.edges.items():
         a, b = e.ends
@@ -121,7 +133,7 @@ def _validate_curve(c: TropicalCurve):
         if b is None:
             if d is None:
                 raise ValidationError(
-                    "missing-direction", f"unbounded edge {eid} needs a direction", edge=eid
+                    "missing-direction", f"unbounded edge {eid} needs a nonzero direction", edge=eid
                 )
             if not is_primitive(d):
                 raise ValidationError(
@@ -138,7 +150,14 @@ def _validate_curve(c: TropicalCurve):
                     edge=eid,
                 )
             continue
-        c.lengths[eid], prim = content_and_primitive([y - x for x, y in zip(start, end)])
+        diff = [y - x for x, y in zip(start, end)]
+        for x in diff:
+            if type(x) is not int:
+                c.lengths[eid], prim = content_and_primitive(diff)
+                break
+        else:
+            c.lengths[eid] = length = gcd(*diff)
+            prim = tuple([x // length for x in diff])
         if d is None:
             directions[eid] = prim
         elif d != prim:
@@ -207,7 +226,9 @@ def parse_curve(doc: dict) -> TropicalCurve:
     for item in vs:
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):
             raise ValidationError("schema", "each vertex needs a string id")
-        vid = bounded_id(item["id"], "vertex id")
+        vid = item["id"]
+        if len(vid) > MAX_ID:
+            bounded_id(vid, "vertex id")  # raises
         pos = item.get("position")
         if not isinstance(pos, list) or len(pos) != n:
             raise ValidationError(
@@ -220,7 +241,9 @@ def parse_curve(doc: dict) -> TropicalCurve:
     for item in es:
         if not isinstance(item, dict) or not isinstance(item.get("id"), str):
             raise ValidationError("schema", "each edge needs a string id")
-        eid = bounded_id(item["id"], "edge id")
+        eid = item["id"]
+        if len(eid) > MAX_ID:
+            bounded_id(eid, "edge id")  # raises
         ends = item.get("ends")
         if not isinstance(ends, list) or len(ends) != 2 or not isinstance(ends[0], str):
             raise ValidationError(
@@ -249,7 +272,9 @@ def parse_curve(doc: dict) -> TropicalCurve:
                     f"contracted edge {eid} needs a direction entry (zero vector for none)",
                     edge=eid,
                 )
-        weight = positive_weight(item.get("weight", 1), "bad-weight", eid)
+        weight = item.get("weight", 1)
+        if type(weight) is not int or not 0 < weight < INT_BOUND:
+            positive_weight(weight, "bad-weight", eid)  # raises, naming the fault
         edges.append((eid, (ends[0], ends[1]), weight))
         directions[eid] = d
     graph = AbstractGraph(vertex_ids, edges)

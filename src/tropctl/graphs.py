@@ -87,24 +87,25 @@ class AbstractGraph:
         if not known:
             raise ValidationError("empty-graph", "graph has no vertices")
         if len(known) != len(vertices):
-            raise ValidationError("duplicate-vertex", "vertex ids must be unique")
-        emap: dict[str, Edge] = {}
-        for eid, ends, weight in edges:
+            vid = next(v for i, v in enumerate(vertices) if v in vertices[:i])
+            raise ValidationError("duplicate-vertex", f"vertex id repeated: {vid}", vertex=vid)
+        emap = {}  # edge id -> (a, b, weight), checked
+        for eid, (a, b), weight in edges:
             if eid in emap:
                 raise ValidationError("duplicate-edge", f"edge id repeated: {eid}", edge=eid)
             if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
                 raise ValidationError("bad-weight", f"edge {eid} weight must be a positive integer", edge=eid)
-            a, b = ends
             if a not in known or (b is not None and b not in known):
                 raise ValidationError("unknown-endpoint", f"edge {eid} references an unknown vertex", edge=eid)
-            emap[eid] = Edge(eid, (a, b), weight)
+            emap[eid] = a, b, weight
         self.vertex_ids: tuple[str, ...] = tuple(sorted(known))
         self.edge_ids: tuple[str, ...] = tuple(sorted(emap))
-        self.edges: dict[str, Edge] = {eid: emap[eid] for eid in self.edge_ids}
+        self.edges: dict[str, Edge] = {}
         adj: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertex_ids}
         bounded, unbounded = [], []
-        for eid, e in self.edges.items():
-            a, b = e.ends
+        for eid in self.edge_ids:
+            a, b, weight = emap[eid]
+            self.edges[eid] = Edge(eid, (a, b), weight)
             adj[a].append((eid, 0))
             if b is None:
                 unbounded.append(eid)
@@ -251,7 +252,10 @@ def spanning_forest(g: AbstractGraph, edges: Iterable[str]) -> Forest:
         if ra == rb:
             rest.append(eid)
         else:
-            parent[max(ra, rb)] = min(ra, rb)  # each root is its component's smallest vertex
+            if ra < rb:  # each root is its component's smallest vertex
+                parent[rb] = ra
+            else:
+                parent[ra] = rb
             tree[a].append((eid, b, 1))
             tree[b].append((eid, a, -1))
     root: dict[str, str] = {}

@@ -18,6 +18,13 @@ labels of a `--model` file, has at most MAX_ID characters (`bounded_id`),
 so a message or report context that names one stays short.  A reader
 takes the caller's error kind and the id of what it reads, and builds a
 message only when a check fails.
+
+A reader checks the common shape first, by exact type: `rationals` an
+exact str that int() reads, after strip(), as an int within MAX_BITS, and
+`integer_direction` an exact list of n exact ints within MAX_BITS, in one
+loop.  Anything else, a Fraction string or a fault, goes on to the general
+path, which words every message, so a fast path changes no value, type or
+error, and the first fault of a list is still the one reported.
 """
 
 from __future__ import annotations
@@ -35,10 +42,12 @@ from .errors import ValidationError
 # entries, and a weight multiplies every entry of its edge's direction.  The
 # worst star measured at the bound is the 16-valent 40-bit star of the
 # residues.MAX_VALENCE note, which gives its time.  A 256-edge loop chain in
-# Q^16 with positions at the bound takes 0.10 s for `classify` (whole
-# processes, median of 7, on a shared 2-vCPU Xeon, Python 3.11).
+# Q^16 with positions at the bound takes 0.10 s for `classify` and for
+# `abundancy` (whole processes, median of 7, on a shared 2-vCPU Xeon,
+# Python 3.11).
 # Benchmark inputs use at most 8 bits.
 MAX_BITS = 40
+INT_BOUND = 1 << MAX_BITS  # an int x has at most MAX_BITS bits iff -INT_BOUND < x < INT_BOUND
 
 # Largest ambient dimension of a curve or --model file.  The worst cases
 # measured behind MAX_BITS, curves.MAX_EDGES and residues.MAX_VALENCE lie in
@@ -168,6 +177,12 @@ def integer_direction(value, n: int, kind: str, edge: str) -> tuple:
     """An edge's direction as a tuple: a list of n JSON integers (else
     kind), each of at most MAX_BITS bits (else limit).  Whether it must be
     primitive or nonzero is the caller's rule."""
+    if type(value) is list and len(value) == n:
+        for x in value:
+            if type(x) is not int or not -INT_BOUND < x < INT_BOUND:
+                break
+        else:
+            return tuple(value)
     if not isinstance(value, list) or len(value) != n or not all([type(x) is int for x in value]):
         raise ValidationError(kind, f"edge {edge} direction must list {n} integers", edge=edge)
     for x in value:
@@ -190,9 +205,19 @@ def rationals(items: list, field: str, vertex: str | None = None) -> tuple:
     """The rational strings of a list, read in order by parse_rational:
     bad-rational for one it rejects, limit for one of more than MAX_BITS
     bits.  The message names "vertex <vertex> <field>", or field alone for
-    a list that belongs to no vertex."""
+    a list that belongs to no vertex.  An integer string within the bound
+    is read by int() in the loop, as parse_rational's first step reads it."""
     out = []
     for text in items:
+        if type(text) is str:
+            try:
+                q = int(text.strip())
+            except ValueError:
+                pass
+            else:
+                if -INT_BOUND < q < INT_BOUND:
+                    out.append(q)
+                    continue
         try:
             q = parse_rational(text)
         except (ValueError, ZeroDivisionError) as exc:

@@ -14,8 +14,10 @@ of the blocks where it is nonzero, for the per-flag bases.
 Elimination is sparse, incremental and fraction-free in `_rref`, the one
 eliminator, reached from `echelon` and `kernel`: rows are cleared of
 denominators on the way in, and every step is integer arithmetic with the
-row content divided out.  `echelon` returns those integer rows and `rank`
-counts them.  `kernel` reduces the rows once, with the column order
+row content divided out.  The rows built in this package are mostly
+integer rows already, and a row of exact ints is taken as it is, with no
+denominators read and no rescaling.  `echelon` returns those integer rows
+and `rank` counts them.  `kernel` reduces the rows once, with the column order
 reversed, and reads the canonical basis of the solution space off the same
 reduced rows, each entry one `Fraction` made by dividing by a row's pivot,
 so a kernel costs one elimination and not two.  The reduced echelon form
@@ -43,6 +45,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q0 = Fraction(0)
+Q1 = Fraction(1)
 
 
 def content_and_primitive(v: Sequence) -> tuple[int | Fraction, tuple[int, ...]]:
@@ -121,14 +124,20 @@ def residual(row: dict, kept: dict) -> dict:
     combination of the kept rows.  It is empty exactly when row lies in
     their span.
 
-    The row is scaled by the lcm of its denominators, and each pivot column
-    where it is nonzero is cleared with that pivot's row (`_eliminate`).
+    A row of exact ints is copied without its zeros; another row is scaled
+    by the lcm of its denominators.  Then each pivot column where it is
+    nonzero is cleared with that pivot's row (`_eliminate`).
     The kept rows are zero in each other's pivot columns, so clearing one
     pivot column sets no other, and one pass over the row's entries clears
     them all.
     """
-    d = lcm(*(x.denominator for x in row.values()))
-    row = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+    for value in row.values():
+        if type(value) is not int:
+            d = lcm(*[x.denominator for x in row.values()])
+            row = {j: x.numerator * (d // x.denominator) for j, x in row.items() if x}
+            break
+    else:
+        row = {j: x for j, x in row.items() if x}
     for p in [j for j in row if j in kept]:
         _eliminate(row, p, kept[p])
     return row
@@ -192,7 +201,7 @@ def kernel(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> tuple[
     """
     last = ambient - 1
     kept = _rref({last - j: x for j, x in row.items()} for row in _sparse_rows(ambient, vectors))
-    null = {f: {f: Fraction(1)} for f in range(ambient)}
+    null = {f: {f: Q1} for f in range(ambient)}
     for key in sorted(kept, reverse=True):  # pivot columns q in increasing order
         row = kept[key]
         pivot, q = row[key], last - key
@@ -221,5 +230,5 @@ def _sparse_rows(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]):
     length ambient."""
     for v in vectors:
         row = v if isinstance(v, dict) else dict(zip(range(ambient), v, strict=True))
-        assert all(0 <= j < ambient for j in row), "vectors must lie in the ambient space"
+        assert not row or 0 <= min(row) and max(row) < ambient, "vectors must lie in the ambient space"
         yield row

@@ -98,21 +98,31 @@ def flag_system(g: AbstractGraph, n: int, edges, directions=None, method_rows=()
     elimination is needed.  A vector holds both flags of each edge on which
     it is nonzero, +w_e and -w_e as tuples, and no other flag: a flag of
     `flag_order` that it does not hold carries the zero covector.
+
+    Each flag is made once, for `flag_order`, and the basis vectors use
+    those Flags as keys.  The flags of one chain share two tuple objects,
+    the chain's covector and its negation, which lets a writer make the
+    text of each covector once (`cli._basis_payload`).
     """
     chains = g.loop_decomposition
     space = kernel(len(chains) * n, flag_assembly(g, n, directions) + list(method_rows))
-    flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
+    flags = {}  # edge id -> its two flags, slot 0 first
+    for eid in edges:
+        a, b = g.edges[eid].ends
+        flags[eid] = Flag(a, eid, 0), Flag(b, eid, 1)
     basis = []
     for w in space:
         assignment = {}
         for i, cov in row_blocks(w, n).items():
-            neg = tuple(-x for x in cov)
+            neg = tuple([-x for x in cov])
             for eid, sign in zip(chains[i].edges, chains[i].signs):
-                ends = g.edges[eid].ends
-                plus, minus = (cov, neg) if sign > 0 else (neg, cov)
-                assignment[Flag(ends[0], eid, 0)] = plus
-                assignment[Flag(ends[1], eid, 1)] = minus
+                at0, at1 = flags[eid]
+                if sign > 0:
+                    assignment[at0], assignment[at1] = cov, neg
+                else:
+                    assignment[at0], assignment[at1] = neg, cov
         basis.append(assignment)
+    flag_order = tuple(flag for pair in flags.values() for flag in pair)
     return {"dim": len(space), "flag_order": flag_order, "basis": basis}
 
 

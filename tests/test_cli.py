@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tropctl import residues
-from tropctl.cli import MAX_SELFTEST_CASES, _Basis, _case_count, _parse_args, _print_json, build_parser, main
+from tropctl.cli import MAX_SELFTEST_CASES, _Basis, _basis_payload, _case_count, _parse_args, _print_json, build_parser, main
 from tropctl.curves import serialize_curve
 from tropctl.inputs import MAX_BITS, MAX_DIM, MAX_ID, read_doc
 from tropctl.laurent import MAX_EXPONENT, parse_laurent_doc
@@ -1066,7 +1066,7 @@ _ERROR_KIND_FAULTS = {
         2, "duplicate-edge", {"edge": "s01"}, _square_fault(lambda doc: doc["edges"].append(doc["edges"][0]))
     ),
     "duplicate-vertex": (
-        2, "duplicate-vertex", {}, _square_fault(lambda doc: doc["vertices"].append(doc["vertices"][0]))
+        2, "duplicate-vertex", {"vertex": "a"}, _square_fault(lambda doc: doc["vertices"].append(doc["vertices"][0]))
     ),
     "unknown-endpoint": (
         2, "unknown-endpoint", {"edge": "s01"}, _square_fault(lambda doc: doc["edges"][0].update(ends=["a", "z"]))
@@ -1677,11 +1677,15 @@ def _bases(draw):
     """Bases in the sparse `_Basis` form of `_basis_payload`: each vector a
     {position: covector} dict, the zero covector drawn like the others (so
     it can be adversarial or empty), and the held covectors drawn from a
-    small pool that holds the zero covector too."""
+    small pool that holds the zero covector too.  As `_basis_payload` makes
+    them, one list may be held at several positions and by several vectors;
+    the pool also holds equal lists that are distinct objects, so a writer
+    that keys its texts by identity must still write each one."""
     n = draw(st.integers(0, 3))
     covector = st.lists(_ADVERSARIAL, min_size=n, max_size=n)
     zero = draw(st.just(["0"] * n) | covector)
     pool = [zero] + draw(st.lists(covector, max_size=4))
+    pool += [list(cov) for cov in draw(st.lists(st.sampled_from(pool), max_size=2))]
     width = draw(st.integers(0, 4))
     held = st.dictionaries(st.integers(0, width - 1), st.sampled_from(pool)) if width else st.just({})
     return _Basis(width, zero, draw(st.lists(held, max_size=4)))
@@ -1734,6 +1738,24 @@ def test_print_json_matches_the_json_module(reports):
     with redirect_stdout(out):
         _print_json(reports)
     assert out.getvalue() == _json_module_text(reports)
+
+
+_COVECTORS = st.lists(st.fractions(max_denominator=7), min_size=2, max_size=2).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pool=st.lists(_COVECTORS, min_size=1, max_size=4), data=st.data())
+def test_basis_payload_writes_each_covector_as_its_strings(pool, data):
+    """`_basis_payload` makes the strings of a covector object once; a
+    covector held by several flags, and an equal one that is another
+    object, still read as their own strings."""
+    pool += [tuple([*cov]) for cov in pool]  # equal covectors, other objects
+    keys = ["a", "b", "c", "d"]
+    held = st.dictionaries(st.sampled_from(keys), st.sampled_from(pool))
+    basis = data.draw(st.lists(held, max_size=4))
+    width, zero, vectors = _basis_payload(keys, basis, 2)
+    assert (width, zero) == (4, ["0", "0"])
+    assert vectors == [{keys.index(k): [str(x) for x in cov] for k, cov in a.items()} for a in basis]
 
 
 @pytest.mark.parametrize(

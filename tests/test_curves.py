@@ -22,7 +22,8 @@ from tropctl.curves import (
 )
 from tropctl.errors import PreconditionError, ValidationError
 from tropctl.graphs import AbstractGraph, Flag
-from tropctl.inputs import MAX_DIM
+from tropctl.inputs import MAX_BITS, MAX_DIM, integer_direction
+from tropctl.linalg import content_and_primitive
 from tropctl.randgen import random_genus1_curve, random_immersive_curve, random_loopchain_curve
 
 import fixtures
@@ -82,6 +83,26 @@ def test_parse_rejects_missing_leg_direction():
     with pytest.raises(ValidationError) as err:
         parse_curve(doc)
     assert err.value.kind == "missing-direction"
+
+
+def test_the_two_load_errors_name_what_is_wrong():
+    """A repeated vertex id is named, and a zero leg direction is called
+    zero, not missing; kinds stay those of the other faults of each rule."""
+    doc = fixtures.square_loop_doc()
+    doc["vertices"].append({"id": "b", "position": ["1", "0", "0"]})
+    doc["vertices"].append({"id": "a", "position": ["0", "0", "0"]})
+    with pytest.raises(ValidationError) as err:
+        parse_curve(doc)
+    assert (err.value.kind, err.value.message, err.value.context) == (
+        "duplicate-vertex", "vertex id repeated: b", {"vertex": "b"}
+    )
+    doc = fixtures.square_loop_doc()
+    doc["edges"][-1]["direction"] = [0, 0, 0]
+    with pytest.raises(ValidationError) as err:
+        parse_curve(doc)
+    assert (err.value.kind, err.value.message, err.value.context) == (
+        "missing-direction", "unbounded edge u3 needs a nonzero direction", {"edge": "u3"}
+    )
 
 
 def test_parse_rejects_dimension_cap():
@@ -534,3 +555,75 @@ def test_stored_lengths_measure_each_edge(seed, scale, shift):
             assert length == scale * base.edge_length(eid)
     ends = [c.graph.edges[eid].ends for eid in c.graph.bounded_edge_ids()]
     assert is_immersive(c) == all(positions[a] != positions[b] for a, b in ends)
+
+
+# -- fast paths against their general paths ------------------------------------
+
+
+def _direction_by_two_loops(value, n, kind, edge):
+    """integer_direction as written before its fast path: one pass for the
+    shape and the types, one for the bit bound."""
+    if not isinstance(value, list) or len(value) != n or not all([type(x) is int for x in value]):
+        raise ValidationError(kind, f"edge {edge} direction must list {n} integers", edge=edge)
+    for x in value:
+        if x.bit_length() > MAX_BITS:
+            message = f"edge {edge} direction: a number of {x.bit_length()} bits exceeds the maximum {MAX_BITS}"
+            raise ValidationError("limit", message, edge=edge)
+    return tuple(value)
+
+
+def _outcome(read, *args):
+    """(type, value) of what read returns, or the error it raises."""
+    try:
+        value = read(*args)
+    except ValidationError as err:
+        return err.kind, err.message, err.context
+    return type(value), value
+
+
+_edge_entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**40 - 1, -(2**40 - 1), 2**40, -(2**40), 2**41, True, False, 1.0, "1", None, [1]]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.one_of(
+                st.lists(_edge_entries, min_size=max(n - 1, 0), max_size=n + 1),
+                st.builds(tuple, st.lists(_edge_entries, min_size=n, max_size=n)),
+                st.sampled_from([None, 3, "1,2,3", {"0": 1}]),
+            ),
+        )
+    )
+)
+def test_integer_direction_reads_as_its_two_loop_reference(case):
+    n, value = case
+    assert _outcome(integer_direction, value, n, "schema", "e") == _outcome(_direction_by_two_loops, value, n, "schema", "e")
+
+
+_coordinates = st.one_of(
+    st.integers(-(2**45), 2**45),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=12),
+    st.integers(-50, 50).map(Fraction),  # integral Fractions
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(_coordinates, min_size=n, max_size=n), min_size=2, max_size=2)))
+def test_an_edge_is_measured_as_content_and_primitive_measures_it(ends):
+    """The integer measure (one gcd) of a bounded edge gives the length and
+    direction, with their types, that content_and_primitive gives for its
+    position difference, for int, Fraction and integral Fraction entries."""
+    p, q = ends
+    diff = [y - x for x, y in zip(p, q)]
+    if not any(diff):
+        return
+    length, d = content_and_primitive(diff)
+    graph = AbstractGraph(["a", "b"], [("e", ("a", "b"), 1), ("u", ("a", None), 1), ("w", ("b", None), 1)])
+    c = TropicalCurve(graph, len(p), {"a": p, "b": q}, {"u": tuple(-x for x in d), "w": d})
+    assert (type(c.lengths["e"]), c.lengths["e"]) == (type(length), length)
+    assert c.directions["e"] == d and all(type(x) is int for x in c.directions["e"])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tropctl import residues
 from tropctl.errors import ValidationError
-from tropctl.inputs import parse_rational
+from tropctl.inputs import MAX_BITS, parse_rational, rationals as read_rationals
 from tropctl.laurent import LaurentSeries
 from tropctl.linalg import (
     content_and_primitive,
@@ -106,6 +106,56 @@ def test_parse_rational_agrees_with_fraction(text):
     q = parse_rational(text)
     assert type(q) is kind
     assert q == expected
+
+
+def _rational_by_parse_rational(text):
+    """One position entry as `inputs.rationals` read it before its fast
+    path: parse_rational, then the bit bound."""
+    try:
+        q = parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError("bad-rational", f"vertex v position: {exc}", vertex="v") from exc
+    bits = max(Fraction(q).numerator.bit_length(), Fraction(q).denominator.bit_length())
+    if bits > MAX_BITS:
+        raise ValidationError(
+            "limit", f"vertex v position: a number of {bits} bits exceeds the maximum {MAX_BITS}", vertex="v"
+        )
+    return q
+
+
+def _reading(read, items):
+    """The (type, value) pairs read, or the error raised, as comparable data."""
+    try:
+        return [(type(q), q) for q in read(items)]
+    except ValidationError as err:
+        return err.kind, err.message, err.context
+
+
+_bound_strings = st.sampled_from(
+    [str(2**40 - 1), str(-(2**40 - 1)), str(2**40), str(-(2**40)), f" +{2**40 - 1} ", f"{2**40}/1", f"1/{2**40}"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            _number_like,
+            _bound_strings,
+            st.sampled_from([" 5 ", "\x1c5", "1_0", "+4", "\u0663", "\u0661\u0662", "4/2", "3/4", "-0.5", "junk", "1/0"]),
+            st.sampled_from([5, None, 1.5, True, ["1"]]),
+            st.text(max_size=4),
+        ),
+        max_size=4,
+    )
+)
+@example(["1", "2" * 5000])
+def test_rationals_reads_as_parse_rational_does(items):
+    """The int fast path of `inputs.rationals` gives the values, types and
+    first error of the route through parse_rational and the bit bound."""
+    assert _reading(lambda xs: read_rationals(xs, "position", "v"), items) == _reading(
+        lambda xs: [_rational_by_parse_rational(x) for x in xs], items
+    )
 
 
 def test_rational_str_round_trip():
@@ -263,6 +313,32 @@ def test_rank_and_residuals_modulo_a_reduced_set(matrix, split, rng):
     # a residual is empty exactly when its row lies in the span of the fixed rows
     for row, res in zip(new, residuals):
         assert (not res) == (rank(ncols, fixed + [row]) == len(kept))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda c: st.lists(st.lists(st.integers(0, 2).flatmap(
+            lambda k: st.integers(-(2**70), 2**70) if k == 0 else st.just(0)
+        ), min_size=c, max_size=c), min_size=1, max_size=7)
+    ),
+    st.integers(0, 7),
+)
+def test_integer_rows_reduce_as_the_same_rows_in_fractions(rows, split):
+    """The integer intake of `residual` (no rescaling) gives the rank,
+    kernel, echelon form and residuals that the same rows written as
+    Fractions give."""
+    ncols = len(rows[0])
+    as_fractions = [[Fraction(x) for x in row] for row in rows]
+    assert rank(ncols, rows) == rank(ncols, as_fractions)
+    assert kernel(ncols, rows) == kernel(ncols, as_fractions)
+    kept = echelon(ncols, rows[:split])
+    assert kept == echelon(ncols, as_fractions[:split])
+    for row, frow in zip(rows[split:], as_fractions[split:]):
+        ints, fracs = ({j: x for j, x in enumerate(r)} for r in (row, frow))
+        res = residual(ints, kept)
+        assert res == residual(fracs, kept)
+        assert all(type(x) is int and x for x in res.values())
 
 
 sparse_nonzero = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
