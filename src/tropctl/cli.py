@@ -19,7 +19,8 @@ array for a batch of several files), byte for byte what
 json.dumps(payload, indent=2, sort_keys=True) would give, so identical
 inputs produce byte-identical output.  The writer streams the report to
 standard output as it goes and takes only what a report holds: dicts, lists,
-strings, integers, booleans, None and the basis of `_basis_payload`.  A
+strings, integers, booleans, None and a basis in the block form the solvers
+give (`_Basis`), which it expands to flags as it writes (`_dense`).  A
 float, a Fraction or any other tuple raises TypeError.  Exit codes: 0
 success, 1 selftest found a failing invariant, 2 input validation error, 3
 computation precondition failure, 64 usage error, 74 standard output closed
@@ -199,41 +200,35 @@ def _check_image_vertices(entries: dict, image, what: str):
 # -- report helpers ----------------------------------------------------------
 
 
-def _flag_key(flag) -> list:
-    return [flag.vertex, flag.edge, flag.slot]
-
-
 class _Basis(NamedTuple):
-    """A report's basis, sparse: `width` positions, the `zero` covector, and
-    each vector a {position: covector} dict of the covectors it holds, its
-    covectors lists of strings.  A position that a vector does not hold
-    carries zero.  The writers print the dense form, each vector a list of
-    `width` covectors; the JSON writer knows a basis by this type."""
+    """A report's basis in the block form the solvers give: `width`
+    positions, the covector length `n`, `places` (places[i] the
+    (position, sign) pairs that block i fills with sign times its
+    covector) and each vector a {block: covector} dict of the blocks where
+    it is nonzero, its covectors n-tuples of rationals.  A position that no
+    held block fills carries zero.  The writers print the dense form
+    through `_dense`, each vector a list of `width` covectors; the JSON
+    writer knows a basis by this type."""
 
     width: int
-    zero: list
+    n: int
+    places: list
     vectors: list
 
 
-def _basis_payload(keys, basis, n) -> _Basis:
-    """A basis over `keys`, positions counted in `keys`, in `_Basis` form.
-
-    A covector object held at several positions, as `flag_system` hands one
-    tuple to the flags of a chain, has its list of strings made once, keyed
-    by the object's identity within the call, and that one list is held at
-    each of its positions."""
-    index = {key: i for i, key in enumerate(keys)}
-    strings = {}  # id of a covector -> its list of strings
-    vectors = []
-    for assignment in basis:
-        vector = {}
-        for key, cov in assignment.items():
-            text = strings.get(id(cov))
-            if text is None:
-                text = strings[id(cov)] = list(map(str, cov))
-            vector[index[key]] = text
-        vectors.append(vector)
-    return _Basis(len(index), ["0"] * n, vectors)
+def _dense(basis: _Basis, vector: dict, render) -> list:
+    """The rendered covectors at a vector's `width` positions: render of the
+    zero covector, then at each place of each block the vector holds, render
+    of the block's covector or, at a place of sign -1, of its negation.
+    Each covector and negation is rendered at most once."""
+    row = [render((0,) * basis.n)] * basis.width
+    for i, cov in vector.items():
+        text, neg = render(cov), None
+        for p, sign in basis.places[i]:
+            if sign < 0 and neg is None:
+                neg = render([-x for x in cov])
+            row[p] = text if sign > 0 else neg
+    return row
 
 
 def _report(command, stamps, fields) -> dict:
@@ -297,8 +292,8 @@ def _obstruction_fields(curve, coords, args) -> dict:
             fields["paramDim"] = expected_dim(image) + res["dim"]
         else:
             fields["warnings"] = ["paramDim omitted: the dimension formula is stated for 3-valent types"]
-    fields["flags"] = [_flag_key(f) for f in res["flag_order"]]
-    fields["basis"] = _basis_payload(res["flag_order"], res["basis"], curve.n)
+    fields["flags"] = [list(f) for f in res["flag_order"]]
+    fields["basis"] = _Basis(len(res["flag_order"]), curve.n, res["places"], res["basis"])
     fields["superabundant"] = res["dim"] > 0
     return fields
 
@@ -383,7 +378,7 @@ def _local_model_fields(curve, model, args) -> dict:
         "infinitySlot": model.infinity.label,
         "coords": [str(c) for c in model.coords],
         "variables": list(res["variables"]),
-        "basis": _basis_payload(res["variables"], res["basis"], model.n),
+        "basis": _Basis(len(res["variables"]), model.n, res["places"], res["basis"]),
     }
 
 
@@ -549,16 +544,9 @@ def _write_json(write, value, indent):
 
 def _write_basis(write, basis, pad):
     """Write json.dumps of the dense form of a `_Basis`, indent=2, for a
-    basis whose line is indented by pad, one vector at a time.
-
-    The strings are escaped as json.dumps escapes them.  The text of each
-    covector list is made once, keyed by the list's identity within the
-    call, the zero covector's first: `_basis_payload` shares one list among
-    the positions of a covector.  Each vector's row starts as `width`
-    copies of the zero text, and the text of each covector the vector holds
-    is written into its position.
-    """
-    width, zero, vectors = basis
+    basis whose line is indented by pad, one vector at a time, each row
+    filled by `_dense`.  A covector's entries are written as the strings of
+    its rationals, which need no escaping."""
     vec_pad, cov_pad = pad + "  ", pad + "    "
 
     def block(items, indent):  # the list of these item texts, its "]" at indent
@@ -566,22 +554,14 @@ def _write_basis(write, basis, pad):
         return "[" + sep[1:] + sep.join(items) + "\n" + indent + "]" if items else "[]"
 
     def text(cov):
-        return block(list(map(encode_basestring_ascii, cov)), cov_pad)
+        return block(['"' + str(x) + '"' for x in cov], cov_pad)
 
-    zero_text = text(zero)
-    texts = {id(zero): zero_text}  # id of a covector list -> its text
     opening = "[\n" + vec_pad
-    for vector in vectors:
+    for vector in basis.vectors:
         write(opening)
         opening = ",\n" + vec_pad
-        row = [zero_text] * width
-        for i, cov in vector.items():
-            item = texts.get(id(cov))
-            if item is None:
-                item = texts[id(cov)] = text(cov)
-            row[i] = item
-        write(block(row, vec_pad))
-    write("\n" + pad + "]" if vectors else "[]")
+        write(block(_dense(basis, vector, text), vec_pad))
+    write("\n" + pad + "]" if basis.vectors else "[]")
 
 
 def _format_scalar(value):
@@ -613,13 +593,13 @@ def _print_text_report(rep):
         else:
             print(f"{key}: {_format_scalar(value)}")
     if "basis" in rep:
-        _width, zero, vectors = rep["basis"]
+        basis = rep["basis"]
         labels = ["/".join(map(str, f)) for f in rep["flags"]] if "flags" in rep else list(map(str, rep["variables"]))
-        print("basis:" if vectors else "basis: (empty)")
-        for bi, vec in enumerate(vectors, start=1):
+        print("basis:" if basis.vectors else "basis: (empty)")
+        for bi, vec in enumerate(basis.vectors, start=1):
             print(f"  vector {bi}:")
-            for i, label in enumerate(labels):
-                print(f"    {label}: ({', '.join(vec.get(i, zero))})")
+            for label, text in zip(labels, _dense(basis, vec, lambda cov: ", ".join(map(str, cov)))):
+                print(f"    {label}: ({text})")
     if "annihilatorBasis" in rep:
         print(f"annihilatorBasis: {json.dumps(rep['annihilatorBasis'])}")
     for w in rep.get("warnings", ()):

@@ -9,7 +9,8 @@ solution space.  A row is a {column: value} dict that lists only its
 nonzero entries, from the row builders through elimination to the kernel
 basis; `echelon`, `rank` and `kernel` also take dense vectors, which they
 turn into such dicts.  `row_blocks` reads a row as the dense n-covectors
-of the blocks where it is nonzero, for the per-flag bases.
+of the blocks where it is nonzero: the block form in which the solvers of
+`obstruction` and `residues` hand back their kernel bases.
 
 Elimination is sparse, incremental and fraction-free in `_rref`, the one
 eliminator, reached from `echelon` and `kernel`: rows are cleared of

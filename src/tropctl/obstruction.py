@@ -15,10 +15,12 @@ straight into those columns.  `flag_assembly` writes the perpendicularity
 rows and the sums at the junctions, where chains meet, from the ends of
 the chains: a genus-40 loop chain in R^3 gives a 120x120 system, not the
 480x360 of one covector per loop edge.  `flag_system` solves it, with a
-method's own rows added, and gives a basis of H in per-flag form: each
-basis vector is a {Flag: covector} dict that holds only its nonzero
-covectors, so it costs its nonzeros and not the number of flags (a basis
-vector of a genus-40 loop chain is nonzero on about 6 of its 240 flags).
+method's own rows added, and gives a basis of H as the kernel solved it,
+in chain blocks: each basis vector holds W_c for the chains where it is
+nonzero, and `places` says which flags, with which sign, each chain's W_c
+fills, so a vector costs its nonzero blocks and not the number of flags (a
+basis vector of a genus-40 loop chain is nonzero on about 6 of its 240
+flags).  Only a writer expands the blocks to flags.
 The chain method (`dual_obstruction_chain`) is that system with nothing
 added, solved by one elimination; the residue method (`residues.xi_map`)
 adds the residue sums at each vertex of valence above 3, since at the
@@ -91,39 +93,28 @@ def flag_system(g: AbstractGraph, n: int, edges, directions=None, method_rows=()
 
     Returns its dimension, `flag_order` (the flags of `edges`, sorted
     bounded edge ids that include the loop part, edge by edge with slot 0
-    first) and the basis: one {Flag: covector} dict per row of the
-    canonical kernel basis, each chain block of the row expanded to the
-    edges of its chain with their signs.  As `flag_assembly` says, that is
-    the canonical basis over one covector per loop edge, so no second
-    elimination is needed.  A vector holds both flags of each edge on which
-    it is nonzero, +w_e and -w_e as tuples, and no other flag: a flag of
-    `flag_order` that it does not hold carries the zero covector.
-
-    Each flag is made once, for `flag_order`, and the basis vectors use
-    those Flags as keys.  The flags of one chain share two tuple objects,
-    the chain's covector and its negation, which lets a writer make the
-    text of each covector once (`cli._basis_payload`).
+    first), `places` and the basis in block form: one `linalg.row_blocks`
+    dict {chain index: W_c} per row of the canonical kernel basis, holding
+    the chains where the row is nonzero.  places[i] lists the
+    (position in `flag_order`, sign) pairs that W_c of chains[i] fills: the
+    flag at slot 0 of each loop edge e of the chain carries +sigma_e * W_c
+    and the flag at slot 1 carries -sigma_e * W_c.  No block reaches the
+    flags of a non-loop edge, which carry the zero covector, as do the flags
+    of the chains a row does not hold.  As `flag_assembly` says, the rows,
+    so expanded, are the canonical basis over one covector per loop edge,
+    so no second elimination is needed.
     """
-    chains = g.loop_decomposition
-    space = kernel(len(chains) * n, flag_assembly(g, n, directions) + list(method_rows))
-    flags = {}  # edge id -> its two flags, slot 0 first
+    space = kernel(len(g.loop_decomposition) * n, flag_assembly(g, n, directions) + list(method_rows))
+    flag_order, places = [], [[] for _ in g.loop_decomposition]
     for eid in edges:
+        at = g.chain_of.get(eid)
+        if at is not None:
+            i, sign = at
+            places[i] += [(len(flag_order), sign), (len(flag_order) + 1, -sign)]
         a, b = g.edges[eid].ends
-        flags[eid] = Flag(a, eid, 0), Flag(b, eid, 1)
-    basis = []
-    for w in space:
-        assignment = {}
-        for i, cov in row_blocks(w, n).items():
-            neg = tuple([-x for x in cov])
-            for eid, sign in zip(chains[i].edges, chains[i].signs):
-                at0, at1 = flags[eid]
-                if sign > 0:
-                    assignment[at0], assignment[at1] = cov, neg
-                else:
-                    assignment[at0], assignment[at1] = neg, cov
-        basis.append(assignment)
-    flag_order = tuple(flag for pair in flags.values() for flag in pair)
-    return {"dim": len(space), "flag_order": flag_order, "basis": basis}
+        flag_order += [Flag(a, eid, 0), Flag(b, eid, 1)]
+    basis = [row_blocks(w, n) for w in space]
+    return {"dim": len(space), "flag_order": tuple(flag_order), "places": places, "basis": basis}
 
 
 # -- compatible numberings -----------------------------------------------------
@@ -167,7 +158,7 @@ def dual_obstruction_chain(ct) -> dict:
 
     Requires valences at most 3 and a direction on every loop edge.  Returns
     the `flag_system` of the chain method over the sorted loop edges: the
-    kernel's dimension, `flag_order` and a basis in per-flag form.
+    kernel's dimension, `flag_order`, `places` and a basis in chain blocks.
     """
     return flag_system(ct.graph, ct.n, _chain_loop(ct), ct.directions)
 

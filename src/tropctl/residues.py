@@ -358,19 +358,19 @@ def a_system(model: LocalModel) -> dict:
     """Kernel of the local obstruction system at one vertex, from one
     elimination of its rows (`linalg.kernel`).
 
-    The basis has one {label: covector} dict per row of the canonical kernel
-    basis, holding the bounded slots where that row is nonzero; a label of
-    `variables` that a dict does not hold carries the zero covector.
+    The basis is in block form, as `obstruction.flag_system` gives it: one
+    `linalg.row_blocks` dict {i: covector} per row of the canonical kernel
+    basis, holding the bounded slots i where that row is nonzero.  Block i
+    is the covector of variables[i], so places[i] is the one place (i, +1);
+    a variable that a row does not hold carries the zero covector.
     """
     rows, bounded = _local_rows(model)
     space = kernel(len(bounded) * model.n, rows)
-    basis = [
-        {bounded[i].label: cov for i, cov in row_blocks(bv, model.n).items()} for bv in space
-    ]
     return {
         "dim": len(space),
         "variables": [rec.label for rec in bounded],
-        "basis": basis,
+        "places": [[(i, 1)] for i in range(len(bounded))],
+        "basis": [row_blocks(bv, model.n) for bv in space],
     }
 
 

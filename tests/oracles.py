@@ -22,7 +22,10 @@ spaces, obstruction bases, residue rows, `h_basis`) are compared through
 `canonical_span`, the reduced echelon form that `row_reduce` gives, so such
 a check rests on the package's elimination and this one, not on the
 package's eliminator run twice.  `rational_str` is the rational format that
-reports print, written out where the package uses `str`.
+reports print, written out where the package uses `str`.  `flag_basis`
+expands a solver's basis from its chain blocks to flags by itself, not
+through the report writers of `tropctl.cli`, so the tests read the per-flag
+form that the references give.
 """
 
 from __future__ import annotations
@@ -367,8 +370,9 @@ def residue_coefficient_rows(model):
 
 
 def per_vertex_flag_kernel(g, n, edges, vertex_rows) -> dict:
-    """The flag-system kernel in the form `obstruction.flag_system` reports,
-    with `flag_order` over the flags of edges.
+    """The flag-system kernel in the per-flag form that `flag_basis` reads
+    off a result of `obstruction.flag_system`, with `flag_order` over the
+    flags of edges.
 
     Each (flags, rows) pair of vertex_rows holds conditions at one vertex,
     {i * n + k: coefficient} over the concatenated n-covectors of those
@@ -403,6 +407,24 @@ def per_vertex_flag_kernel(g, n, edges, vertex_rows) -> dict:
         basis.append(assignment)
     flag_order = tuple(Flag(g.edges[eid].ends[s], eid, s) for eid in edges for s in (0, 1))
     return {"dim": len(basis), "flag_order": flag_order, "basis": basis}
+
+
+def flag_basis(result) -> list[dict]:
+    """The basis of a block-form result of `obstruction.flag_system` or
+    `residues.a_system` as one {key: covector} dict per vector, keyed by
+    the Flags of `flag_order` or the labels of `variables`: block i of a
+    vector puts sign times its covector at each (position, sign) of
+    places[i].  A dict holds only the keys that some block of its vector
+    reaches, the form `per_vertex_flag_kernel` gives."""
+    keys = result["flag_order"] if "flag_order" in result else result["variables"]
+    basis = []
+    for vector in result["basis"]:
+        assignment = {}
+        for i, cov in vector.items():
+            for position, sign in result["places"][i]:
+                assignment[keys[position]] = tuple(sign * x for x in cov)
+        basis.append(assignment)
+    return basis
 
 
 def per_vertex_numbering(g) -> dict:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tropctl import residues
-from tropctl.cli import MAX_SELFTEST_CASES, _Basis, _basis_payload, _case_count, _parse_args, _print_json, build_parser, main
+from tropctl.cli import MAX_SELFTEST_CASES, _Basis, _case_count, _parse_args, _print_json, build_parser, main
 from tropctl.curves import serialize_curve
 from tropctl.inputs import MAX_BITS, MAX_DIM, MAX_ID, read_doc
 from tropctl.laurent import MAX_EXPONENT, parse_laurent_doc
@@ -1672,23 +1672,26 @@ _JSON = st.recursive(
 )
 
 
+_COVECTOR_ENTRIES = st.integers(-9, 9) | st.fractions(max_denominator=7)
+
+
 @st.composite
 def _bases(draw):
-    """Bases in the sparse `_Basis` form of `_basis_payload`: each vector a
-    {position: covector} dict, the zero covector drawn like the others (so
-    it can be adversarial or empty), and the held covectors drawn from a
-    small pool that holds the zero covector too.  As `_basis_payload` makes
-    them, one list may be held at several positions and by several vectors;
-    the pool also holds equal lists that are distinct objects, so a writer
-    that keys its texts by identity must still write each one."""
+    """Bases in the block form of `_Basis`: each block fills 1 to 3
+    distinct positions, with signs +1 and -1, some positions (all, when the
+    width is 0) filled by no block, and each vector a {block: covector}
+    dict over some of the blocks, its covectors in Q^n."""
     n = draw(st.integers(0, 3))
-    covector = st.lists(_ADVERSARIAL, min_size=n, max_size=n)
-    zero = draw(st.just(["0"] * n) | covector)
-    pool = [zero] + draw(st.lists(covector, max_size=4))
-    pool += [list(cov) for cov in draw(st.lists(st.sampled_from(pool), max_size=2))]
-    width = draw(st.integers(0, 4))
-    held = st.dictionaries(st.integers(0, width - 1), st.sampled_from(pool)) if width else st.just({})
-    return _Basis(width, zero, draw(st.lists(held, max_size=4)))
+    width = draw(st.integers(0, 8))
+    free = draw(st.permutations(range(width)))
+    places = []
+    while free and draw(st.booleans()):
+        size = draw(st.integers(1, min(3, len(free))))
+        places.append([(p, draw(st.sampled_from([1, -1]))) for p in free[:size]])
+        free = free[size:]
+    covector = st.lists(_COVECTOR_ENTRIES, min_size=n, max_size=n).map(tuple)
+    held = st.dictionaries(st.integers(0, len(places) - 1), covector) if places else st.just({})
+    return _Basis(width, n, places, draw(st.lists(held, max_size=4)))
 
 
 @st.composite
@@ -1711,11 +1714,20 @@ def _reports(draw):
 
 def _dense(rep) -> dict:
     """The report with its basis as written: each vector a list of its
-    `width` covectors, the zero covector at each position it does not hold."""
+    `width` covectors as lists of strings, sign times block i's covector at
+    each (position, sign) of places[i] and the zero covector at every
+    position that no block of the vector fills."""
     if "basis" not in rep:
         return rep
-    width, zero, vectors = rep["basis"]
-    return {**rep, "basis": [[vector.get(i, zero) for i in range(width)] for vector in vectors]}
+    width, n, places, vectors = rep["basis"]
+    rows = []
+    for vector in vectors:
+        row = [["0"] * n for _ in range(width)]
+        for i, cov in vector.items():
+            for position, sign in places[i]:
+                row[position] = [str(sign * x) for x in cov]
+        rows.append(row)
+    return {**rep, "basis": rows}
 
 
 def _json_module_text(reports) -> str:
@@ -1723,16 +1735,18 @@ def _json_module_text(reports) -> str:
     return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2, sort_keys=True) + "\n"
 
 
-_ZERO = ["0", "0"]
 _HEAD = {"schema": "tropctl-report/1", "command": _TOKEN, "inputs": [{"path": '"\\é\x01'}], "warnings": []}
 
 
 @settings(max_examples=150, deadline=None)
 @given(reports=st.lists(_reports(), min_size=1, max_size=3))
 @example(
-    reports=[{**_HEAD, "basis": _Basis(3, _ZERO, [])}, {**_HEAD, "basis": _Basis(3, _ZERO, [{1: ["1", "-1/2"]}, {}])}]
+    reports=[
+        {**_HEAD, "basis": _Basis(3, 2, [[(0, 1)]], [])},
+        {**_HEAD, "basis": _Basis(4, 2, [[(1, 1)], [(3, -1), (0, 1)]], [{1: (Fraction(1), Fraction(-1, 2))}, {}])},
+    ]
 )
-@example(reports=[{**_HEAD, "basis": _Basis(0, [], [{}, {}])}, {**_HEAD, "basis": _Basis(2, [], [{0: []}])}])
+@example(reports=[{**_HEAD, "basis": _Basis(0, 2, [], [{}, {}])}, {**_HEAD, "basis": _Basis(2, 0, [[(0, -1)]], [{0: ()}])}])
 def test_print_json_matches_the_json_module(reports):
     out = io.StringIO()
     with redirect_stdout(out):
@@ -1740,27 +1754,9 @@ def test_print_json_matches_the_json_module(reports):
     assert out.getvalue() == _json_module_text(reports)
 
 
-_COVECTORS = st.lists(st.fractions(max_denominator=7), min_size=2, max_size=2).map(tuple)
-
-
-@settings(max_examples=100, deadline=None)
-@given(pool=st.lists(_COVECTORS, min_size=1, max_size=4), data=st.data())
-def test_basis_payload_writes_each_covector_as_its_strings(pool, data):
-    """`_basis_payload` makes the strings of a covector object once; a
-    covector held by several flags, and an equal one that is another
-    object, still read as their own strings."""
-    pool += [tuple([*cov]) for cov in pool]  # equal covectors, other objects
-    keys = ["a", "b", "c", "d"]
-    held = st.dictionaries(st.sampled_from(keys), st.sampled_from(pool))
-    basis = data.draw(st.lists(held, max_size=4))
-    width, zero, vectors = _basis_payload(keys, basis, 2)
-    assert (width, zero) == (4, ["0", "0"])
-    assert vectors == [{keys.index(k): [str(x) for x in cov] for k, cov in a.items()} for a in basis]
-
-
 @pytest.mark.parametrize(
     "value",
-    [1.5, float("nan"), Fraction(1, 2), ("a", "b"), (3, ["0"], []), {"nested": [Fraction(2)]}],
+    [1.5, float("nan"), Fraction(1, 2), ("a", "b"), (3, 1, [[(0, 1)]], []), {"nested": [Fraction(2)]}],
     ids=["float", "nan", "fraction", "tuple", "basis-shaped-tuple", "nested"],
 )
 def test_the_writer_rejects_what_no_report_holds(value):
@@ -1782,7 +1778,7 @@ def test_a_genus_40_xi_report_matches_the_json_module(tmp_path, monkeypatch):
     with redirect_stdout(out):
         assert main(["obstruction", curve, "--method", "xi", "--format", "json"]) == 0
     (rep,) = seen
-    width, _zero, vectors = rep["basis"]
+    width, _n, _places, vectors = rep["basis"]
     assert len(vectors) == rep["dimH"] == 40 and width == len(rep["flags"])
     assert out.getvalue() == _json_module_text(seen)
 

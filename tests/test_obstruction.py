@@ -15,16 +15,19 @@ from tropctl.obstruction import (
     dual_obstruction_chain,
     dual_obstruction_dim,
     flag_assembly,
+    flag_system,
     parameter_dimension,
     reduced_abundancy_map,
 )
 from tropctl.curves import CombinatorialType, contract_image, expected_dim
 from tropctl.randgen import (
     random_genus1_curve,
+    random_genus2_curve,
     random_immersive_curve,
     random_loopchain_curve,
     random_marked_coords,
     random_trivalent_graph,
+    random_tree_curve,
 )
 from tropctl.residues import xi_map
 
@@ -62,7 +65,7 @@ def test_numbering_members_satisfy_rules():
     out = compatible_numbering_space(g)
     assert out["dim"] == 1
     flags = out["flag_order"]
-    (assignment,) = out["basis"]
+    (assignment,) = oracles.flag_basis(out)
     values = {f: assignment[f][0] for f in flags}
     # both flags of an edge sum to zero; vertex sums vanish
     for eid in g.bounded_edge_ids():
@@ -86,12 +89,12 @@ def test_chain_square_loop():
     c = fixtures.curve(fixtures.square_loop_doc())
     out = dual_obstruction_chain(c)
     assert out["dim"] == 1
-    assert sorted(out) == ["basis", "dim", "flag_order"]
+    assert sorted(out) == ["basis", "dim", "flag_order", "places"]
     loop = ["s01", "s12", "s23", "s30"]
     assert [(f.edge, f.slot) for f in out["flag_order"]] == [(eid, s) for eid in loop for s in (0, 1)]
     # the lone basis covector is perpendicular to the loop plane and
     # alternates sign around the cycle
-    (assignment,) = out["basis"]
+    (assignment,) = oracles.flag_basis(out)
     from tropctl.graphs import Flag
 
     w = assignment[Flag("a", "s01", 0)]
@@ -299,7 +302,8 @@ def test_sparse_basis_spans_the_dense_kernel():
             flags = out["flag_order"]
             n = c.n
             zero = (0,) * n
-            for assignment in out["basis"]:
+            basis = oracles.flag_basis(out)
+            for assignment in basis:
                 assert set(assignment) <= set(flags)
                 for f, cov in assignment.items():
                     assert len(cov) == n and any(cov)
@@ -309,15 +313,16 @@ def test_sparse_basis_spans_the_dense_kernel():
                     else:
                         assert Flag(c.graph.edges[f.edge].ends[1], f.edge, 1) in assignment
             width = len(flags) * n
-            densified = [[x for f in flags for x in assignment.get(f, zero)] for assignment in out["basis"]]
+            densified = [[x for f in flags for x in assignment.get(f, zero)] for assignment in basis]
             expected = oracles.canonical_span(width, dense_chain_kernel(c, flags))
             assert len(densified) == out["dim"] == len(expected)
             assert oracles.canonical_span(width, densified) == expected
 
 
 def _same_flag_system(out, reference):
-    """Equal dim, flag_order and basis, the keys of a reference."""
-    return {key: out[key] for key in reference} == reference
+    """Equal dim and flag_order, and the basis of out, expanded to flags by
+    `oracles.flag_basis`, equal to the reference's."""
+    return {"dim": out["dim"], "flag_order": out["flag_order"], "basis": oracles.flag_basis(out)} == reference
 
 
 def _padded(c, n) -> CombinatorialType:
@@ -366,7 +371,7 @@ def test_flag_system_matches_per_vertex_assembly():
         residues = oracles.per_vertex_xi(c)
         assert _same_flag_system(xi_map(c), residues)
         # the chain method's columns are the loop edges, the same variables
-        assert (chain["dim"], chain["basis"]) == (residues["dim"], residues["basis"])
+        assert (chain["dim"], oracles.flag_basis(chain)) == (residues["dim"], residues["basis"])
     # the 4-valent vertex V of ex536 at random coordinates
     c = fixtures.curve(fixtures.ex536_doc())
     for _ in range(6):
@@ -444,6 +449,41 @@ def test_chain_and_xi_match_per_vertex_assembly_on_reversed_loop_edges():
         ct = _reversed_loop_edges(rng, random_genus1_curve(rng, 3, extra_legs=rng.randint(1, 3)))
         coords = _random_coords(rng, ct)
         assert _same_flag_system(xi_map(ct, coords), oracles.per_vertex_xi(ct, coords))
+
+
+def test_places_fill_each_loop_flag_once_with_its_chain_sign():
+    """`flag_system` places each chain's covector at both flags of each of
+    its edges, +sigma_e at slot 0 and -sigma_e at slot 1, with sigma_e read
+    from `Chain.signs`, and at no flag of a non-loop edge."""
+    rng = random.Random(3535)
+    graphs = [random_trivalent_graph(rng, rng.randint(0, 4)) for _ in range(10)]
+    graphs += [AbstractGraph(*fixtures.random_multigraph(rng)) for _ in range(40)]
+    types = [random_tree_curve(rng, rng.choice([2, 3])) for _ in range(4)]
+    types += [random_genus1_curve(rng, rng.choice([2, 3]), extra_legs=rng.randint(0, 3)) for _ in range(4)]
+    types += [random_genus2_curve(rng, rng.choice([2, 3])) for _ in range(4)]
+    types += [random_loopchain_curve(rng, rng.choice([2, 3]), genus) for genus in (1, 3, 6)]
+    types += [random_immersive_curve(rng, rng.choice([2, 3, 4]), genus) for genus in (0, 1, 2, 3)]
+    fixed = [fixtures.curve(doc()) for doc in (fixtures.gamma1_doc, fixtures.junction_chains_doc)]
+    types += [_reversed_loop_edges(rng, c) for c in types + fixed for _ in range(2)]
+    graphs += [ct.graph for ct in types]
+    assert sum(len(g.loop_part) < len(g.bounded_edge_ids()) for g in graphs) > 20
+    assert sum(-1 in c.signs for g in graphs for c in g.loop_decomposition) > 20
+    for g in graphs:
+        out = flag_system(g, 1, g.bounded_edge_ids())
+        flags = out["flag_order"]
+        placed = {}  # position -> (chain index, sign)
+        for i, places in enumerate(out["places"]):
+            for position, sign in places:
+                assert position not in placed
+                placed[position] = i, sign
+        for j in range(0, len(flags), 2):
+            eid = flags[j].edge
+            assert (flags[j].slot, flags[j + 1]) == (0, Flag(g.edges[eid].ends[1], eid, 1))
+            if eid in g.loop_part:
+                (i, c), = [(i, c) for i, c in enumerate(g.loop_decomposition) if eid in c.edges]
+                sigma = c.signs[c.edges.index(eid)]
+                assert (placed.pop(j), placed.pop(j + 1)) == ((i, sigma), (i, -sigma))
+        assert placed == {}  # nothing on the flags of a non-loop edge
 
 
 def test_flag_assembly_has_one_covector_per_chain_and_sums_only_at_junctions():
