@@ -228,8 +228,10 @@ def rank(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]) -> int:
 
 def _sparse_rows(ambient: int, vectors: Iterable[dict | Sequence[Fraction]]):
     """The vectors as sparse {column: value} rows; a dense vector must have
-    length ambient."""
+    length ambient, and a sparse one's keys must lie in range(ambient)
+    (ValueError otherwise)."""
     for v in vectors:
         row = v if isinstance(v, dict) else dict(zip(range(ambient), v, strict=True))
-        assert not row or 0 <= min(row) and max(row) < ambient, "vectors must lie in the ambient space"
+        if row and (min(row) < 0 or max(row) >= ambient):
+            raise ValueError("vectors must lie in the ambient space")
         yield row

@@ -7,7 +7,9 @@ One redraw rule serves every generator.  A draw is an attempt function
 that raises `_Redraw` when what it drew breaks a constraint (a zero vector,
 parallel arms, a repeated direction, an exponent already taken); `_draw`
 calls it again, up to 200 times in all, and then raises GenerationError
-rather than loop forever.  `_nonzero` is the most common such check.
+rather than loop forever.  `_nonzero` is the most common such check.  A
+shape that no draw in Q^n can take (a double tripod in Q^1) raises
+GenerationError before anything is drawn.
 
 Every curve is put together by one `_Builder`, which keeps the vertex
 positions, the edges and the directions of the legs.  `step` places a new
@@ -154,7 +156,11 @@ def random_tree_curve(rng: random.Random, n: int) -> TropicalCurve:
 
 def random_genus1_curve(rng: random.Random, n: int, extra_legs: int = 0) -> TropicalCurve:
     """Polygon with balancing legs; extra_legs > 0 splits one vertex's leg to
-    create a single higher-valent vertex of valence 3 + extra_legs."""
+    create a single higher-valent vertex of valence 3 + extra_legs.  In Q^1
+    no three split directions are distinct, so n = 1 with extra_legs >= 2
+    raises GenerationError before drawing."""
+    if n < 2 and extra_legs >= 2:
+        raise GenerationError("a leg split into three or more distinct directions needs n >= 2")
 
     def polygon():
         steps = [random_int_vec(rng, n) for _ in range(rng.randint(3, 5) - 1)]
@@ -198,7 +204,11 @@ def _split_vector(rng, w, pieces, n):
 
 
 def random_genus2_curve(rng: random.Random, n: int) -> TropicalCurve:
-    """Randomized double tripod: two star centers, three rungs between them."""
+    """Randomized double tripod: two star centers, three rungs between them.
+    In Q^1 every arm is parallel to the rungs, so n = 1 raises
+    GenerationError before drawing."""
+    if n < 2:
+        raise GenerationError("a double tripod needs n >= 2")
 
     def double_tripod():
         d1 = content_and_primitive(random_int_vec(rng, n))[1]

@@ -358,3 +358,135 @@ def random_higher_valent_case(rng: random.Random):
     slots = c.graph.valence(v) - 1
     series = random_ascending_series(rng, slots)
     return c, v, {v: series}
+
+
+# -- input sites -------------------------------------------------------------------
+#
+# tropctl reads four file kinds: curve files, --config files, --laurent files
+# and --model files.  Each has a valid base document here, and SITES says,
+# once for the tests, where each kind keeps each field: a site plants a value
+# there and keeps the rest of the base document valid.  A site is a path
+# from the document down to the field, or a function where no path
+# reaches: a vertex key, or a field whose change is echoed elsewhere.  In a
+# path a string is a key, an int indexes a list or the values of a dict in
+# order, and EVERY stands for every item.
+
+EVERY = slice(None)
+
+
+def config_doc() -> dict:
+    """Marked coordinates 0, 1, 2 at the 4-valent vertex V of ex534 and
+    ex536."""
+    return {"vertices": {"V": {"coords": ["0", "1", "2"]}}}
+
+
+def laurent_doc() -> dict:
+    """Series for the three finite slots of ex536's vertex V: the first
+    zero, the other two separating at t^-5."""
+    return {"vertices": {"V": {"series": [[], [[-3, "1"]], [[-5, "1"]]]}}}
+
+
+def model_doc() -> dict:
+    """A balanced tripod in Q^2 with marked points 0 and 1; its third edge
+    is the infinity slot."""
+    return {
+        "ambient_dim": 2,
+        "edges": [{"direction": [1, 0]}, {"direction": [0, 1]}, {"direction": [-1, -1]}],
+        "coords": ["0", "1"],
+    }
+
+
+BASES = {"curve": square_loop_doc, "config": config_doc, "laurent": laurent_doc, "model": model_doc}
+
+
+def _vertex_id(doc, value, i=1):
+    """Vertex i's id, and its edges' ends with it."""
+    old = doc["vertices"][i]["id"]
+    doc["vertices"][i]["id"] = value
+    for e in doc["edges"]:
+        e["ends"] = [value if end == old else end for end in e["ends"]]
+
+
+def _vertex_key(doc, value):
+    """The key of the one entry of a --config or --laurent document."""
+    doc["vertices"] = {value: entry for entry in doc["vertices"].values()}
+
+
+def _model_direction(doc, value, i=1):
+    """Entry 0 of edge i's direction and, for an integer, the last edge's
+    entry 0 that balances it (the base weights are equal)."""
+    edges = doc["edges"]
+    edges[i]["direction"][0] = value
+    if type(value) is int:
+        edges[-1]["direction"][0] = -sum(e["direction"][0] for e in edges[:-1])
+
+
+SITES = {
+    "curve": (),
+    "curve-ambient-dim": ("ambient_dim",),
+    "curve-vertices": ("vertices",),
+    "curve-vertex": ("vertices", 1),
+    "curve-vertex-id": _vertex_id,
+    "curve-position": ("vertices", 1, "position", 0),
+    "curve-edges": ("edges",),
+    "curve-edge": ("edges", 0),
+    "curve-edge-id": ("edges", 0, "id"),
+    "curve-ends": ("edges", 0, "ends"),
+    "curve-end": ("edges", 0, "ends", 1),
+    "curve-weight": ("edges", EVERY, "weight"),  # one weight everywhere keeps every vertex balanced
+    "curve-direction": ("edges", 4, "direction"),  # the square's first leg, u0
+    "config": (),
+    "config-vertices": ("vertices",),
+    "config-key": _vertex_key,
+    "config-entry": ("vertices", 0),
+    "config-coords": ("vertices", 0, "coords"),
+    "config-coord": ("vertices", 0, "coords", 1),
+    "laurent": (),
+    "laurent-vertices": ("vertices",),
+    "laurent-key": _vertex_key,
+    "laurent-entry": ("vertices", 0),
+    "laurent-series": ("vertices", 0, "series"),
+    "laurent-slot": ("vertices", 0, "series", 1),  # the series of one slot
+    "laurent-term": ("vertices", 0, "series", 1, 0),
+    "laurent-exponent": ("vertices", 0, "series", 1, 0, 0),
+    "laurent-coefficient": ("vertices", 0, "series", 1, 0, 1),
+    "model-ambient-dim": ("ambient_dim",),
+    "model-edges": ("edges",),
+    "model-edge": ("edges", 0),
+    "model-label": ("edges", 0, "label"),
+    "model-weight": ("edges", EVERY, "weight"),
+    "model-direction": _model_direction,
+    "model-bounded": ("edges", 0, "bounded"),
+    "model-coords": ("coords",),
+    "model-coord": ("coords", 1),
+}
+
+
+def plant(doc, site: str, value, *at):
+    """doc, changed in place, with value at site; at a whole-document site,
+    value itself.  at replaces the indices of the site's path in order (the
+    item i of a function site), so the same site reaches another item."""
+    where = SITES[site]
+    if callable(where):
+        where(doc, value, *at)
+        return doc
+    at = iter(at)
+    path = [key if isinstance(key, str) else next(at, key) for key in where]
+    if not path:
+        return value
+    *head, last = path
+    nodes = [doc]
+    for key in head:
+        nodes = [node[k] for node in nodes for k in _keys(node, key)]
+    for node in nodes:
+        for k in _keys(node, last):
+            node[k] = value
+    return doc
+
+
+def _keys(node, key) -> list:
+    """The keys of a list or dict that one element of a path names."""
+    if isinstance(key, str):
+        return [key]
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    return keys[key] if isinstance(key, slice) else [keys[key]]

@@ -80,7 +80,7 @@ def test_validate_batch_exit_code_and_array(capsys, tmp_path, square):
 
 
 def test_a_batch_reads_its_data_file_once(capsys, monkeypatch, tmp_path, hv536):
-    lau = write_json(tmp_path / "lau.json", laurent_doc_536())
+    lau = write_json(tmp_path / "lau.json", fixtures.laurent_doc())
     reads = []
 
     def counting_read_doc(path):
@@ -202,34 +202,39 @@ def test_deeply_nested_json_is_bad_json(capsys, tmp_path, command):
 _LONG = "7" * 5000  # longer than the 4,300 digits Python turns into an int by default
 
 
-def _long_curve(tmp_path, hv536):
-    doc = fixtures.square_loop_doc()
-    doc["edges"][0]["weight"] = "LONG"
-    return ["validate"], tmp_path / "long.json", doc
+# the file name and command line of a run that reads each file kind; a
+# --config or --laurent file goes with the curve file hv536
+_RUNS = {
+    "curve": ("curve.json", lambda hv536, path: ["validate", path]),
+    "config": ("cfg.json", lambda hv536, path: ["obstruction", hv536, "--method", "xi", "--config", path]),
+    "laurent": ("lau.json", lambda hv536, path: ["compare", hv536, "--laurent", path]),
+    "model": ("model.json", lambda hv536, path: ["local-model", "--model", path]),
+}
 
 
-def _long_config(tmp_path, hv536):
-    doc = {"vertices": {"V": {"coords": [0, "LONG", 2]}}}
-    return ["obstruction", hv536, "--method", "xi", "--config"], tmp_path / "cfg.json", doc
-
-
-def _long_model(tmp_path, hv536):
-    doc = {"ambient_dim": 2, "edges": [{"direction": [1, 0], "weight": "LONG"}] + [{"direction": [0, 1]}] * 2}
-    return ["local-model", "--model"], tmp_path / "model.json", doc
-
-
-def _long_laurent(tmp_path, hv536):
-    doc = {"vertices": {"V": {"series": [[], [[-3, "LONG"]], [[-5, 1]]]}}}
-    return ["compare", hv536, "--laurent"], tmp_path / "lau.json", doc
+def _planted(tmp_path, hv536, *plants) -> list:
+    """The argv of a run on the base document of the plants' file kind
+    with each plant (site, value, *at) planted in turn (`fixtures.plant`),
+    written to tmp_path as the argv's last item.  The site "t0" instead
+    adds --t0 and its value to a run on the base --laurent file."""
+    if plants[0][0] == "t0":
+        return [*_planted(tmp_path, hv536, ("laurent", fixtures.laurent_doc())), "--t0", plants[0][1]]
+    kind = plants[0][0].split("-")[0]
+    doc = fixtures.BASES[kind]()
+    for site, value, *at in plants:
+        doc = fixtures.plant(doc, site, value, *at)
+    name, argv = _RUNS[kind]
+    return argv(hv536, write_json(tmp_path / name, doc))
 
 
 @pytest.mark.parametrize(
-    "case", [_long_curve, _long_config, _long_model, _long_laurent], ids=["curve", "config", "model", "laurent"]
+    "site", ["curve-weight", "config-coord", "model-weight", "laurent-coefficient"], ids=["curve", "config", "model", "laurent"]
 )
-def test_a_json_number_too_long_to_convert_is_bad_json(capsys, tmp_path, hv536, case):
-    command, path, doc = case(tmp_path, hv536)
-    path.write_text(json.dumps(doc).replace('"LONG"', _LONG))
-    code, rep = run_json(capsys, *command, str(path), "--format", "json")
+def test_a_json_number_too_long_to_convert_is_bad_json(capsys, tmp_path, hv536, site):
+    argv = _planted(tmp_path, hv536, (site, "LONG"))
+    path = Path(argv[-1])
+    path.write_text(path.read_text().replace('"LONG"', _LONG))
+    code, rep = run_json(capsys, *argv, "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "bad-json"
     assert rep["error"]["context"] == {"path": str(path)}
@@ -269,9 +274,7 @@ def test_obstruction_chain_rejects_higher_valent(capsys, hv536):
 
 
 def test_obstruction_xi_with_config(capsys, tmp_path, hv536):
-    cfg = write_json(
-        tmp_path / "cfg.json", {"vertices": {"V": {"coords": ["0", "1", "2"]}}}
-    )
+    cfg = write_json(tmp_path / "cfg.json", fixtures.config_doc())
     code, rep = run_json(
         capsys, "obstruction", hv536, "--method", "xi", "--config", cfg, "--format", "json"
     )
@@ -283,12 +286,9 @@ def test_obstruction_xi_with_config(capsys, tmp_path, hv536):
 
 
 def test_obstruction_xi_bad_config_rational(capsys, tmp_path, hv536):
-    cfg = write_json(
-        tmp_path / "cfg.json", {"vertices": {"V": {"coords": ["0", "nan", "2"]}}}
-    )
-    code, rep = run_json(
-        capsys, "obstruction", hv536, "--method", "xi", "--config", cfg, "--format", "json"
-    )
+    argv = _planted(tmp_path, hv536, ("config-coord", "nan"))
+    cfg = argv[-1]
+    code, rep = run_json(capsys, *argv, "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "bad-rational"
     assert rep["error"]["context"] == {"vertex": "V"}
@@ -301,18 +301,12 @@ def test_obstruction_xi_missing_config(capsys, hv536):
     assert rep["error"]["error_type"] == "missing-config"
 
 
-def _coords_at_a(tmp_path, hv536, coords):
-    """obstruction --method xi on ex536 with coordinates at the 4-valent V
-    and at the 3-valent A."""
-    doc = {"vertices": {"A": {"coords": coords}, "V": {"coords": ["0", "1", "2"]}}}
-    return _config_of(tmp_path, hv536, doc)
-
-
 @pytest.mark.parametrize("coords", [["0"], ["1", "2"], ["0", "0"]], ids=["count", "first", "repeated"])
 def test_config_coords_at_a_3_valent_vertex_are_checked(capsys, tmp_path, hv536, coords):
     # the residue sums at A add nothing, but the coordinates given for it
     # are checked as at any other vertex
-    code, rep = run_json(capsys, *_coords_at_a(tmp_path, hv536, coords), "--format", "json")
+    vertices = {"A": {"coords": coords}, **fixtures.config_doc()["vertices"]}
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, ("config-vertices", vertices)), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "bad-coords"
     assert rep["error"]["context"] == {"vertex": "A"}
@@ -321,7 +315,8 @@ def test_config_coords_at_a_3_valent_vertex_are_checked(capsys, tmp_path, hv536,
 def test_valid_config_coords_at_a_3_valent_vertex_leave_the_report(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_json(tmp_path / "ex536.json", fixtures.ex536_doc())
-    code, out = run(capsys, *_coords_at_a(Path("."), "ex536.json", ["0", "-1/2"]), "--format", "json")
+    vertices = {"A": {"coords": ["0", "-1/2"]}, **fixtures.config_doc()["vertices"]}
+    code, out = run(capsys, *_planted(Path("."), "ex536.json", ("config-vertices", vertices)), "--format", "json")
     assert code == 0
     assert json.loads(out)["dimH"] == 1
     assert hashlib.sha256(out.encode()).hexdigest() == "9f93c2c7c431ac2c0e0ddda83fa967cbcc575d233f2fd2eb6044cebc77a477aa"
@@ -362,16 +357,8 @@ def test_abundancy_square(capsys, square):
     assert rep["verdict"] == "superabundant"
 
 
-def laurent_doc_536():
-    return {
-        "vertices": {
-            "V": {"series": [[], [[-3, "1"]], [[-5, "1"]]]}
-        }
-    }
-
-
 def test_phylo_ex536(capsys, tmp_path, hv536):
-    lau = write_json(tmp_path / "lau.json", laurent_doc_536())
+    lau = write_json(tmp_path / "lau.json", fixtures.laurent_doc())
     code, rep = run_json(capsys, "phylo", hv536, "--laurent", lau, "--format", "json")
     assert code == 0
     v = rep["vertices"]["V"]
@@ -426,7 +413,7 @@ def test_per_vertex_data_for_an_unknown_vertex(capsys, tmp_path, command, doc, n
         entries = {v: {"coords": ["0", "1", "2"]} for v in names}
         argv = ["obstruction", curve, "--method", "xi", "--config"]
     else:
-        entries = {v: laurent_doc_536()["vertices"]["V"] for v in names}
+        entries = {v: fixtures.laurent_doc()["vertices"]["V"] for v in names}
         argv = [command, curve, "--laurent"]
     data = write_json(tmp_path / "data.json", {"vertices": entries})
     code, rep = run_json(capsys, *argv, data, "--format", "json")
@@ -435,14 +422,6 @@ def test_per_vertex_data_for_an_unknown_vertex(capsys, tmp_path, command, doc, n
     assert rep["error"]["message"].endswith(f"names unknown vertex {unknown}")
     assert rep["error"]["context"] == {"vertex": unknown}
     assert rep["inputs"] == [{"path": curve}, {"path": data}]
-
-
-def _renamed(doc, old, new):
-    """doc with vertex old renamed new, in its vertex list and edge ends."""
-    doc["vertices"] = [{**v, "id": new} if v["id"] == old else v for v in doc["vertices"]]
-    for e in doc["edges"]:
-        e["ends"] = [new if end == old else end for end in e["ends"]]
-    return doc
 
 
 @pytest.mark.parametrize(
@@ -459,7 +438,7 @@ def test_the_first_of_two_series_faults_is_reported_in_vertex_order(capsys, tmp_
     """The 4-valent V has no series, and the 3-valent vertex A, renamed W to
     come after V, has one series too few: compare stops at whichever comes
     first, while phylo only warns about V and stops at the bad series."""
-    doc = fixtures.ex536_doc() if bad == "A" else _renamed(fixtures.ex536_doc(), "A", "W")
+    doc = fixtures.ex536_doc() if bad == "A" else fixtures.plant(fixtures.ex536_doc(), "curve-vertex-id", "W", 1)
     curve = write_json(tmp_path / "curve.json", doc)
     lau = write_json(tmp_path / "lau.json", {"vertices": {bad: {"series": [[]]}}})
     code, rep = run_json(capsys, command, curve, "--laurent", lau, "--format", "json")
@@ -503,7 +482,7 @@ def test_phylo_warns_on_missing_data(capsys, tmp_path, hv536):
 def test_series_at_a_3_valent_vertex_are_checked_alike(capsys, tmp_path, hv536, series, error_type):
     """`compare` checks the series of the 3-valent vertex A of ex536 as
     `phylo` does, though only the 4-valent V is resolved."""
-    doc = laurent_doc_536()
+    doc = fixtures.laurent_doc()
     doc["vertices"]["A"] = {"series": series}
     lau = write_json(tmp_path / "lau.json", doc)
     errors = []
@@ -516,8 +495,8 @@ def test_series_at_a_3_valent_vertex_are_checked_alike(capsys, tmp_path, hv536, 
 
 
 def test_valid_series_at_a_3_valent_vertex_leave_compare_unchanged(capsys, tmp_path, hv536):
-    plain = write_json(tmp_path / "plain.json", laurent_doc_536())
-    doc = laurent_doc_536()
+    plain = write_json(tmp_path / "plain.json", fixtures.laurent_doc())
+    doc = fixtures.laurent_doc()
     doc["vertices"]["A"] = {"series": [[], [[-2, "1"]]]}
     with_a = write_json(tmp_path / "with_a.json", doc)
     _code, rep = run_json(capsys, "compare", hv536, "--laurent", plain, "--format", "json")
@@ -557,28 +536,15 @@ def test_local_model_command(capsys, tmp_path):
 
 @pytest.mark.parametrize("coord", ["x", 0])
 def test_local_model_bad_coord_rational(capsys, tmp_path, coord):
-    model = {
-        "ambient_dim": 2,
-        "edges": [{"direction": [1, 0]}, {"direction": [0, 1]}, {"direction": [-1, -1]}],
-        "coords": [coord, "1"],
-    }
-    path = write_json(tmp_path / "model.json", model)
-    code, rep = run_json(capsys, "local-model", "--model", path, "--format", "json")
+    code, rep = run_json(capsys, *_planted(tmp_path, None, ("model-coord", coord, 0)), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "bad-rational"
 
 
 def test_local_model_unbalanced(capsys, tmp_path):
-    model = {
-        "ambient_dim": 2,
-        "edges": [
-            {"direction": [1, 0]},
-            {"direction": [0, 1]},
-            {"direction": [-1, 0]},
-        ],
-    }
-    path = write_json(tmp_path / "model.json", model)
-    code, rep = run_json(capsys, "local-model", "--model", path, "--format", "json")
+    argv = _planted(tmp_path, None, ("model-edge", {"direction": [-1, 0]}, 2))
+    path = argv[-1]
+    code, rep = run_json(capsys, *argv, "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "unbalanced"
     assert rep["inputs"] == [{"path": path}]
@@ -609,7 +575,7 @@ def test_genus1_check_wrong_genus(capsys, tmp_path):
 
 
 def test_compare_ex536(capsys, tmp_path, hv536):
-    lau = write_json(tmp_path / "lau.json", laurent_doc_536())
+    lau = write_json(tmp_path / "lau.json", fixtures.laurent_doc())
     code, rep = run_json(capsys, "compare", hv536, "--laurent", lau, "--format", "json")
     assert code == 0
     assert rep["d"] == 1
@@ -624,28 +590,19 @@ def test_compare_ex536(capsys, tmp_path, hv536):
 
 
 def test_compare_custom_t0(capsys, tmp_path, hv536):
-    lau = write_json(tmp_path / "lau.json", laurent_doc_536())
-    code, rep = run_json(
-        capsys, "compare", hv536, "--laurent", lau, "--t0", "1/100", "--format", "json"
-    )
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, ("t0", "1/100")), "--format", "json")
     assert code == 0
     assert rep["d"] == 1
 
 
 def test_compare_bad_t0(capsys, tmp_path, hv536):
-    lau = write_json(tmp_path / "lau.json", laurent_doc_536())
-    code, rep = run_json(
-        capsys, "compare", hv536, "--laurent", lau, "--t0", "2", "--format", "json"
-    )
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, ("t0", "2")), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "bad-evaluation-point"
 
 
 def test_compare_t0_not_a_rational(capsys, tmp_path, hv536):
-    lau = write_json(tmp_path / "lau.json", laurent_doc_536())
-    code, rep = run_json(
-        capsys, "compare", hv536, "--laurent", lau, "--t0", "x", "--format", "json"
-    )
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, ("t0", "x")), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "bad-rational"
 
@@ -698,63 +655,34 @@ def test_compare_exponent_bound_returns_at_once(capsys, tmp_path, hv536, exponen
 _HUGE = "1e10000000"  # ten characters for a 33-million-bit integer
 
 
-def _huge_position(tmp_path, hv536, text=_HUGE):
-    doc = fixtures.square_loop_doc()
-    doc["vertices"][1]["position"][0] = text
-    return ["validate", write_json(tmp_path / "huge.json", doc)]
-
-
-def _huge_config(tmp_path, hv536, text=_HUGE):
-    cfg = write_json(tmp_path / "cfg.json", {"vertices": {"V": {"coords": ["0", text, "2"]}}})
-    return ["obstruction", hv536, "--method", "xi", "--config", cfg]
-
-
-def _huge_model(tmp_path, hv536, text=_HUGE):
-    model = {
-        "ambient_dim": 2,
-        "edges": [{"direction": [1, 0]}, {"direction": [0, 1]}, {"direction": [-1, -1]}],
-        "coords": ["0", text],
-    }
-    return ["local-model", "--model", write_json(tmp_path / "model.json", model)]
-
-
-def _huge_t0(tmp_path, hv536, text="1e-10000000"):
-    lau = write_json(tmp_path / "lau.json", laurent_doc_536())
-    return ["compare", hv536, "--laurent", lau, "--t0", text]
-
-
-def _huge_coefficient(tmp_path, hv536, text=_HUGE):
-    doc = {"vertices": {"V": {"series": [[], [[-3, text]], [[-5, "1"]]]}}}
-    return ["compare", hv536, "--laurent", write_json(tmp_path / "lau.json", doc)]
-
-
 # every place a rational string is read, and the error kind it gives there
 _EACH_RATIONAL_READER = pytest.mark.parametrize(
-    "argv, error_type",
+    "site, error_type",
     [
-        (_huge_position, "bad-rational"),
-        (_huge_config, "bad-rational"),
-        (_huge_model, "bad-rational"),
-        (_huge_t0, "bad-rational"),
-        (_huge_coefficient, "bad-series"),
+        ("curve-position", "bad-rational"),
+        ("config-coord", "bad-rational"),
+        ("model-coord", "bad-rational"),
+        ("t0", "bad-rational"),
+        ("laurent-coefficient", "bad-series"),
     ],
     ids=["position", "config", "model", "t0", "coefficient"],
 )
 
 
 @_EACH_RATIONAL_READER
-def test_exponent_notation_is_rejected_at_once(capsys, tmp_path, hv536, argv, error_type):
+def test_exponent_notation_is_rejected_at_once(capsys, tmp_path, hv536, site, error_type):
+    huge = "1e-10000000" if site == "t0" else _HUGE  # a --t0 lies between 0 and 1
     start = time.perf_counter()
-    code, rep = run_json(capsys, *argv(tmp_path, hv536), "--format", "json")
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, (site, huge)), "--format", "json")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert rep["error"]["error_type"] == error_type
 
 
 @_EACH_RATIONAL_READER
-def test_a_rational_string_too_long_to_convert_is_named_without_its_digits(capsys, tmp_path, hv536, argv, error_type):
+def test_a_rational_string_too_long_to_convert_is_named_without_its_digits(capsys, tmp_path, hv536, site, error_type):
     # a denominator of more digits than int() converts
-    code, rep = run_json(capsys, *argv(tmp_path, hv536, f"1/{_LONG}"), "--format", "json")
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, (site, f"1/{_LONG}")), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == error_type
     message = rep["error"]["message"]
@@ -768,8 +696,8 @@ def test_a_rational_string_too_long_to_convert_is_named_without_its_digits(capsy
     ["x" * 5000, "1" * 2500 + "e" + "1" * 2499, "7" * 4000 + "/0"],
     ids=["junk", "exponent", "zero-denominator"],
 )
-def test_a_rejected_rational_string_is_shown_only_in_part(capsys, tmp_path, hv536, argv, error_type, text):
-    code, rep = run_json(capsys, *argv(tmp_path, hv536, text), "--format", "json")
+def test_a_rejected_rational_string_is_shown_only_in_part(capsys, tmp_path, hv536, site, error_type, text):
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, (site, text)), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == error_type
     message = rep["error"]["message"]
@@ -777,65 +705,30 @@ def test_a_rejected_rational_string_is_shown_only_in_part(capsys, tmp_path, hv53
     assert f"({len(text)} characters)" in message
 
 
-def _curve_vertex_id(tmp_path, hv536, vid):
-    doc = fixtures.square_loop_doc()
-    doc["vertices"][0]["id"] = vid
-    for e in doc["edges"]:
-        e["ends"] = [vid if end == "a" else end for end in e["ends"]]
-    return ["validate", write_json(tmp_path / "curve.json", doc)]
-
-
-def _curve_edge_id(tmp_path, hv536, eid):
-    doc = fixtures.square_loop_doc()
-    doc["edges"][0]["id"] = eid
-    return ["validate", write_json(tmp_path / "curve.json", doc)]
-
-
-def _config_key(tmp_path, hv536, vid):
-    cfg = write_json(tmp_path / "cfg.json", {"vertices": {vid: {"coords": ["0", "1", "2"]}}})
-    return ["obstruction", hv536, "--method", "xi", "--config", cfg]
-
-
-def _laurent_key(tmp_path, hv536, vid):
-    lau = write_json(tmp_path / "lau.json", {"vertices": {vid: laurent_doc_536()["vertices"]["V"]}})
-    return ["phylo", hv536, "--laurent", lau]
-
-
-def _model_label(tmp_path, hv536, label):
-    edges = [{"label": label, "direction": [1, 0]}, {"direction": [0, 1]}, {"direction": [-1, -1]}]
-    return ["local-model", "--model", write_json(tmp_path / "model.json", {"ambient_dim": 2, "edges": edges})]
-
-
 @pytest.mark.parametrize(
-    "argv",
-    [_curve_vertex_id, _curve_edge_id, _config_key, _laurent_key, _model_label],
+    "site",
+    ["curve-vertex-id", "curve-edge-id", "config-key", "laurent-key", "model-label"],
     ids=["curve-vertex", "curve-edge", "config-key", "laurent-key", "model-label"],
 )
-def test_ids_over_the_length_bound_give_a_limit_report(capsys, tmp_path, hv536, argv):
-    _code, rep = run_json(capsys, *argv(tmp_path, hv536, "x" * MAX_ID), "--format", "json")
+def test_ids_over_the_length_bound_give_a_limit_report(capsys, tmp_path, hv536, site):
+    _code, rep = run_json(capsys, *_planted(tmp_path, hv536, (site, "x" * MAX_ID)), "--format", "json")
     # an id at the bound is read (a config or laurent key of x's then names no vertex of the curve)
     assert rep.get("error", {}).get("error_type") != "limit"
-    code, rep = run_json(capsys, *argv(tmp_path, hv536, "x" * (MAX_ID + 1)), "--format", "json")
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, (site, "x" * (MAX_ID + 1))), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "limit"
     assert rep["error"]["message"].endswith(f"({MAX_ID + 1} characters) is longer than {MAX_ID} characters")
 
 
-def _long_config_key(tmp_path, hv536, vid):
-    # an entry without a coords list, whose message names the vertex
-    return ["obstruction", hv536, "--method", "xi", "--config", write_json(tmp_path / "cfg.json", {"vertices": {vid: {}}})]
-
-
-def _long_vertex_id_junk_position(tmp_path, hv536, vid):
-    # a position that is no rational, whose message names the vertex
-    doc = fixtures.square_loop_doc()
-    doc["vertices"][1].update(id=vid, position=["junk", "0", "0"])
-    return ["validate", write_json(tmp_path / "curve.json", doc)]
-
-
-@pytest.mark.parametrize("argv", [_long_config_key, _long_vertex_id_junk_position], ids=["config-key", "curve-vertex"])
-def test_a_long_id_is_not_echoed(capsys, tmp_path, hv536, argv):
-    code, out = run(capsys, *argv(tmp_path, hv536, "V" * 5000), "--format", "json")
+# the id's site, and a fault whose message names the id: an entry without
+# a coords list, a position that is no rational
+@pytest.mark.parametrize(
+    "site, fault",
+    [("config-key", ("config-entry", {})), ("curve-vertex-id", ("curve-position", "junk"))],
+    ids=["config-key", "curve-vertex"],
+)
+def test_a_long_id_is_not_echoed(capsys, tmp_path, hv536, site, fault):
+    code, out = run(capsys, *_planted(tmp_path, hv536, (site, "V" * 5000), fault), "--format", "json")
     assert code == 2
     assert len(out.encode()) < 1024
     error = json.loads(out)["error"]
@@ -846,59 +739,22 @@ def test_a_long_id_is_not_echoed(capsys, tmp_path, hv536, argv):
 _OVER = str(2**MAX_BITS)  # one bit more than the bound allows
 
 
-def _over_position(tmp_path, hv536):
-    doc = fixtures.square_loop_doc()
-    doc["vertices"][1]["position"][0] = f"1/{_OVER}"
-    return ["validate", write_json(tmp_path / "wide.json", doc)]
-
-
-def _over_curve_direction(tmp_path, hv536):
-    doc = fixtures.square_loop_doc()
-    next(e for e in doc["edges"] if "direction" in e)["direction"][0] = -int(_OVER)
-    return ["validate", write_json(tmp_path / "wide.json", doc)]
-
-
-def _over_curve_weight(tmp_path, hv536):
-    doc = fixtures.square_loop_doc()
-    for e in doc["edges"]:  # the same weight everywhere keeps every vertex balanced
-        e["weight"] = int(_OVER)
-    return ["validate", write_json(tmp_path / "wide.json", doc)]
-
-
-def _over_config(tmp_path, hv536):
-    cfg = write_json(tmp_path / "cfg.json", {"vertices": {"V": {"coords": ["0", _OVER, "2"]}}})
-    return ["obstruction", hv536, "--method", "xi", "--config", cfg]
-
-
-def _over_model(tmp_path, hv536, coord="1", entry=1, weight=1):
-    model = {
-        "ambient_dim": 2,
-        "edges": [
-            {"weight": weight, "direction": [1, 0]},
-            {"weight": weight, "direction": [entry, 1]},
-            {"weight": weight, "direction": [-1 - entry, -1]},
-        ],
-        "coords": ["0", coord],
-    }
-    return ["local-model", "--model", write_json(tmp_path / "model.json", model)]
-
-
 @pytest.mark.parametrize(
-    "argv",
+    "plant",
     [
-        _over_position,
-        _over_curve_direction,
-        _over_curve_weight,
-        _over_config,
-        lambda tmp_path, hv536: _over_model(tmp_path, hv536, coord=f"-{_OVER}/3"),
-        lambda tmp_path, hv536: _over_model(tmp_path, hv536, entry=int(_OVER)),
-        lambda tmp_path, hv536: _over_model(tmp_path, hv536, weight=int(_OVER)),
-        lambda tmp_path, hv536: _huge_t0(tmp_path, hv536, f"1/{_OVER}"),
+        ("curve-position", f"1/{_OVER}"),
+        ("curve-direction", [-int(_OVER), -1, 0]),
+        ("curve-weight", int(_OVER)),
+        ("config-coord", _OVER),
+        ("model-coord", f"-{_OVER}/3"),
+        ("model-direction", int(_OVER)),
+        ("model-weight", int(_OVER)),
+        ("t0", f"1/{_OVER}"),
     ],
     ids=["position", "curve-direction", "curve-weight", "config", "model-coord", "model-direction", "model-weight", "t0"],
 )
-def test_numbers_over_the_bit_bound_give_a_limit_report(capsys, tmp_path, hv536, argv):
-    code, rep = run_json(capsys, *argv(tmp_path, hv536), "--format", "json")
+def test_numbers_over_the_bit_bound_give_a_limit_report(capsys, tmp_path, hv536, plant):
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, plant), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "limit"
     assert rep["error"]["message"].endswith(f"a number of {MAX_BITS + 1} bits exceeds the maximum {MAX_BITS}")
@@ -922,93 +778,37 @@ def test_a_thousand_digit_t0_gives_a_limit_report_at_once(tmp_path, hv536):
 
 def test_numbers_at_the_bit_bound_are_read(capsys, tmp_path, hv536):
     top = 2**MAX_BITS - 1
-    argv = _over_model(tmp_path, hv536, coord=f"-{top}/{top - 2}", entry=top - 1, weight=top)
-    code, rep = run_json(capsys, *argv, "--format", "json")
+    plants = ("model-coord", f"-{top}/{top - 2}"), ("model-direction", top - 1), ("model-weight", top)
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, *plants), "--format", "json")
     assert code == 0
     assert rep["coords"] == ["0", f"-{top}/{top - 2}"]
 
 
-def _curve_with(tmp_path, change):
-    doc = fixtures.square_loop_doc()
-    change(doc)
-    return ["validate", write_json(tmp_path / "curve.json", doc)]
-
-
-def _model_with(tmp_path, edges):
-    return ["local-model", "--model", write_json(tmp_path / "model.json", {"ambient_dim": 2, "edges": edges})]
-
-
-def _config_of(tmp_path, hv536, doc):
-    return ["obstruction", hv536, "--method", "xi", "--config", write_json(tmp_path / "cfg.json", doc)]
-
-
-def _laurent_of(tmp_path, hv536, doc):
-    return ["phylo", hv536, "--laurent", write_json(tmp_path / "lau.json", doc)]
-
-
-# case: (error_type, context, argv builder); a context that names the
-# file is a function of tmp_path
+# case: (error_type, context, plant); a context that names the file is a
+# function of tmp_path
 _SHARED_FIELD_FAULTS = {
-    "curve-position-bits": ("limit", {"vertex": "b"}, _over_position),
-    "config-coords-bits": ("limit", {"vertex": "V"}, _over_config),
-    "model-coords-bits": ("limit", {}, lambda tmp_path, hv536: _over_model(tmp_path, hv536, coord=_OVER)),
-    "curve-direction-entry": (
-        "schema",
-        {"edge": "u1"},
-        lambda tmp_path, hv536: _curve_with(tmp_path, lambda doc: doc["edges"][5].update(direction=[1, 1.5, 0])),
-    ),
-    "model-direction-entry": (
-        "bad-model",
-        {"edge": "E2"},
-        lambda tmp_path, hv536: _model_with(
-            tmp_path, [{"direction": [1, 0]}, {"direction": [0, "1"]}, {"direction": [-1, -1]}]
-        ),
-    ),
-    "curve-weight-0": (
-        "bad-weight",
-        {"edge": "s12"},
-        lambda tmp_path, hv536: _curve_with(tmp_path, lambda doc: doc["edges"][1].update(weight=0)),
-    ),
-    "model-weight-0": ("bad-model", {"edge": "E1"}, lambda tmp_path, hv536: _over_model(tmp_path, hv536, weight=0)),
-    "curve-weight-bits": ("limit", {"edge": "s01"}, _over_curve_weight),
-    "model-weight-bits": ("limit", {"edge": "E1"}, lambda tmp_path, hv536: _over_model(tmp_path, hv536, weight=int(_OVER))),
-    "curve-dimension-cap": (
-        "dimension-cap",
-        {},
-        lambda tmp_path, hv536: _curve_with(tmp_path, lambda doc: doc.update(ambient_dim=MAX_DIM + 1)),
-    ),
-    "model-dimension-cap": (
-        "dimension-cap",
-        {},
-        lambda tmp_path, hv536: [
-            "local-model",
-            "--model",
-            write_json(tmp_path / "model.json", {"ambient_dim": MAX_DIM + 1, "edges": []}),
-        ],
-    ),
-    "config-vertices": (
-        "bad-config",
-        lambda tmp_path: {"path": str(tmp_path / "cfg.json")},
-        lambda tmp_path, hv536: _config_of(tmp_path, hv536, {"vertices": []}),
-    ),
-    "laurent-vertices": ("schema", {}, lambda tmp_path, hv536: _laurent_of(tmp_path, hv536, {"vertices": []})),
-    "config-entry": (
-        "bad-config",
-        {"vertex": "V"},
-        lambda tmp_path, hv536: _config_of(tmp_path, hv536, {"vertices": {"V": {"series": []}}}),
-    ),
-    "laurent-entry": (
-        "schema",
-        {"vertex": "V"},
-        lambda tmp_path, hv536: _laurent_of(tmp_path, hv536, {"vertices": {"V": {"coords": []}}}),
-    ),
+    "curve-position-bits": ("limit", {"vertex": "b"}, ("curve-position", f"1/{_OVER}")),
+    "config-coords-bits": ("limit", {"vertex": "V"}, ("config-coord", _OVER)),
+    "model-coords-bits": ("limit", {}, ("model-coord", _OVER)),
+    "curve-direction-entry": ("schema", {"edge": "u1"}, ("curve-direction", [1, 1.5, 0], 5)),
+    "model-direction-entry": ("bad-model", {"edge": "E2"}, ("model-direction", "1")),
+    "curve-weight-0": ("bad-weight", {"edge": "s12"}, ("curve-weight", 0, 1)),
+    "model-weight-0": ("bad-model", {"edge": "E1"}, ("model-weight", 0)),
+    "curve-weight-bits": ("limit", {"edge": "s01"}, ("curve-weight", int(_OVER))),
+    "model-weight-bits": ("limit", {"edge": "E1"}, ("model-weight", int(_OVER))),
+    "curve-dimension-cap": ("dimension-cap", {}, ("curve-ambient-dim", MAX_DIM + 1)),
+    "model-dimension-cap": ("dimension-cap", {}, ("model-ambient-dim", MAX_DIM + 1)),
+    "config-vertices": ("bad-config", lambda tmp_path: {"path": str(tmp_path / "cfg.json")}, ("config-vertices", [])),
+    "laurent-vertices": ("schema", {}, ("laurent-vertices", [])),
+    "config-entry": ("bad-config", {"vertex": "V"}, ("config-entry", {"series": []})),
+    "laurent-entry": ("schema", {"vertex": "V"}, ("laurent-entry", {"coords": []})),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SHARED_FIELD_FAULTS))
 def test_a_shared_field_fault_reads_alike_in_every_file_kind(capsys, tmp_path, hv536, case):
-    error_type, context, build = _SHARED_FIELD_FAULTS[case]
-    code, rep = run_json(capsys, *build(tmp_path, hv536), "--format", "json")
+    error_type, context, plant = _SHARED_FIELD_FAULTS[case]
+    code, rep = run_json(capsys, *_planted(tmp_path, hv536, plant), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == error_type
     assert rep["error"].get("context", {}) == (context(tmp_path) if callable(context) else context)
@@ -1030,16 +830,10 @@ def _command_on(command, doc):
     return lambda tmp_path, hv536: [command, write_json(tmp_path / "curve.json", doc)]
 
 
-def _square_fault(change):
-    return lambda tmp_path, hv536: _curve_with(tmp_path, change)
+_SQUARE = fixtures.square_loop_doc()
 
-
-def _coords_of(coords):
-    return lambda tmp_path, hv536: _config_of(tmp_path, hv536, {"vertices": {"V": {"coords": coords}}})
-
-
-# case: (exit code, error_type, context, argv builder), one case for each
-# fault of an error kind that no other test names
+# case: (exit code, error_type, context, plants or argv builder), one case
+# for each fault of an error kind that no other test names
 _ERROR_KIND_FAULTS = {
     "zero-direction-loop-obstruction": (
         3, "zero-direction-loop", {"edge": "s01"}, _command_on("obstruction", _contracted_square([0, 0, 0]))
@@ -1047,44 +841,36 @@ _ERROR_KIND_FAULTS = {
     "zero-direction-loop-classify": (
         3, "zero-direction-loop", {"edge": "s01"}, _command_on("classify", _contracted_square([0, 0, 0]))
     ),
-    "non-primitive-leg": (
-        2, "non-primitive", {"edge": "u0"}, _square_fault(lambda doc: doc["edges"][4].update(direction=[-2, -2, 0]))
-    ),
+    "non-primitive-leg": (2, "non-primitive", {"edge": "u0"}, [("curve-direction", [-2, -2, 0])]),
     "non-primitive-contracted": (
         2, "non-primitive", {"edge": "s01"}, _command_on("validate", _contracted_square([2, 0, 0]))
     ),
-    "missing-laurent": (
-        3,
-        "missing-laurent",
-        {"vertex": "V"},
-        lambda tmp_path, hv536: ["compare", hv536, "--laurent", write_json(tmp_path / "lau.json", {"vertices": {}})],
-    ),
-    "bad-coords-count": (2, "bad-coords", {"vertex": "V"}, _coords_of(["0", "1"])),
-    "bad-coords-first": (2, "bad-coords", {"vertex": "V"}, _coords_of(["1", "2", "3"])),
-    "bad-coords-repeated": (2, "bad-coords", {"vertex": "V"}, _coords_of(["0", "1", "1"])),
-    "duplicate-edge": (
-        2, "duplicate-edge", {"edge": "s01"}, _square_fault(lambda doc: doc["edges"].append(doc["edges"][0]))
-    ),
+    "missing-laurent": (3, "missing-laurent", {"vertex": "V"}, [("laurent-vertices", {})]),
+    "bad-coords-count": (2, "bad-coords", {"vertex": "V"}, [("config-coords", ["0", "1"])]),
+    "bad-coords-first": (2, "bad-coords", {"vertex": "V"}, [("config-coords", ["1", "2", "3"])]),
+    "bad-coords-repeated": (2, "bad-coords", {"vertex": "V"}, [("config-coords", ["0", "1", "1"])]),
+    "duplicate-edge": (2, "duplicate-edge", {"edge": "s01"}, [("curve-edges", _SQUARE["edges"] + _SQUARE["edges"][:1])]),
     "duplicate-vertex": (
-        2, "duplicate-vertex", {"vertex": "a"}, _square_fault(lambda doc: doc["vertices"].append(doc["vertices"][0]))
+        2, "duplicate-vertex", {"vertex": "a"}, [("curve-vertices", _SQUARE["vertices"] + _SQUARE["vertices"][:1])]
     ),
-    "unknown-endpoint": (
-        2, "unknown-endpoint", {"edge": "s01"}, _square_fault(lambda doc: doc["edges"][0].update(ends=["a", "z"]))
-    ),
+    "unknown-endpoint": (2, "unknown-endpoint", {"edge": "s01"}, [("curve-end", "z")]),
     "isolated-vertex": (
         2,
         "isolated-vertex",
         {"vertex": "e"},
-        _square_fault(lambda doc: doc["vertices"].append({"id": "e", "position": ["5", "5", "5"]})),
+        [("curve-vertices", _SQUARE["vertices"] + [{"id": "e", "position": ["5", "5", "5"]}])],
     ),
-    "empty-graph": (2, "empty-graph", {}, _command_on("validate", {"ambient_dim": 2, "vertices": [], "edges": []})),
+    "empty-graph": (
+        2, "empty-graph", {}, [("curve-ambient-dim", 2), ("curve-vertices", []), ("curve-edges", [])]
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ERROR_KIND_FAULTS))
 def test_an_error_kind_reads_with_its_exit_code_and_context(capsys, tmp_path, hv536, case):
     exit_code, error_type, context, build = _ERROR_KIND_FAULTS[case]
-    code, rep = run_json(capsys, *build(tmp_path, hv536), "--format", "json")
+    argv = build(tmp_path, hv536) if callable(build) else _planted(tmp_path, hv536, *build)
+    code, rep = run_json(capsys, *argv, "--format", "json")
     assert code == exit_code
     assert rep["error"]["error_type"] == error_type
     assert rep["error"].get("context", {}) == context
@@ -1116,16 +902,15 @@ def test_classify_without_the_abundancy_map(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "first_edge, message",
+    "plant, message",
     [
-        ({"direction": [2, 0]}, "edge E1 direction must be primitive and nonzero"),
-        ({"direction": [1, 0], "bounded": "yes"}, "edge E1 bounded must be a boolean"),
+        (("model-edge", {"direction": [2, 0]}), "edge E1 direction must be primitive and nonzero"),
+        (("model-bounded", "yes"), "edge E1 bounded must be a boolean"),
     ],
     ids=["direction", "bounded"],
 )
-def test_model_edge_checks_read_like_the_shared_readers(capsys, tmp_path, first_edge, message):
-    edges = [first_edge, {"direction": [0, 1]}, {"direction": [-1, -1]}]
-    code, rep = run_json(capsys, *_model_with(tmp_path, edges), "--format", "json")
+def test_model_edge_checks_read_like_the_shared_readers(capsys, tmp_path, plant, message):
+    code, rep = run_json(capsys, *_planted(tmp_path, None, plant), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "bad-model"
     assert rep["error"]["message"] == message
@@ -1135,7 +920,7 @@ def test_model_edge_checks_read_like_the_shared_readers(capsys, tmp_path, first_
 def test_a_model_over_the_valence_cap_is_rejected_before_its_edges_are_read(capsys, tmp_path):
     # at most MAX_VALENCE edges are read: the malformed edge after them is not
     edges = [{"direction": [1, 0]}] * MAX_VALENCE + ["not an edge"]
-    code, rep = run_json(capsys, *_model_with(tmp_path, edges), "--format", "json")
+    code, rep = run_json(capsys, *_planted(tmp_path, None, ("model-edges", edges)), "--format", "json")
     assert code == 2
     assert rep["error"]["error_type"] == "limit"
     assert rep["error"]["message"] == f"valence {MAX_VALENCE + 1} exceeds the maximum {MAX_VALENCE} of a local model"
@@ -1368,8 +1153,8 @@ def test_each_report_of_a_batch_is_its_file_s_own_report(capsys, monkeypatch, tm
     docs = {"square": fixtures.square_loop_doc(), "gamma1": fixtures.gamma1_doc(), "ex536": fixtures.ex536_doc()}
     for name, doc in docs.items():
         write_json(tmp_path / f"{name}.json", doc)
-    write_json(tmp_path / "ex536.config.json", {"vertices": {"V": {"coords": ["0", "1", "2"]}}})
-    write_json(tmp_path / "ex536.laurent.json", {"vertices": {"V": {"series": [[], [[-3, "1"]], [[-5, "1"]]]}}})
+    write_json(tmp_path / "ex536.config.json", fixtures.config_doc())
+    write_json(tmp_path / "ex536.laurent.json", fixtures.laurent_doc())
     monkeypatch.chdir(tmp_path)
     files = [f"{first}.json", "missing.json", f"{last}.json"]
     for fmt in ("json", "text"):
@@ -1476,24 +1261,22 @@ def _laurent_docs(draw):
     wrong type."""
     count = draw(_mostly(st.just(2), st.sampled_from([1, 3])))
     series = [[]] + draw(st.lists(st.lists(_TERM, min_size=1, max_size=3), min_size=count, max_size=count))
-    vid = draw(_mostly(st.just("V"), st.sampled_from(["a", "nope"])))
-    doc = {"vertices": {vid: {"series": series}}}
-    terms = [t for s in series for t in s]
-    site = draw(_mostly(st.just(None), st.sampled_from(["doc", "body", "series", "term", "exponent", "coeff"])))
-    if site is None:
-        return doc
+    doc = fixtures.plant(fixtures.laurent_doc(), "laurent-series", series)
+    fixtures.plant(doc, "laurent-key", draw(_mostly(st.just("V"), st.sampled_from(["a", "nope"]))))
+    terms = [(s, t) for s in range(len(series)) for t in range(len(series[s]))]
+    site = draw(_mostly(st.just(None), st.sampled_from(["doc", "entry", "slot", "term", "exponent", "coefficient"])))
     if site == "doc":
-        doc = draw(st.one_of(_WRONG, st.just({"vertices": []})))
-    elif site == "body":
-        doc["vertices"][vid] = draw(st.one_of(_WRONG, st.just({"series": "x"})))
-    elif site == "series":
-        series[draw(st.integers(0, len(series) - 1))] = draw(_WRONG)
-    elif terms:
-        term = terms[draw(st.integers(0, len(terms) - 1))]
-        if site == "term":
-            term.append(0)
-        else:
-            term[1 if site == "coeff" else 0] = draw(st.one_of(_WRONG, st.sampled_from(["1/2", "x", "1/0"])))
+        doc = fixtures.plant(doc, "laurent", draw(st.one_of(_WRONG, st.just({"vertices": []}))))
+    elif site == "entry":
+        fixtures.plant(doc, "laurent-entry", draw(st.one_of(_WRONG, st.just({"series": "x"}))))
+    elif site == "slot":
+        fixtures.plant(doc, "laurent-slot", draw(_WRONG), 0, draw(st.integers(0, len(series) - 1)))
+    elif site == "term":
+        s, t = draw(st.sampled_from(terms))
+        fixtures.plant(doc, "laurent-term", [*series[s][t], 0], 0, s, t)
+    elif site is not None:
+        value = draw(st.one_of(_WRONG, st.sampled_from(["1/2", "x", "1/0"])))
+        fixtures.plant(doc, f"laurent-{site}", value, 0, *draw(st.sampled_from(terms)))
     return doc
 
 
@@ -1513,11 +1296,11 @@ def _model_docs(draw):
     doc = {"ambient_dim": n, "edges": edges}
     if draw(st.booleans()):
         doc["coords"] = [str(i) for i in range(valence - 1)]
-    field = draw(_mostly(st.just(None), st.sampled_from(["ambient_dim", "edges", "coords", "weight", "direction", "bounded"])))
-    if field in ("ambient_dim", "edges", "coords"):
-        doc[field] = draw(_WRONG)
-    elif field is not None:
-        edges[draw(st.integers(0, valence - 1))][field] = draw(_WRONG)
+    field = draw(_mostly(st.just(None), st.sampled_from(["ambient-dim", "edges", "coords", "weight", "direction", "bounded"])))
+    if field in ("ambient-dim", "edges", "coords"):
+        fixtures.plant(doc, f"model-{field}", draw(_WRONG))
+    elif field is not None:  # at one edge
+        fixtures.plant(doc, f"model-{field}", draw(_WRONG), draw(st.integers(0, valence - 1)))
     return doc
 
 
@@ -1533,61 +1316,53 @@ def _curve_docs(draw):
     another, or an endpoint that names no vertex."""
     doc = _CURVES[draw(st.sampled_from(sorted(_CURVES)))]()
     vertices, edges = doc["vertices"], doc["edges"]
-    vertex = vertices[draw(st.integers(0, len(vertices) - 1))]
-    edge = edges[draw(st.integers(0, len(edges) - 1))]
+    v, e = draw(st.integers(0, len(vertices) - 1)), draw(st.integers(0, len(edges) - 1))
+    item, items, i = draw(st.sampled_from([("vertex", vertices, v), ("edge", edges, e)]))
     site = draw(st.sampled_from(
-        ["doc", "ambient_dim", "list", "item", "position", "id", "ends", "end", "weight", "direction"]
+        ["doc", "ambient-dim", "list", "item", "position", "id", "ends", "end", "weight", "direction"]
     ))
     if site == "doc":
-        doc = draw(_WRONG)
-    elif site == "ambient_dim":
-        doc["ambient_dim"] = draw(st.one_of(_WRONG, st.sampled_from([0, 2, 17])))
+        doc = fixtures.plant(doc, "curve", draw(_WRONG))
+    elif site == "ambient-dim":
+        fixtures.plant(doc, "curve-ambient-dim", draw(st.one_of(_WRONG, st.sampled_from([0, 2, 17]))))
     elif site == "list":
-        doc[draw(st.sampled_from(["vertices", "edges"]))] = draw(_WRONG)
+        fixtures.plant(doc, {"vertex": "curve-vertices", "edge": "curve-edges"}[item], draw(_WRONG))
     elif site == "item":
-        items = draw(st.sampled_from([vertices, edges]))
-        items[draw(st.integers(0, len(items) - 1))] = draw(_WRONG)
+        fixtures.plant(doc, f"curve-{item}", draw(_WRONG), i)
     elif site == "position":
-        position = vertex["position"]
-        position[draw(st.integers(0, len(position) - 1))] = draw(_HOSTILE)
+        fixtures.plant(doc, "curve-position", draw(_HOSTILE), v, draw(st.integers(0, len(vertices[v]["position"]) - 1)))
     elif site == "id":
-        items = draw(st.sampled_from([vertices, edges]))
-        items[draw(st.integers(0, len(items) - 1))]["id"] = draw(
-            st.one_of(_WRONG, st.sampled_from([item["id"] for item in items]))
-        )
+        fixtures.plant(doc, f"curve-{item}-id", draw(st.one_of(_WRONG, st.sampled_from([x["id"] for x in items]))), i)
     elif site == "ends":
-        edge["ends"] = draw(st.one_of(_WRONG, st.just([vertex["id"]])))
+        fixtures.plant(doc, "curve-ends", draw(st.one_of(_WRONG, st.just([vertices[v]["id"]]))), e)
     elif site == "end":
-        edge["ends"][draw(st.integers(0, 1))] = draw(st.one_of(_WRONG, st.just("nope")))
+        fixtures.plant(doc, "curve-end", draw(st.one_of(_WRONG, st.just("nope"))), e, draw(st.integers(0, 1)))
     elif site == "weight":
-        edge["weight"] = draw(st.one_of(_WRONG, st.sampled_from([0, -1, 2])))
-    elif site == "direction":
-        edge["direction"] = draw(st.one_of(_WRONG, st.sampled_from([[0, 0, 0], [1, 0], ["1", 0, 0]])))
+        fixtures.plant(doc, "curve-weight", draw(st.one_of(_WRONG, st.sampled_from([0, -1, 2]))), e)
+    else:
+        fixtures.plant(doc, "curve-direction", draw(st.one_of(_WRONG, st.sampled_from([[0, 0, 0], [1, 0], ["1", 0, 0]]))), e)
     return doc
+
+
+# the values planted at each site of a --config file: at "config-coords" too
+# few, repeated, not starting at 0 and too many
+_CONFIG_VALUES = {
+    "config": st.one_of(_WRONG, st.just({})),
+    "config-vertices": _WRONG,
+    "config-key": st.sampled_from(["A", "nope", ""]),
+    "config-entry": st.one_of(_WRONG, st.just({"coords": "0"})),
+    "config-coords": st.one_of(_WRONG, st.sampled_from([["0", "1"], ["0", "0", "2"], ["1", "2", "3"], ["0", "1", "2", "3"]])),
+    "config-coord": _HOSTILE,
+}
 
 
 @st.composite
 def _config_docs(draw):
     """Marked coordinates for the 4-valent vertex V of ex534 and ex536, with
     one site changed."""
-    coords = ["0", "1", "2"]
-    doc = {"vertices": {"V": {"coords": coords}}}
-    site = draw(st.sampled_from(["doc", "vertices", "vertex", "entry", "coords", "coord"]))
-    if site == "doc":
-        doc = draw(st.one_of(_WRONG, st.just({})))
-    elif site == "vertices":
-        doc["vertices"] = draw(_WRONG)
-    elif site == "vertex":
-        doc["vertices"] = {draw(st.sampled_from(["A", "nope", ""])): {"coords": coords}}
-    elif site == "entry":
-        doc["vertices"]["V"] = draw(st.one_of(_WRONG, st.just({"coords": "0"})))
-    elif site == "coords":
-        # too few, repeated, not starting at 0, too many
-        wrong = [["0", "1"], ["0", "0", "2"], ["1", "2", "3"], ["0", "1", "2", "3"]]
-        doc["vertices"]["V"]["coords"] = draw(st.one_of(_WRONG, st.sampled_from(wrong)))
-    elif site == "coord":
-        coords[draw(st.integers(0, 2))] = draw(_HOSTILE)
-    return doc
+    site = draw(st.sampled_from(sorted(_CONFIG_VALUES)))
+    at = (0, draw(st.integers(0, 2))) if site == "config-coord" else ()
+    return fixtures.plant(fixtures.config_doc(), site, draw(_CONFIG_VALUES[site]), *at)
 
 
 def _exit_code(*argv) -> int:
@@ -1602,7 +1377,7 @@ def _exit_code(*argv) -> int:
 
 @settings(max_examples=40, deadline=None)
 @given(command=st.sampled_from(["phylo", "compare"]), doc=_laurent_docs())
-@example(command="compare", doc=laurent_doc_536())
+@example(command="compare", doc=fixtures.laurent_doc())
 def test_generated_laurent_documents_give_reports(tmp_path_factory, command, doc):
     directory = tmp_path_factory.getbasetemp()
     curve = write_json(directory / "ex536.json", fixtures.ex536_doc())
@@ -1625,16 +1400,11 @@ _CURVE_COMMANDS = [
 ]
 
 
-def _with_position(doc, text):
-    doc["vertices"][0]["position"][0] = text
-    return doc
-
-
 # The explicit examples hold numbers of 40 million digits, which take about a
 # minute to build, so they fail the time bound unless they are rejected unread.
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(_CURVE_COMMANDS), doc=_curve_docs())
-@example(command=["classify"], doc=_with_position(fixtures.square_loop_doc(), "1e40000000"))
+@example(command=["classify"], doc=fixtures.plant(fixtures.square_loop_doc(), "curve-position", "1e40000000", 0))
 def test_generated_curve_documents_give_reports(tmp_path_factory, command, doc):
     path = write_json(tmp_path_factory.getbasetemp() / "curve.json", doc)
     start = time.perf_counter()
@@ -1644,7 +1414,7 @@ def test_generated_curve_documents_give_reports(tmp_path_factory, command, doc):
 
 @settings(max_examples=30, deadline=None)
 @given(curve=st.sampled_from(["ex534", "ex536"]), doc=_config_docs())
-@example(curve="ex536", doc={"vertices": {"V": {"coords": ["0", "-2E39999999", "2"]}}})
+@example(curve="ex536", doc=fixtures.plant(fixtures.config_doc(), "config-coord", "-2E39999999"))
 def test_generated_config_documents_give_reports(tmp_path_factory, curve, doc):
     directory = tmp_path_factory.getbasetemp()
     path = write_json(directory / f"{curve}.json", _CURVES[curve]())

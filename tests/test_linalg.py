@@ -492,6 +492,8 @@ def test_content_and_primitive():
     assert content_and_primitive((Fraction(2, 3), Fraction(-4, 3))) == (Fraction(2, 3), (1, -2))
     assert content_and_primitive((6, -9, 3)) == (3, (2, -3, 1))
     assert content_and_primitive((Fraction(6), 0)) == (6, (1, 0))
+    # mixed denominators whose lcm is 2: the integer entry is scaled too
+    assert content_and_primitive((Fraction(1, 2), 1)) == (Fraction(1, 2), (1, 2))
     assert is_primitive((2, -3, 1))
     assert not is_primitive((2, 4))
     # a non-integral entry makes a vector not primitive
@@ -503,6 +505,16 @@ def test_content_and_primitive():
     assert is_primitive((Fraction(3), Fraction(-2)))
     assert not is_primitive((Fraction(4), 6))
     assert is_primitive((Fraction(6, 2), 1))
+
+
+@pytest.mark.parametrize("solve", [kernel, rank, echelon])
+@pytest.mark.parametrize("key", [-1, 3], ids=["negative", "ambient"])
+def test_a_sparse_row_outside_the_ambient_space_is_rejected(solve, key):
+    # a ValueError, as for a dense row of the wrong length, that python -O keeps
+    with pytest.raises(ValueError, match="^vectors must lie in the ambient space$"):
+        solve(3, [{0: Fraction(1)}, {key: Fraction(1)}])
+    with pytest.raises(ValueError):
+        solve(3, [(1, 2)])
 
 
 def fraction_primitive(v):

@@ -71,9 +71,13 @@ CASES = (
     ]
 )
 
-# sha256 of `_grid_lines()`, recorded before the generators were rewritten
-# on one builder and one redraw rule; every draw has stayed the same since.
-GRID_SHA256 = "e1e4de331b467161532e7b257bf90edf4268e5b325a700c5114fefdb2f1c35ae"
+# sha256 of `_grid_lines()`.  It was first recorded before the generators
+# were rewritten on one builder and one redraw rule, and every draw stayed
+# the same through that rewrite.  It was recorded again when the genus-1
+# and genus-2 generators began to reject n = 1 draws that cannot succeed
+# before drawing: 12 `immersive n=1` lines changed, because a genus-2
+# attempt there no longer uses up 200 attempts' worth of the rng.
+GRID_SHA256 = "3e392e843c9a797c1df0cce568dd4121f3d5e98a2cb045133897fad361c03ff4"
 
 
 def _grid_lines():
@@ -106,3 +110,16 @@ def test_a_draw_that_always_fails_stops_after_200_attempts():
     with pytest.raises(GenerationError, match="^test draw failed$"):
         _draw("test", attempt)
     assert len(calls) == 200
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda rng: random_genus2_curve(rng, 1)] + [lambda rng, x=x: random_genus1_curve(rng, 1, extra_legs=x) for x in (2, 5)],
+    ids=["genus2", "genus1-extra2", "genus1-extra5"],
+)
+def test_a_draw_that_cannot_succeed_in_q1_is_rejected_before_drawing(draw):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(GenerationError, match="needs n >= 2$"):
+        draw(rng)
+    assert rng.getstate() == state
