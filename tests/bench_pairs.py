@@ -35,27 +35,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
 
-def _statistics(pairs: list, better: str) -> tuple:
-    """(sign, parent median, change median, parent q1, parent q3, wins) of
-    one metric's (parent, change) pairs: sign 1 when lower reads better and
-    -1 when higher does, wins the number of pairs in which the change reads
-    better."""
-    sign = 1 if better == "lower" else -1
-    parent = [p for p, _c in pairs]
-    pm, cm = statistics.median(parent), statistics.median(c for _p, c in pairs)
-    q1, _q2, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-    wins = sum(sign * (c - p) < 0 for p, c in pairs)
-    return sign, pm, cm, q1, q3, wins
-
-
-def _verdict(pairs: list, bound: float, sign, pm, cm, q1, q3, wins) -> str:
-    if 10 * wins >= 9 * len(pairs) and sign * (pm - cm) > q3 - q1:
-        return "gain"
-    if sign * (cm - pm) <= bound * pm:
-        return "within the bound"
-    return "unresolved" if q3 - q1 > bound * pm else "regression"
-
-
 def verdict(pairs: list, bound: float, better: str) -> str:
     """The verdict on one metric from its (parent, change) pairs, bound the
     largest share by which the change's median may be worse.
@@ -67,25 +46,36 @@ def verdict(pairs: list, bound: float, better: str) -> str:
     interquartile distance, as a share of its median, exceeds the bound;
     else "regression".
     """
-    return _verdict(pairs, bound, *_statistics(pairs, better))
+    return summary(pairs, bound, better)["verdict"]
 
 
 def summary(pairs: list, bound: float, better: str) -> dict:
-    """The metric entry of a BENCH_<n>.json workload for these pairs."""
-    stats = _statistics(pairs, better)
-    sign, pm, cm, q1, q3, wins = stats
+    """The metric entry of a BENCH_<n>.json workload for these pairs; its
+    verdict (`verdict`) is reached on unrounded values."""
+    sign = 1 if better == "lower" else -1
+    parent = [p for p, _c in pairs]
+    pm, cm = statistics.median(parent), statistics.median(c for _p, c in pairs)
+    q1, _q2, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    wins = sum(sign * (c - p) < 0 for p, c in pairs)  # pairs in which the change reads better
+    gap_exceeds_iqr = sign * (pm - cm) > q3 - q1
+    if 10 * wins >= 9 * len(pairs) and gap_exceeds_iqr:
+        outcome = "gain"
+    elif sign * (cm - pm) <= bound * pm:
+        outcome = "within the bound"
+    else:
+        outcome = "unresolved" if q3 - q1 > bound * pm else "regression"
     return {
         "parent_median": round(pm, 4),
         "change_median": round(cm, 4),
         "change_pct": round(100 * (cm - pm) / pm, 2),
         "bound_pct": round(100 * bound, 2),
-        "verdict": _verdict(pairs, bound, *stats),
+        "verdict": outcome,
         "parent_quartiles": [round(q1, 4), round(q3, 4)],
         "parent_iqr_pct": round(100 * (q3 - q1) / pm, 2),
         f"change_{better}_pairs": wins,
         "pairs": len(pairs),
         "pairs_parent_change": [[round(p, 4), round(c, 4)] for p, c in pairs],
-        "median_gap_exceeds_parent_iqr": sign * (pm - cm) > q3 - q1,
+        "median_gap_exceeds_parent_iqr": gap_exceeds_iqr,
     }
 
 

@@ -412,15 +412,6 @@ def _vertex_key(doc, value):
     doc["vertices"] = {value: entry for entry in doc["vertices"].values()}
 
 
-def _model_direction(doc, value, i=1):
-    """Entry 0 of edge i's direction and, for an integer, the last edge's
-    entry 0 that balances it (the base weights are equal)."""
-    edges = doc["edges"]
-    edges[i]["direction"][0] = value
-    if type(value) is int:
-        edges[-1]["direction"][0] = -sum(e["direction"][0] for e in edges[:-1])
-
-
 SITES = {
     "curve": (),
     "curve-ambient-dim": ("ambient_dim",),
@@ -455,7 +446,7 @@ SITES = {
     "model-edge": ("edges", 0),
     "model-label": ("edges", 0, "label"),
     "model-weight": ("edges", EVERY, "weight"),
-    "model-direction": _model_direction,
+    "model-direction": ("edges", 0, "direction"),
     "model-bounded": ("edges", 0, "bounded"),
     "model-coords": ("coords",),
     "model-coord": ("coords", 1),

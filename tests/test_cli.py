@@ -747,7 +747,7 @@ _OVER = str(2**MAX_BITS)  # one bit more than the bound allows
         ("curve-weight", int(_OVER)),
         ("config-coord", _OVER),
         ("model-coord", f"-{_OVER}/3"),
-        ("model-direction", int(_OVER)),
+        ("model-direction", [int(_OVER), 1], 1),
         ("model-weight", int(_OVER)),
         ("t0", f"1/{_OVER}"),
     ],
@@ -778,7 +778,12 @@ def test_a_thousand_digit_t0_gives_a_limit_report_at_once(tmp_path, hv536):
 
 def test_numbers_at_the_bit_bound_are_read(capsys, tmp_path, hv536):
     top = 2**MAX_BITS - 1
-    plants = ("model-coord", f"-{top}/{top - 2}"), ("model-direction", top - 1), ("model-weight", top)
+    plants = [
+        ("model-coord", f"-{top}/{top - 2}"),
+        ("model-direction", [top - 1, 1], 1),
+        ("model-direction", [-top, -1], 2),
+        ("model-weight", top),
+    ]
     code, rep = run_json(capsys, *_planted(tmp_path, hv536, *plants), "--format", "json")
     assert code == 0
     assert rep["coords"] == ["0", f"-{top}/{top - 2}"]
@@ -791,7 +796,7 @@ _SHARED_FIELD_FAULTS = {
     "config-coords-bits": ("limit", {"vertex": "V"}, ("config-coord", _OVER)),
     "model-coords-bits": ("limit", {}, ("model-coord", _OVER)),
     "curve-direction-entry": ("schema", {"edge": "u1"}, ("curve-direction", [1, 1.5, 0], 5)),
-    "model-direction-entry": ("bad-model", {"edge": "E2"}, ("model-direction", "1")),
+    "model-direction-entry": ("bad-model", {"edge": "E2"}, ("model-direction", [0, "1"], 1)),
     "curve-weight-0": ("bad-weight", {"edge": "s12"}, ("curve-weight", 0, 1)),
     "model-weight-0": ("bad-model", {"edge": "E1"}, ("model-weight", 0)),
     "curve-weight-bits": ("limit", {"edge": "s01"}, ("curve-weight", int(_OVER))),
